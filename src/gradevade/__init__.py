@@ -30,10 +30,10 @@ from .evaluation import (
     SecurityCurve,
     SweepResult,
     calibrate_threshold,
-    fn_rate_under_attack,
+    fn_rates,
     sweep,
 )
-from .kernels import KernelSpec, kernel_eval, kernel_grad
+from .kernels import KernelSpec
 from .mimicry import KdeParams, MimicryEstimator, lambda_guidance
 from .models import (
     LinearModel,
@@ -41,12 +41,12 @@ from .models import (
     ModelSpec,
     SvmModel,
     load_model,
+    predict,
     save_model,
     train_from_spec,
     train_kernel_svm,
     train_linear_svm,
     train_mlp,
-    with_offset,
 )
 from .scenario import ScenarioSpec, build_surrogate, run_scenario
 

@@ -9,7 +9,7 @@ that strictly decreases F.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,9 +87,6 @@ class AttackTrace:
     def distances_from_start(self, dist: DistanceSpec) -> np.ndarray:
         x0 = self.points[0]
         return np.array([dist.of(p, x0) for p in self.points])
-
-    def final_point(self) -> np.ndarray:
-        return self.points[-1]
 
 
 def objective_F(model: TrainedModel, spec: AttackSpec, x: np.ndarray) -> float:
@@ -225,18 +222,40 @@ def _at_budget(spec: AttackSpec, x0: np.ndarray, x: np.ndarray) -> bool:
     return spec.distance.of(x, x0) >= spec.d_max - _FEAS_TOL
 
 
+class _TraceBuilder:
+    """The iterates of one run with F and g at each; g is F itself when lam = 0."""
+
+    def __init__(self, model: TrainedModel, spec: AttackSpec, x0: np.ndarray):
+        self.model, self.spec = model, spec
+        self.points, self.f_vals, self.g_vals = [], [], []
+        self.add(x0.copy(), objective_F(model, spec, x0))
+
+    def add(self, x: np.ndarray, f: float):
+        self.points.append(x)
+        self.f_vals.append(f)
+        self.g_vals.append(f if self.spec.lam == 0.0 else self.model.discriminant(x))
+
+    def finish(self, termination: str) -> AttackTrace:
+        return AttackTrace(
+            points=self.points,
+            objective_values=self.f_vals,
+            g_values=self.g_vals,
+            evaded=self.g_vals[-1] - self.model.decision_offset < 0,
+            iterations=len(self.points) - 1,
+            termination=termination,
+        )
+
+
 def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> AttackTrace:
     """Projected gradient descent on F from x0 (Algorithm follows module doc)."""
     if spec.mode != "continuous":
         raise ValueError("spec.mode must be 'continuous'")
     x0 = np.asarray(x0, dtype=float)
     _check_start(spec, x0)
-    points = [x0.copy()]
-    f_vals = [objective_F(model, spec, x0)]
-    g_vals = [model.discriminant(x0)]
+    path = _TraceBuilder(model, spec, x0)
     termination = "max_iters"
-    x = x0.copy()
     for _ in range(spec.max_iters):
+        x = path.points[-1]
         grad = objective_grad(model, spec, x)
         unit = normalize_step(grad)
         if unit is None:
@@ -249,28 +268,14 @@ def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> A
             step = spec.step_t * unit
         cand = project_feasible(spec, x0, x - step)
         f_new = objective_F(model, spec, cand)
-        if f_new - f_vals[-1] > -spec.epsilon:
+        if f_new - path.f_vals[-1] > -spec.epsilon:
             # improvement stalled; keep the point only if it still improved
-            if f_new < f_vals[-1]:
-                points.append(cand)
-                f_vals.append(f_new)
-                g_vals.append(model.discriminant(cand))
-                x = cand
-            termination = "budget_boundary_converged" if _at_budget(spec, x0, x) else "converged"
+            if f_new < path.f_vals[-1]:
+                path.add(cand, f_new)
+            termination = "budget_boundary_converged" if _at_budget(spec, x0, path.points[-1]) else "converged"
             break
-        points.append(cand)
-        f_vals.append(f_new)
-        g_vals.append(model.discriminant(cand))
-        x = cand
-    evaded = model.discriminant(points[-1]) - model.decision_offset < 0
-    return AttackTrace(
-        points=points,
-        objective_values=f_vals,
-        g_values=g_vals,
-        evaded=evaded,
-        iterations=len(points) - 1,
-        termination=termination,
-    )
+        path.add(cand, f_new)
+    return path.finish(termination)
 
 
 def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> AttackTrace:
@@ -282,12 +287,10 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
         raise ValueError("discrete mode requires an integer-valued x0")
     _check_start(spec, x0)
     lo, hi = _effective_box(spec, x0)
-    points = [x0.copy()]
-    f_vals = [objective_F(model, spec, x0)]
-    g_vals = [model.discriminant(x0)]
+    path = _TraceBuilder(model, spec, x0)
     termination = "max_iters"
-    x = x0.copy()
     for _ in range(spec.max_iters):
+        x = path.points[-1]
         grad = objective_grad(model, spec, x)
         if float(np.linalg.norm(grad)) <= _ZERO_GRAD_NORM:
             termination = "zero_gradient"
@@ -313,11 +316,8 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
                 continue
             any_candidate = True
             f_new = objective_F(model, spec, cand)
-            if f_new < f_vals[-1]:
-                points.append(cand)
-                f_vals.append(f_new)
-                g_vals.append(model.discriminant(cand))
-                x = cand
+            if f_new < path.f_vals[-1]:
+                path.add(cand, f_new)
                 accepted = True
                 break
         if not accepted:
@@ -326,15 +326,7 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
             else:
                 termination = "converged"
             break
-    evaded = model.discriminant(points[-1]) - model.decision_offset < 0
-    return AttackTrace(
-        points=points,
-        objective_values=f_vals,
-        g_values=g_vals,
-        evaded=evaded,
-        iterations=len(points) - 1,
-        termination=termination,
-    )
+    return path.finish(termination)
 
 
 def run_attack(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> AttackTrace:
@@ -342,7 +334,3 @@ def run_attack(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> AttackT
     if spec.mode == "discrete":
         return evade_discrete(model, spec, x0)
     return evade_continuous(model, spec, x0)
-
-
-def with_mimicry(spec: AttackSpec, estimator: MimicryEstimator | None) -> AttackSpec:
-    return replace(spec, mimicry=estimator)

@@ -13,13 +13,13 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .attack import AttackSpec, AttackTrace, DistanceSpec, run_attack
+from .attack import AttackTrace, DistanceSpec, run_attack
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -28,10 +28,8 @@ from .config import (
     load_dataset_from_config,
 )
 from .data import LEGITIMATE, MALICIOUS, split_train_test
-from .evaluation import calibrate_threshold, sweep
-from .mimicry import KdeParams
-from .models import load_model, save_model, train_from_spec, with_offset
-from .scenario import _predict_many
+from .evaluation import _cell_seed, calibrate_threshold, sweep
+from .models import load_model, predict, save_model, train_from_spec
 
 TRACE_FORMAT_VERSION = "gradevade-trace/1"
 
@@ -52,7 +50,7 @@ def first_evading_index(trace: AttackTrace, offset: float) -> int | None:
 
 
 def write_trace(trace: AttackTrace, distance: DistanceSpec, offset: float, path):
-    dists = trace.distances_from_start(distance)
+    dists = trace.distances_from_start(distance).tolist()
     evade_idx = first_evading_index(trace, offset)
     with open(path, "w") as fh:
         fh.write(f"# {TRACE_FORMAT_VERSION}\n")
@@ -107,25 +105,13 @@ def write_pgm(vec: np.ndarray, path):
         fh.write(data.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        if fh.readline().strip() != b"P5":
-            raise ValueError(f"{path}: not a binary PGM")
-        dims = fh.readline().split()
-        maxval = int(fh.readline())
-        w, h = int(dims[0]), int(dims[1])
-        data = np.frombuffer(fh.read(w * h), dtype=np.uint8)
-    return data.astype(float) / maxval
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
 
 def _prepare_split(cfg: ExperimentConfig, split_idx: int):
     data = load_dataset_from_config(cfg)
-    seed = int(np.random.SeedSequence([cfg.seed, split_idx, 0, 1]).generate_state(1)[0])
-    return split_train_test(data, cfg.n_train, cfg.n_test, seed=seed)
+    return split_train_test(data, cfg.n_train, cfg.n_test, seed=_cell_seed(cfg.seed, split_idx, 0, 1))
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -139,10 +125,8 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
             name = f"{spec.descriptor()}_split{split_idx}".replace("(", "_").replace(")", "").replace(",", "_").replace("=", "")
             path = models_dir / f"{name}.json"
             try:
-                seed = int(np.random.SeedSequence([cfg.seed, split_idx, model_idx, 2]).generate_state(1)[0])
-                model = train_from_spec(spec, train, seed=seed)
-                preds = _predict_many(model, train.X)
-                acc = float(np.mean(preds == train.y))
+                model = train_from_spec(spec, train, seed=_cell_seed(cfg.seed, split_idx, model_idx, 2))
+                acc = float(np.mean(predict(model, train.X) == train.y))
                 save_model(model, path)
                 manifest["models"].append(
                     {
@@ -173,29 +157,22 @@ def cmd_attack(cfg: ExperimentConfig, out_dir: Path, model_path: str, sample_ind
     _train, test = _prepare_split(cfg, split_idx)
     legit_scores = model.discriminant_many(test.X[test.y == LEGITIMATE])
     theta = calibrate_threshold(legit_scores, cfg.fp_target)
-    target = with_offset(model, theta)
+    target = replace(model, decision_offset=theta)
 
     malicious_idx = np.flatnonzero(test.y == MALICIOUS)
     if not (0 <= sample_index < len(malicious_idx)):
         raise ConfigError(f"sample index {sample_index} out of range (0..{len(malicious_idx) - 1})")
     x0 = test.X[malicious_idx[sample_index]]
-    if target.predict(x0) == LEGITIMATE and not force:
+    if predict(target, x0[None])[0] == LEGITIMATE and not force:
         raise ConfigError(
             f"sample {sample_index} is already misclassified at the calibrated threshold; use --force to attack it anyway"
         )
 
     lam_val = cfg.lambdas[0] if lam is None else lam
-    spec = cfg.attack
-    spec = AttackSpec(
-        distance=spec.distance,
+    spec = replace(
+        cfg.attack,
         d_max=max(cfg.d_max_grid),
-        step_t=spec.step_t,
         lam=lam_val,
-        epsilon=spec.epsilon,
-        max_iters=spec.max_iters,
-        bounds=spec.bounds,
-        mode=spec.mode,
-        step_norm=spec.step_norm,
         mimicry=cfg.kde.build(test.X[test.y == LEGITIMATE]) if lam_val > 0 else None,
     )
     trace = run_attack(target, spec, x0)

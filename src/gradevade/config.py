@@ -56,7 +56,8 @@ _DEFAULTS = {
         "n_q": 100,
         "relabel_with_target": True,
         "n_surrogate_repeats": 5,
-        "surrogate": {},
+        # the keys _train_surrogate reads; null keeps its default
+        "surrogate": {"C": None, "gamma": None, "m": None, "epochs": None, "learning_rate": None},
     },
     "attack": {
         "mode": "discrete",
@@ -74,15 +75,19 @@ _DEFAULTS = {
 }
 
 
-def _merge(defaults, value):
+def _reject_unknown(doc: dict, allowed, where: str):
+    for key in doc:
+        if key not in allowed:
+            raise ConfigError(f"unknown config key {where}{key}")
+
+
+def _merge(defaults, value, where: str = ""):
     if isinstance(defaults, dict) and isinstance(value, dict):
-        out = {}
-        for key in defaults:
-            out[key] = _merge(defaults[key], value[key]) if key in value else _deep_copy(defaults[key])
-        for key in value:
-            if key not in defaults:
-                raise ConfigError(f"unknown config key {key!r}")
-        return out
+        _reject_unknown(value, defaults, where)
+        return {
+            key: _merge(defaults[key], value[key], f"{where}{key}.") if key in value else _deep_copy(defaults[key])
+            for key in defaults
+        }
     return _deep_copy(value)
 
 
@@ -133,13 +138,24 @@ class ExperimentConfig:
     resolved: dict = field(repr=False, default_factory=dict)
 
 
+_MODEL_KEYS = {
+    "linear_svm": ("kind", "C"),
+    "svm": ("kind", "C", "kernel"),
+    "mlp": ("kind", "m", "epochs", "learning_rate"),
+}
+
+
 def _parse_model(entry: dict, where: str) -> ModelSpec:
     kind = entry.get("kind")
+    if kind not in _MODEL_KEYS:
+        raise ConfigError(f"{where}: unknown model kind {kind!r}")
+    _reject_unknown(entry, _MODEL_KEYS[kind], f"{where}.")
+    kd = entry.get("kernel", {})
+    _reject_unknown(kd, ("kind", "gamma", "degree", "coef0"), f"{where}.kernel.")
     try:
         if kind == "linear_svm":
             return ModelSpec(kind="linear_svm", C=float(entry.get("C", 1.0)))
         if kind == "svm":
-            kd = entry.get("kernel", {})
             kernel = KernelSpec(
                 kind=kd.get("kind", "rbf"),
                 gamma=float(kd.get("gamma", 1.0)),
@@ -147,16 +163,14 @@ def _parse_model(entry: dict, where: str) -> ModelSpec:
                 coef0=float(kd.get("coef0", 0.0)),
             )
             return ModelSpec(kind="svm", C=float(entry.get("C", 1.0)), kernel=kernel)
-        if kind == "mlp":
-            return ModelSpec(
-                kind="mlp",
-                m=int(entry.get("m", 10)),
-                epochs=int(entry.get("epochs", 2000)),
-                learning_rate=float(entry.get("learning_rate", 1.0)),
-            )
+        return ModelSpec(
+            kind="mlp",
+            m=int(entry.get("m", 10)),
+            epochs=int(entry.get("epochs", 2000)),
+            learning_rate=float(entry.get("learning_rate", 1.0)),
+        )
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-    raise ConfigError(f"{where}: unknown model kind {kind!r}")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -186,7 +200,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             n_q=int(sc["n_q"]),
             relabel_with_target=bool(sc["relabel_with_target"]),
             n_surrogate_repeats=int(sc["n_surrogate_repeats"]),
-            surrogate_params=dict(sc["surrogate"]),
+            surrogate_params={k: v for k, v in sc["surrogate"].items() if v is not None},
         )
 
         atk = resolved["attack"]
@@ -250,7 +264,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 

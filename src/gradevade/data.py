@@ -37,12 +37,6 @@ class FeatureBounds:
         if np.any(lo > hi):
             raise ValueError("FeatureBounds: lower must be <= upper elementwise")
 
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower, self.upper)
-
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
-        return bool(np.all(x >= np.asarray(self.lower) - tol) and np.all(x <= np.asarray(self.upper) + tol))
-
 
 @dataclass
 class Dataset:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .attack import AttackSpec, AttackTrace, DistanceSpec
 from .data import LEGITIMATE, MALICIOUS, Dataset, split_train_test
 from .mimicry import KdeParams
-from .models import ModelSpec, TrainedModel, train_from_spec, with_offset
+from .models import ModelSpec, TrainedModel, train_from_spec
 from .scenario import ScenarioSpec, run_scenario
 
 
@@ -69,27 +70,22 @@ def trace_profile(target: TrainedModel, trace: AttackTrace, distance: DistanceSp
     return trace.distances_from_start(distance), target.discriminant_many(pts)
 
 
-def _is_fn(dists: np.ndarray, scores: np.ndarray, theta: float, d_max: float) -> bool:
-    within = dists <= d_max + 1e-9
-    return bool(np.any(scores[within] - theta < 0))
-
-
-def fn_rate_under_attack(
+def fn_rates(
     target: TrainedModel,
     theta: float,
     traces: list[AttackTrace],
-    d_max: float,
+    d_grid: list[float],
     distance: DistanceSpec,
-) -> float:
-    """Fraction of traces whose attacker evades within budget d_max."""
+) -> list[float]:
+    """Fraction of traces whose attacker evades within each budget of d_grid."""
     if not traces:
         raise ValueError("empty malicious set")
-    hits = 0
+    hits = np.zeros(len(d_grid), dtype=int)
     for tr in traces:
         dists, scores = trace_profile(target, tr, distance)
-        if _is_fn(dists, scores, theta, d_max):
-            hits += 1
-    return hits / len(traces)
+        evading = scores - theta < 0
+        hits += [bool(np.any(evading[dists <= b + 1e-9])) for b in d_grid]
+    return [h / len(traces) for h in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -102,58 +98,50 @@ class SweepResult:
     records: list   # dict rows: classifier/scenario/lam/split/repeat/d_max/fn
     failures: list  # dict rows: classifier/split/error, for cells that raised
 
-    def curve(self, classifier: str, scenario: str, lam: float) -> SecurityCurve:
-        for c in self.curves:
-            if c.classifier == classifier and c.scenario == scenario and c.lam == lam:
-                return c
-        raise KeyError((classifier, scenario, lam))
-
 
 def _cell_seed(root: int, split_idx: int, model_idx: int, salt: int) -> int:
     return int(np.random.SeedSequence([root, split_idx, model_idx, salt]).generate_state(1)[0])
 
 
-def _run_cell(args) -> list[dict]:
-    (
-        dataset,
-        model_spec,
-        model_idx,
-        split_idx,
-        n_train,
-        n_test,
-        scenario,
-        scenario_kinds,
-        attack,
-        lambdas,
-        d_grid,
-        fp_target,
-        kde,
-        root_seed,
-    ) = args
-    train, test = split_train_test(dataset, n_train, n_test, seed=_cell_seed(root_seed, split_idx, 0, 1))
-    model = train_from_spec(model_spec, train, seed=_cell_seed(root_seed, split_idx, model_idx, 2))
+@dataclass(frozen=True)
+class _SweepPlan:
+    """What every (split, model) cell of one sweep shares; fields follow sweep's signature."""
+
+    dataset: Dataset
+    scenario: ScenarioSpec
+    scenario_kinds: list
+    attack: AttackSpec
+    lambdas: list
+    d_grid: list    # sorted d_max_grid
+    n_train: int
+    n_test: int
+    fp_target: float
+    kde: KdeParams | None
+    root_seed: int
+
+
+def _run_cell(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]) -> list[dict]:
+    split_idx, model_idx, model_spec = cell
+    train, test = split_train_test(
+        plan.dataset, plan.n_train, plan.n_test, seed=_cell_seed(plan.root_seed, split_idx, 0, 1)
+    )
+    model = train_from_spec(model_spec, train, seed=_cell_seed(plan.root_seed, split_idx, model_idx, 2))
     legit_scores = model.discriminant_many(test.X[test.y == LEGITIMATE])
-    theta = calibrate_threshold(legit_scores, fp_target)
-    target = with_offset(model, theta)
+    theta = calibrate_threshold(legit_scores, plan.fp_target)
+    target = replace(model, decision_offset=theta)
     attack_set = test.subset(np.flatnonzero(test.y == MALICIOUS))
-    budget = float(max(d_grid))
     rows = []
-    for lam in lambdas:
-        for kind in scenario_kinds:
-            scen = replace(
-                scenario,
-                kind=kind,
-                seed=_cell_seed(root_seed, split_idx, model_idx, 3),
-            )
-            atk = replace(attack, lam=lam, d_max=budget, mimicry=None)
-            traces = run_scenario(target, test, atk, scen, attack_set, kde=kde)
+    for lam in plan.lambdas:
+        for kind in plan.scenario_kinds:
+            scen = replace(plan.scenario, kind=kind, seed=_cell_seed(plan.root_seed, split_idx, model_idx, 3))
+            atk = replace(plan.attack, lam=lam, d_max=max(plan.d_grid), mimicry=None)
+            traces = run_scenario(target, test, atk, scen, attack_set, kde=plan.kde)
             by_repeat: dict = {}
             for tr in traces:
                 by_repeat.setdefault(tr.repeat, []).append(tr)
             for repeat, group in sorted(by_repeat.items(), key=lambda kv: (kv[0] is None, kv[0])):
-                profiles = [trace_profile(target, tr, attack.distance) for tr in group]
-                for b in d_grid:
-                    fn = np.mean([_is_fn(d, s, theta, b) for d, s in profiles])
+                fns = fn_rates(target, theta, group, plan.d_grid, plan.attack.distance)
+                for b, fn in zip(plan.d_grid, fns):
                     rows.append(
                         {
                             "classifier": model_spec.descriptor(),
@@ -191,43 +179,28 @@ def sweep(
     """
     if not model_grid or not d_max_grid or not lambdas or not scenario_kinds:
         raise ValueError("model grid, d_max grid, lambdas, and scenario kinds must be non-empty")
-    d_grid = sorted(float(b) for b in d_max_grid)
-    cells = [
-        (
-            dataset,
-            ms,
-            mi,
-            si,
-            n_train,
-            n_test,
-            scenario,
-            list(scenario_kinds),
-            attack,
-            list(lambdas),
-            d_grid,
-            fp_target,
-            kde,
-            seed,
-        )
-        for si in range(n_splits)
-        for mi, ms in enumerate(model_grid)
-    ]
+    plan = _SweepPlan(
+        dataset, scenario, list(scenario_kinds), attack, list(lambdas), sorted(float(b) for b in d_max_grid),
+        n_train, n_test, fp_target, kde, seed,
+    )
+    run = partial(_run_cell_safe, plan)
+    cells = [(si, mi, ms) for si in range(n_splits) for mi, ms in enumerate(model_grid)]
     if jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_cell = list(pool.map(_run_cell_safe, cells))
+            per_cell = list(pool.map(run, cells))
     else:
-        per_cell = [_run_cell_safe(c) for c in cells]
+        per_cell = [run(c) for c in cells]
     records = [row for rows, _ in per_cell for row in rows]
     failures = [err for _, err in per_cell if err is not None]
     return SweepResult(curves=aggregate_curves(records, fp_target), records=records, failures=failures)
 
 
-def _run_cell_safe(args):
+def _run_cell_safe(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]):
     """Isolate one cell; a failing cell reports itself instead of killing the sweep."""
     try:
-        return _run_cell(args), None
+        return _run_cell(plan, cell), None
     except Exception as exc:
-        model_spec, split_idx = args[1], args[3]
+        split_idx, _, model_spec = cell
         return [], {
             "classifier": model_spec.descriptor(),
             "split": int(split_idx),

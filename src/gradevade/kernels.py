@@ -29,30 +29,6 @@ def _check_dims(x: np.ndarray, xi: np.ndarray):
         raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {xi.shape[-1]}")
 
 
-def kernel_eval(k: KernelSpec, x: np.ndarray, xi: np.ndarray) -> float:
-    """k(x, xi) for one pair of vectors."""
-    x, xi = np.asarray(x, float), np.asarray(xi, float)
-    _check_dims(x, xi)
-    if k.kind == "linear":
-        return float(x @ xi)
-    if k.kind == "rbf":
-        diff = x - xi
-        return float(np.exp(-k.gamma * (diff @ diff)))
-    return float((x @ xi + k.coef0) ** k.degree)
-
-
-def kernel_grad(k: KernelSpec, x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Gradient of kernel_eval with respect to x."""
-    x, xi = np.asarray(x, float), np.asarray(xi, float)
-    _check_dims(x, xi)
-    if k.kind == "linear":
-        return xi.copy()
-    if k.kind == "rbf":
-        diff = x - xi
-        return -2.0 * k.gamma * np.exp(-k.gamma * (diff @ diff)) * diff
-    return k.degree * (x @ xi + k.coef0) ** (k.degree - 1) * xi
-
-
 def kernel_row(k: KernelSpec, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Vector of k(x, basis[i]) over the rows of `basis`."""
     x = np.asarray(x, float)

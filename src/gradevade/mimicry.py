@@ -12,7 +12,7 @@ variant of the formula and is selectable for comparison runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,21 +1,23 @@
 """The three classifier families: training, discriminant g(x), and its gradient.
 
 All models expose:
-  discriminant(x) -> float        the raw score g(x)
-  gradient(x)     -> ndarray      exact analytic grad_x g(x)
-  predict(x)      -> -1 | +1      sign of g(x) - decision_offset, tie -> +1
+  discriminant(x)      -> float     the raw score g(x)
+  discriminant_many(X) -> ndarray   g over the rows of X
+  gradient(x)          -> ndarray   exact analytic grad_x g(x)
 
-The decision offset is 0 for SVM variants and 0.5 for the sigmoid-output
-MLP; security evaluation replaces it with an FP-calibrated threshold.
+`predict(model, X)` labels rows by the sign of g(x) - decision_offset,
+tie -> +1. The decision offset is 0 for SVM variants and 0.5 for the
+sigmoid-output MLP; security evaluation replaces it with an FP-calibrated
+threshold.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset
+from .data import LEGITIMATE, MALICIOUS, Dataset
 from .kernels import (
     KernelSpec,
     kernel_grad_combination,
@@ -59,10 +61,6 @@ class LinearModel:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.w.copy()
 
-    def predict(self, x: np.ndarray, decision_offset: float | None = None) -> int:
-        off = self.decision_offset if decision_offset is None else decision_offset
-        return 1 if self.discriminant(x) - off >= 0 else -1
-
 
 @dataclass
 class SvmModel:
@@ -103,10 +101,6 @@ class SvmModel:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return kernel_grad_combination(self.kernel, np.asarray(x, float), self.support_vectors, self.dual_coefs)
-
-    def predict(self, x: np.ndarray, decision_offset: float | None = None) -> int:
-        off = self.decision_offset if decision_offset is None else decision_offset
-        return 1 if self.discriminant(x) - off >= 0 else -1
 
     def collapse_linear(self) -> LinearModel:
         """For the linear kernel only: fold the dual form into w = sum a_i y_i x_i."""
@@ -164,17 +158,14 @@ class MlpModel:
         inner = self.output_weights * delta * (1.0 - delta)
         return g * (1.0 - g) * (inner @ self.hidden_weights)
 
-    def predict(self, x: np.ndarray, decision_offset: float | None = None) -> int:
-        off = self.decision_offset if decision_offset is None else decision_offset
-        return 1 if self.discriminant(x) - off >= 0 else -1
-
 
 TrainedModel = LinearModel | SvmModel | MlpModel
 
 
-def with_offset(model: TrainedModel, decision_offset: float) -> TrainedModel:
-    """Copy of the model with a recalibrated decision threshold."""
-    return replace(model, decision_offset=decision_offset)
+def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:
+    """Label of each row of X: +1 where g(x) - decision_offset >= 0, else -1."""
+    scores = model.discriminant_many(X)
+    return np.where(scores - model.decision_offset >= 0, MALICIOUS, LEGITIMATE)
 
 
 # ---------------------------------------------------------------------------
@@ -362,44 +353,16 @@ def train_from_spec(spec: ModelSpec, train: Dataset, seed: int = 0) -> TrainedMo
 # Serialization: versioned JSON documents.
 # ---------------------------------------------------------------------------
 
-def _model_to_dict(model: TrainedModel) -> dict:
-    if isinstance(model, LinearModel):
-        return {
-            "kind": "linear",
-            "w": model.w.tolist(),
-            "b": model.b,
-            "decision_offset": model.decision_offset,
-        }
-    if isinstance(model, SvmModel):
-        return {
-            "kind": "svm",
-            "kernel": {
-                "kind": model.kernel.kind,
-                "gamma": model.kernel.gamma,
-                "degree": model.kernel.degree,
-                "coef0": model.kernel.coef0,
-            },
-            "support_vectors": model.support_vectors.tolist(),
-            "dual_coefs": model.dual_coefs.tolist(),
-            "b": model.b,
-            "C": model.C,
-            "decision_offset": model.decision_offset,
-        }
-    if isinstance(model, MlpModel):
-        return {
-            "kind": "mlp",
-            "hidden_weights": model.hidden_weights.tolist(),
-            "hidden_biases": model.hidden_biases.tolist(),
-            "output_weights": model.output_weights.tolist(),
-            "output_bias": model.output_bias,
-            "decision_offset": model.decision_offset,
-        }
-    raise TypeError(f"unknown model type {type(model).__name__}")
+_MODEL_KINDS = {"linear": LinearModel, "svm": SvmModel, "mlp": MlpModel}
 
 
 def save_model(model: TrainedModel, path):
-    doc = {"format_version": MODEL_FORMAT_VERSION}
-    doc.update(_model_to_dict(model))
+    kind = next((k for k, cls in _MODEL_KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
+        raise TypeError(f"unknown model type {type(model).__name__}")
+    doc = {"format_version": MODEL_FORMAT_VERSION, "kind": kind}
+    for name, value in asdict(model).items():
+        doc[name] = value.tolist() if isinstance(value, np.ndarray) else value
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")
@@ -414,25 +377,13 @@ def load_model(path) -> TrainedModel:
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: model format version {version!r}, expected {MODEL_FORMAT_VERSION!r}")
-    kind = doc.get("kind")
-    if kind == "linear":
-        return LinearModel(np.array(doc["w"]), doc["b"], doc["decision_offset"])
-    if kind == "svm":
-        kd = doc["kernel"]
-        return SvmModel(
-            kernel=KernelSpec(kind=kd["kind"], gamma=kd["gamma"], degree=kd["degree"], coef0=kd["coef0"]),
-            support_vectors=np.array(doc["support_vectors"]),
-            dual_coefs=np.array(doc["dual_coefs"]),
-            b=doc["b"],
-            C=doc["C"],
-            decision_offset=doc["decision_offset"],
-        )
-    if kind == "mlp":
-        return MlpModel(
-            hidden_weights=np.array(doc["hidden_weights"]),
-            hidden_biases=np.array(doc["hidden_biases"]),
-            output_weights=np.array(doc["output_weights"]),
-            output_bias=doc["output_bias"],
-            decision_offset=doc["decision_offset"],
-        )
-    raise ValueError(f"{path}: unknown model kind {kind!r}")
+    cls = _MODEL_KINDS.get(doc.get("kind"))
+    if cls is None:
+        raise ValueError(f"{path}: unknown model kind {doc.get('kind')!r}")
+    try:
+        args = {f.name: doc[f.name] for f in fields(cls)}
+        if cls is SvmModel:
+            args["kernel"] = KernelSpec(**args["kernel"])
+        return cls(**args)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed {doc['kind']} model: {type(exc).__name__}: {exc}") from None

@@ -4,7 +4,7 @@ PK descends on the target's own objective. LK samples a surrogate dataset
 from a pool, optionally relabels it by querying the target, trains a
 surrogate of the same family, and descends on the surrogate's objective;
 evasion is always judged against the target. The target is never touched
-during LK descent except through predict().
+during LK descent except through `models.predict`.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from .models import (
     MlpModel,
     SvmModel,
     TrainedModel,
+    predict,
     train_kernel_svm,
     train_linear_svm,
     train_mlp,
@@ -47,11 +48,6 @@ class ScenarioSpec:
             raise ValueError("n_surrogate_repeats must be >= 1")
 
 
-def _predict_many(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    scores = model.discriminant_many(X)
-    return np.where(scores - model.decision_offset >= 0, MALICIOUS, LEGITIMATE)
-
-
 def build_surrogate(target: TrainedModel, pool: Dataset, spec: ScenarioSpec, seed: int) -> Dataset:
     """Draw n_q pool samples without replacement; relabel via the target if set.
 
@@ -64,7 +60,7 @@ def build_surrogate(target: TrainedModel, pool: Dataset, spec: ScenarioSpec, see
         idx = rng.choice(pool.n, size=spec.n_q, replace=False)
         X = pool.X[idx].copy()
         if spec.relabel_with_target:
-            y = _predict_many(target, X)
+            y = predict(target, X)
         else:
             y = pool.y[idx].copy()
         if np.any(y == LEGITIMATE) and np.any(y == MALICIOUS):
@@ -132,7 +128,7 @@ def run_scenario(
     if attack.lam > 0 and kde is None and attack.mimicry is None:
         raise ValueError("lam > 0 requires kde parameters or a prebuilt estimator")
 
-    start_preds = _predict_many(target, attack_set.X)
+    start_preds = predict(target, attack_set.X)
     to_attack = np.flatnonzero(start_preds == MALICIOUS)
     skipped = np.flatnonzero(start_preds == LEGITIMATE)
 
@@ -168,6 +164,6 @@ def run_scenario(
             tr = run_attack(surrogate, spec_run, attack_set.X[i])
             tr.sample_index = int(i)
             tr.repeat = r
-            tr.evaded = target.predict(tr.final_point()) == LEGITIMATE
+            tr.evaded = bool(predict(target, tr.points[-1][None])[0] == LEGITIMATE)
             traces.append(tr)
     return traces

@@ -282,7 +282,7 @@ class TestEvadeContinuous:
         dists = tr.distances_from_start(spec.distance)
         assert np.all(dists <= spec.d_max + 1e-9)
         for p in tr.points:
-            assert bounds.contains(p, tol=1e-9)
+            assert np.all(p >= -2.0 - 1e-9) and np.all(p <= 2.0 + 1e-9)
         assert np.all(np.diff(tr.objective_values) <= 0)
 
     def test_l1_step_norm_policy(self):

@@ -229,9 +229,3 @@ class TestFeatureBounds:
     def test_lower_above_upper_rejected(self):
         with pytest.raises(ValueError):
             FeatureBounds(lower=2.0, upper=1.0)
-
-    def test_clip_and_contains(self):
-        b = FeatureBounds(lower=0.0, upper=1.0)
-        np.testing.assert_allclose(b.clip(np.array([-1.0, 0.5, 2.0])), [0.0, 0.5, 1.0])
-        assert b.contains(np.array([0.0, 1.0]))
-        assert not b.contains(np.array([1.5]))

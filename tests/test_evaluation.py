@@ -7,11 +7,11 @@ from gradevade.evaluation import (
     SecurityCurve,
     aggregate_curves,
     calibrate_threshold,
-    fn_rate_under_attack,
+    fn_rates,
     sweep,
 )
 from gradevade.mimicry import KdeParams
-from gradevade.models import LinearModel, ModelSpec, with_offset
+from gradevade.models import LinearModel, ModelSpec
 from gradevade.scenario import ScenarioSpec
 
 
@@ -84,11 +84,11 @@ class TestFnRate:
             trace_of([[0.2], [-1.0]], self.model),  # starts below theta: clean FN
             trace_of([[2.0], [-1.0]], self.model),  # starts above: clean TP
         ]
-        assert fn_rate_under_attack(self.model, theta, traces, 0.0, self.dist) == 0.5
+        assert fn_rates(self.model, theta, traces, [0.0], self.dist) == [0.5]
 
     def test_all_evaded_saturates(self):
         traces = [trace_of([[2.0], [-1.0]], self.model) for _ in range(4)]
-        assert fn_rate_under_attack(self.model, 0.0, traces, 3.0, self.dist) == 1.0
+        assert fn_rates(self.model, 0.0, traces, [3.0], self.dist) == [1.0]
 
     def test_monotone_in_budget(self):
         rng = np.random.default_rng(19)
@@ -99,23 +99,29 @@ class TestFnRate:
             for _ in range(int(rng.integers(1, 8))):
                 path.append([path[-1][0] - float(rng.uniform(0.1, 0.6))])
             traces.append(trace_of(path, self.model))
-        rates = [fn_rate_under_attack(self.model, 0.1, traces, b, self.dist) for b in np.linspace(0, 5, 11)]
+        budgets = list(np.linspace(0, 5, 11))
+        rates = fn_rates(self.model, 0.1, traces, budgets, self.dist)
         assert all(b >= a for a, b in zip(rates, rates[1:]))
+        # brute force: a trace counts when some point within the budget scores below theta
+        for b, rate in zip(budgets, rates):
+            hits = [
+                any(abs(p[0] - t.points[0][0]) <= b + 1e-9 and self.model.discriminant(p) < 0.1 for p in t.points)
+                for t in traces
+            ]
+            assert rate == sum(hits) / len(traces)
 
     def test_misclassified_at_start_counts_at_every_budget(self):
         traces = [trace_of([[-0.5]], self.model)]
-        for b in (0.0, 1.0, 10.0):
-            assert fn_rate_under_attack(self.model, 0.0, traces, b, self.dist) == 1.0
+        assert fn_rates(self.model, 0.0, traces, [0.0, 1.0, 10.0], self.dist) == [1.0, 1.0, 1.0]
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fn_rate_under_attack(self.model, 0.0, [], 1.0, self.dist)
+            fn_rates(self.model, 0.0, [], [1.0], self.dist)
 
     def test_needs_within_budget_point(self):
         # evading point sits at distance 2; budget 1 cannot use it
         traces = [trace_of([[1.5], [-0.5]], self.model)]
-        assert fn_rate_under_attack(self.model, 0.0, traces, 1.0, self.dist) == 0.0
-        assert fn_rate_under_attack(self.model, 0.0, traces, 2.0, self.dist) == 1.0
+        assert fn_rates(self.model, 0.0, traces, [1.0, 2.0], self.dist) == [0.0, 1.0]
 
 
 class TestSecurityCurve:

@@ -1,18 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gradevade.data import Dataset
-from gradevade.kernels import KernelSpec, kernel_eval, kernel_grad
+from gradevade.kernels import KernelSpec, kernel_grad_combination, kernel_row
 from gradevade.models import (
     LinearModel,
     MlpModel,
     SvmModel,
     load_model,
+    predict,
     save_model,
     train_kernel_svm,
     train_linear_svm,
     train_mlp,
-    with_offset,
 )
 
 
@@ -36,26 +38,36 @@ def assert_grad_close(analytic, numeric, rel=1e-4, abs_tol=1e-8):
         assert np.linalg.norm(analytic - numeric) <= abs_tol
 
 
+def pair_value(k, x, xi):
+    """k(x, xi) for one pair, through the one-row kernel routine."""
+    return float(kernel_row(k, x, np.asarray(xi, float)[None, :])[0])
+
+
+def pair_grad(k, x, xi):
+    """grad_x k(x, xi) for one pair, through the weighted-sum routine."""
+    return kernel_grad_combination(k, x, np.asarray(xi, float)[None, :], np.ones(1))
+
+
 class TestKernels:
     def test_rbf_at_same_point(self):
         k = KernelSpec("rbf", gamma=0.7)
         x = np.array([1.0, -2.0])
-        assert kernel_eval(k, x, x) == 1.0
-        np.testing.assert_allclose(kernel_grad(k, x, x), [0.0, 0.0])
+        assert pair_value(k, x, x) == 1.0
+        np.testing.assert_allclose(pair_grad(k, x, x), [0.0, 0.0])
 
     def test_linear_hand_values(self):
         k = KernelSpec("linear")
-        assert kernel_eval(k, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-        np.testing.assert_allclose(kernel_grad(k, np.array([9.0, 9.0]), np.array([3.0, 4.0])), [3.0, 4.0])
+        assert pair_value(k, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
+        np.testing.assert_allclose(pair_grad(k, np.array([9.0, 9.0]), np.array([3.0, 4.0])), [3.0, 4.0])
 
     def test_polynomial_hand_values(self):
         k = KernelSpec("polynomial", degree=2, coef0=1.0)
-        assert kernel_eval(k, np.array([1.0, 0.0]), np.array([2.0, 1.0])) == 9.0
-        np.testing.assert_allclose(kernel_grad(k, np.array([1.0, 0.0]), np.array([2.0, 1.0])), [12.0, 6.0])
+        assert pair_value(k, np.array([1.0, 0.0]), np.array([2.0, 1.0])) == 9.0
+        np.testing.assert_allclose(pair_grad(k, np.array([1.0, 0.0]), np.array([2.0, 1.0])), [12.0, 6.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            kernel_eval(KernelSpec("linear"), np.zeros(2), np.zeros(3))
+            pair_value(KernelSpec("linear"), np.zeros(2), np.zeros(3))
 
     @pytest.mark.parametrize("kind", ["linear", "rbf", "polynomial"])
     def test_grad_matches_finite_differences(self, kind):
@@ -65,8 +77,8 @@ class TestKernels:
                            degree=int(rng.integers(1, 4)), coef0=float(rng.uniform(0.0, 2.0)))
             x = rng.normal(size=4)
             xi = rng.normal(size=4)
-            numeric = central_diff(lambda v: kernel_eval(k, v, xi), x)
-            assert_grad_close(kernel_grad(k, x, xi), numeric, rel=1e-6)
+            numeric = central_diff(lambda v: pair_value(k, v, xi), x)
+            assert_grad_close(pair_grad(k, x, xi), numeric, rel=1e-6)
 
 
 def blobs(n_per_class=20, sep=4.0, seed=0, d=2):
@@ -98,8 +110,7 @@ class TestLinearSvm:
     def test_separable_blobs_perfect_training_accuracy(self):
         ds = blobs(25, sep=6.0, seed=1)
         m = train_linear_svm(ds, C=10.0)
-        preds = np.array([m.predict(x) for x in ds.X])
-        assert np.all(preds == ds.y)
+        assert np.all(predict(m, ds.X) == ds.y)
 
     def test_degenerate_data_rejected(self):
         ds = Dataset(np.ones((4, 2)), np.array([-1, -1, 1, 1]))
@@ -132,18 +143,17 @@ class TestKernelSvm:
         svm = train_kernel_svm(ds, KernelSpec("linear"), C=1.0)
         lin = svm.collapse_linear()
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            x = rng.normal(size=2) * 3
+        X = rng.normal(size=(100, 2)) * 3
+        for x in X:
             assert abs(svm.discriminant(x) - lin.discriminant(x)) < 1e-6
-            assert svm.predict(x) == lin.predict(x)
+        np.testing.assert_array_equal(predict(svm, X), predict(lin, X))
 
     def test_xor_rbf(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
         y = np.array([-1, -1, 1, 1])
         ds = Dataset(X, y)
         m = train_kernel_svm(ds, KernelSpec("rbf", gamma=1.0), C=100.0)
-        preds = np.array([m.predict(x) for x in X])
-        assert np.all(preds == y)
+        assert np.all(predict(m, X) == y)
 
     def test_dual_constraints_and_kkt(self):
         ds = blobs(25, sep=2.0, seed=5)  # overlapping: some alphas at bound
@@ -173,8 +183,7 @@ class TestMlp:
     def test_separable_blobs_accuracy(self):
         ds = blobs(30, sep=4.0, seed=2)
         m = train_mlp(ds, m=3, epochs=800, learning_rate=2.0, seed=0)
-        preds = np.array([m.predict(x) for x in ds.X])
-        assert np.mean(preds == ds.y) >= 0.95
+        assert np.mean(predict(m, ds.X) == ds.y) >= 0.95
 
     def test_zero_epochs_returns_init(self):
         ds = blobs(5, seed=4)
@@ -261,15 +270,14 @@ class TestDiscriminantGradients:
 class TestPredict:
     def test_sign_and_tie(self):
         m = LinearModel(np.array([1.0]), 0.0)
-        assert m.predict(np.array([3.0])) == 1
-        assert m.predict(np.array([-0.5])) == -1
-        assert m.predict(np.array([0.0])) == 1  # tie goes to +1
+        # rows 3.0 and -0.5 fall on either side; 0.0 is a tie, which goes to +1
+        np.testing.assert_array_equal(predict(m, np.array([[3.0], [-0.5], [0.0]])), [1, -1, 1])
 
     def test_offset_convention(self):
         m = MlpModel(np.zeros((2, 1)), np.zeros(2), np.zeros(2), -0.4)
         # g = sigmoid(-0.4) ~ 0.401 < 0.5 -> legitimate under the MLP offset
-        assert m.predict(np.array([0.0])) == -1
-        assert with_offset(m, 0.0).predict(np.array([0.0])) == 1
+        assert predict(m, np.zeros((1, 1)))[0] == -1
+        assert predict(replace(m, decision_offset=0.0), np.zeros((1, 1)))[0] == 1
 
 
 class TestModelIO:
@@ -309,6 +317,15 @@ class TestModelIO:
         p.write_text('{"format_version": "gradevade-model/99", "kind": "linear"}\n')
         with pytest.raises(ValueError, match="version"):
             load_model(p)
+
+    def test_missing_or_unknown_field_is_a_value_error(self, tmp_path):
+        p = tmp_path / "m.json"
+        save_model(SvmModel(KernelSpec("rbf"), np.zeros((2, 1)), np.zeros(2), 0.0, C=1.0), p)
+        good = p.read_text()
+        for bad in (good.replace('"b": 0.0, ', ""), good.replace('"gamma"', '"gama"')):
+            p.write_text(bad)
+            with pytest.raises(ValueError, match="malformed svm model"):
+                load_model(p)
 
     def test_corrupted_payload(self, tmp_path):
         p = tmp_path / "bad.json"
