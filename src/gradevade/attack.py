@@ -5,10 +5,13 @@ unit gradient of F, project back into {d(x, x0) <= d_max} intersected
 with the box (and the increment constraint when set), stop when the
 improvement in F stalls below epsilon. Discrete mode moves one feature
 by +-1 per iteration, picking the feasible move best aligned with -grad F
-that strictly decreases F.
+that strictly decreases F. Its moves are +-1 from an integer start, so it
+tracks the distance from x0 exactly as a running integer sum (l1, or the
+squared l2 norm) instead of recomputing it for every candidate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +88,14 @@ class AttackTrace:
     repeat: int | None = None
 
     def distances_from_start(self, dist: DistanceSpec) -> np.ndarray:
-        x0 = self.points[0]
-        return np.array([dist.of(p, x0) for p in self.points])
+        """dist.of(p, points[0]) for every point, bit for bit, in one pass."""
+        diff = np.stack(self.points).astype(float, copy=False)
+        diff -= diff[0].copy()
+        if dist.kind == "l1":
+            return np.abs(diff, out=diff).sum(axis=1)
+        # stacked vector @ vector reduces like the 1-D `diff @ diff` of `of`
+        # (einsum would sum in another order)
+        return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
 
 
 def objective_F(model: TrainedModel, spec: AttackSpec, x: np.ndarray) -> float:
@@ -286,16 +295,21 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
     if np.any(x0 != np.round(x0)):
         raise ValueError("discrete mode requires an integer-valued x0")
     _check_start(spec, x0)
-    lo, hi = _effective_box(spec, x0)
+    lo, hi = (b.tolist() for b in _effective_box(spec, x0))
+    l1 = spec.distance.kind == "l1"
+    # x - x0 and its l1 norm or squared l2 norm: integers, so exact in floats
+    delta = [0.0] * len(x0)
+    dist_sum = 0.0
     path = _TraceBuilder(model, spec, x0)
     termination = "max_iters"
     for _ in range(spec.max_iters):
         x = path.points[-1]
         grad = objective_grad(model, spec, x)
-        if float(np.linalg.norm(grad)) <= _ZERO_GRAD_NORM:
+        if math.sqrt(grad @ grad) <= _ZERO_GRAD_NORM:  # np.linalg.norm of a vector
             termination = "zero_gradient"
             break
-        order = np.argsort(-np.abs(grad), kind="stable")
+        order = np.argsort(-np.abs(grad), kind="stable").tolist()
+        grad = grad.tolist()
         accepted = False
         budget_blocked = False
         any_candidate = False
@@ -306,18 +320,26 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
             s = -1.0 if gj > 0 else 1.0
             if spec.bounds.increment_only and s < 0:
                 continue
-            nv = x[j] + s
+            nv = float(x[j]) + s
             if nv < lo[j] - _FEAS_TOL or nv > hi[j] + _FEAS_TOL:
                 continue
-            cand = x.copy()
-            cand[j] = nv
-            if spec.distance.of(cand, x0) > spec.d_max + _FEAS_TOL:
+            dj, nd = delta[j], delta[j] + s
+            if l1:
+                cand_sum = dist_sum - abs(dj) + abs(nd)
+                cand_dist = cand_sum
+            else:
+                cand_sum = dist_sum - dj * dj + nd * nd
+                cand_dist = math.sqrt(cand_sum)
+            if cand_dist > spec.d_max + _FEAS_TOL:
                 budget_blocked = True
                 continue
             any_candidate = True
+            cand = x.copy()
+            cand[j] = nv
             f_new = objective_F(model, spec, cand)
             if f_new < path.f_vals[-1]:
                 path.add(cand, f_new)
+                delta[j], dist_sum = nd, cand_sum
                 accepted = True
                 break
         if not accepted:

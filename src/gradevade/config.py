@@ -104,18 +104,21 @@ def apply_override(doc: dict, dotted: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    parts = key.strip().split(".")
+    path = key.strip()
+    parts = path.split(".")
     node = doc
-    for p in parts[:-1]:
+    for depth, p in enumerate(parts):
+        parent = ".".join(parts[:depth]) or "the config"
         if isinstance(node, list):
-            node = node[int(p)]
+            if not (p.isdecimal() and int(p) < len(node)):
+                raise ConfigError(f"--set {path}: {parent} is a list of {len(node)}, {p!r} is not an index into it")
+            p = int(p)
+        elif not isinstance(node, dict):
+            raise ConfigError(f"--set {path}: {parent} is {node!r}, not an object")
+        if depth == len(parts) - 1:
+            node[p] = value
         else:
-            node = node.setdefault(p, {})
-    leaf = parts[-1]
-    if isinstance(node, list):
-        node[int(leaf)] = value
-    else:
-        node[leaf] = value
+            node = node[p] if isinstance(node, list) else node.setdefault(p, {})
 
 
 @dataclass
@@ -264,7 +267,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         )
     except ConfigError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 

@@ -66,8 +66,8 @@ def calibrate_threshold(legit_scores, fp_target: float) -> float:
 
 def trace_profile(target: TrainedModel, trace: AttackTrace, distance: DistanceSpec):
     """(distance-from-start, target score) arrays over the trace points."""
-    pts = np.stack(trace.points)
-    return trace.distances_from_start(distance), target.discriminant_many(pts)
+    scores = target.discriminant_many(np.stack(trace.points))
+    return trace.distances_from_start(distance), scores
 
 
 def fn_rates(

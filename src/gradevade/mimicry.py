@@ -43,6 +43,7 @@ class MimicryEstimator:
         if self.grad_form not in GRAD_FORMS:
             raise ValueError(f"unknown grad_form {self.grad_form!r}")
         self.reference_points = pts
+        self._last = None   # (query bytes, (diffs, dists)) of the latest query
 
     @property
     def n_used(self) -> int:
@@ -50,12 +51,19 @@ class MimicryEstimator:
         return min(self.truncation_k, len(self.reference_points))
 
     def _neighbors(self, x: np.ndarray):
-        """(diffs, distances) of the truncation_k nearest reference points."""
+        """(diffs, distances) of the truncation_k nearest reference points.
+
+        The latest query's result is kept, keyed on the query's contents, so
+        density(x) followed by density_grad(x) searches once.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.reference_points.shape[1]:
             raise ValueError(
                 f"dimension mismatch: query {x.shape[0]}, reference {self.reference_points.shape[1]}"
             )
+        key = x.tobytes()
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
         diffs = x[None, :] - self.reference_points
         if self.kernel_kind == "laplacian":
             dists = np.abs(diffs).sum(axis=1)
@@ -65,6 +73,7 @@ class MimicryEstimator:
         if k < len(dists):
             sel = np.argpartition(dists, k - 1)[:k]
             diffs, dists = diffs[sel], dists[sel]
+        self._last = (key, (diffs, dists))
         return diffs, dists
 
     def density(self, x: np.ndarray) -> float:

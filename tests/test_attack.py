@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+import gradevade.attack as attack_module
 from gradevade.attack import (
+    _FEAS_TOL,
+    _ZERO_GRAD_NORM,
     AttackSpec,
+    AttackTrace,
     DistanceSpec,
+    _check_start,
+    _effective_box,
+    _TraceBuilder,
     evade_continuous,
     evade_discrete,
     is_feasible,
@@ -241,6 +248,18 @@ class TestProjectFeasible:
             assert is_feasible(spec, x0, ours)
 
 
+class TestDistancesFromStart:
+    @pytest.mark.parametrize("kind", ["l1", "l2"])
+    def test_equals_distance_of_each_point_bit_for_bit(self, kind):
+        rng = np.random.default_rng(16)
+        dist = DistanceSpec(kind)
+        for d in (1, 3, 100, 784, 1000):
+            points = [rng.random(d) * 100 for _ in range(int(rng.integers(1, 30)))]
+            tr = AttackTrace(points, [0.0] * len(points), [0.0] * len(points), False, len(points) - 1, "converged")
+            want = np.array([dist.of(p, points[0]) for p in points])
+            assert tr.distances_from_start(dist).tobytes() == want.tobytes()
+
+
 class TestEvadeContinuous:
     def test_one_dimensional_hand_trace(self):
         model = LinearModel(np.array([1.0]), 0.0)
@@ -385,3 +404,144 @@ class TestEvadeDiscrete:
                           bounds=FeatureBounds(0.0, 10.0), mode="discrete")
         tr = evade_discrete(model, spec, np.array([3.0, 3.0, 3.0, 3.0]))
         assert np.all(np.diff(tr.objective_values) < 0)
+
+
+def reference_evade_discrete(model, spec, x0):
+    """Oracle for evade_discrete: the same descent, but it computes each
+    candidate's distance with DistanceSpec.of and the gradient norm with
+    np.linalg.norm instead of tracking them."""
+    if spec.mode != "discrete":
+        raise ValueError("spec.mode must be 'discrete'")
+    x0 = np.asarray(x0, dtype=float)
+    if np.any(x0 != np.round(x0)):
+        raise ValueError("discrete mode requires an integer-valued x0")
+    _check_start(spec, x0)
+    lo, hi = _effective_box(spec, x0)
+    path = _TraceBuilder(model, spec, x0)
+    termination = "max_iters"
+    for _ in range(spec.max_iters):
+        x = path.points[-1]
+        grad = objective_grad(model, spec, x)
+        if float(np.linalg.norm(grad)) <= _ZERO_GRAD_NORM:
+            termination = "zero_gradient"
+            break
+        order = np.argsort(-np.abs(grad), kind="stable")
+        accepted = False
+        budget_blocked = False
+        any_candidate = False
+        for j in order:
+            gj = grad[j]
+            if gj == 0.0:
+                break  # sorted by |grad|; the rest are zeros too
+            s = -1.0 if gj > 0 else 1.0
+            if spec.bounds.increment_only and s < 0:
+                continue
+            nv = x[j] + s
+            if nv < lo[j] - _FEAS_TOL or nv > hi[j] + _FEAS_TOL:
+                continue
+            cand = x.copy()
+            cand[j] = nv
+            if spec.distance.of(cand, x0) > spec.d_max + _FEAS_TOL:
+                budget_blocked = True
+                continue
+            any_candidate = True
+            f_new = objective_F(model, spec, cand)
+            if f_new < path.f_vals[-1]:
+                path.add(cand, f_new)
+                accepted = True
+                break
+        if not accepted:
+            if not any_candidate and budget_blocked:
+                termination = "budget_boundary_converged"
+            else:
+                termination = "converged"
+            break
+    return path.finish(termination)
+
+
+def _random_discrete_case(rng):
+    """A seeded model, start point and discrete spec; returns (kind, model, spec, x0)."""
+    d = int(rng.integers(2, 7))
+    kind = str(rng.choice(["linear", "rbf", "mlp"]))
+    if kind == "linear":
+        model = LinearModel(rng.normal(size=d), float(rng.normal()))
+    elif kind == "rbf":
+        sv = rng.integers(0, 6, size=(6, d)).astype(float)
+        raw = rng.uniform(0.1, 1.0, size=6) * rng.choice([-1.0, 1.0], size=6)
+        model = SvmModel(KernelSpec("rbf", gamma=float(rng.uniform(0.05, 1.0))), sv, raw - raw.mean(), 0.0, C=2.0)
+    else:
+        # a large output bias saturates the output sigmoid: exact zero gradient
+        bias = float(rng.choice([rng.normal(), 40.0]))
+        model = MlpModel(rng.normal(scale=2.0, size=(4, d)), rng.normal(size=4), rng.normal(scale=3.0, size=4), bias)
+    lo = rng.integers(-2, 1, size=d).astype(float)
+    hi = lo + rng.integers(3, 9, size=d)
+    x0 = np.array([float(rng.integers(l, h + 1)) for l, h in zip(lo, hi)])
+    lam, est = 0.0, None
+    if rng.random() < 0.5:
+        kde_kind = str(rng.choice(["laplacian", "rbf"]))
+        # the rbf KDE works on squared distances: a wider h keeps it alive
+        est = MimicryEstimator(
+            rng.integers(-2, 7, size=(15, d)).astype(float),
+            h=float(rng.uniform(2.0, 10.0)) * (d if kde_kind == "rbf" else 1),
+            kernel_kind=kde_kind,
+            truncation_k=int(rng.integers(3, 16)),
+            grad_form=str(rng.choice(["corrected", "paper"])),
+        )
+        lam = float(rng.uniform(0.5, 5.0))
+    spec = AttackSpec(
+        distance=DistanceSpec(str(rng.choice(["l1", "l2"]))),
+        # budgets a hair under a reachable distance exercise the tolerance
+        d_max=float(rng.choice([0.0, 1.0, 2.0, 2.5, 3.0 - 1e-10, 8.0 ** 0.5, 5.0 ** 0.5 - 1e-10, 6.0, 30.0])),
+        lam=lam,
+        max_iters=int(rng.choice([2, 5, 100])),
+        bounds=FeatureBounds(lo, hi, increment_only=bool(rng.integers(0, 2))),
+        mode="discrete",
+        mimicry=est,
+    )
+    return kind, model, spec, x0
+
+
+class TestDiscreteMatchesReference:
+    def test_same_trace_as_reference_on_random_cases(self, monkeypatch):
+        f_calls = []
+        original_F = attack_module.objective_F
+
+        def counted_F(model, spec, x):
+            f_calls.append(1)
+            return original_F(model, spec, x)
+
+        monkeypatch.setattr(attack_module, "objective_F", counted_F)
+        rng = np.random.default_rng(2024)
+        seen = {"kinds": set(), "distances": set(), "increment_only": set(), "lam_positive": set(),
+                "terminations": set(), "first_candidate_rejected": False}
+        for case in range(400):
+            kind, model, spec, x0 = _random_discrete_case(rng)
+            if spec.lam > 0:
+                assert spec.mimicry.density(x0) > 1e-6, case  # the KDE term is live
+            f_calls.clear()
+            got = evade_discrete(model, spec, x0)
+            want = reference_evade_discrete(model, spec, x0)
+            assert len(got.points) == len(want.points), case
+            for a, b in zip(got.points, want.points):
+                assert np.array_equal(a, b), case
+            assert got.termination == want.termination, case
+            assert got.objective_values == want.objective_values, case
+            assert got.g_values == want.g_values, case
+            assert got.evaded == want.evaded, case
+            seen["kinds"].add(kind)
+            seen["distances"].add(spec.distance.kind)
+            seen["increment_only"].add(spec.bounds.increment_only)
+            seen["lam_positive"].add(spec.lam > 0)
+            seen["terminations"].add(got.termination)
+            # one F for x0, one per accepted move; any more scored a rejected candidate
+            if len(f_calls) > got.iterations + 1:
+                seen["first_candidate_rejected"] = True
+        assert seen == {
+            "kinds": {"linear", "rbf", "mlp"},
+            "distances": {"l1", "l2"},
+            "increment_only": {False, True},
+            "lam_positive": {False, True},
+            "terminations": set(attack_module.TERMINATIONS),
+            "first_candidate_rejected": True,
+        }
+

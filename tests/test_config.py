@@ -1,10 +1,17 @@
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradevade.config import ConfigError, load_config, parse_config
+from gradevade.config import ConfigError, apply_override, load_config, parse_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def flagship_doc() -> dict:
+    return json.loads((CONFIGS / "synthetic_pdf.json").read_text())
 
 
 class TestUnknownKeys:
@@ -55,3 +62,121 @@ class TestUnknownKeys:
         svm, mlp = cfg.model_grid
         assert (svm.C, svm.kernel.kind, svm.kernel.degree, svm.kernel.coef0) == (2.0, "polynomial", 3, 1.0)
         assert (mlp.m, mlp.epochs, mlp.learning_rate) == (4, 5, 0.5)
+
+
+class TestOverrides:
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ("models.5.C=1", r"models is a list of 3, '5' is not an index"),
+            ("seed.x=1", r"seed is 2, not an object"),
+            ("models.x.C=1", r"models is a list of 3, 'x' is not an index"),
+        ],
+    )
+    def test_bad_path_is_a_config_error_naming_it(self, override, named):
+        with pytest.raises(ConfigError, match=named):
+            load_config(CONFIGS / "synthetic_pdf.json", [override])
+
+    def test_non_finite_count_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="infinity"):
+            load_config(CONFIGS / "synthetic_pdf.json", ["split.n_train=Infinity"])
+
+    def test_list_entries_and_new_keys_are_set(self):
+        doc = flagship_doc()
+        apply_override(doc, "models.1.kernel.gamma=0.5")
+        apply_override(doc, "attack.kde.h=3")
+        cfg = parse_config(doc)
+        assert cfg.model_grid[1].kernel.gamma == 0.5 and cfg.kde.h == 3.0
+
+
+# dotted path -> (strategy for a valid value, where parse_config puts it)
+SCALAR_LEAVES = {
+    "seed": (st.integers(0, 2**63), lambda cfg: cfg.seed),
+    "jobs": (st.integers(1, 64), lambda cfg: cfg.jobs),
+    "output_dir": (st.text(min_size=1), lambda cfg: cfg.output_dir),
+    "split.n_train": (st.integers(1, 10**6), lambda cfg: cfg.n_train),
+    "scenario.n_q": (st.integers(1, 10**6), lambda cfg: cfg.scenario.n_q),
+    "scenario.surrogate.gamma": (st.floats(1e-6, 1e3), lambda cfg: cfg.scenario.surrogate_params["gamma"]),
+    "models.0.C": (st.floats(1e-6, 1e6), lambda cfg: cfg.model_grid[0].C),
+    "models.2.epochs": (st.integers(0, 10**6), lambda cfg: cfg.model_grid[2].epochs),
+    "attack.epsilon": (st.floats(1e-15, 1.0), lambda cfg: cfg.attack.epsilon),
+    "attack.max_iters": (st.integers(1, 10**6), lambda cfg: cfg.attack.max_iters),
+    "attack.kde.h": (st.floats(1e-6, 1e6), lambda cfg: cfg.kde.h),
+    "attack.bounds.upper": (st.floats(1.0, 1e6), lambda cfg: cfg.attack.bounds.upper),
+    "evaluation.fp_target": (st.floats(0.0, 0.999), lambda cfg: cfg.fp_target),
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+ODD_VALUES = st.sampled_from([float("inf"), float("-inf"), float("nan"), None, True, -1, "x", [], {}])
+KNOWN_SEGMENTS = ["seed", "models", "attack", "kde", "bounds", "kind", "kernel", "scenario", "surrogate", "0", "2", "5"]
+SEGMENTS = st.sampled_from(KNOWN_SEGMENTS) | st.text(max_size=4).filter(lambda t: "." not in t and "=" not in t)
+PATHS = st.sampled_from(sorted(SCALAR_LEAVES) + ["models", "models.1.kernel", "attack.d_max_grid", "dataset"]) | st.lists(
+    SEGMENTS, min_size=1, max_size=4
+).map(".".join)
+
+
+TOP_KEYS = set(flagship_doc())
+
+
+def _resolved_at(resolved: dict, path: str):
+    node = resolved
+    for part in path.split("."):
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    return node
+
+
+class TestOverrideProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_scalar_leaves_round_trip(self, data):
+        path = data.draw(st.sampled_from(sorted(SCALAR_LEAVES)))
+        values, parsed = SCALAR_LEAVES[path]
+        value = data.draw(values)
+        doc = flagship_doc()
+        apply_override(doc, f"{path}={json.dumps(value)}")
+        cfg = parse_config(doc)
+        assert _resolved_at(cfg.resolved, path) == value
+        assert parsed(cfg) == value
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_index_outside_a_list_is_a_config_error(self, data):
+        doc = flagship_doc()
+        list_path = data.draw(st.sampled_from(["models", "scenario.kinds", "attack.d_max_grid", "attack.lambdas"]))
+        n = len(_resolved_at(doc, list_path))
+        index = data.draw(
+            st.integers(n, 10**9) | st.integers(max_value=-1) | st.text(max_size=4).filter(lambda t: not t.isdecimal())
+        )
+        rest = data.draw(st.lists(SEGMENTS, max_size=2))
+        with pytest.raises(ConfigError, match="is not an index"):
+            apply_override(doc, ".".join([list_path, str(index), *rest]) + "=1")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(SCALAR_LEAVES)), st.lists(SEGMENTS, min_size=1, max_size=3))
+    def test_path_through_a_scalar_is_a_config_error(self, leaf, rest):
+        with pytest.raises(ConfigError, match="not an object"):
+            apply_override(flagship_doc(), ".".join([leaf, *rest]) + "=1")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=8).filter(lambda t: t.strip() not in TOP_KEYS and "." not in t and "=" not in t),
+           st.lists(SEGMENTS, max_size=2))
+    def test_unknown_key_is_a_config_error(self, key, rest):
+        doc = flagship_doc()
+        with pytest.raises(ConfigError):
+            apply_override(doc, ".".join([key, *rest]) + "=1")
+            parse_config(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(PATHS, ODD_VALUES | JSON_VALUES)
+    def test_any_override_parses_or_is_a_config_error(self, path, value):
+        doc = flagship_doc()
+        try:
+            apply_override(doc, f"{path}={json.dumps(value)}")
+            parse_config(doc)
+        except ConfigError:
+            pass
+

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradevade.mimicry import KdeParams, MimicryEstimator, lambda_guidance
+from gradevade.mimicry import GRAD_FORMS, KDE_KERNELS, KdeParams, MimicryEstimator, lambda_guidance
 
 from test_models import assert_grad_close, central_diff
 
@@ -107,6 +107,33 @@ class TestDensityGrad:
         est = MimicryEstimator(pts, h=1.0, kernel_kind="laplacian")
         g = est.density_grad(np.array([1.0, 0.0]))  # first coordinate sits on the kink
         assert g[0] == 0.0
+
+
+class TestNeighborMemo:
+    @pytest.mark.parametrize("kind", KDE_KERNELS)
+    @pytest.mark.parametrize("form", GRAD_FORMS)
+    def test_values_follow_the_query_contents(self, kind, form):
+        rng = np.random.default_rng(5)
+        pts = rng.integers(0, 6, size=(40, 4)).astype(float)
+        settings = dict(h=3.0, kernel_kind=kind, truncation_k=10, grad_form=form)
+        est = MimicryEstimator(pts, **settings)
+        a = rng.integers(0, 6, size=4).astype(float)
+        b = rng.integers(0, 6, size=4).astype(float)
+
+        def check(x, grad_first):
+            fresh = MimicryEstimator(pts, **settings)
+            if grad_first:
+                g, dens = est.density_grad(x), est.density(x)
+            else:
+                dens, g = est.density(x), est.density_grad(x)
+            assert dens == fresh.density(x)
+            assert g.tobytes() == fresh.density_grad(x).tobytes()
+
+        check(a, False)
+        a[1] += 1.0  # same array object, new contents
+        check(a, True)
+        for x, grad_first in ((b, False), (a, False), (b, True), (a, True)):
+            check(x, grad_first)
 
 
 class TestLambdaGuidance:

@@ -9,6 +9,7 @@ from gradevade.models import (
     LinearModel,
     MlpModel,
     SvmModel,
+    _sigmoid,
     load_model,
     predict,
     save_model,
@@ -177,6 +178,28 @@ class TestKernelSvm:
         x = np.array([0.5, 0.25])
         by_hand = sum(c * np.exp(-0.3 * np.sum((x - v) ** 2)) for c, v in zip(coefs, sv)) + 0.1
         assert abs(m.discriminant(x) - by_hand) < 1e-9
+
+
+def masked_sigmoid(z):
+    """The two-pass masked logistic that _sigmoid replaced, as its oracle."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_matches_masked_formula_bit_for_bit():
+    rng = np.random.default_rng(0)
+    z = np.concatenate(
+        [rng.normal(scale=s, size=25_000) for s in (1.0, 10.0, 100.0, 800.0)]
+        + [[0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan]]
+    )
+    got, want = _sigmoid(z), masked_sigmoid(z)
+    nan = np.isnan(want)
+    assert nan.sum() == 1 and np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 class TestMlp:
