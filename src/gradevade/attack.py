@@ -56,11 +56,12 @@ class AttackSpec:
     mimicry: MimicryEstimator | None = None
 
     def __post_init__(self):
-        if self.d_max < 0:
+        # `not x >= 0` rather than `x < 0`, so that NaN fails too
+        if not self.d_max >= 0:
             raise ValueError("d_max must be nonnegative")
-        if self.step_t <= 0:
+        if not self.step_t > 0:
             raise ValueError("step_t must be positive")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -68,7 +69,7 @@ class AttackSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.step_norm not in ("l1", "l2"):
             raise ValueError(f"unknown step_norm {self.step_norm!r}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lam must be nonnegative")
         # lam > 0 additionally needs a mimicry estimator, but scenarios bind
         # the estimator after construction; enforced when F is evaluated
@@ -76,16 +77,23 @@ class AttackSpec:
 
 @dataclass
 class AttackTrace:
-    """Every iterate of one attack run; points[0] is x0, points[-1] is x*."""
+    """What one attack run did: every iterate, F at each, and why it stopped.
+
+    points[0] is x0 and points[-1] is x*. F is the attacked model's
+    objective (the surrogate's, under LK). Whether a point evades the
+    target is not recorded here: `evaluation.trace_profile` scores the
+    points on the target.
+    """
 
     points: list
     objective_values: list
-    g_values: list
-    evaded: bool
-    iterations: int
     termination: str
     sample_index: int | None = None
     repeat: int | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.points) - 1
 
     def distances_from_start(self, dist: DistanceSpec) -> np.ndarray:
         """dist.of(p, points[0]) for every point, bit for bit, in one pass."""
@@ -232,27 +240,17 @@ def _at_budget(spec: AttackSpec, x0: np.ndarray, x: np.ndarray) -> bool:
 
 
 class _TraceBuilder:
-    """The iterates of one run with F and g at each; g is F itself when lam = 0."""
+    """The iterates of one run and F at each."""
 
-    def __init__(self, model: TrainedModel, spec: AttackSpec, x0: np.ndarray):
-        self.model, self.spec = model, spec
-        self.points, self.f_vals, self.g_vals = [], [], []
-        self.add(x0.copy(), objective_F(model, spec, x0))
+    def __init__(self, x0: np.ndarray, f0: float):
+        self.points, self.f_vals = [x0.copy()], [f0]
 
     def add(self, x: np.ndarray, f: float):
         self.points.append(x)
         self.f_vals.append(f)
-        self.g_vals.append(f if self.spec.lam == 0.0 else self.model.discriminant(x))
 
     def finish(self, termination: str) -> AttackTrace:
-        return AttackTrace(
-            points=self.points,
-            objective_values=self.f_vals,
-            g_values=self.g_vals,
-            evaded=self.g_vals[-1] - self.model.decision_offset < 0,
-            iterations=len(self.points) - 1,
-            termination=termination,
-        )
+        return AttackTrace(self.points, self.f_vals, termination)
 
 
 def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> AttackTrace:
@@ -261,7 +259,7 @@ def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> A
         raise ValueError("spec.mode must be 'continuous'")
     x0 = np.asarray(x0, dtype=float)
     _check_start(spec, x0)
-    path = _TraceBuilder(model, spec, x0)
+    path = _TraceBuilder(x0, objective_F(model, spec, x0))
     termination = "max_iters"
     for _ in range(spec.max_iters):
         x = path.points[-1]
@@ -300,7 +298,7 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
     # x - x0 and its l1 norm or squared l2 norm: integers, so exact in floats
     delta = [0.0] * len(x0)
     dist_sum = 0.0
-    path = _TraceBuilder(model, spec, x0)
+    path = _TraceBuilder(x0, objective_F(model, spec, x0))
     termination = "max_iters"
     for _ in range(spec.max_iters):
         x = path.points[-1]

@@ -6,6 +6,9 @@ grid cells failed; see the failure manifest in the output directory).
 Trace file format (gradevade-trace/1): header comments carry the run
 outcome, then one `m,F,g_target,d_from_x0` row per iterate, then the
 start / first-evading / final vectors as `# vector <name>: ...` lines.
+F is the attacked model's objective; g_target and d_from_x0 are the
+target's score and the distance from `evaluation.trace_profile`, and a
+point evades where g_target is below the target's calibrated threshold.
 """
 from __future__ import annotations
 
@@ -28,8 +31,8 @@ from .config import (
     load_dataset_from_config,
 )
 from .data import LEGITIMATE, MALICIOUS, split_train_test
-from .evaluation import _cell_seed, calibrate_threshold, sweep
-from .models import load_model, predict, save_model, train_from_spec
+from .evaluation import _cell_seed, calibrate_threshold, sweep, trace_profile
+from .models import TrainedModel, load_model, predict, save_model, train_from_spec
 
 TRACE_FORMAT_VERSION = "gradevade-trace/1"
 
@@ -42,30 +45,26 @@ EXIT_PARTIAL = 3
 # Trace files.
 # ---------------------------------------------------------------------------
 
-def first_evading_index(trace: AttackTrace, offset: float) -> int | None:
-    for i, g in enumerate(trace.g_values):
-        if g - offset < 0:
-            return i
-    return None
-
-
-def write_trace(trace: AttackTrace, distance: DistanceSpec, offset: float, path):
-    dists = trace.distances_from_start(distance).tolist()
-    evade_idx = first_evading_index(trace, offset)
+def write_trace(target: TrainedModel, trace: AttackTrace, distance: DistanceSpec, path) -> tuple[bool, float]:
+    """Write one trace file; returns (evaded, target score at x*)."""
+    dists, scores = trace_profile(target, trace, distance)
+    evading = (scores - target.decision_offset < 0).tolist()
+    evaded = evading[-1]
     with open(path, "w") as fh:
         fh.write(f"# {TRACE_FORMAT_VERSION}\n")
-        fh.write(f"# evaded: {'true' if trace.evaded else 'false'}\n")
+        fh.write(f"# evaded: {'true' if evaded else 'false'}\n")
         fh.write(f"# termination: {trace.termination}\n")
         fh.write(f"# iterations: {trace.iterations}\n")
         fh.write("# columns: m,F,g_target,d_from_x0\n")
-        for m, (f_val, g_val, d_val) in enumerate(zip(trace.objective_values, trace.g_values, dists)):
+        for m, (f_val, g_val, d_val) in enumerate(zip(trace.objective_values, scores.tolist(), dists.tolist())):
             fh.write(f"{m},{f_val!r},{g_val!r},{d_val!r}\n")
         vectors = [("x0", trace.points[0])]
-        if evade_idx is not None:
-            vectors.append(("x_first_evading", trace.points[evade_idx]))
+        if any(evading):
+            vectors.append(("x_first_evading", trace.points[evading.index(True)]))
         vectors.append(("x_star", trace.points[-1]))
         for name, vec in vectors:
             fh.write(f"# vector {name}: " + " ".join(repr(float(v)) for v in vec) + "\n")
+    return evaded, float(scores[-1])
 
 
 def read_trace(path) -> dict:
@@ -156,8 +155,7 @@ def cmd_attack(cfg: ExperimentConfig, out_dir: Path, model_path: str, sample_ind
     model = load_model(model_path)
     _train, test = _prepare_split(cfg, split_idx)
     legit_scores = model.discriminant_many(test.X[test.y == LEGITIMATE])
-    theta = calibrate_threshold(legit_scores, cfg.fp_target)
-    target = replace(model, decision_offset=theta)
+    target = replace(model, decision_offset=calibrate_threshold(legit_scores, cfg.fp_target))
 
     malicious_idx = np.flatnonzero(test.y == MALICIOUS)
     if not (0 <= sample_index < len(malicious_idx)):
@@ -179,10 +177,9 @@ def cmd_attack(cfg: ExperimentConfig, out_dir: Path, model_path: str, sample_ind
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
     trace_path = traces_dir / f"trace_split{split_idx}_sample{sample_index}.txt"
-    write_trace(trace, spec.distance, theta, trace_path)
-    final_g = trace.g_values[-1]
+    evaded, final_g = write_trace(target, trace, spec.distance, trace_path)
     print(
-        f"attacked sample {sample_index}: iterations={trace.iterations} evaded={str(trace.evaded).lower()} "
+        f"attacked sample {sample_index}: iterations={trace.iterations} evaded={str(evaded).lower()} "
         f"final_g={final_g:.6g} termination={trace.termination} trace={trace_path}"
     )
     return EXIT_OK
@@ -308,11 +305,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "export-digits":
             return cmd_export_digits(args.trace, Path(args.out))
-        cfg = load_config(args.config, args.overrides)
+        # --jobs N is --set jobs=N, so parse_config checks its range
+        cfg = load_config(args.config, args.overrides + ([] if args.jobs is None else [f"jobs={args.jobs}"]))
         if args.out is not None:
             cfg.output_dir = args.out
-        if args.jobs is not None:
-            cfg.jobs = args.jobs
         out_dir = Path(cfg.output_dir)
         if args.command == "train":
             return cmd_train(cfg, out_dir)

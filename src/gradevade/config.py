@@ -7,6 +7,7 @@ document into the output directory for provenance.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -176,6 +177,13 @@ def _parse_model(entry: dict, where: str) -> ModelSpec:
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _count(value, where: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise ConfigError(f"{where} must be >= 1")
+    return n
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Fill defaults, validate, and build the typed experiment plan."""
     resolved = _merge(_DEFAULTS, doc)
@@ -217,10 +225,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if not atk["d_max_grid"]:
             raise ConfigError("attack.d_max_grid must be non-empty")
         d_grid = [float(b) for b in atk["d_max_grid"]]
-        if any(b < 0 for b in d_grid):
-            raise ConfigError("attack.d_max_grid values must be nonnegative")
+        if not all(math.isfinite(b) and b >= 0 for b in d_grid):
+            raise ConfigError("attack.d_max_grid values must be finite and nonnegative")
         lambdas = [float(l) for l in atk["lambdas"]]
-        if any(l < 0 for l in lambdas):
+        if not all(l >= 0 for l in lambdas):
             raise ConfigError("attack.lambdas values must be nonnegative")
         kde_doc = atk["kde"]
         kde = KdeParams(
@@ -250,11 +258,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
         return ExperimentConfig(
             seed=int(resolved["seed"]),
             output_dir=str(resolved["output_dir"]),
-            jobs=int(resolved["jobs"]),
+            jobs=_count(resolved["jobs"], "jobs"),
             dataset=ds,
-            n_train=int(split["n_train"]),
-            n_test=int(split["n_test"]),
-            n_splits=int(split["n_splits"]),
+            n_train=_count(split["n_train"], "split.n_train"),
+            n_test=_count(split["n_test"], "split.n_test"),
+            n_splits=_count(split["n_splits"], "split.n_splits"),
             model_grid=model_grid,
             scenario=scenario,
             scenario_kinds=list(sc["kinds"]),

@@ -65,25 +65,28 @@ def calibrate_threshold(legit_scores, fp_target: float) -> float:
 
 
 def trace_profile(target: TrainedModel, trace: AttackTrace, distance: DistanceSpec):
-    """(distance-from-start, target score) arrays over the trace points."""
+    """(distance-from-start, target score) arrays over the trace points.
+
+    The one place a trace meets the target: a point evades where its score
+    minus `target.decision_offset` (the calibrated threshold) is negative.
+    """
     scores = target.discriminant_many(np.stack(trace.points))
     return trace.distances_from_start(distance), scores
 
 
 def fn_rates(
     target: TrainedModel,
-    theta: float,
     traces: list[AttackTrace],
     d_grid: list[float],
     distance: DistanceSpec,
 ) -> list[float]:
-    """Fraction of traces whose attacker evades within each budget of d_grid."""
+    """Fraction of traces that evade the target within each budget of d_grid."""
     if not traces:
         raise ValueError("empty malicious set")
     hits = np.zeros(len(d_grid), dtype=int)
     for tr in traces:
         dists, scores = trace_profile(target, tr, distance)
-        evading = scores - theta < 0
+        evading = scores - target.decision_offset < 0
         hits += [bool(np.any(evading[dists <= b + 1e-9])) for b in d_grid]
     return [h / len(traces) for h in hits]
 
@@ -127,8 +130,7 @@ def _run_cell(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]) -> list[dict]:
     )
     model = train_from_spec(model_spec, train, seed=_cell_seed(plan.root_seed, split_idx, model_idx, 2))
     legit_scores = model.discriminant_many(test.X[test.y == LEGITIMATE])
-    theta = calibrate_threshold(legit_scores, plan.fp_target)
-    target = replace(model, decision_offset=theta)
+    target = replace(model, decision_offset=calibrate_threshold(legit_scores, plan.fp_target))
     attack_set = test.subset(np.flatnonzero(test.y == MALICIOUS))
     rows = []
     for lam in plan.lambdas:
@@ -140,7 +142,7 @@ def _run_cell(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]) -> list[dict]:
             for tr in traces:
                 by_repeat.setdefault(tr.repeat, []).append(tr)
             for repeat, group in sorted(by_repeat.items(), key=lambda kv: (kv[0] is None, kv[0])):
-                fns = fn_rates(target, theta, group, plan.d_grid, plan.attack.distance)
+                fns = fn_rates(target, group, plan.d_grid, plan.attack.distance)
                 for b, fn in zip(plan.d_grid, fns):
                     rows.append(
                         {

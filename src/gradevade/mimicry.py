@@ -12,7 +12,7 @@ variant of the formula and is selectable for comparison runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,14 +34,7 @@ class MimicryEstimator:
             raise ValueError("reference_points must be a non-empty 2-D array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("reference_points contain non-finite values")
-        if self.h <= 0:
-            raise ValueError("bandwidth h must be positive")
-        if self.truncation_k < 1:
-            raise ValueError("truncation_k must be >= 1")
-        if self.kernel_kind not in KDE_KERNELS:
-            raise ValueError(f"unknown KDE kernel {self.kernel_kind!r}")
-        if self.grad_form not in GRAD_FORMS:
-            raise ValueError(f"unknown grad_form {self.grad_form!r}")
+        KdeParams.from_estimator(self)  # checks the settings
         self.reference_points = pts
         self._last = None   # (query bytes, (diffs, dists)) of the latest query
 
@@ -108,20 +101,19 @@ class KdeParams:
     truncation_k: int = 50
     grad_form: str = "corrected"
 
+    def __post_init__(self):
+        if not self.h > 0:  # NaN fails too
+            raise ValueError("bandwidth h must be positive")
+        if self.truncation_k < 1:
+            raise ValueError("truncation_k must be >= 1")
+        if self.kernel_kind not in KDE_KERNELS:
+            raise ValueError(f"unknown KDE kernel {self.kernel_kind!r}")
+        if self.grad_form not in GRAD_FORMS:
+            raise ValueError(f"unknown grad_form {self.grad_form!r}")
+
     def build(self, reference_points: np.ndarray) -> MimicryEstimator:
-        return MimicryEstimator(
-            reference_points=reference_points,
-            h=self.h,
-            kernel_kind=self.kernel_kind,
-            truncation_k=self.truncation_k,
-            grad_form=self.grad_form,
-        )
+        return MimicryEstimator(reference_points, **asdict(self))
 
     @classmethod
     def from_estimator(cls, est: MimicryEstimator) -> "KdeParams":
-        return cls(
-            kernel_kind=est.kernel_kind,
-            h=est.h,
-            truncation_k=est.truncation_k,
-            grad_form=est.grad_form,
-        )
+        return cls(**{f.name: getattr(est, f.name) for f in fields(cls)})

@@ -2,9 +2,10 @@
 
 PK descends on the target's own objective. LK samples a surrogate dataset
 from a pool, optionally relabels it by querying the target, trains a
-surrogate of the same family, and descends on the surrogate's objective;
-evasion is always judged against the target. The target is never touched
-during LK descent except through `models.predict`.
+surrogate of the same family, and descends on the surrogate's objective.
+The traces record only the descent; whether they evade the target is
+judged by the evaluation (`evaluation.trace_profile`), never here. The
+target is never touched during LK descent except through `models.predict`.
 """
 from __future__ import annotations
 
@@ -95,17 +96,34 @@ def _train_surrogate(target: TrainedModel, data: Dataset, spec: ScenarioSpec, se
 
 
 def _already_evading_trace(target: TrainedModel, x0: np.ndarray, sample_index: int, repeat: int | None) -> AttackTrace:
-    g0 = target.discriminant(x0)
-    return AttackTrace(
-        points=[np.asarray(x0, float).copy()],
-        objective_values=[g0],
-        g_values=[g0],
-        evaded=True,
-        iterations=0,
-        termination="converged",
-        sample_index=sample_index,
-        repeat=repeat,
-    )
+    return AttackTrace([np.asarray(x0, float).copy()], [target.discriminant(x0)], "converged", sample_index, repeat)
+
+
+def _descents(target: TrainedModel, pool: Dataset, attack: AttackSpec, scenario: ScenarioSpec, kde: KdeParams | None):
+    """(model to descend on, attack spec with its KDE, repeat tag) per attack round.
+
+    PK yields the target once, tagged None. LK yields one surrogate per
+    repeat, its KDE built from the surrogate's legitimate rows.
+    """
+    if scenario.kind == "PK":
+        if attack.lam > 0 and attack.mimicry is None:
+            legit = pool.X[pool.y == LEGITIMATE]
+            if len(legit) == 0:
+                raise ValueError("pool has no legitimate samples for the mimicry estimator")
+            attack = replace(attack, mimicry=kde.build(legit))
+        yield target, attack, None
+        return
+    seeds = np.random.SeedSequence([scenario.seed, 0xA77AC]).spawn(scenario.n_surrogate_repeats)
+    for r, seed in enumerate(seeds):
+        child = seed.generate_state(2)
+        surrogate_data = build_surrogate(target, pool, scenario, seed=int(child[0]))
+        surrogate = _train_surrogate(target, surrogate_data, scenario, seed=int(child[1]))
+        spec_run = attack
+        if attack.lam > 0:
+            legit = surrogate_data.X[surrogate_data.y == LEGITIMATE]
+            params = kde if kde is not None else KdeParams.from_estimator(attack.mimicry)
+            spec_run = replace(attack, mimicry=params.build(legit))
+        yield surrogate, spec_run, r
 
 
 def run_scenario(
@@ -133,37 +151,11 @@ def run_scenario(
     skipped = np.flatnonzero(start_preds == LEGITIMATE)
 
     traces: list[AttackTrace] = []
-    if scenario.kind == "PK":
-        spec_run = attack
-        if attack.lam > 0 and attack.mimicry is None:
-            legit = pool.X[pool.y == LEGITIMATE]
-            if len(legit) == 0:
-                raise ValueError("pool has no legitimate samples for the mimicry estimator")
-            spec_run = replace(attack, mimicry=kde.build(legit))
+    for model, spec_run, repeat in _descents(target, pool, attack, scenario, kde):
         for i in skipped:
-            traces.append(_already_evading_trace(target, attack_set.X[i], int(i), None))
+            traces.append(_already_evading_trace(target, attack_set.X[i], int(i), repeat))
         for i in to_attack:
-            tr = run_attack(target, spec_run, attack_set.X[i])
-            tr.sample_index = int(i)
-            traces.append(tr)
-        return traces
-
-    seeds = np.random.SeedSequence([scenario.seed, 0xA77AC]).spawn(scenario.n_surrogate_repeats)
-    for r in range(scenario.n_surrogate_repeats):
-        child = seeds[r].generate_state(2)
-        surrogate_data = build_surrogate(target, pool, scenario, seed=int(child[0]))
-        surrogate = _train_surrogate(target, surrogate_data, scenario, seed=int(child[1]))
-        spec_run = attack
-        if attack.lam > 0:
-            legit = surrogate_data.X[surrogate_data.y == LEGITIMATE]
-            params = kde if kde is not None else KdeParams.from_estimator(attack.mimicry)
-            spec_run = replace(attack, mimicry=params.build(legit))
-        for i in skipped:
-            traces.append(_already_evading_trace(target, attack_set.X[i], int(i), r))
-        for i in to_attack:
-            tr = run_attack(surrogate, spec_run, attack_set.X[i])
-            tr.sample_index = int(i)
-            tr.repeat = r
-            tr.evaded = bool(predict(target, tr.points[-1][None])[0] == LEGITIMATE)
+            tr = run_attack(model, spec_run, attack_set.X[i])
+            tr.sample_index, tr.repeat = int(i), repeat
             traces.append(tr)
     return traces

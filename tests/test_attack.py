@@ -19,13 +19,16 @@ from gradevade.attack import (
     objective_grad,
     project_feasible,
     project_l1_ball,
+    run_attack,
 )
-from gradevade.data import FeatureBounds
+from gradevade.data import LEGITIMATE, MALICIOUS, FeatureBounds
+from gradevade.evaluation import trace_profile
 from gradevade.mimicry import MimicryEstimator
-from gradevade.models import LinearModel, MlpModel, SvmModel
+from gradevade.models import LinearModel, MlpModel, SvmModel, predict
 from gradevade.kernels import KernelSpec
 
 from test_models import assert_grad_close, central_diff
+from test_scenario import RecordingLinear
 
 FREE = FeatureBounds(lower=-np.inf, upper=np.inf)
 
@@ -255,7 +258,7 @@ class TestDistancesFromStart:
         dist = DistanceSpec(kind)
         for d in (1, 3, 100, 784, 1000):
             points = [rng.random(d) * 100 for _ in range(int(rng.integers(1, 30)))]
-            tr = AttackTrace(points, [0.0] * len(points), [0.0] * len(points), False, len(points) - 1, "converged")
+            tr = AttackTrace(points, [0.0] * len(points), "converged")
             want = np.array([dist.of(p, points[0]) for p in points])
             assert tr.distances_from_start(dist).tobytes() == want.tobytes()
 
@@ -266,8 +269,8 @@ class TestEvadeContinuous:
         spec = spec_l1(3.0)
         tr = evade_continuous(model, spec, np.array([2.0]))
         np.testing.assert_allclose(np.concatenate(tr.points), [2.0, 1.0, 0.0, -1.0], atol=1e-9)
-        assert tr.g_values[-1] == pytest.approx(-1.0)
-        assert tr.evaded
+        assert trace_profile(model, tr, spec.distance)[1][-1] == pytest.approx(-1.0)
+        assert predict(model, tr.points[-1][None])[0] == LEGITIMATE
         assert tr.iterations == 3
         assert tr.termination == "budget_boundary_converged"
 
@@ -286,7 +289,7 @@ class TestEvadeContinuous:
         tr = evade_continuous(model, spec, np.array([1.0, 1.0]))
         assert tr.termination == "zero_gradient"
         assert tr.iterations == 0
-        assert not tr.evaded  # g = 0.5 at offset 0.5 ties to +1
+        assert predict(model, tr.points[-1][None])[0] == MALICIOUS  # g = 0.5 at offset 0.5 ties to +1
 
     def test_trace_invariants(self):
         rng = np.random.default_rng(13)
@@ -350,7 +353,7 @@ class TestEvadeDiscrete:
                           bounds=FeatureBounds(0.0, 10.0), mode="discrete")
         tr = evade_discrete(model, spec, np.array([1.0, 1.0]))
         np.testing.assert_array_equal(tr.points[-1], [0.0, 0.0])
-        assert tr.g_values[-1] == 0.0
+        assert trace_profile(model, tr, spec.distance)[1][-1] == 0.0
 
     def test_increment_only_monotone_model_stays_put(self):
         model = LinearModel(np.array([1.5, 0.5]), 0.0)  # all-positive weights
@@ -417,7 +420,7 @@ def reference_evade_discrete(model, spec, x0):
         raise ValueError("discrete mode requires an integer-valued x0")
     _check_start(spec, x0)
     lo, hi = _effective_box(spec, x0)
-    path = _TraceBuilder(model, spec, x0)
+    path = _TraceBuilder(x0, objective_F(model, spec, x0))
     termination = "max_iters"
     for _ in range(spec.max_iters):
         x = path.points[-1]
@@ -520,21 +523,20 @@ class TestDiscreteMatchesReference:
                 assert spec.mimicry.density(x0) > 1e-6, case  # the KDE term is live
             f_calls.clear()
             got = evade_discrete(model, spec, x0)
+            got_f_calls = len(f_calls)
             want = reference_evade_discrete(model, spec, x0)
             assert len(got.points) == len(want.points), case
             for a, b in zip(got.points, want.points):
                 assert np.array_equal(a, b), case
             assert got.termination == want.termination, case
             assert got.objective_values == want.objective_values, case
-            assert got.g_values == want.g_values, case
-            assert got.evaded == want.evaded, case
             seen["kinds"].add(kind)
             seen["distances"].add(spec.distance.kind)
             seen["increment_only"].add(spec.bounds.increment_only)
             seen["lam_positive"].add(spec.lam > 0)
             seen["terminations"].add(got.termination)
             # one F for x0, one per accepted move; any more scored a rejected candidate
-            if len(f_calls) > got.iterations + 1:
+            if got_f_calls > got.iterations + 1:
                 seen["first_candidate_rejected"] = True
         assert seen == {
             "kinds": {"linear", "rbf", "mlp"},
@@ -545,3 +547,27 @@ class TestDiscreteMatchesReference:
             "first_candidate_rejected": True,
         }
 
+
+
+class TestScoresOncePerF:
+    @pytest.mark.parametrize("mode", ["continuous", "discrete"])
+    def test_lam_positive_scores_g_once_per_objective(self, mode, monkeypatch):
+        # the trace keeps F only, so g is computed inside objective_F and nowhere else
+        f_calls = []
+        original_F = attack_module.objective_F
+
+        def counted_F(model, spec, x):
+            f_calls.append(1)
+            return original_F(model, spec, x)
+
+        monkeypatch.setattr(attack_module, "objective_F", counted_F)
+        rng = np.random.default_rng(21)
+        model = RecordingLinear(np.array([1.0, -0.5, 2.0]), 0.5)
+        est = MimicryEstimator(rng.integers(0, 6, size=(20, 3)).astype(float), h=3.0, truncation_k=10)
+        spec = AttackSpec(distance=DistanceSpec("l1"), d_max=6.0, step_t=0.5, lam=2.0,
+                          bounds=FeatureBounds(0.0, 10.0), mode=mode, mimicry=est)
+        x0 = np.array([3.0, 3.0, 3.0])
+        assert est.density(x0) > 1e-6  # the KDE term is live
+        tr = run_attack(model, spec, x0)
+        assert tr.iterations >= 2
+        assert model.calls.count("discriminant") == len(f_calls) >= tr.iterations + 1

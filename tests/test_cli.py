@@ -11,8 +11,8 @@ from gradevade.attack import run_attack
 from gradevade.cli import _prepare_split, main, read_trace
 from gradevade.config import load_config
 from gradevade.data import LEGITIMATE, MALICIOUS
-from gradevade.evaluation import calibrate_threshold
-from gradevade.models import MODEL_FORMAT_VERSION, load_model
+from gradevade.evaluation import calibrate_threshold, trace_profile
+from gradevade.models import MODEL_FORMAT_VERSION, load_model, predict
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 RESULTS_HEADER = "classifier,scenario,lambda,split,repeat,d_max,fn"
@@ -82,15 +82,21 @@ def test_train_attack_export_digits(tmp_path, mnist_sets):
     model = load_model(entry["path"])
     theta = calibrate_threshold(model.discriminant_many(test.X[test.y == LEGITIMATE]), cfg.fp_target)
     x0 = test.X[test.y == MALICIOUS][0]
-    trace = run_attack(replace(model, decision_offset=theta), replace(cfg.attack, d_max=max(cfg.d_max_grid)), x0)
-    dists = trace.distances_from_start(cfg.attack.distance)
-    assert doc["rows"] == list(zip(range(len(dists)), trace.objective_values, trace.g_values, dists))
+    target = replace(model, decision_offset=theta)
+    trace = run_attack(target, replace(cfg.attack, d_max=max(cfg.d_max_grid)), x0)
+    dists, scores = trace_profile(target, trace, cfg.attack.distance)
+    # g_target is the evaluation's target score, bit for bit
+    assert [struct.pack(">d", row[2]) for row in doc["rows"]] == [struct.pack(">d", g) for g in scores.tolist()]
+    assert doc["rows"] == list(zip(range(len(dists)), trace.objective_values, scores.tolist(), dists.tolist()))
     assert doc["meta"]["iterations"] == str(trace.iterations)
     assert doc["meta"]["termination"] == trace.termination
-    assert doc["meta"]["evaded"] == ("true" if trace.evaded else "false")
+    evaded = predict(target, trace.points[-1][None])[0] == LEGITIMATE
+    assert doc["meta"]["evaded"] == ("true" if evaded else "false")
     np.testing.assert_array_equal(doc["vectors"]["x0"], x0)
     np.testing.assert_array_equal(doc["vectors"]["x_star"], trace.points[-1])
-    assert trace.evaded and "x_first_evading" in doc["vectors"]
+    assert evaded and "x_first_evading" in doc["vectors"]
+    first = int(np.flatnonzero(scores < theta)[0])
+    np.testing.assert_array_equal(doc["vectors"]["x_first_evading"], trace.points[first])
 
     images = tmp_path / "images"
     assert main(["export-digits", "--trace", str(trace_path), "--out", str(images)]) == 0

@@ -1,11 +1,14 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradevade.cli import main
 from gradevade.config import ConfigError, apply_override, load_config, parse_config
+from gradevade.mimicry import KDE_KERNELS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -81,6 +84,26 @@ class TestOverrides:
         with pytest.raises(ConfigError, match="infinity"):
             load_config(CONFIGS / "synthetic_pdf.json", ["split.n_train=Infinity"])
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--set", o]
+            for o in (
+                "split.n_splits=-1", "split.n_splits=0", "split.n_train=0", "split.n_test=0", "jobs=0",
+                "attack.kde.h=-1", "attack.kde.h=NaN", "attack.kde.truncation_k=0", 'attack.kde.kernel="gauss"',
+                "attack.d_max_grid=[NaN]", "attack.d_max_grid=[0,Infinity]", "attack.step_t=NaN",
+                "attack.epsilon=NaN", "attack.lambdas=[NaN]",
+            )
+        ]
+        + [["--jobs", "0"]],
+        ids=" ".join,
+    )
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(CONFIGS / "synthetic_pdf.json"), "--out", str(out), *args]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()  # rejected before any work
+
     def test_list_entries_and_new_keys_are_set(self):
         doc = flagship_doc()
         apply_override(doc, "models.1.kernel.gamma=0.5")
@@ -111,10 +134,30 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
     max_leaves=6,
 )
-ODD_VALUES = st.sampled_from([float("inf"), float("-inf"), float("nan"), None, True, -1, "x", [], {}])
+ODD_VALUES = st.sampled_from(
+    [float("inf"), float("-inf"), float("nan"), None, True, -1, 0, "x", "gauss", [], [float("nan")], {}]
+)
 KNOWN_SEGMENTS = ["seed", "models", "attack", "kde", "bounds", "kind", "kernel", "scenario", "surrogate", "0", "2", "5"]
 SEGMENTS = st.sampled_from(KNOWN_SEGMENTS) | st.text(max_size=4).filter(lambda t: "." not in t and "=" not in t)
-PATHS = st.sampled_from(sorted(SCALAR_LEAVES) + ["models", "models.1.kernel", "attack.d_max_grid", "dataset"]) | st.lists(
+# values parse_config must reject: counts below 1, NaN, and out-of-range settings
+OUT_OF_RANGE = {
+    "jobs": st.integers(max_value=0),
+    "split.n_splits": st.integers(max_value=0),
+    "split.n_train": st.integers(max_value=0),
+    "split.n_test": st.integers(max_value=0),
+    "attack.kde.h": st.floats().filter(lambda v: not v > 0),
+    "attack.kde.truncation_k": st.integers(max_value=0),
+    "attack.kde.kernel": st.text(max_size=8).filter(lambda t: t not in KDE_KERNELS),
+    "attack.step_t": st.floats().filter(lambda v: not v > 0),
+    "attack.epsilon": st.floats().filter(lambda v: not v > 0),
+    "attack.d_max_grid": st.lists(st.floats(0, 1e3), max_size=3).flatmap(
+        lambda ok: st.floats().filter(lambda v: not (math.isfinite(v) and v >= 0)).map(lambda bad: [*ok, bad])
+    ),
+    "attack.lambdas": st.lists(st.floats(0, 1e3), max_size=3).flatmap(
+        lambda ok: st.floats().filter(lambda v: not v >= 0).map(lambda bad: [bad, *ok])
+    ),
+}
+PATHS = st.sampled_from(sorted({*SCALAR_LEAVES, *OUT_OF_RANGE, "models", "models.1.kernel", "dataset"})) | st.lists(
     SEGMENTS, min_size=1, max_size=4
 ).map(".".join)
 
@@ -168,6 +211,16 @@ class TestOverrideProperties:
         doc = flagship_doc()
         with pytest.raises(ConfigError):
             apply_override(doc, ".".join([key, *rest]) + "=1")
+            parse_config(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_out_of_range_value_is_a_config_error(self, data):
+        path = data.draw(st.sampled_from(sorted(OUT_OF_RANGE)))
+        value = data.draw(OUT_OF_RANGE[path])
+        doc = flagship_doc()
+        apply_override(doc, f"{path}={json.dumps(value)}")
+        with pytest.raises(ConfigError):
             parse_config(doc)
 
     @settings(max_examples=300, deadline=None)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -66,11 +68,9 @@ class TestCalibrateThreshold:
             assert np.mean(scores >= below) > fp  # one notch lower violates
 
 
-def trace_of(points, model, evaded=False):
+def trace_of(points, model):
     pts = [np.asarray(p, float) for p in points]
-    g = [model.discriminant(p) for p in pts]
-    return AttackTrace(points=pts, objective_values=list(g), g_values=list(g),
-                       evaded=evaded, iterations=len(pts) - 1, termination="converged")
+    return AttackTrace(points=pts, objective_values=[model.discriminant(p) for p in pts], termination="converged")
 
 
 class TestFnRate:
@@ -78,17 +78,21 @@ class TestFnRate:
         self.model = LinearModel(np.array([1.0]), 0.0)
         self.dist = DistanceSpec("l1")
 
+    def at(self, theta):
+        """The model with its threshold calibrated to theta."""
+        return replace(self.model, decision_offset=theta)
+
     def test_budget_zero_equals_clean_fn(self):
         theta = 0.5
         traces = [
             trace_of([[0.2], [-1.0]], self.model),  # starts below theta: clean FN
             trace_of([[2.0], [-1.0]], self.model),  # starts above: clean TP
         ]
-        assert fn_rates(self.model, theta, traces, [0.0], self.dist) == [0.5]
+        assert fn_rates(self.at(theta), traces, [0.0], self.dist) == [0.5]
 
     def test_all_evaded_saturates(self):
         traces = [trace_of([[2.0], [-1.0]], self.model) for _ in range(4)]
-        assert fn_rates(self.model, 0.0, traces, [3.0], self.dist) == [1.0]
+        assert fn_rates(self.at(0.0), traces, [3.0], self.dist) == [1.0]
 
     def test_monotone_in_budget(self):
         rng = np.random.default_rng(19)
@@ -100,7 +104,7 @@ class TestFnRate:
                 path.append([path[-1][0] - float(rng.uniform(0.1, 0.6))])
             traces.append(trace_of(path, self.model))
         budgets = list(np.linspace(0, 5, 11))
-        rates = fn_rates(self.model, 0.1, traces, budgets, self.dist)
+        rates = fn_rates(self.at(0.1), traces, budgets, self.dist)
         assert all(b >= a for a, b in zip(rates, rates[1:]))
         # brute force: a trace counts when some point within the budget scores below theta
         for b, rate in zip(budgets, rates):
@@ -112,16 +116,16 @@ class TestFnRate:
 
     def test_misclassified_at_start_counts_at_every_budget(self):
         traces = [trace_of([[-0.5]], self.model)]
-        assert fn_rates(self.model, 0.0, traces, [0.0, 1.0, 10.0], self.dist) == [1.0, 1.0, 1.0]
+        assert fn_rates(self.at(0.0), traces, [0.0, 1.0, 10.0], self.dist) == [1.0, 1.0, 1.0]
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fn_rates(self.model, 0.0, [], [1.0], self.dist)
+            fn_rates(self.at(0.0), [], [1.0], self.dist)
 
     def test_needs_within_budget_point(self):
         # evading point sits at distance 2; budget 1 cannot use it
         traces = [trace_of([[1.5], [-0.5]], self.model)]
-        assert fn_rates(self.model, 0.0, traces, [1.0, 2.0], self.dist) == [0.0, 1.0]
+        assert fn_rates(self.at(0.0), traces, [1.0, 2.0], self.dist) == [0.0, 1.0]
 
 
 class TestSecurityCurve:

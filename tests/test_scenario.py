@@ -4,7 +4,8 @@ import pytest
 from gradevade.attack import AttackSpec, DistanceSpec, evade_continuous
 from gradevade.data import Dataset, FeatureBounds
 from gradevade.mimicry import KdeParams
-from gradevade.models import LinearModel, train_linear_svm
+from gradevade.evaluation import trace_profile
+from gradevade.models import LinearModel, predict, train_linear_svm
 from gradevade.scenario import ScenarioSpec, build_surrogate, run_scenario
 
 FREE = FeatureBounds(lower=-np.inf, upper=np.inf)
@@ -92,7 +93,7 @@ class TestRunScenario:
         direct = evade_continuous(target, atk, np.array([2.0, 0.0]))
         assert len(traces) == 1
         np.testing.assert_allclose(traces[0].points[-1], direct.points[-1])
-        assert traces[0].evaded == direct.evaded
+        assert predict(target, traces[0].points[-1][None])[0] == predict(target, direct.points[-1][None])[0]
         assert traces[0].sample_index == 0 and traces[0].repeat is None
 
     def test_lk_repeat_count(self):
@@ -121,7 +122,7 @@ class TestRunScenario:
         )
         lk = run_scenario(target, pool, atk, scen, attack_set)
         pk = run_scenario(target, pool, atk, ScenarioSpec(kind="PK"), attack_set)
-        assert [t.evaded for t in lk] == [t.evaded for t in pk]
+        assert [predict(target, t.points[-1][None])[0] for t in lk] == [predict(target, t.points[-1][None])[0] for t in pk]
 
     def test_lk_touches_target_only_via_predict(self):
         # models.predict labels rows through discriminant_many, the only
@@ -151,9 +152,17 @@ class TestRunScenario:
         pool = toy_pool()
         target = LinearModel(np.array([1.0, 0.0]), 0.0)
         attack_set = Dataset(np.array([[-1.0, 0.0], [2.0, 0.0]]), np.array([1, 1]))
-        traces = run_scenario(target, pool, attack_spec(), ScenarioSpec(kind="PK"), attack_set)
-        skipped = [t for t in traces if t.sample_index == 0][0]
-        assert skipped.evaded and skipped.iterations == 0
+        for scenario, repeats in ((ScenarioSpec(kind="PK"), [None]),
+                                  (ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3), [0, 1, 2])):
+            traces = run_scenario(target, pool, attack_spec(), scenario, attack_set)
+            skipped = [t for t in traces if t.sample_index == 0]
+            # one single-point trace per repeat, evading the target at its start
+            assert [t.repeat for t in skipped] == repeats
+            for t in skipped:
+                assert t.iterations == 0 and t.termination == "converged"
+                np.testing.assert_array_equal(t.points[0], attack_set.X[0])
+                _, scores = trace_profile(target, t, DistanceSpec("l1"))
+                assert scores.tolist() == [-1.0] and scores[0] - target.decision_offset < 0
 
     def test_rejects_legitimate_samples_in_attack_set(self):
         pool = toy_pool()
