@@ -185,7 +185,9 @@ def is_feasible(spec: AttackSpec, x0: np.ndarray, x: np.ndarray, tol: float = _F
     return spec.distance.of(x, x0) <= spec.d_max + tol
 
 
-def project_feasible(spec: AttackSpec, x0: np.ndarray, x: np.ndarray, max_rounds: int = 1000) -> np.ndarray:
+def project_feasible(
+    spec: AttackSpec, x0: np.ndarray, x: np.ndarray, max_rounds: int = 1000, box=None
+) -> np.ndarray:
     """Nearest point (in l2) of the budget ball intersected with the box.
 
     Dykstra's scheme with correction terms: plain alternation between the
@@ -194,12 +196,17 @@ def project_feasible(spec: AttackSpec, x0: np.ndarray, x: np.ndarray, max_rounds
     projection for convex sets. A final box-then-ball pass pins exact
     feasibility (shrinking toward x0 never leaves the box, since x0 is
     inside it).
+
+    `box` is `_effective_box(spec, x0)` from a caller that has already
+    checked x0 against it; without it the box is built and x0 checked here.
     """
     x0 = np.asarray(x0, float)
     x = np.asarray(x, float)
-    lo, hi = _effective_box(spec, x0)
-    if np.any(x0 < lo - _FEAS_TOL) or np.any(x0 > hi + _FEAS_TOL):
-        raise ValueError("infeasible configuration: x0 violates the bounds")
+    if box is None:
+        box = _effective_box(spec, x0)
+        if np.any(x0 < box[0] - _FEAS_TOL) or np.any(x0 > box[1] + _FEAS_TOL):
+            raise ValueError("infeasible configuration: x0 violates the bounds")
+    lo, hi = box
     # fast paths: the projection onto one set alone is valid whenever it
     # already lands in the other (projection onto a superset that happens
     # to fall inside the subset is the subset projection)
@@ -259,21 +266,24 @@ def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> A
         raise ValueError("spec.mode must be 'continuous'")
     x0 = np.asarray(x0, dtype=float)
     _check_start(spec, x0)
+    box = _effective_box(spec, x0)
     path = _TraceBuilder(x0, objective_F(model, spec, x0))
     termination = "max_iters"
     for _ in range(spec.max_iters):
         x = path.points[-1]
         grad = objective_grad(model, spec, x)
-        unit = normalize_step(grad)
-        if unit is None:
-            termination = "zero_gradient"
-            break
-        if spec.step_norm == "l1":
-            # fix the l1 length of the raw step instead of its l2 length
+        if spec.step_norm == "l2":
+            unit = normalize_step(grad)
+            step = None if unit is None else spec.step_t * unit
+        elif float(np.linalg.norm(grad)) > _ZERO_GRAD_NORM:
+            # fix the l1 length of the raw step; its l2 norm only tests for zero
             step = spec.step_t * grad / float(np.abs(grad).sum())
         else:
-            step = spec.step_t * unit
-        cand = project_feasible(spec, x0, x - step)
+            step = None
+        if step is None:
+            termination = "zero_gradient"
+            break
+        cand = project_feasible(spec, x0, x - step, box=box)
         f_new = objective_F(model, spec, cand)
         if f_new - path.f_vals[-1] > -spec.epsilon:
             # improvement stalled; keep the point only if it still improved

@@ -177,6 +177,19 @@ def _parse_model(entry: dict, where: str) -> ModelSpec:
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _check_surrogate(params: dict):
+    """The surrogate keys obey the ranges of the model settings they stand for."""
+    casts = {"C": float, "m": int, "epochs": int, "learning_rate": float}
+    try:
+        ModelSpec(
+            "svm",
+            kernel=KernelSpec("rbf", gamma=float(params.get("gamma", 1.0))),
+            **{key: cast(params[key]) for key, cast in casts.items() if key in params},
+        )
+    except ValueError as exc:
+        raise ConfigError(f"scenario.surrogate: {exc}") from None
+
+
 def _count(value, where: str) -> int:
     n = int(value)
     if n < 1:
@@ -206,22 +219,30 @@ def parse_config(doc: dict) -> ExperimentConfig:
                 raise ConfigError(f"scenario.kinds: unknown kind {kind!r}")
         if not sc["kinds"]:
             raise ConfigError("scenario.kinds must be non-empty")
+        surrogate = {k: v for k, v in sc["surrogate"].items() if v is not None}
+        if "LK" in sc["kinds"]:
+            if int(sc["n_q"]) < 2:
+                raise ConfigError("scenario.n_q: LK requires n_q >= 2")
+            _check_surrogate(surrogate)
         scenario = ScenarioSpec(
             kind=sc["kinds"][0],
             n_q=int(sc["n_q"]),
             relabel_with_target=bool(sc["relabel_with_target"]),
             n_surrogate_repeats=int(sc["n_surrogate_repeats"]),
-            surrogate_params={k: v for k, v in sc["surrogate"].items() if v is not None},
+            surrogate_params=surrogate,
         )
 
         atk = resolved["attack"]
         bounds_doc = atk["bounds"]
         upper = bounds_doc["upper"]
-        bounds = FeatureBounds(
-            lower=float(bounds_doc["lower"]),
-            upper=np.inf if upper is None else float(upper),
-            increment_only=bool(bounds_doc["increment_only"]),
-        )
+        try:
+            bounds = FeatureBounds(
+                lower=float(bounds_doc["lower"]),
+                upper=np.inf if upper is None else float(upper),
+                increment_only=bool(bounds_doc["increment_only"]),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"attack.bounds: {exc}") from None
         if not atk["d_max_grid"]:
             raise ConfigError("attack.d_max_grid must be non-empty")
         d_grid = [float(b) for b in atk["d_max_grid"]]

@@ -34,8 +34,8 @@ class FeatureBounds:
 
     def __post_init__(self):
         lo, hi = np.asarray(self.lower, dtype=float), np.asarray(self.upper, dtype=float)
-        if np.any(lo > hi):
-            raise ValueError("FeatureBounds: lower must be <= upper elementwise")
+        if not np.all(lo <= hi):  # NaN fails too
+            raise ValueError("FeatureBounds: lower must be <= upper elementwise, and not NaN")
 
 
 @dataclass

@@ -5,6 +5,11 @@ All models expose:
   discriminant_many(X) -> ndarray   g over the rows of X
   gradient(x)          -> ndarray   exact analytic grad_x g(x)
 
+`SvmModel` keeps its latest rbf kernel pass (the kernel row and the
+differences to the support vectors), keyed on the query's contents, so
+discriminant(x) followed by gradient(x) at the same point, as the attack
+asks for them, computes the kernel once.
+
 `predict(model, X)` labels rows by the sign of g(x) - decision_offset,
 tie -> +1. The decision offset is 0 for SVM variants and 0.5 for the
 sigmoid-output MLP; security evaluation replaces it with an FP-calibrated
@@ -13,6 +18,7 @@ threshold.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -23,6 +29,8 @@ from .kernels import (
     kernel_grad_combination,
     kernel_matrix,
     kernel_row,
+    rbf_grad_combination,
+    rbf_row_and_diff,
 )
 
 MODEL_FORMAT_VERSION = "gradevade-model/1"
@@ -85,19 +93,41 @@ class SvmModel:
             raise ValueError("|alpha_i| exceeds the box constraint C")
         if abs(float(self.dual_coefs.sum())) > 1e-6:
             raise ValueError("dual coefficients do not satisfy sum(alpha_i y_i) = 0")
+        self._last = None   # (query bytes, (row, diff)) of the latest rbf query
+        self._diff = np.empty_like(self.support_vectors)   # diff of every rbf query, reused
 
     @property
     def dim(self) -> int:
         return self.support_vectors.shape[1]
 
+    def _rbf_pass(self, x: np.ndarray):
+        """(kernel row, x - support vectors) at x, computed once per distinct query.
+
+        The latest query's pass is kept, keyed on the query's contents, so
+        discriminant(x) followed by gradient(x) runs the kernel once.
+        """
+        key = x.tobytes()
+        if self._last is None or self._last[0] != key:
+            self._last = None  # the pass below overwrites the kept diff
+            self._last = (key, rbf_row_and_diff(self.kernel.gamma, x, self.support_vectors, out=self._diff))
+        return self._last[1]
+
     def discriminant(self, x: np.ndarray) -> float:
-        return float(self.dual_coefs @ kernel_row(self.kernel, np.asarray(x, float), self.support_vectors) + self.b)
+        x = np.asarray(x, float)
+        if self.kernel.kind == "rbf":
+            row, _ = self._rbf_pass(x)
+        else:
+            row = kernel_row(self.kernel, x, self.support_vectors)
+        return float(self.dual_coefs @ row + self.b)
 
     def discriminant_many(self, X: np.ndarray) -> np.ndarray:
         return kernel_matrix(self.kernel, X, self.support_vectors) @ self.dual_coefs + self.b
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return kernel_grad_combination(self.kernel, np.asarray(x, float), self.support_vectors, self.dual_coefs)
+        x = np.asarray(x, float)
+        if self.kernel.kind == "rbf":
+            return rbf_grad_combination(self.kernel.gamma, *self._rbf_pass(x), self.dual_coefs)
+        return kernel_grad_combination(self.kernel, x, self.support_vectors, self.dual_coefs)
 
     def collapse_linear(self) -> LinearModel:
         """For the linear kernel only: fold the dual form into w = sum a_i y_i x_i."""
@@ -232,7 +262,7 @@ def _smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3, max_it
 def train_kernel_svm(train: Dataset, kernel: KernelSpec, C: float, tol: float = 1e-3) -> SvmModel:
     """Soft-margin SVM via SMO; KKT violation of the result is below `tol`."""
     train.require_both_classes()
-    if C <= 0:
+    if not C > 0:  # NaN fails too
         raise ValueError("C must be positive")
     if np.all(train.X == train.X[0]):
         raise ValueError("degenerate training data: all points identical")
@@ -324,6 +354,15 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("linear_svm", "svm", "mlp"):
             raise ValueError(f"unknown model kind {self.kind!r}")
+        # `not x > 0` rather than `x <= 0`, so that NaN fails too
+        if not self.C > 0:
+            raise ValueError("C must be positive")
+        if self.m < 1:
+            raise ValueError("hidden width m must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
 
     def descriptor(self) -> str:
         if self.kind == "linear_svm":

@@ -11,6 +11,8 @@ from gradevade.attack import (
     _check_start,
     _effective_box,
     _TraceBuilder,
+    _at_budget,
+    _project_budget,
     evade_continuous,
     evade_discrete,
     is_feasible,
@@ -27,7 +29,7 @@ from gradevade.mimicry import MimicryEstimator
 from gradevade.models import LinearModel, MlpModel, SvmModel, predict
 from gradevade.kernels import KernelSpec
 
-from test_models import assert_grad_close, central_diff
+from test_models import assert_grad_close, central_diff, two_pass_copy
 from test_scenario import RecordingLinear
 
 FREE = FeatureBounds(lower=-np.inf, upper=np.inf)
@@ -571,3 +573,169 @@ class TestScoresOncePerF:
         tr = run_attack(model, spec, x0)
         assert tr.iterations >= 2
         assert model.calls.count("discriminant") == len(f_calls) >= tr.iterations + 1
+
+
+def reference_project_feasible(spec, x0, x, max_rounds=1000):
+    """Oracle for project_feasible: the same projection, building the box
+    and checking x0 on every call."""
+    x0 = np.asarray(x0, float)
+    x = np.asarray(x, float)
+    lo, hi = _effective_box(spec, x0)
+    if np.any(x0 < lo - _FEAS_TOL) or np.any(x0 > hi + _FEAS_TOL):
+        raise ValueError("infeasible configuration: x0 violates the bounds")
+    # fast paths: the projection onto one set alone is valid whenever it
+    # already lands in the other (projection onto a superset that happens
+    # to fall inside the subset is the subset projection)
+    boxed = np.clip(x, lo, hi)
+    if spec.distance.of(boxed, x0) <= spec.d_max:
+        return boxed
+    balled = _project_budget(spec, x0, x)
+    if np.all(balled >= lo) and np.all(balled <= hi):
+        return balled
+    z = x.copy()
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    for _ in range(max_rounds):
+        y = np.clip(z + p, lo, hi)
+        p = z + p - y
+        z_new = _project_budget(spec, x0, y + q)
+        q = y + q - z_new
+        # converged when both projections agree and the cycle is stationary
+        # (z alone can stall transiently while the corrections still move)
+        if float(np.abs(y - z_new).max()) <= 1e-12 and float(np.abs(z_new - z).max()) <= 1e-12:
+            z = z_new
+            break
+        z = z_new
+    return _project_budget(spec, x0, np.clip(z, lo, hi))
+
+
+def reference_evade_continuous(model, spec, x0):
+    """Oracle for evade_continuous: the same descent, projecting through
+    reference_project_feasible and normalising every gradient."""
+    if spec.mode != "continuous":
+        raise ValueError("spec.mode must be 'continuous'")
+    x0 = np.asarray(x0, dtype=float)
+    _check_start(spec, x0)
+    path = _TraceBuilder(x0, objective_F(model, spec, x0))
+    termination = "max_iters"
+    for _ in range(spec.max_iters):
+        x = path.points[-1]
+        grad = objective_grad(model, spec, x)
+        unit = normalize_step(grad)
+        if unit is None:
+            termination = "zero_gradient"
+            break
+        if spec.step_norm == "l1":
+            # fix the l1 length of the raw step instead of its l2 length
+            step = spec.step_t * grad / float(np.abs(grad).sum())
+        else:
+            step = spec.step_t * unit
+        cand = reference_project_feasible(spec, x0, x - step)
+        f_new = objective_F(model, spec, cand)
+        if f_new - path.f_vals[-1] > -spec.epsilon:
+            # improvement stalled; keep the point only if it still improved
+            if f_new < path.f_vals[-1]:
+                path.add(cand, f_new)
+            termination = "budget_boundary_converged" if _at_budget(spec, x0, path.points[-1]) else "converged"
+            break
+        path.add(cand, f_new)
+    return path.finish(termination)
+
+
+def _random_continuous_case(rng):
+    """A seeded model, start point and continuous spec; returns (kind, model, spec, x0)."""
+    d = int(rng.integers(2, 6))
+    kind = str(rng.choice(["linear", "rbf", "polynomial", "mlp"]))
+    if kind == "linear":
+        model = LinearModel(rng.normal(size=d), float(rng.normal()))
+    elif kind == "mlp":
+        # a large output bias saturates the output sigmoid: exact zero gradient
+        bias = float(rng.choice([rng.normal(), 40.0]))
+        model = MlpModel(rng.normal(scale=2.0, size=(4, d)), rng.normal(size=4), rng.normal(scale=3.0, size=4), bias)
+    else:
+        if kind == "rbf":
+            kernel = KernelSpec("rbf", gamma=float(rng.uniform(0.1, 1.5)))
+        else:
+            kernel = KernelSpec("polynomial", degree=int(rng.integers(1, 4)), coef0=float(rng.uniform(0.0, 1.0)))
+        raw = rng.uniform(0.1, 1.0, size=6) * rng.choice([-1.0, 1.0], size=6)
+        model = SvmModel(kernel, rng.uniform(-2.0, 2.0, size=(6, d)), raw - raw.mean(), float(rng.normal()), C=2.0)
+    lo = -rng.uniform(0.2, 2.0, size=d)
+    hi = rng.uniform(0.2, 2.0, size=d)
+    x0 = rng.uniform(lo, hi)
+    lam, est = 0.0, None
+    if rng.random() < 0.5:
+        kde_kind = str(rng.choice(["laplacian", "rbf"]))
+        est = MimicryEstimator(
+            rng.uniform(lo, hi, size=(15, d)),
+            h=float(rng.uniform(0.5, 3.0)),
+            kernel_kind=kde_kind,
+            truncation_k=int(rng.integers(3, 16)),
+            grad_form=str(rng.choice(["corrected", "paper"])),
+        )
+        lam = float(rng.uniform(0.5, 5.0))
+    spec = AttackSpec(
+        distance=DistanceSpec(str(rng.choice(["l1", "l2"]))),
+        d_max=float(rng.choice([0.0, 0.3, 1.0, 2.5, 10.0])),
+        step_t=float(rng.uniform(0.05, 0.6)),
+        lam=lam,
+        max_iters=int(rng.choice([3, 20, 60])),
+        bounds=FeatureBounds(lo, hi, increment_only=bool(rng.integers(0, 2))),
+        mode="continuous",
+        step_norm=str(rng.choice(["l1", "l2"])),
+        mimicry=est,
+    )
+    return kind, model, spec, x0
+
+
+class TestContinuousMatchesReference:
+    def test_same_trace_as_reference_on_random_cases(self, monkeypatch):
+        # _project_budget calls per project_feasible call: 0 or 1 on the fast
+        # paths, 2 or more once Dykstra's loop runs
+        budget_calls, per_projection = [], []
+        original_budget, original_project = attack_module._project_budget, attack_module.project_feasible
+
+        def counted_budget(*args):
+            budget_calls.append(1)
+            return original_budget(*args)
+
+        def counted_project(*args, **kwargs):
+            budget_calls.clear()
+            out = original_project(*args, **kwargs)
+            per_projection.append(len(budget_calls))
+            return out
+
+        monkeypatch.setattr(attack_module, "_project_budget", counted_budget)
+        monkeypatch.setattr(attack_module, "project_feasible", counted_project)
+        rng = np.random.default_rng(2025)
+        seen = {"kinds": set(), "distances": set(), "step_norms": set(), "increment_only": set(),
+                "lam_positive": set(), "terminations": set(), "dykstra": False}
+        for case in range(300):
+            kind, model, spec, x0 = _random_continuous_case(rng)
+            if spec.lam > 0:
+                assert spec.mimicry.density(x0) > 1e-6, case  # the KDE term is live
+            per_projection.clear()
+            got = evade_continuous(model, spec, x0)
+            # the oracle scores an SVM with two kernel passes per point
+            want = reference_evade_continuous(two_pass_copy(model) if kind in ("rbf", "polynomial") else model,
+                                              spec, x0)
+            assert len(got.points) == len(want.points), case
+            for a, b in zip(got.points, want.points):
+                assert np.array_equal(a, b), case
+            assert got.objective_values == want.objective_values, case
+            assert got.termination == want.termination, case
+            seen["kinds"].add(kind)
+            seen["distances"].add(spec.distance.kind)
+            seen["step_norms"].add(spec.step_norm)
+            seen["increment_only"].add(spec.bounds.increment_only)
+            seen["lam_positive"].add(spec.lam > 0)
+            seen["terminations"].add(got.termination)
+            seen["dykstra"] |= any(n >= 2 for n in per_projection)
+        assert seen == {
+            "kinds": {"linear", "rbf", "polynomial", "mlp"},
+            "distances": {"l1", "l2"},
+            "step_norms": {"l1", "l2"},
+            "increment_only": {False, True},
+            "lam_positive": {False, True},
+            "terminations": set(attack_module.TERMINATIONS),
+            "dykstra": True,
+        }

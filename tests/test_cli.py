@@ -1,4 +1,6 @@
 """End-to-end runs of the command line through main([...]) on both shipped configs."""
+import csv
+import io
 import json
 import struct
 from dataclasses import replace
@@ -108,6 +110,25 @@ def test_train_attack_export_digits(tmp_path, mnist_sets):
         assert data[len(header):] == expected.tobytes()
     # the start image is the input file's own pixels
     assert (images / "start.pgm").read_bytes()[len(header):] == np.round(x0 * 255).astype(np.uint8).tobytes()
+
+
+def test_continuous_rbf_sweep_same_records_at_jobs_1_and_2(tmp_path, mnist_sets):
+    # the projection path on an rbf SVM, two splits so that two workers share the cells
+    sets = [s for s in mnist_sets if not s.startswith("jobs=")] + [
+        'models=[{"kind": "svm", "C": 1.0, "kernel": {"kind": "rbf", "gamma": 0.5}}]',
+        "split.n_train=20", "split.n_test=20", "split.n_splits=2",
+    ]
+    results = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", *config_args("mnist_3v7.json", sets, out), "--jobs", str(jobs)]) == 0
+        assert not (out / "failures.json").exists()
+        results.append((out / "results.csv").read_bytes())
+    assert results[0] == results[1]
+    rows = list(csv.DictReader(io.StringIO(results[0].decode())))
+    fn = {(row["split"], float(row["d_max"])): float(row["fn"]) for row in rows}
+    assert {split for split, _ in fn} == {"0", "1"}
+    assert all(fn[split, 19.607843137254903] > fn[split, 0.0] for split in ("0", "1"))  # the attack moved
 
 
 MODEL_KEYS = {

@@ -93,6 +93,11 @@ class TestOverrides:
                 "attack.kde.h=-1", "attack.kde.h=NaN", "attack.kde.truncation_k=0", 'attack.kde.kernel="gauss"',
                 "attack.d_max_grid=[NaN]", "attack.d_max_grid=[0,Infinity]", "attack.step_t=NaN",
                 "attack.epsilon=NaN", "attack.lambdas=[NaN]",
+                "scenario.n_q=1", "models.0.C=-1", "models.0.C=NaN", "models.1.kernel.gamma=NaN",
+                "models.1.kernel.gamma=0", "models.2.m=0", "models.2.epochs=-1", "models.2.learning_rate=NaN",
+                "scenario.surrogate.C=-1", "scenario.surrogate.gamma=NaN", "scenario.surrogate.m=0",
+                "scenario.surrogate.learning_rate=0", "attack.bounds.lower=NaN", "attack.bounds.upper=NaN",
+                "attack.bounds.lower=200",
             )
         ]
         + [["--jobs", "0"]],
@@ -118,10 +123,14 @@ SCALAR_LEAVES = {
     "jobs": (st.integers(1, 64), lambda cfg: cfg.jobs),
     "output_dir": (st.text(min_size=1), lambda cfg: cfg.output_dir),
     "split.n_train": (st.integers(1, 10**6), lambda cfg: cfg.n_train),
-    "scenario.n_q": (st.integers(1, 10**6), lambda cfg: cfg.scenario.n_q),
+    # the flagship config runs LK, which needs two surrogate samples at least
+    "scenario.n_q": (st.integers(2, 10**6), lambda cfg: cfg.scenario.n_q),
     "scenario.surrogate.gamma": (st.floats(1e-6, 1e3), lambda cfg: cfg.scenario.surrogate_params["gamma"]),
     "models.0.C": (st.floats(1e-6, 1e6), lambda cfg: cfg.model_grid[0].C),
     "models.2.epochs": (st.integers(0, 10**6), lambda cfg: cfg.model_grid[2].epochs),
+    "models.2.m": (st.integers(1, 10**6), lambda cfg: cfg.model_grid[2].m),
+    "models.2.learning_rate": (st.floats(1e-6, 1e3), lambda cfg: cfg.model_grid[2].learning_rate),
+    "attack.bounds.lower": (st.floats(-1e6, 100.0), lambda cfg: cfg.attack.bounds.lower),
     "attack.epsilon": (st.floats(1e-15, 1.0), lambda cfg: cfg.attack.epsilon),
     "attack.max_iters": (st.integers(1, 10**6), lambda cfg: cfg.attack.max_iters),
     "attack.kde.h": (st.floats(1e-6, 1e6), lambda cfg: cfg.kde.h),
@@ -156,6 +165,20 @@ OUT_OF_RANGE = {
     "attack.lambdas": st.lists(st.floats(0, 1e3), max_size=3).flatmap(
         lambda ok: st.floats().filter(lambda v: not v >= 0).map(lambda bad: [bad, *ok])
     ),
+    "scenario.n_q": st.integers(max_value=1),
+    "models.0.C": st.floats().filter(lambda v: not v > 0),
+    "models.1.C": st.floats().filter(lambda v: not v > 0),
+    "models.1.kernel.gamma": st.floats().filter(lambda v: not 0 < v < math.inf),
+    "models.2.m": st.integers(max_value=0),
+    "models.2.epochs": st.integers(max_value=-1),
+    "models.2.learning_rate": st.floats().filter(lambda v: not 0 < v < math.inf),
+    "scenario.surrogate.C": st.floats().filter(lambda v: not v > 0),
+    "scenario.surrogate.gamma": st.floats().filter(lambda v: not 0 < v < math.inf),
+    "scenario.surrogate.m": st.integers(max_value=0),
+    "scenario.surrogate.epochs": st.integers(max_value=-1),
+    "scenario.surrogate.learning_rate": st.floats().filter(lambda v: not 0 < v < math.inf),
+    # the flagship config's upper bound is 100
+    "attack.bounds.lower": st.floats().filter(lambda v: not v <= 100),
 }
 PATHS = st.sampled_from(sorted({*SCALAR_LEAVES, *OUT_OF_RANGE, "models", "models.1.kernel", "dataset"})) | st.lists(
     SEGMENTS, min_size=1, max_size=4
@@ -191,8 +214,11 @@ class TestOverrideProperties:
         doc = flagship_doc()
         list_path = data.draw(st.sampled_from(["models", "scenario.kinds", "attack.d_max_grid", "attack.lambdas"]))
         n = len(_resolved_at(doc, list_path))
+        # a "." would split the drawn text into more path segments ("0." is index 0 and a key)
         index = data.draw(
-            st.integers(n, 10**9) | st.integers(max_value=-1) | st.text(max_size=4).filter(lambda t: not t.isdecimal())
+            st.integers(n, 10**9)
+            | st.integers(max_value=-1)
+            | st.text(max_size=4).filter(lambda t: not t.isdecimal() and "." not in t)
         )
         rest = data.draw(st.lists(SEGMENTS, max_size=2))
         with pytest.raises(ConfigError, match="is not an index"):

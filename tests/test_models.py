@@ -1,9 +1,12 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from gradevade.data import Dataset
+import gradevade.attack as attack_module
+import gradevade.models as models_module
+from gradevade.attack import AttackSpec, DistanceSpec, evade_continuous
+from gradevade.data import Dataset, FeatureBounds
 from gradevade.kernels import KernelSpec, kernel_grad_combination, kernel_row
 from gradevade.models import (
     LinearModel,
@@ -288,6 +291,96 @@ class TestDiscriminantGradients:
                 x = rng.normal(size=d)
                 numeric = central_diff(model.discriminant, x)
                 assert_grad_close(model.gradient(x), numeric)
+
+
+class TwoPassSvm(SvmModel):
+    """SvmModel scored with two independent kernel passes, one for g and one
+    for its gradient: the oracle for the memoised single pass."""
+
+    def discriminant(self, x):
+        x, k, basis = np.asarray(x, float), self.kernel, self.support_vectors
+        if k.kind == "linear":
+            row = basis @ x
+        elif k.kind == "rbf":
+            diff = basis - x
+            row = np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
+        else:
+            row = (basis @ x + k.coef0) ** k.degree
+        return float(self.dual_coefs @ row + self.b)
+
+    def gradient(self, x):
+        x, k, basis, coefs = np.asarray(x, float), self.kernel, self.support_vectors, self.dual_coefs
+        if k.kind == "linear":
+            return coefs @ basis
+        if k.kind == "rbf":
+            diff = x[None, :] - basis
+            w = coefs * np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
+            return -2.0 * k.gamma * (w @ diff)
+        w = coefs * k.degree * (basis @ x + k.coef0) ** (k.degree - 1)
+        return w @ basis
+
+
+def two_pass_copy(model: SvmModel) -> TwoPassSvm:
+    return TwoPassSvm(**{f.name: getattr(model, f.name) for f in fields(SvmModel)})
+
+
+SVM_KERNELS = [KernelSpec("linear"), KernelSpec("rbf", gamma=0.3), KernelSpec("polynomial", degree=3, coef0=1.0)]
+
+
+class TestKernelPassMemo:
+    @pytest.mark.parametrize("kernel", SVM_KERNELS, ids=lambda k: k.kind)
+    def test_values_follow_the_query_contents(self, kernel):
+        rng = np.random.default_rng(17)
+        sv = rng.normal(size=(12, 5))
+        raw = rng.uniform(0.1, 1.0, size=12)
+        args = (kernel, sv, raw - raw.mean(), 0.3, 2.0)
+        model = SvmModel(*args)
+        a, b = rng.normal(size=5), rng.normal(size=5)
+
+        def check(x, grad_first):
+            fresh, two_pass = SvmModel(*args), two_pass_copy(model)
+            if grad_first:
+                grad, g = model.gradient(x), model.discriminant(x)
+            else:
+                g, grad = model.discriminant(x), model.gradient(x)
+            assert g == fresh.discriminant(x) == two_pass.discriminant(x)
+            assert grad.tobytes() == fresh.gradient(x).tobytes() == two_pass.gradient(x).tobytes()
+
+        check(a, False)
+        a[2] += 0.5  # same array object, new contents
+        check(a, True)
+        for x, grad_first in ((b, False), (a, False), (b, True), (a, True), (a, False)):
+            check(x, grad_first)
+
+    def test_one_rbf_pass_per_distinct_point(self, monkeypatch):
+        # lambda = 0 continuous descent: g at every candidate, then the
+        # gradient at the accepted one, which is the point scored just before
+        passes, queried = [], set()
+        for name in ("rbf_row_and_diff", "kernel_row", "kernel_grad_combination"):
+            original = getattr(models_module, name, None)
+
+            def counted(*args, _original=original, **kwargs):
+                passes.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(models_module, name, counted, raising=False)
+        for name in ("objective_F", "objective_grad"):
+            original = getattr(attack_module, name)
+
+            def recorded(model, spec, x, _original=original):
+                queried.add(np.asarray(x, float).tobytes())
+                return _original(model, spec, x)
+
+            monkeypatch.setattr(attack_module, name, recorded)
+        rng = np.random.default_rng(19)
+        sv = rng.normal(size=(10, 4))
+        raw = rng.uniform(0.1, 1.0, size=10)
+        model = SvmModel(KernelSpec("rbf", gamma=0.4), sv, raw - raw.mean(), 0.5, C=2.0)
+        spec = AttackSpec(distance=DistanceSpec("l2"), d_max=3.0, step_t=0.1,
+                          bounds=FeatureBounds(-np.inf, np.inf), max_iters=40)
+        tr = evade_continuous(model, spec, sv[0] + 0.1)
+        assert tr.iterations >= 5
+        assert len(passes) == len(queried) >= tr.iterations + 1
 
 
 class TestPredict:
