@@ -133,11 +133,12 @@ def _run_cell(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]) -> list[dict]:
     target = replace(model, decision_offset=calibrate_threshold(legit_scores, plan.fp_target))
     attack_set = test.subset(np.flatnonzero(test.y == MALICIOUS))
     rows = []
+    surrogates: list = []   # LK surrogates are independent of lambda: trained once, shared
     for lam in plan.lambdas:
         for kind in plan.scenario_kinds:
             scen = replace(plan.scenario, kind=kind, seed=_cell_seed(plan.root_seed, split_idx, model_idx, 3))
             atk = replace(plan.attack, lam=lam, d_max=max(plan.d_grid), mimicry=None)
-            traces = run_scenario(target, test, atk, scen, attack_set, kde=plan.kde)
+            traces = run_scenario(target, test, atk, scen, attack_set, kde=plan.kde, surrogates=surrogates)
             by_repeat: dict = {}
             for tr in traces:
                 by_repeat.setdefault(tr.repeat, []).append(tr)

@@ -36,10 +36,18 @@ from .kernels import (
 MODEL_FORMAT_VERSION = "gradevade-model/1"
 
 
-def _sigmoid(z):
-    # 1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, without overflow
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(z, out=None, e=None):
+    """1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, without overflow.
+
+    With e = exp(-|z|) <= 1, the numerator max(e, z >= 0) is 1 where
+    z >= 0 and e elsewhere (NaN stays NaN). `out` receives the result and
+    `e` is scratch of z's shape; left None, each is a new array.
+    """
+    e = np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+    out = np.maximum(e, z >= 0, out=out)
+    e += 1.0
+    out /= e
+    return out
 
 
 @dataclass
@@ -290,6 +298,13 @@ def train_linear_svm(train: Dataset, C: float, tol: float = 1e-3) -> LinearModel
 # MLP training: full-batch gradient descent on the logistic loss.
 # ---------------------------------------------------------------------------
 
+# Training only checks that the loss is finite. Each of its terms
+# softplus(z) - t z has softplus(z) <= |z| + log 2 and |t z| <= |z|, so
+# while every |z| is below this bound the n terms sum to less than
+# n * 3e150, which cannot overflow for any n < 1e150: the loss is finite.
+_LOSS_CHECK_BOUND = 1e150
+
+
 def train_mlp(
     train: Dataset,
     m: int,
@@ -302,6 +317,13 @@ def train_mlp(
     Weights start uniform(-0.5, 0.5) from the given seed; zero epochs
     returns the initialized network unchanged. Divergence (non-finite
     loss) raises with the offending epoch index.
+
+    Each epoch works in three (n, m) buffers and one (m, d) buffer
+    allocated once per fit and overwritten in place, with the same
+    floating-point operations in the same order as the allocating form,
+    so the weights are bit-identical per seed. The logistic loss is only
+    checked for finiteness, so it is computed only in the epochs where
+    some |logit| reaches _LOSS_CHECK_BOUND; below it the loss is finite.
     """
     if m < 1:
         raise ValueError("hidden width m must be >= 1")
@@ -315,23 +337,36 @@ def train_mlp(
     X = train.X
     t = (train.y + 1.0) / 2.0
     n = train.n
+    A = np.empty((n, m))    # pre-activations, later 1 - H
+    H = np.empty((n, m))    # hidden activations
+    E = np.empty((n, m))    # sigmoid scratch, later dH
+    gV = np.empty((m, d))
     for epoch in range(epochs):
         with np.errstate(over="ignore", invalid="ignore"):
-            H = _sigmoid(X @ V.T + bk)      # (n, m)
+            np.matmul(X, V.T, out=A)
+            A += bk
+            _sigmoid(A, out=H, e=E)
             z = H @ w + b                    # output logits
             # stable logistic loss: softplus(z) - t z
-            loss = float(np.mean(np.logaddexp(0.0, z) - t * z))
-        if not np.isfinite(loss):
+            finite = np.abs(z).max() < _LOSS_CHECK_BOUND or np.isfinite(
+                float(np.mean(np.logaddexp(0.0, z) - t * z))
+            )
+        if not finite:
             raise RuntimeError(f"MLP training diverged (non-finite loss at epoch {epoch})")
         dz = (_sigmoid(z) - t) / n           # (n,)
         gw = H.T @ dz
         gb = float(dz.sum())
-        dH = np.outer(dz, w) * H * (1.0 - H)
-        gV = dH.T @ X
-        gbk = dH.sum(axis=0)
+        # dH = outer(dz, w) * H * (1 - H), multiplied left to right
+        np.multiply(dz[:, None], w, out=E)
+        E *= H
+        np.subtract(1.0, H, out=A)
+        E *= A
+        np.matmul(E.T, X, out=gV)
+        gbk = E.sum(axis=0)
         w -= learning_rate * gw
         b -= learning_rate * gb
-        V -= learning_rate * gV
+        gV *= learning_rate
+        V -= gV
         bk -= learning_rate * gbk
     return MlpModel(hidden_weights=V, hidden_biases=bk, output_weights=w, output_bias=b)
 

@@ -99,11 +99,20 @@ def _already_evading_trace(target: TrainedModel, x0: np.ndarray, sample_index: i
     return AttackTrace([np.asarray(x0, float).copy()], [target.discriminant(x0)], "converged", sample_index, repeat)
 
 
-def _descents(target: TrainedModel, pool: Dataset, attack: AttackSpec, scenario: ScenarioSpec, kde: KdeParams | None):
+def _descents(
+    target: TrainedModel,
+    pool: Dataset,
+    attack: AttackSpec,
+    scenario: ScenarioSpec,
+    kde: KdeParams | None,
+    surrogates: list,
+):
     """(model to descend on, attack spec with its KDE, repeat tag) per attack round.
 
     PK yields the target once, tagged None. LK yields one surrogate per
-    repeat, its KDE built from the surrogate's legitimate rows.
+    repeat, its KDE built from the surrogate's legitimate rows. Repeat r
+    reuses surrogates[r], a (surrogate data, surrogate) pair, when the
+    list has one, and otherwise trains it and appends it.
     """
     if scenario.kind == "PK":
         if attack.lam > 0 and attack.mimicry is None:
@@ -115,9 +124,12 @@ def _descents(target: TrainedModel, pool: Dataset, attack: AttackSpec, scenario:
         return
     seeds = np.random.SeedSequence([scenario.seed, 0xA77AC]).spawn(scenario.n_surrogate_repeats)
     for r, seed in enumerate(seeds):
-        child = seed.generate_state(2)
-        surrogate_data = build_surrogate(target, pool, scenario, seed=int(child[0]))
-        surrogate = _train_surrogate(target, surrogate_data, scenario, seed=int(child[1]))
+        if r == len(surrogates):
+            child = seed.generate_state(2)
+            surrogate_data = build_surrogate(target, pool, scenario, seed=int(child[0]))
+            surrogate = _train_surrogate(target, surrogate_data, scenario, seed=int(child[1]))
+            surrogates.append((surrogate_data, surrogate))
+        surrogate_data, surrogate = surrogates[r]
         spec_run = attack
         if attack.lam > 0:
             legit = surrogate_data.X[surrogate_data.y == LEGITIMATE]
@@ -133,6 +145,7 @@ def run_scenario(
     scenario: ScenarioSpec,
     attack_set: Dataset,
     kde: KdeParams | None = None,
+    surrogates: list | None = None,
 ) -> list[AttackTrace]:
     """Attack every sample of attack_set under the given knowledge scenario.
 
@@ -140,6 +153,11 @@ def run_scenario(
     repeat tagged None. Samples the target already misclassifies are not
     descended on: they count as evading at every budget and are recorded
     as single-point traces.
+
+    `surrogates` (LK only) holds the (surrogate data, surrogate) pair of
+    each repeat: pairs already in the list are reused, the ones this call
+    trains are appended. Calls with the same target, pool and scenario
+    that differ only in `attack` (its lambda) can share one list.
     """
     if np.any(attack_set.y != MALICIOUS):
         raise ValueError("attack_set must contain only malicious samples")
@@ -151,7 +169,8 @@ def run_scenario(
     skipped = np.flatnonzero(start_preds == LEGITIMATE)
 
     traces: list[AttackTrace] = []
-    for model, spec_run, repeat in _descents(target, pool, attack, scenario, kde):
+    surrogates = [] if surrogates is None else surrogates
+    for model, spec_run, repeat in _descents(target, pool, attack, scenario, kde, surrogates):
         for i in skipped:
             traces.append(_already_evading_trace(target, attack_set.X[i], int(i), repeat))
         for i in to_attack:

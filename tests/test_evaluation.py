@@ -1,8 +1,10 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import gradevade.scenario as scenario_module
 from gradevade.attack import AttackSpec, AttackTrace, DistanceSpec
 from gradevade.data import Dataset, FeatureBounds
 from gradevade.evaluation import (
@@ -221,6 +223,39 @@ class TestSweep:
         assert len(res.failures) == 1
         assert "mlp" in res.failures[0]["classifier"]
         assert {r["classifier"] for r in res.records} == {"linear_svm(C=1)"}
+
+
+class TestSurrogateReuse:
+    """LK surrogates do not depend on lambda: each cell trains them once."""
+
+    KW = dict(
+        model_grid=[ModelSpec(kind="linear_svm", C=1.0), ModelSpec(kind="svm", C=1.0)],
+        scenario=ScenarioSpec(kind="LK", n_q=20, n_surrogate_repeats=2),
+        scenario_kinds=["PK", "LK"], attack=small_attack(), d_max_grid=[0.0, 3.0, 6.0],
+        n_splits=2, n_train=40, n_test=40, fp_target=0.1,
+        kde=KdeParams(kernel_kind="laplacian", h=2.0, truncation_k=50), seed=10,
+    )
+
+    def test_one_training_per_repeat_and_rows_of_one_lambda_sweeps(self, monkeypatch):
+        data = separable_counts(seed=6)
+        calls = []
+        original = scenario_module._train_surrogate
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_module, "_train_surrogate", counted)
+        both = sweep(dataset=data, lambdas=[0.0, 50.0], **self.KW)
+        assert len(calls) == 2 * 2 * 2   # n_splits x models x repeats
+        monkeypatch.undo()
+        # cells run split-major, and within a cell lambda is the outer loop
+        by_cell: dict = {}
+        for lam in (0.0, 50.0):
+            for row in sweep(dataset=data, lambdas=[lam], **self.KW).records:
+                by_cell.setdefault((row["split"], row["classifier"]), []).append(row)
+        assert not both.failures
+        assert json.dumps(both.records) == json.dumps([row for rows in by_cell.values() for row in rows])
 
 
 class TestAggregate:

@@ -6,7 +6,8 @@ import pytest
 import gradevade.attack as attack_module
 import gradevade.models as models_module
 from gradevade.attack import AttackSpec, DistanceSpec, evade_continuous
-from gradevade.data import Dataset, FeatureBounds
+from gradevade.benchmark import synthetic_pdf_dataset
+from gradevade.data import Dataset, FeatureBounds, cap_features
 from gradevade.kernels import KernelSpec, kernel_grad_combination, kernel_row
 from gradevade.models import (
     LinearModel,
@@ -264,6 +265,106 @@ class TestMlp:
             )
             g = m.discriminant(rng.normal(size=3) * 3)
             assert 0.0 < g < 1.0
+
+
+def reference_sigmoid(z):
+    """`_sigmoid` before it took the max(e, z >= 0) numerator, verbatim."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def reference_train_mlp(train, m, epochs=2000, learning_rate=1.0, seed=0):
+    """`train_mlp` before its epoch loop worked in place, verbatim, as its oracle."""
+    rng = np.random.default_rng(seed)
+    d = train.dim
+    V = rng.uniform(-0.5, 0.5, size=(m, d))
+    bk = rng.uniform(-0.5, 0.5, size=m)
+    w = rng.uniform(-0.5, 0.5, size=m)
+    b = float(rng.uniform(-0.5, 0.5))
+    X = train.X
+    t = (train.y + 1.0) / 2.0
+    n = train.n
+    for epoch in range(epochs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = reference_sigmoid(X @ V.T + bk)      # (n, m)
+            z = H @ w + b                    # output logits
+            # stable logistic loss: softplus(z) - t z
+            loss = float(np.mean(np.logaddexp(0.0, z) - t * z))
+        if not np.isfinite(loss):
+            raise RuntimeError(f"MLP training diverged (non-finite loss at epoch {epoch})")
+        dz = (reference_sigmoid(z) - t) / n           # (n,)
+        gw = H.T @ dz
+        gb = float(dz.sum())
+        dH = np.outer(dz, w) * H * (1.0 - H)
+        gV = dH.T @ X
+        gbk = dH.sum(axis=0)
+        w -= learning_rate * gw
+        b -= learning_rate * gb
+        V -= learning_rate * gV
+        bk -= learning_rate * gbk
+    return MlpModel(hidden_weights=V, hidden_biases=bk, output_weights=w, output_bias=b)
+
+
+def mlp_bytes(model: MlpModel) -> tuple:
+    return tuple(
+        np.asarray(a, dtype=float).tobytes()
+        for a in (model.hidden_weights, model.hidden_biases, model.output_weights, model.output_bias)
+    )
+
+
+def pdf_rows(n, seed=0):
+    """n rows (both classes) of the capped synthetic PDF counts the benchmarks use."""
+    ds = cap_features(synthetic_pdf_dataset(n_legit=250, n_malicious=250, dim=100, seed=seed), 100.0)
+    return ds.subset(np.random.default_rng(seed).permutation(ds.n)[:n])
+
+
+class TestTrainMlpMatchesReference:
+    """train_mlp's in-place epoch must give the allocating loop's weights bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    @pytest.mark.parametrize("pdf_n", [None, 100, 500])   # None: 2-D blobs
+    @pytest.mark.parametrize("epochs", [0, 60])
+    def test_weights_byte_equal(self, m, pdf_n, epochs):
+        ds = blobs(20, sep=2.0, seed=m) if pdf_n is None else pdf_rows(pdf_n, seed=m)
+        got = train_mlp(ds, m=m, epochs=epochs, learning_rate=1.0, seed=m)
+        want = reference_train_mlp(ds, m=m, epochs=epochs, learning_rate=1.0, seed=m)
+        assert mlp_bytes(got) == mlp_bytes(want)
+
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    def test_saturating_run_byte_equal(self, m):
+        # raw counts up to 100 at learning rate 10 saturate the hidden units
+        ds = pdf_rows(100, seed=11)
+        got = train_mlp(ds, m=m, epochs=300, learning_rate=10.0, seed=5)
+        want = reference_train_mlp(ds, m=m, epochs=300, learning_rate=10.0, seed=5)
+        assert mlp_bytes(got) == mlp_bytes(want)
+        H = reference_sigmoid(ds.X @ want.hidden_weights.T + want.hidden_biases)
+        assert np.mean(H * (1.0 - H) < 1e-6) > 0.5
+
+    def test_diverging_fits_raise_at_the_same_epoch(self):
+        ds = blobs(10, sep=2.0, seed=3)
+        epochs_seen = set()
+        for m, learning_rate, seed in [(1, 4e307, 0), (1, 4e307, 2), (1, 4e307, 1), (1, 4e307, 7),
+                                       (3, 4e307, 2), (3, 1e308, 0), (1, 1.7e308, 5)]:
+            with pytest.raises(RuntimeError, match="epoch") as want:
+                reference_train_mlp(ds, m=m, epochs=30, learning_rate=learning_rate, seed=seed)
+            with pytest.raises(RuntimeError, match="epoch") as got:
+                train_mlp(ds, m=m, epochs=30, learning_rate=learning_rate, seed=seed)
+            assert str(got.value) == str(want.value)
+            epochs_seen.add(str(want.value))
+        assert len(epochs_seen) >= 4
+
+    def test_logits_past_the_check_bound_with_a_finite_loss(self):
+        # after one epoch at learning rate 1e200 the logits pass the bound
+        # above which the loss is evaluated, and the loss is still finite
+        ds = blobs(10, sep=2.0, seed=3)
+        one = reference_train_mlp(ds, m=3, epochs=1, learning_rate=1e200, seed=0)
+        z = reference_sigmoid(ds.X @ one.hidden_weights.T + one.hidden_biases) @ one.output_weights + one.output_bias
+        t = (ds.y + 1.0) / 2.0
+        assert np.abs(z).max() >= models_module._LOSS_CHECK_BOUND
+        assert np.isfinite(np.mean(np.logaddexp(0.0, z) - t * z))
+        got = train_mlp(ds, m=3, epochs=6, learning_rate=1e200, seed=0)
+        want = reference_train_mlp(ds, m=3, epochs=6, learning_rate=1e200, seed=0)
+        assert mlp_bytes(got) == mlp_bytes(want)
 
 
 class TestDiscriminantGradients:
