@@ -24,7 +24,6 @@ from .data import (
     load_idx_images,
     load_sparse_counts,
     split_train_test,
-    write_dense_csv,
 )
 from .evaluation import (
     SecurityCurve,

@@ -148,16 +148,6 @@ def load_dense_csv(path, label_column: str = "label") -> Dataset:
     return Dataset(np.array(rows), np.array(labels), feature_names)
 
 
-def write_dense_csv(ds: Dataset, path, label_column: str = "label"):
-    """Inverse of load_dense_csv; always writes a header and {-1,+1} labels."""
-    names = ds.feature_names or [f"f{i}" for i in range(ds.dim)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(names) + [label_column])
-        for x, y in zip(ds.X, ds.y):
-            writer.writerow([repr(float(v)) for v in x] + [int(y)])
-
-
 def load_sparse_counts(path, dim: int | None = None) -> Dataset:
     """Load `label index:value ...` lines (1-based indices) into dense form."""
     entries = []

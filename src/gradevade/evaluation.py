@@ -83,11 +83,14 @@ def fn_rates(
     """Fraction of traces that evade the target within each budget of d_grid."""
     if not traces:
         raise ValueError("empty malicious set")
+    limits = np.asarray(d_grid, dtype=float) + 1e-9
     hits = np.zeros(len(d_grid), dtype=int)
     for tr in traces:
         dists, scores = trace_profile(target, tr, distance)
         evading = scores - target.decision_offset < 0
-        hits += [bool(np.any(evading[dists <= b + 1e-9])) for b in d_grid]
+        if evading.any():
+            # some evading point lies within b exactly when the nearest one does
+            hits += dists[evading].min() <= limits
     return [h / len(traces) for h in hits]
 
 

@@ -5,6 +5,17 @@ points nearest to the query, where d is the Manhattan distance for the
 laplacian kernel and the squared euclidean distance for the rbf kernel.
 The neighbor set is re-selected at every query, with the same distance.
 
+The latest query's differences and distances to all N reference points
+are kept, with exp(-d/h) of its neighbours, so density and density_grad
+at one point share one search. A discrete +-1 move changes one
+coordinate, and the kept distances are then patched in O(N) instead of
+recomputed in O(N d). The patch is taken only where it is exact: integer
+reference points and queries of magnitude at most M, the largest M with
+d (2M)^2 < 2^53, so every distance is an exact float64 integer and the
+neighbours, density and gradient are bit-identical to a full search. Any
+other query (non-integral points, a step in two coordinates) runs the
+full search.
+
 The laplacian gradient ships in two forms. "corrected" (default) is the
 true subgradient, with an elementwise sign(x - x_i) factor and sign(0)=0.
 "paper" keeps a raw (x - x_i) factor instead; it reproduces a published
@@ -16,12 +27,17 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .kernels import _SAME_QUERY, _DistanceMemo
+
 KDE_KERNELS = ("laplacian", "rbf")
 GRAD_FORMS = ("corrected", "paper")
 
 
 @dataclass
 class MimicryEstimator:
+    """KDE over fixed reference points; the settings are not reassigned after
+    construction, since the kept search of the latest query depends on them."""
+
     reference_points: np.ndarray      # (N, d) samples labeled legitimate
     h: float
     kernel_kind: str = "laplacian"
@@ -36,7 +52,13 @@ class MimicryEstimator:
             raise ValueError("reference_points contain non-finite values")
         KdeParams.from_estimator(self)  # checks the settings
         self.reference_points = pts
-        self._last = None   # (query bytes, (diffs, dists)) of the latest query
+        laplacian = self.kernel_kind == "laplacian"
+        # the latest query's x - x_i and distances, the gradient's factor of
+        # each x - x_i (its sign for the corrected laplacian form, else itself),
+        # and (factor, exp(-distance/h)) of its nearest points
+        self._kept = _DistanceMemo(pts, np.abs if laplacian else np.square)
+        self._factor = np.empty_like(pts) if laplacian and self.grad_form == "corrected" else self._kept.diffs
+        self._near = None
 
     @property
     def n_used(self) -> int:
@@ -44,45 +66,58 @@ class MimicryEstimator:
         return min(self.truncation_k, len(self.reference_points))
 
     def _neighbors(self, x: np.ndarray):
-        """(diffs, distances) of the truncation_k nearest reference points.
+        """(gradient factors, exp(-distance/h)) of the truncation_k nearest
+        reference points; the factor of x - x_i is its sign for the corrected
+        laplacian gradient and x - x_i itself otherwise.
 
         The latest query's result is kept, keyed on the query's contents, so
-        density(x) followed by density_grad(x) searches once.
+        density(x) followed by density_grad(x) searches once. A query one
+        step from the kept one along coordinate j patches the kept state of
+        all N points in O(N) where that is exact (integer reference points
+        and queries within the bound of `kernels._DistanceMemo`): column j
+        of x - x_i and of its signs is rewritten and each distance trades
+        that column's old |.| or square for its new one. The neighbours are
+        then selected from distances bit-identical to a full search's, so
+        they are the same.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[0] != self.reference_points.shape[1]:
             raise ValueError(
                 f"dimension mismatch: query {x.shape[0]}, reference {self.reference_points.shape[1]}"
             )
-        key = x.tobytes()
-        if self._last is not None and self._last[0] == key:
-            return self._last[1]
-        diffs = x[None, :] - self.reference_points
-        if self.kernel_kind == "laplacian":
-            dists = np.abs(diffs).sum(axis=1)
-        else:
-            dists = np.einsum("ij,ij->i", diffs, diffs)
-        k = self.n_used
+        j = self._kept.step(x)
+        if j == _SAME_QUERY:
+            return self._near
+        diffs = self._kept.diffs
+        if j is None:
+            np.subtract(x, self.reference_points, out=diffs)
+            if self.kernel_kind == "laplacian":
+                dists = np.abs(diffs).sum(axis=1)
+            else:
+                dists = np.einsum("ij,ij->i", diffs, diffs)
+            self._kept.keep(x, dists)
+            if self._factor is not diffs:
+                np.sign(diffs, out=self._factor)
+        elif self._factor is not diffs:
+            np.sign(diffs[:, j], out=self._factor[:, j])
+        factor, dists = self._factor, self._kept.dists
+        k = self.truncation_k
         if k < len(dists):
             sel = np.argpartition(dists, k - 1)[:k]
-            diffs, dists = diffs[sel], dists[sel]
-        self._last = (key, (diffs, dists))
-        return diffs, dists
+            factor, dists = factor[sel], dists[sel]
+        self._near = (factor, np.exp(-dists / self.h))
+        return self._near
 
     def density(self, x: np.ndarray) -> float:
         """(1/n) sum of exp(-d(x, x_i)/h) over the n nearest reference points."""
-        _, dists = self._neighbors(x)
-        return float(np.mean(np.exp(-dists / self.h)))
+        _, w = self._neighbors(x)
+        return float(w.sum() / len(w))  # the reduction np.mean makes
 
     def density_grad(self, x: np.ndarray) -> np.ndarray:
         """Gradient of density at x; see module docstring for the l1 variants."""
-        diffs, dists = self._neighbors(x)
-        n = len(dists)
-        w = np.exp(-dists / self.h)
-        if self.kernel_kind == "rbf":
-            return (-2.0 / (n * self.h)) * (w @ diffs)
-        factor = np.sign(diffs) if self.grad_form == "corrected" else diffs
-        return (-1.0 / (n * self.h)) * (w @ factor)
+        factor, w = self._neighbors(x)
+        scale = -2.0 if self.kernel_kind == "rbf" else -1.0
+        return (scale / (len(w) * self.h)) * (w @ factor)
 
 
 def lambda_guidance(est: MimicryEstimator, g_range: float) -> float:

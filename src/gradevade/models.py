@@ -5,10 +5,18 @@ All models expose:
   discriminant_many(X) -> ndarray   g over the rows of X
   gradient(x)          -> ndarray   exact analytic grad_x g(x)
 
-`SvmModel` keeps its latest rbf kernel pass (the kernel row and the
-differences to the support vectors), keyed on the query's contents, so
-discriminant(x) followed by gradient(x) at the same point, as the attack
-asks for them, computes the kernel once.
+`SvmModel` keeps its latest rbf kernel pass (the kernel row, the
+differences to the support vectors and the squared distances), keyed on
+the query's contents, so discriminant(x) followed by gradient(x) at the
+same point, as the attack asks for them, computes the kernel once. When
+the next query differs from the kept one in exactly one coordinate, as a
+discrete +-1 move does, the kept pass is patched in O(N) instead of
+recomputed in O(N d). The patch is taken only where it is exact: integer
+support vectors and queries of magnitude at most M, the largest M with
+d (2M)^2 < 2^53, so every squared distance is an exact float64 integer
+and the patched row and gradient are bit-identical to a full pass. Any
+other query (continuous mode, non-integral support vectors, a step in
+two coordinates) runs the full pass.
 
 `predict(model, X)` labels rows by the sign of g(x) - decision_offset,
 tie -> +1. The decision offset is 0 for SVM variants and 0.5 for the
@@ -25,7 +33,9 @@ import numpy as np
 
 from .data import LEGITIMATE, MALICIOUS, Dataset
 from .kernels import (
+    _SAME_QUERY,
     KernelSpec,
+    _DistanceMemo,
     kernel_grad_combination,
     kernel_matrix,
     kernel_row,
@@ -101,8 +111,10 @@ class SvmModel:
             raise ValueError("|alpha_i| exceeds the box constraint C")
         if abs(float(self.dual_coefs.sum())) > 1e-6:
             raise ValueError("dual coefficients do not satisfy sum(alpha_i y_i) = 0")
-        self._last = None   # (query bytes, (row, diff)) of the latest rbf query
-        self._diff = np.empty_like(self.support_vectors)   # diff of every rbf query, reused
+        if self.kernel.kind == "rbf":
+            # the latest rbf query's x - sv and squared distances, and its row
+            self._kept = _DistanceMemo(self.support_vectors, np.square)
+            self._row = None
 
     @property
     def dim(self) -> int:
@@ -112,13 +124,20 @@ class SvmModel:
         """(kernel row, x - support vectors) at x, computed once per distinct query.
 
         The latest query's pass is kept, keyed on the query's contents, so
-        discriminant(x) followed by gradient(x) runs the kernel once.
+        discriminant(x) followed by gradient(x) runs the kernel once. A query
+        one step from the kept one along coordinate j patches the kept pass
+        in O(N) where that is exact (integer support vectors and queries
+        within the bound of `kernels._DistanceMemo`): column j of x - sv is
+        rewritten and the squared distances trade that column's old squares
+        for its new ones, so the row is bit-identical to a full pass.
         """
-        key = x.tobytes()
-        if self._last is None or self._last[0] != key:
-            self._last = None  # the pass below overwrites the kept diff
-            self._last = (key, rbf_row_and_diff(self.kernel.gamma, x, self.support_vectors, out=self._diff))
-        return self._last[1]
+        j = self._kept.step(x)
+        if j is None:
+            self._row, _, sq = rbf_row_and_diff(self.kernel.gamma, x, self.support_vectors, out=self._kept.diffs)
+            self._kept.keep(x, sq)
+        elif j != _SAME_QUERY:
+            self._row = np.exp(-self.kernel.gamma * self._kept.dists)
+        return self._row, self._kept.diffs
 
     def discriminant(self, x: np.ndarray) -> float:
         x = np.asarray(x, float)

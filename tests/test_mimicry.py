@@ -3,7 +3,7 @@ import pytest
 
 from gradevade.mimicry import GRAD_FORMS, KDE_KERNELS, KdeParams, MimicryEstimator, lambda_guidance
 
-from test_models import assert_grad_close, central_diff
+from test_models import assert_grad_close, central_diff, count_memo_steps, descent_queries, expected_steps, patch_bound
 
 
 class TestDensity:
@@ -134,6 +134,85 @@ class TestNeighborMemo:
         check(a, True)
         for x, grad_first in ((b, False), (a, False), (b, True), (a, True)):
             check(x, grad_first)
+
+
+def reference_density_and_grad(est: MimicryEstimator, x: np.ndarray):
+    """Density and gradient from a full neighbour search, with np.mean: the
+    estimator's formulas without any kept state."""
+    diffs = x[None, :] - est.reference_points
+    if est.kernel_kind == "laplacian":
+        dists = np.abs(diffs).sum(axis=1)
+    else:
+        dists = np.einsum("ij,ij->i", diffs, diffs)
+    k = est.n_used
+    if k < len(dists):
+        sel = np.argpartition(dists, k - 1)[:k]
+        diffs, dists = diffs[sel], dists[sel]
+    w = np.exp(-dists / est.h)
+    n = len(dists)
+    if est.kernel_kind == "rbf":
+        grad = (-2.0 / (n * est.h)) * (w @ diffs)
+    else:
+        factor = np.sign(diffs) if est.grad_form == "corrected" else diffs
+        grad = (-1.0 / (n * est.h)) * (w @ factor)
+    return float(np.mean(w)), grad
+
+
+class TestNeighborPatch:
+    """The kept search, patched for one-coordinate steps, against fresh searches."""
+
+    def check_against_fresh(self, est, settings, x, grad_first):
+        fresh = MimicryEstimator(est.reference_points, **settings)
+        if grad_first:
+            g, dens = est.density_grad(x), est.density(x)
+        else:
+            dens, g = est.density(x), est.density_grad(x)
+        ref_dens, ref_g = reference_density_and_grad(est, x)
+        assert dens == fresh.density(x) == ref_dens
+        assert g.tobytes() == fresh.density_grad(x).tobytes() == ref_g.tobytes()
+
+    @pytest.mark.parametrize("kind", KDE_KERNELS)
+    @pytest.mark.parametrize("form", GRAD_FORMS)
+    @pytest.mark.parametrize("k", [8, 60])
+    def test_integer_walk_is_patched_bit_for_bit(self, monkeypatch, kind, form, k):
+        rng = np.random.default_rng(43)
+        # few distinct values in few dimensions: many tied distances, so the
+        # truncation (k = 8 < N = 40) has to break ties the way a full search does
+        pts = rng.integers(0, 3, size=(40, 3)).astype(float)
+        settings = dict(h=2.0, kernel_kind=kind, truncation_k=k, grad_form=form)
+        est = MimicryEstimator(pts, **settings)
+        points = descent_queries(rng, rng.integers(0, 3, size=3).astype(float), 40)
+        steps = count_memo_steps(monkeypatch)
+        for i, x in enumerate(points):
+            self.check_against_fresh(est, settings, x, grad_first=bool(i % 2))
+        walk = expected_steps([p for x in points for p in (x, x)])
+        assert steps["patch"] == walk["patch"] > 20
+        assert steps["full"] == walk["full"] + len(points)
+        assert walk["full"] > 1
+
+    @pytest.mark.parametrize("kind", KDE_KERNELS)
+    def test_each_fallback_runs_a_full_search(self, monkeypatch, kind):
+        d = 3
+        bound = patch_bound(d)
+        pts = np.random.default_rng(47).integers(0, 4, size=(30, d)).astype(float)
+        settings = dict(h=2.0, kernel_kind=kind, truncation_k=10)
+        steps = count_memo_steps(monkeypatch)
+        for x in ([0.0, 0.0, 0.5], [1.0, 0.0, 1.0], [0.0, 0.0, bound + 1.0]):
+            est = MimicryEstimator(pts, **settings)
+            est.density(np.zeros(d))
+            steps.clear()
+            self.check_against_fresh(est, settings, np.array(x), grad_first=False)
+            assert steps["patch"] == 0, x
+        est = MimicryEstimator(pts, **settings)
+        est.density(np.array([0.0, 0.0, bound - 1.0]))
+        steps.clear()
+        self.check_against_fresh(est, settings, np.array([0.0, 0.0, float(bound)]), grad_first=False)
+        assert steps["patch"] == 1
+        est = MimicryEstimator(pts + 0.25, **settings)
+        steps.clear()
+        for x in descent_queries(np.random.default_rng(53), np.zeros(d), 5):
+            self.check_against_fresh(est, settings, x, grad_first=False)
+        assert steps["patch"] == 0 and steps["full"] > 0
 
 
 class TestLambdaGuidance:

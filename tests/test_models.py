@@ -1,11 +1,14 @@
+import math
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import gradevade.attack as attack_module
+import gradevade.kernels as kernels_module
 import gradevade.models as models_module
-from gradevade.attack import AttackSpec, DistanceSpec, evade_continuous
+from gradevade.attack import AttackSpec, DistanceSpec, evade_continuous, evade_discrete
 from gradevade.benchmark import synthetic_pdf_dataset
 from gradevade.data import Dataset, FeatureBounds, cap_features
 from gradevade.kernels import KernelSpec, kernel_grad_combination, kernel_row
@@ -482,6 +485,160 @@ class TestKernelPassMemo:
         tr = evade_continuous(model, spec, sv[0] + 0.1)
         assert tr.iterations >= 5
         assert len(passes) == len(queried) >= tr.iterations + 1
+
+    def test_one_pass_or_patch_per_distinct_point_of_a_discrete_descent(self, monkeypatch):
+        # lambda = 0 increment-only descent from an integer start on integer
+        # support vectors: every distinct point is a full pass or, one +1 away
+        # from the point queried before it, a patch of the kept pass
+        passes, queried = [], set()
+        original = models_module.rbf_row_and_diff
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(models_module, "rbf_row_and_diff", counted)
+        steps = count_memo_steps(monkeypatch)
+        for name in ("objective_F", "objective_grad"):
+            wrapped = getattr(attack_module, name)
+
+            def recorded(model, spec, x, _original=wrapped):
+                queried.add(np.asarray(x, float).tobytes())
+                return _original(model, spec, x)
+
+            monkeypatch.setattr(attack_module, name, recorded)
+        rng = np.random.default_rng(23)
+        sv = rng.integers(0, 6, size=(12, 5)).astype(float)
+        coefs = rng.uniform(0.1, 1.0, size=12) * np.where(np.arange(12) < 6, 1.0, -1.0)
+        model = SvmModel(KernelSpec("rbf", gamma=0.05), sv, coefs - coefs.mean(), 0.5, C=2.0)
+        spec = AttackSpec(distance=DistanceSpec("l1"), d_max=12.0, mode="discrete",
+                          bounds=FeatureBounds(0.0, 20.0, increment_only=True), max_iters=40)
+        tr = evade_discrete(model, spec, sv[0])
+        assert tr.iterations >= 5
+        assert steps["patch"] > 0
+        assert len(passes) == steps["full"]
+        assert len(passes) + steps["patch"] == len(queried)
+
+
+def count_memo_steps(monkeypatch) -> Counter:
+    """Count what every `_DistanceMemo.step` answers: "same", "patch" or "full"."""
+    counts = Counter()
+    original = kernels_module._DistanceMemo.step
+
+    def counted(memo, x):
+        j = original(memo, x)
+        counts["full" if j is None else "same" if j == kernels_module._SAME_QUERY else "patch"] += 1
+        return j
+
+    monkeypatch.setattr(kernels_module._DistanceMemo, "step", counted)
+    return counts
+
+
+def descent_queries(rng, x, rounds):
+    """Points in the order a discrete descent queries them: each round scores
+    one to three +-1 candidates around x in turn, rejecting all but the last,
+    and moves to the last. Consecutive rejected candidates differ in two
+    coordinates (or coincide); an accepted one is queried again next."""
+    points = []
+    for _ in range(rounds):
+        for _ in range(rng.integers(1, 4)):
+            cand = x.copy()
+            cand[rng.integers(len(x))] += rng.choice([-1.0, 1.0])
+            points.append(cand)
+        x = cand
+        points.append(x.copy())
+    return points
+
+
+def expected_steps(points) -> Counter:
+    """What an exact memo must answer for these integer points, queried in turn."""
+    kinds = Counter({"full": 1})
+    for prev, x in zip(points, points[1:]):
+        changed = np.count_nonzero(prev != x)
+        kinds["same" if changed == 0 else "patch" if changed == 1 else "full"] += 1
+    return kinds
+
+
+def patch_bound(d: int) -> int:
+    """Largest M with d (2M)^2 < 2^53: the query magnitude up to which patches are exact."""
+    m = math.isqrt((2**53 - 1) // (4 * d))
+    assert d * (2 * m) ** 2 < 2**53 <= d * (2 * m + 2) ** 2
+    return m
+
+
+class TestKernelPassPatch:
+    """The kept rbf pass, patched for one-coordinate steps, against fresh passes."""
+
+    def model_args(self, sv, gamma=0.05):
+        raw = np.random.default_rng(29).uniform(0.1, 1.0, size=len(sv))
+        return (KernelSpec("rbf", gamma=gamma), sv, raw - raw.mean(), 0.3, 2.0)
+
+    def check_against_fresh(self, model, args, x, grad_first):
+        fresh, two_pass = SvmModel(*args), two_pass_copy(SvmModel(*args))
+        if grad_first:
+            grad, g = model.gradient(x), model.discriminant(x)
+        else:
+            g, grad = model.discriminant(x), model.gradient(x)
+        assert g == fresh.discriminant(x) == two_pass.discriminant(x)
+        assert grad.tobytes() == fresh.gradient(x).tobytes() == two_pass.gradient(x).tobytes()
+
+    def test_integer_walk_is_patched_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        args = self.model_args(rng.integers(-4, 9, size=(15, 6)).astype(float))
+        model = SvmModel(*args)
+        points = descent_queries(rng, rng.integers(0, 5, size=6).astype(float), 40)
+        steps = count_memo_steps(monkeypatch)
+        for i, x in enumerate(points):
+            self.check_against_fresh(model, args, x, grad_first=bool(i % 2))
+        # `model` sees each point twice (discriminant and gradient); each
+        # fresh SvmModel adds one full pass and one repeat
+        walk = expected_steps([p for x in points for p in (x, x)])
+        assert steps["patch"] == walk["patch"] > 20
+        assert steps["full"] == walk["full"] + len(points)
+        assert walk["full"] > 1  # rejected candidates took full passes
+
+    def test_each_fallback_runs_a_full_pass(self, monkeypatch):
+        d = 4
+        bound = patch_bound(d)
+        sv = np.random.default_rng(37).integers(0, 6, size=(9, d)).astype(float)
+        cases = {
+            "non-integral query": [0.0, 0.0, 0.0, 0.5],
+            "two-coordinate step": [1.0, 0.0, 1.0, 0.0],
+            "value past the bound": [0.0, 0.0, 0.0, bound + 1.0],
+            "wrong dimension": [0.0, 0.0, 0.0],
+        }
+        steps = count_memo_steps(monkeypatch)
+        for name, x in cases.items():
+            model = SvmModel(*self.model_args(sv))
+            start = np.zeros(d)
+            model.discriminant(start)
+            steps.clear()
+            if name == "wrong dimension":
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    model.discriminant(np.array(x))
+            else:
+                self.check_against_fresh(model, self.model_args(sv), np.array(x), grad_first=False)
+            assert steps["patch"] == 0, name
+            # one step on from there is patched only where the kept state is
+            # an exact one (a pass that raised keeps none)
+            follow = np.array(x if len(x) == d else start, dtype=float)
+            follow[0] += 1.0
+            steps.clear()
+            self.check_against_fresh(model, self.model_args(sv), follow, False)
+            assert steps["patch"] == (name == "two-coordinate step"), name
+        # a step up to the bound itself is patched, bit for bit
+        model = SvmModel(*self.model_args(sv))
+        model.discriminant(np.array([0.0, 0.0, 0.0, bound - 1.0]))
+        steps.clear()
+        self.check_against_fresh(model, self.model_args(sv), np.array([0.0, 0.0, 0.0, float(bound)]), False)
+        assert steps["patch"] == 1
+        # support vectors off the integers, or past the bound, are never patched
+        for bad in (sv + 0.25, np.vstack([sv, np.full(d, bound + 1.0)])):
+            model = SvmModel(*self.model_args(bad))
+            steps.clear()
+            for x in descent_queries(np.random.default_rng(41), np.zeros(d), 5):
+                self.check_against_fresh(model, self.model_args(bad), x, grad_first=False)
+            assert steps["patch"] == 0 and steps["full"] > 0
 
 
 class TestPredict:
