@@ -33,7 +33,7 @@ from .evaluation import (
     sweep,
 )
 from .kernels import KernelSpec
-from .mimicry import KdeParams, MimicryEstimator, lambda_guidance
+from .mimicry import KdeParams, MimicryEstimator
 from .models import (
     LinearModel,
     MlpModel,

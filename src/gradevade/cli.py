@@ -30,8 +30,8 @@ from .config import (
     load_config,
     load_dataset_from_config,
 )
-from .data import LEGITIMATE, MALICIOUS, split_train_test
-from .evaluation import _cell_seed, calibrate_threshold, sweep, trace_profile
+from .data import LEGITIMATE, MALICIOUS, Dataset, split_train_test
+from .evaluation import _calibrated, _cell_seed, sweep, trace_profile
 from .models import TrainedModel, load_model, predict, save_model, train_from_spec
 
 TRACE_FORMAT_VERSION = "gradevade-trace/1"
@@ -108,8 +108,7 @@ def write_pgm(vec: np.ndarray, path):
 # Commands.
 # ---------------------------------------------------------------------------
 
-def _prepare_split(cfg: ExperimentConfig, split_idx: int):
-    data = load_dataset_from_config(cfg)
+def _prepare_split(cfg: ExperimentConfig, data: Dataset, split_idx: int):
     return split_train_test(data, cfg.n_train, cfg.n_test, seed=_cell_seed(cfg.seed, split_idx, 0, 1))
 
 
@@ -118,8 +117,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"models": [], "failures": []}
+    data = load_dataset_from_config(cfg)
     for split_idx in range(cfg.n_splits):
-        train, _test = _prepare_split(cfg, split_idx)
+        train, _test = _prepare_split(cfg, data, split_idx)
         for model_idx, spec in enumerate(cfg.model_grid):
             name = f"{spec.descriptor()}_split{split_idx}".replace("(", "_").replace(")", "").replace(",", "_").replace("=", "")
             path = models_dir / f"{name}.json"
@@ -151,11 +151,12 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_attack(cfg: ExperimentConfig, out_dir: Path, model_path: str, sample_index: int,
                split_idx: int = 0, lam: float | None = None, force: bool = False) -> int:
+    if not 0 <= split_idx < cfg.n_splits:
+        raise ConfigError(f"split {split_idx} out of range (0..{cfg.n_splits - 1})")
     echo_config(cfg, out_dir)
     model = load_model(model_path)
-    _train, test = _prepare_split(cfg, split_idx)
-    legit_scores = model.discriminant_many(test.X[test.y == LEGITIMATE])
-    target = replace(model, decision_offset=calibrate_threshold(legit_scores, cfg.fp_target))
+    _train, test = _prepare_split(cfg, load_dataset_from_config(cfg), split_idx)
+    target = _calibrated(model, test, cfg.fp_target)
 
     malicious_idx = np.flatnonzero(test.y == MALICIOUS)
     if not (0 <= sample_index < len(malicious_idx)):
@@ -317,10 +318,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

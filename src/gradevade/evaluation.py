@@ -64,6 +64,13 @@ def calibrate_threshold(legit_scores, fp_target: float) -> float:
     return float(np.nextafter(order_stat, np.inf))
 
 
+def _calibrated(model: TrainedModel, test: Dataset, fp_target: float) -> TrainedModel:
+    """`model` with its decision offset set to the threshold calibrated on
+    its scores for the legitimate rows of `test`."""
+    legit_scores = model.discriminant_many(test.X[test.y == LEGITIMATE])
+    return replace(model, decision_offset=calibrate_threshold(legit_scores, fp_target))
+
+
 def trace_profile(target: TrainedModel, trace: AttackTrace, distance: DistanceSpec):
     """(distance-from-start, target score) arrays over the trace points.
 
@@ -132,15 +139,14 @@ def _run_cell(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]) -> list[dict]:
         plan.dataset, plan.n_train, plan.n_test, seed=_cell_seed(plan.root_seed, split_idx, 0, 1)
     )
     model = train_from_spec(model_spec, train, seed=_cell_seed(plan.root_seed, split_idx, model_idx, 2))
-    legit_scores = model.discriminant_many(test.X[test.y == LEGITIMATE])
-    target = replace(model, decision_offset=calibrate_threshold(legit_scores, plan.fp_target))
+    target = _calibrated(model, test, plan.fp_target)
     attack_set = test.subset(np.flatnonzero(test.y == MALICIOUS))
     rows = []
     surrogates: list = []   # LK surrogates are independent of lambda: trained once, shared
     for lam in plan.lambdas:
         for kind in plan.scenario_kinds:
             scen = replace(plan.scenario, kind=kind, seed=_cell_seed(plan.root_seed, split_idx, model_idx, 3))
-            atk = replace(plan.attack, lam=lam, d_max=max(plan.d_grid), mimicry=None)
+            atk = replace(plan.attack, lam=lam, d_max=max(plan.d_grid))
             traces = run_scenario(target, test, atk, scen, attack_set, kde=plan.kde, surrogates=surrogates)
             by_repeat: dict = {}
             for tr in traces:

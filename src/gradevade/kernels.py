@@ -31,26 +31,6 @@ def _check_dims(x: np.ndarray, xi: np.ndarray):
         raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {xi.shape[-1]}")
 
 
-def rbf_row_and_diff(
-    gamma: float, x: np.ndarray, basis: np.ndarray, out=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One rbf kernel pass at x: the row exp(-gamma ||x - basis[i]||^2), the
-    differences x - basis[i], which are all its gradient needs besides, and
-    the squared distances ||x - basis[i]||^2 the row exponentiates.
-
-    The differences are written into `out` (shaped like `basis`) if given.
-    """
-    _check_dims(x, basis)
-    diff = np.subtract(x, basis, out=out)
-    sq = np.einsum("ij,ij->i", diff, diff)
-    return np.exp(-gamma * sq), diff, sq
-
-
-def rbf_grad_combination(gamma: float, row: np.ndarray, diff: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """sum_i coefs[i] * grad_x k(x, basis[i]) from the pass `rbf_row_and_diff` made at x."""
-    return -2.0 * gamma * ((coefs * row) @ diff)
-
-
 def kernel_row(k: KernelSpec, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Vector of k(x, basis[i]) over the rows of `basis`."""
     x = np.asarray(x, float)
@@ -58,7 +38,8 @@ def kernel_row(k: KernelSpec, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     if k.kind == "linear":
         return basis @ x
     if k.kind == "rbf":
-        return rbf_row_and_diff(k.gamma, x, basis)[0]
+        diff = x - basis
+        return np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
     return (basis @ x + k.coef0) ** k.degree
 
 
@@ -69,8 +50,9 @@ def kernel_grad_combination(k: KernelSpec, x: np.ndarray, basis: np.ndarray, coe
     if k.kind == "linear":
         return coefs @ basis
     if k.kind == "rbf":
-        row, diff, _ = rbf_row_and_diff(k.gamma, x, basis)
-        return rbf_grad_combination(k.gamma, row, diff, coefs)
+        diff = x - basis
+        row = np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
+        return -2.0 * k.gamma * ((coefs * row) @ diff)
     w = coefs * k.degree * (basis @ x + k.coef0) ** (k.degree - 1)
     return w @ basis
 
@@ -88,15 +70,15 @@ def kernel_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.exp(-k.gamma * sq)
 
 
-# what `_DistanceMemo.step` returns for the query whose state it keeps
+# what `_DistanceMemo.query` returns for the query whose state it keeps
 _SAME_QUERY = -1
 
 
 class _DistanceMemo:
-    """x - basis[i] and the distances summed from `term` of them (np.square:
-    squared euclidean, np.abs: Manhattan) at the latest query of a one-entry
-    memo, with the key that tells a repeated query and an exact one-coordinate
-    step apart from a query that needs a full pass.
+    """x - basis[i] and its distances to x (squared euclidean, or Manhattan
+    with `manhattan`) for the latest query of a one-entry memo, brought to
+    each new query by a full pass or, for an exact one-coordinate step, by
+    a patch.
 
     A step is patched, not recomputed, when the basis and both queries are
     integer-valued with magnitudes at most `bound`, the largest M with
@@ -104,12 +86,13 @@ class _DistanceMemo:
     magnitude <= 2M, and each distance, with every partial sum of it, is an
     integer below 2^53: exact in float64 in any summation order. Rewriting
     column j of the differences and adding term(new) - term(old) of that
-    column to the distances therefore gives the bits of a full pass. `bound`
-    is None for a basis that is not integer-valued or exceeds M.
+    column to the distances (term: np.square or np.abs) therefore gives the
+    bits of a full pass. `bound` is None for a basis that is not
+    integer-valued or exceeds M.
     """
 
-    def __init__(self, basis: np.ndarray, term):
-        self.basis, self.term = basis, term
+    def __init__(self, basis: np.ndarray, manhattan: bool = False):
+        self.basis, self.term = basis, np.abs if manhattan else np.square
         bound = math.isqrt((2**53 - 1) // basis.shape[1]) // 2
         # the magnitude test first: it fails for inf and NaN
         integral = np.all(np.abs(basis) <= bound) and np.all(basis == np.round(basis))
@@ -120,13 +103,12 @@ class _DistanceMemo:
         self.bits = None     # the same bytes as int64 words
         self.exact = False   # whether steps from the kept query can be patched
 
-    def step(self, x: np.ndarray) -> int | None:
-        """Bring the kept state to x where no full pass is needed.
+    def query(self, x: np.ndarray) -> int | None:
+        """Bring `diffs` and `dists` to the float array x.
 
-        Returns _SAME_QUERY when x is the kept query, and the coordinate j
-        when x is the kept query with x[j] changed and the state was patched
-        to x. Returns None when x needs a full pass: the caller writes
-        x - basis into `diffs` and hands x and its distances to `keep`.
+        Returns _SAME_QUERY when x is the kept query, the coordinate j when
+        x is the kept query with x[j] changed and the state was patched, and
+        None after a full pass.
         """
         key = x.tobytes()
         if key == self.key:
@@ -145,12 +127,10 @@ class _DistanceMemo:
                     self.dists += self.term(col)
                     self.key, self.bits = key, bits
                     return j
-        self.key, self.exact = None, False  # a full pass that raises leaves nothing kept
-        return None
-
-    def keep(self, x: np.ndarray, dists: np.ndarray):
-        """Record the full pass at x: `diffs` holds x - basis, `dists` its distances."""
-        self.dists = dists
-        self.key = x.tobytes()
-        self.bits = np.frombuffer(self.key, np.int64)
+        self.key, self.exact = None, False  # a pass that raises leaves nothing kept
+        _check_dims(x, self.basis)
+        diffs = np.subtract(x, self.basis, out=self.diffs)
+        self.dists = np.abs(diffs).sum(axis=1) if self.term is np.abs else np.einsum("ij,ij->i", diffs, diffs)
+        self.key, self.bits = key, np.frombuffer(key, np.int64)
         self.exact = self.bound is not None and bool(np.all(np.abs(x) <= self.bound) and np.all(x == np.round(x)))
+        return None

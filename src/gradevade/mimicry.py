@@ -7,14 +7,9 @@ The neighbor set is re-selected at every query, with the same distance.
 
 The latest query's differences and distances to all N reference points
 are kept, with exp(-d/h) of its neighbours, so density and density_grad
-at one point share one search. A discrete +-1 move changes one
-coordinate, and the kept distances are then patched in O(N) instead of
-recomputed in O(N d). The patch is taken only where it is exact: integer
-reference points and queries of magnitude at most M, the largest M with
-d (2M)^2 < 2^53, so every distance is an exact float64 integer and the
-neighbours, density and gradient are bit-identical to a full search. Any
-other query (non-integral points, a step in two coordinates) runs the
-full search.
+at one point share one search, and a discrete +-1 move patches the kept
+distances in O(N) where that is bit-identical to a full search
+(`kernels._DistanceMemo`).
 
 The laplacian gradient ships in two forms. "corrected" (default) is the
 true subgradient, with an elementwise sign(x - x_i) factor and sign(0)=0.
@@ -56,7 +51,7 @@ class MimicryEstimator:
         # the latest query's x - x_i and distances, the gradient's factor of
         # each x - x_i (its sign for the corrected laplacian form, else itself),
         # and (factor, exp(-distance/h)) of its nearest points
-        self._kept = _DistanceMemo(pts, np.abs if laplacian else np.square)
+        self._kept = _DistanceMemo(pts, manhattan=laplacian)
         self._factor = np.empty_like(pts) if laplacian and self.grad_form == "corrected" else self._kept.diffs
         self._near = None
 
@@ -70,36 +65,19 @@ class MimicryEstimator:
         reference points; the factor of x - x_i is its sign for the corrected
         laplacian gradient and x - x_i itself otherwise.
 
-        The latest query's result is kept, keyed on the query's contents, so
-        density(x) followed by density_grad(x) searches once. A query one
-        step from the kept one along coordinate j patches the kept state of
-        all N points in O(N) where that is exact (integer reference points
-        and queries within the bound of `kernels._DistanceMemo`): column j
-        of x - x_i and of its signs is rewritten and each distance trades
-        that column's old |.| or square for its new one. The neighbours are
-        then selected from distances bit-identical to a full search's, so
-        they are the same.
+        The latest query's result is kept, so density(x) followed by
+        density_grad(x) searches once. The distances come from
+        `self._kept`, which patches a one-coordinate step where that is
+        exact; the kept signs then change in that column only, and the
+        neighbours are selected from the same distances as a full search's.
         """
         x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.reference_points.shape[1]:
-            raise ValueError(
-                f"dimension mismatch: query {x.shape[0]}, reference {self.reference_points.shape[1]}"
-            )
-        j = self._kept.step(x)
+        j = self._kept.query(x)
         if j == _SAME_QUERY:
             return self._near
-        diffs = self._kept.diffs
-        if j is None:
-            np.subtract(x, self.reference_points, out=diffs)
-            if self.kernel_kind == "laplacian":
-                dists = np.abs(diffs).sum(axis=1)
-            else:
-                dists = np.einsum("ij,ij->i", diffs, diffs)
-            self._kept.keep(x, dists)
-            if self._factor is not diffs:
-                np.sign(diffs, out=self._factor)
-        elif self._factor is not diffs:
-            np.sign(diffs[:, j], out=self._factor[:, j])
+        if self._factor is not self._kept.diffs:
+            cols = slice(None) if j is None else j
+            np.sign(self._kept.diffs[:, cols], out=self._factor[:, cols])
         factor, dists = self._factor, self._kept.dists
         k = self.truncation_k
         if k < len(dists):
@@ -118,13 +96,6 @@ class MimicryEstimator:
         factor, w = self._neighbors(x)
         scale = -2.0 if self.kernel_kind == "rbf" else -1.0
         return (scale / (len(w) * self.h)) * (w @ factor)
-
-
-def lambda_guidance(est: MimicryEstimator, g_range: float) -> float:
-    """Smallest mimicry weight making lambda/(n h) match the discriminant range."""
-    if g_range <= 0:
-        raise ValueError("g_range must be positive")
-    return g_range * est.n_used * est.h
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,10 @@ All models expose:
   discriminant_many(X) -> ndarray   g over the rows of X
   gradient(x)          -> ndarray   exact analytic grad_x g(x)
 
-`SvmModel` keeps its latest rbf kernel pass (the kernel row, the
-differences to the support vectors and the squared distances), keyed on
-the query's contents, so discriminant(x) followed by gradient(x) at the
-same point, as the attack asks for them, computes the kernel once. When
-the next query differs from the kept one in exactly one coordinate, as a
-discrete +-1 move does, the kept pass is patched in O(N) instead of
-recomputed in O(N d). The patch is taken only where it is exact: integer
-support vectors and queries of magnitude at most M, the largest M with
-d (2M)^2 < 2^53, so every squared distance is an exact float64 integer
-and the patched row and gradient are bit-identical to a full pass. Any
-other query (continuous mode, non-integral support vectors, a step in
-two coordinates) runs the full pass.
+`SvmModel` keeps its latest rbf kernel pass, so discriminant(x) followed
+by gradient(x) at the same point, as the attack asks for them, computes
+the kernel once, and a discrete +-1 move patches the kept pass in O(N)
+where that is bit-identical to a full pass (`kernels._DistanceMemo`).
 
 `predict(model, X)` labels rows by the sign of g(x) - decision_offset,
 tie -> +1. The decision offset is 0 for SVM variants and 0.5 for the
@@ -39,8 +31,6 @@ from .kernels import (
     kernel_grad_combination,
     kernel_matrix,
     kernel_row,
-    rbf_grad_combination,
-    rbf_row_and_diff,
 )
 
 MODEL_FORMAT_VERSION = "gradevade-model/1"
@@ -113,36 +103,24 @@ class SvmModel:
             raise ValueError("dual coefficients do not satisfy sum(alpha_i y_i) = 0")
         if self.kernel.kind == "rbf":
             # the latest rbf query's x - sv and squared distances, and its row
-            self._kept = _DistanceMemo(self.support_vectors, np.square)
+            self._kept = _DistanceMemo(self.support_vectors)
             self._row = None
 
     @property
     def dim(self) -> int:
         return self.support_vectors.shape[1]
 
-    def _rbf_pass(self, x: np.ndarray):
-        """(kernel row, x - support vectors) at x, computed once per distinct query.
-
-        The latest query's pass is kept, keyed on the query's contents, so
-        discriminant(x) followed by gradient(x) runs the kernel once. A query
-        one step from the kept one along coordinate j patches the kept pass
-        in O(N) where that is exact (integer support vectors and queries
-        within the bound of `kernels._DistanceMemo`): column j of x - sv is
-        rewritten and the squared distances trade that column's old squares
-        for its new ones, so the row is bit-identical to a full pass.
-        """
-        j = self._kept.step(x)
-        if j is None:
-            self._row, _, sq = rbf_row_and_diff(self.kernel.gamma, x, self.support_vectors, out=self._kept.diffs)
-            self._kept.keep(x, sq)
-        elif j != _SAME_QUERY:
+    def _rbf_pass(self, x: np.ndarray) -> np.ndarray:
+        """The kernel row at x, from the distances `self._kept` brings to x;
+        x - support vectors is left in `self._kept.diffs`."""
+        if self._kept.query(x) != _SAME_QUERY:
             self._row = np.exp(-self.kernel.gamma * self._kept.dists)
-        return self._row, self._kept.diffs
+        return self._row
 
     def discriminant(self, x: np.ndarray) -> float:
         x = np.asarray(x, float)
         if self.kernel.kind == "rbf":
-            row, _ = self._rbf_pass(x)
+            row = self._rbf_pass(x)
         else:
             row = kernel_row(self.kernel, x, self.support_vectors)
         return float(self.dual_coefs @ row + self.b)
@@ -153,7 +131,8 @@ class SvmModel:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
         if self.kernel.kind == "rbf":
-            return rbf_grad_combination(self.kernel.gamma, *self._rbf_pass(x), self.dual_coefs)
+            row = self._rbf_pass(x)
+            return -2.0 * self.kernel.gamma * ((self.dual_coefs * row) @ self._kept.diffs)
         return kernel_grad_combination(self.kernel, x, self.support_vectors, self.dual_coefs)
 
     def collapse_linear(self) -> LinearModel:

@@ -99,28 +99,16 @@ def _already_evading_trace(target: TrainedModel, x0: np.ndarray, sample_index: i
     return AttackTrace([np.asarray(x0, float).copy()], [target.discriminant(x0)], "converged", sample_index, repeat)
 
 
-def _descents(
-    target: TrainedModel,
-    pool: Dataset,
-    attack: AttackSpec,
-    scenario: ScenarioSpec,
-    kde: KdeParams | None,
-    surrogates: list,
-):
-    """(model to descend on, attack spec with its KDE, repeat tag) per attack round.
+def _descents(target: TrainedModel, pool: Dataset, scenario: ScenarioSpec, surrogates: list):
+    """(model to descend on, the data its KDE is built from, repeat tag) per attack round.
 
-    PK yields the target once, tagged None. LK yields one surrogate per
-    repeat, its KDE built from the surrogate's legitimate rows. Repeat r
-    reuses surrogates[r], a (surrogate data, surrogate) pair, when the
-    list has one, and otherwise trains it and appends it.
+    PK yields the target and the pool once, tagged None. LK yields one
+    surrogate and its data per repeat. Repeat r reuses surrogates[r], a
+    (surrogate data, surrogate) pair, when the list has one, and otherwise
+    trains it and appends it.
     """
     if scenario.kind == "PK":
-        if attack.lam > 0 and attack.mimicry is None:
-            legit = pool.X[pool.y == LEGITIMATE]
-            if len(legit) == 0:
-                raise ValueError("pool has no legitimate samples for the mimicry estimator")
-            attack = replace(attack, mimicry=kde.build(legit))
-        yield target, attack, None
+        yield target, pool, None
         return
     seeds = np.random.SeedSequence([scenario.seed, 0xA77AC]).spawn(scenario.n_surrogate_repeats)
     for r, seed in enumerate(seeds):
@@ -130,12 +118,7 @@ def _descents(
             surrogate = _train_surrogate(target, surrogate_data, scenario, seed=int(child[1]))
             surrogates.append((surrogate_data, surrogate))
         surrogate_data, surrogate = surrogates[r]
-        spec_run = attack
-        if attack.lam > 0:
-            legit = surrogate_data.X[surrogate_data.y == LEGITIMATE]
-            params = kde if kde is not None else KdeParams.from_estimator(attack.mimicry)
-            spec_run = replace(attack, mimicry=params.build(legit))
-        yield surrogate, spec_run, r
+        yield surrogate, surrogate_data, r
 
 
 def run_scenario(
@@ -158,11 +141,15 @@ def run_scenario(
     each repeat: pairs already in the list are reused, the ones this call
     trains are appended. Calls with the same target, pool and scenario
     that differ only in `attack` (its lambda) can share one list.
+
+    With lam > 0, every round's mimicry estimator is built from `kde` over
+    the legitimate rows of the pool (PK) or of the surrogate data (LK); an
+    estimator already in `attack` is replaced.
     """
     if np.any(attack_set.y != MALICIOUS):
         raise ValueError("attack_set must contain only malicious samples")
-    if attack.lam > 0 and kde is None and attack.mimicry is None:
-        raise ValueError("lam > 0 requires kde parameters or a prebuilt estimator")
+    if attack.lam > 0 and kde is None:
+        raise ValueError("lam > 0 requires kde parameters")
 
     start_preds = predict(target, attack_set.X)
     to_attack = np.flatnonzero(start_preds == MALICIOUS)
@@ -170,7 +157,10 @@ def run_scenario(
 
     traces: list[AttackTrace] = []
     surrogates = [] if surrogates is None else surrogates
-    for model, spec_run, repeat in _descents(target, pool, attack, scenario, kde, surrogates):
+    for model, data, repeat in _descents(target, pool, scenario, surrogates):
+        spec_run = attack
+        if attack.lam > 0:
+            spec_run = replace(attack, mimicry=kde.build(data.X[data.y == LEGITIMATE]))
         for i in skipped:
             traces.append(_already_evading_trace(target, attack_set.X[i], int(i), repeat))
         for i in to_attack:

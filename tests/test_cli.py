@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gradevade.cli as cli_module
 from gradevade.attack import run_attack
 from gradevade.cli import _prepare_split, main, read_trace
-from gradevade.config import load_config
+from gradevade.config import load_config, load_dataset_from_config
 from gradevade.data import LEGITIMATE, MALICIOUS
 from gradevade.evaluation import calibrate_threshold, trace_profile
 from gradevade.models import MODEL_FORMAT_VERSION, load_model, predict
@@ -83,7 +84,7 @@ def test_train_attack_export_digits(tmp_path, mnist_sets):
 
     # oracle: the same attack run through the API, then compared value for value
     cfg = load_config(CONFIGS / "mnist_3v7.json", mnist_sets)
-    _, test = _prepare_split(cfg, 0)
+    _, test = _prepare_split(cfg, load_dataset_from_config(cfg), 0)
     model = load_model(entry["path"])
     theta = calibrate_threshold(model.discriminant_many(test.X[test.y == LEGITIMATE]), cfg.fp_target)
     x0 = test.X[test.y == MALICIOUS][0]
@@ -182,6 +183,38 @@ def test_train_writes_each_model_kind(tmp_path):
             assert set(doc["kernel"]) == {"coef0", "degree", "gamma", "kind"}
         load_model(entry["path"])
     assert kinds == ["linear", "svm", "svm", "mlp"]
+
+
+def test_attack_rejects_a_split_outside_the_config(tmp_path, mnist_sets, capsys):
+    # two splits: 2 and 7 do not exist and -1 is no index
+    out = tmp_path / "out"
+    args = config_args("mnist_3v7.json", [*mnist_sets, "split.n_splits=2"], out)
+    assert main(["train", *args]) == 0
+    [model] = [e["path"] for e in json.loads((out / "train_manifest.json").read_text())["models"] if e["split"] == 1]
+    for split in ("2", "7", "-1"):
+        capsys.readouterr()
+        assert main(["attack", *args, "--model", model, "--index", "0", "--split", split]) == 2
+        assert f"split {split} out of range (0..1)" in capsys.readouterr().err
+    assert not (out / "traces").exists()
+    assert main(["attack", *args, "--model", model, "--index", "0", "--split", "1"]) == 0
+    assert (out / "traces" / "trace_split1_sample0.txt").exists()
+
+
+def test_train_loads_the_dataset_once(tmp_path, monkeypatch):
+    loads = []
+
+    def counted(cfg):
+        loads.append(1)
+        return load_dataset_from_config(cfg)
+
+    monkeypatch.setattr(cli_module, "load_dataset_from_config", counted)
+    grid = json.dumps([{"kind": "linear_svm", "C": 1.0}])
+    out = tmp_path / "out"
+    sets = [*PDF_SMALL, "split.n_splits=2", f"models={grid}"]
+    assert main(["train", *config_args("synthetic_pdf.json", sets, out)]) == 0
+    entries = json.loads((out / "train_manifest.json").read_text())["models"]
+    assert [entry["split"] for entry in entries] == [0, 1]
+    assert len(loads) == 1
 
 
 def test_config_typo_exits_with_config_error(tmp_path, capsys):

@@ -1,22 +1,28 @@
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gradevade.scenario as scenario_module
 from gradevade.attack import AttackSpec, AttackTrace, DistanceSpec
-from gradevade.data import Dataset, FeatureBounds
+from gradevade.config import load_config, load_dataset_from_config
+from gradevade.data import MALICIOUS, Dataset, FeatureBounds, split_train_test
 from gradevade.evaluation import (
     SecurityCurve,
+    _calibrated,
+    _cell_seed,
     aggregate_curves,
     calibrate_threshold,
     fn_rates,
     sweep,
 )
 from gradevade.mimicry import KdeParams
-from gradevade.models import LinearModel, ModelSpec
-from gradevade.scenario import ScenarioSpec
+from gradevade.models import LinearModel, ModelSpec, train_from_spec
+from gradevade.scenario import ScenarioSpec, run_scenario
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def enumeration_threshold_oracle(scores, fp_target):
@@ -256,6 +262,36 @@ class TestSurrogateReuse:
                 by_cell.setdefault((row["split"], row["classifier"]), []).append(row)
         assert not both.failures
         assert json.dumps(both.records) == json.dumps([row for rows in by_cell.values() for row in rows])
+
+
+def test_lambda_500_is_inert_on_the_flagship_rbf_svm(monkeypatch):
+    # split 0's rbf PK cell of the flagship config at full size (a smaller
+    # cell thins the KDE's reference set and lowers the density): every
+    # descent ends on the budget boundary, and the KDE density along the
+    # paths stays so low that lambda * p(x) <= 0.5 barely moves F
+    cfg = load_config(CONFIGS / "synthetic_pdf.json")
+    model_idx, spec = 1, cfg.model_grid[1]
+    assert spec.kernel.kind == "rbf" and 500.0 in cfg.lambdas
+    train, test = split_train_test(
+        load_dataset_from_config(cfg), cfg.n_train, cfg.n_test, seed=_cell_seed(cfg.seed, 0, 0, 1)
+    )
+    model = train_from_spec(spec, train, seed=_cell_seed(cfg.seed, 0, model_idx, 2))
+    target = _calibrated(model, test, cfg.fp_target)
+    descents = []
+
+    def recorded(model, spec, x0, _original=scenario_module.run_attack):
+        trace = _original(model, spec, x0)
+        descents.append((spec.mimicry, trace))
+        return trace
+
+    monkeypatch.setattr(scenario_module, "run_attack", recorded)
+    atk = replace(cfg.attack, lam=500.0, d_max=max(cfg.d_max_grid))
+    attack_set = test.subset(np.flatnonzero(test.y == MALICIOUS))
+    run_scenario(target, test, atk, replace(cfg.scenario, kind="PK"), attack_set, kde=cfg.kde)
+    assert len(descents) > 200
+    assert {trace.termination for _, trace in descents} == {"budget_boundary_converged"}
+    density = max(est.density(x) for est, trace in descents for x in trace.points)
+    assert 0 < density <= 1e-3
 
 
 class TestAggregate:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gradevade.mimicry import GRAD_FORMS, KDE_KERNELS, KdeParams, MimicryEstimator, lambda_guidance
+from gradevade.mimicry import GRAD_FORMS, KDE_KERNELS, KdeParams, MimicryEstimator
 
 from test_models import assert_grad_close, central_diff, count_memo_steps, descent_queries, expected_steps, patch_bound
 
@@ -213,25 +213,6 @@ class TestNeighborPatch:
         for x in descent_queries(np.random.default_rng(53), np.zeros(d), 5):
             self.check_against_fresh(est, settings, x, grad_first=False)
         assert steps["patch"] == 0 and steps["full"] > 0
-
-
-class TestLambdaGuidance:
-    def test_paper_scale(self):
-        est = MimicryEstimator(np.zeros((50, 2)), h=10.0, truncation_k=50)
-        assert lambda_guidance(est, g_range=1.0) == 500.0
-
-    def test_small_case(self):
-        est = MimicryEstimator(np.zeros((1, 2)), h=1.0, truncation_k=1)
-        assert lambda_guidance(est, g_range=2.0) == 2.0
-
-    def test_rejects_nonpositive_range(self):
-        est = MimicryEstimator(np.zeros((1, 2)), h=1.0)
-        with pytest.raises(ValueError):
-            lambda_guidance(est, 0.0)
-
-    def test_truncation_caps_n(self):
-        est = MimicryEstimator(np.zeros((100, 2)), h=10.0, truncation_k=50)
-        assert lambda_guidance(est, 1.0) == 500.0
 
 
 class TestValidation:

@@ -459,15 +459,8 @@ class TestKernelPassMemo:
     def test_one_rbf_pass_per_distinct_point(self, monkeypatch):
         # lambda = 0 continuous descent: g at every candidate, then the
         # gradient at the accepted one, which is the point scored just before
-        passes, queried = [], set()
-        for name in ("rbf_row_and_diff", "kernel_row", "kernel_grad_combination"):
-            original = getattr(models_module, name, None)
-
-            def counted(*args, _original=original, **kwargs):
-                passes.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(models_module, name, counted, raising=False)
+        queried = set()
+        steps = count_memo_steps(monkeypatch)
         for name in ("objective_F", "objective_grad"):
             original = getattr(attack_module, name)
 
@@ -484,20 +477,14 @@ class TestKernelPassMemo:
                           bounds=FeatureBounds(-np.inf, np.inf), max_iters=40)
         tr = evade_continuous(model, spec, sv[0] + 0.1)
         assert tr.iterations >= 5
-        assert len(passes) == len(queried) >= tr.iterations + 1
+        assert steps["patch"] == 0
+        assert steps["full"] == len(queried) >= tr.iterations + 1
 
     def test_one_pass_or_patch_per_distinct_point_of_a_discrete_descent(self, monkeypatch):
         # lambda = 0 increment-only descent from an integer start on integer
         # support vectors: every distinct point is a full pass or, one +1 away
         # from the point queried before it, a patch of the kept pass
-        passes, queried = [], set()
-        original = models_module.rbf_row_and_diff
-
-        def counted(*args, **kwargs):
-            passes.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(models_module, "rbf_row_and_diff", counted)
+        queried = set()
         steps = count_memo_steps(monkeypatch)
         for name in ("objective_F", "objective_grad"):
             wrapped = getattr(attack_module, name)
@@ -516,21 +503,20 @@ class TestKernelPassMemo:
         tr = evade_discrete(model, spec, sv[0])
         assert tr.iterations >= 5
         assert steps["patch"] > 0
-        assert len(passes) == steps["full"]
-        assert len(passes) + steps["patch"] == len(queried)
+        assert steps["full"] + steps["patch"] == len(queried)
 
 
 def count_memo_steps(monkeypatch) -> Counter:
-    """Count what every `_DistanceMemo.step` answers: "same", "patch" or "full"."""
+    """Count what every `_DistanceMemo.query` answers: "same", "patch" or "full"."""
     counts = Counter()
-    original = kernels_module._DistanceMemo.step
+    original = kernels_module._DistanceMemo.query
 
     def counted(memo, x):
         j = original(memo, x)
         counts["full" if j is None else "same" if j == kernels_module._SAME_QUERY else "patch"] += 1
         return j
 
-    monkeypatch.setattr(kernels_module._DistanceMemo, "step", counted)
+    monkeypatch.setattr(kernels_module._DistanceMemo, "query", counted)
     return counts
 
 

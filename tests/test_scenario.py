@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import gradevade.scenario as scenario_module
+
 from gradevade.attack import AttackSpec, DistanceSpec, evade_continuous
-from gradevade.data import Dataset, FeatureBounds
+from gradevade.data import LEGITIMATE, Dataset, FeatureBounds
 from gradevade.mimicry import KdeParams
 from gradevade.evaluation import trace_profile
 from gradevade.models import LinearModel, predict, train_linear_svm
@@ -171,18 +175,41 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="malicious"):
             run_scenario(target, pool, attack_spec(), ScenarioSpec(kind="PK"), bad)
 
-    def test_lk_kde_reference_points_come_from_surrogate(self):
+    def test_lk_kde_reference_points_come_from_surrogate(self, monkeypatch):
         # with one repeat and a tiny pool, the mimicry estimator must be
-        # built from the surrogate's legitimately-labeled rows only
+        # built from `kde` over the surrogate's legitimately-labeled rows only
         pool = toy_pool(n=40, seed=9)
         target = train_linear_svm(pool, C=10.0)
         atk = AttackSpec(
-            distance=DistanceSpec("l1"), d_max=2.0, step_t=0.5, bounds=FREE,
-            mode="continuous", lam=5.0,
-            mimicry=KdeParams(kernel_kind="laplacian", h=2.0, truncation_k=50).build(np.zeros((1, 2))),
+            distance=DistanceSpec("l1"), d_max=2.0, step_t=0.5, bounds=FREE, mode="continuous", lam=5.0,
         )
         attack_set = Dataset(pool.X[pool.y == 1][:2], np.ones(2, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=20, n_surrogate_repeats=1, seed=10)
-        traces = run_scenario(target, pool, atk, scen, attack_set,
-                              kde=KdeParams(kernel_kind="laplacian", h=2.0, truncation_k=50))
-        assert len(traces) == 2  # runs fine with surrogate-derived references
+        kde = KdeParams(kernel_kind="laplacian", h=2.0, truncation_k=50)
+        estimators = []
+
+        def recorded(model, spec, x0, _original=scenario_module.run_attack):
+            estimators.append(spec.mimicry)
+            return _original(model, spec, x0)
+
+        monkeypatch.setattr(scenario_module, "run_attack", recorded)
+        surrogates = []
+        traces = run_scenario(target, pool, atk, scen, attack_set, kde=kde, surrogates=surrogates)
+        assert len(traces) == 2
+        [(surrogate_data, _)] = surrogates
+        legit = surrogate_data.X[surrogate_data.y == LEGITIMATE]
+        assert 0 < len(legit) < len(pool.X[pool.y == LEGITIMATE])
+        assert len(estimators) == 2
+        for est in estimators:
+            np.testing.assert_array_equal(est.reference_points, legit)
+            assert KdeParams.from_estimator(est) == kde
+
+    def test_lam_positive_requires_kde_params(self):
+        pool = toy_pool()
+        target = LinearModel(np.array([1.0, 0.0]), 0.0)
+        attack_set = Dataset(np.array([[2.0, 0.0]]), np.array([1]))
+        prebuilt = KdeParams(h=2.0).build(pool.X[pool.y == LEGITIMATE])
+        atk = replace(attack_spec(), lam=5.0, mimicry=prebuilt)
+        for kind in ("PK", "LK"):
+            with pytest.raises(ValueError, match="requires kde parameters"):
+                run_scenario(target, pool, atk, ScenarioSpec(kind=kind, n_q=30), attack_set)
