@@ -7,7 +7,9 @@ improvement in F stalls below epsilon. Discrete mode moves one feature
 by +-1 per iteration, picking the feasible move best aligned with -grad F
 that strictly decreases F. Its moves are +-1 from an integer start, so it
 tracks the distance from x0 exactly as a running integer sum (l1, or the
-squared l2 norm) instead of recomputing it for every candidate.
+squared l2 norm) instead of recomputing it for every candidate. It finds
+the first candidate of the |grad F| order with one argmin or argmax and
+sorts the gradient only when that candidate is infeasible or rejected.
 """
 from __future__ import annotations
 
@@ -296,7 +298,16 @@ def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> A
 
 
 def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> AttackTrace:
-    """Steepest feasible coordinate descent with +-1 moves on integer features."""
+    """Steepest feasible coordinate descent with +-1 moves on integer features.
+
+    The candidates are the features in the stable order of decreasing |grad F|.
+    The first one with a usable sign is `argmin(grad)` under increment_only and
+    `argmax(|grad|)` otherwise (both take the first index among ties, as the
+    stable sort does), so it is scored without sorting. The full order is built
+    only when that candidate is infeasible or rejected, or the gradient is not
+    finite (NaN sorts last, but argmin/argmax pick it first); the scan then
+    skips the candidate already scored but counts it as tried.
+    """
     if spec.mode != "discrete":
         raise ValueError("spec.mode must be 'discrete'")
     x0 = np.asarray(x0, dtype=float)
@@ -305,51 +316,78 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
     _check_start(spec, x0)
     lo, hi = (b.tolist() for b in _effective_box(spec, x0))
     l1 = spec.distance.kind == "l1"
+    increment_only = spec.bounds.increment_only
     # x - x0 and its l1 norm or squared l2 norm: integers, so exact in floats
     delta = [0.0] * len(x0)
     dist_sum = 0.0
     path = _TraceBuilder(x0, objective_F(model, spec, x0))
+
+    def try_move(x, j, gj):
+        """Score the +-1 move against gj != 0 on feature j and take it if F
+        strictly decreases. Returns "accepted", "rejected", "blocked" (its
+        sign or the box forbids it) or "over_budget"."""
+        nonlocal dist_sum
+        s = -1.0 if gj > 0 else 1.0
+        if increment_only and s < 0:
+            return "blocked"
+        nv = float(x[j]) + s
+        if nv < lo[j] - _FEAS_TOL or nv > hi[j] + _FEAS_TOL:
+            return "blocked"
+        dj, nd = delta[j], delta[j] + s
+        if l1:
+            cand_sum = dist_sum - abs(dj) + abs(nd)
+            cand_dist = cand_sum
+        else:
+            cand_sum = dist_sum - dj * dj + nd * nd
+            cand_dist = math.sqrt(cand_sum)
+        if cand_dist > spec.d_max + _FEAS_TOL:
+            return "over_budget"
+        cand = x.copy()
+        cand[j] = nv
+        f_new = objective_F(model, spec, cand)
+        if f_new < path.f_vals[-1]:
+            path.add(cand, f_new)
+            delta[j], dist_sum = nd, cand_sum
+            return "accepted"
+        return "rejected"
+
     termination = "max_iters"
     for _ in range(spec.max_iters):
         x = path.points[-1]
         grad = objective_grad(model, spec, x)
-        if math.sqrt(grad @ grad) <= _ZERO_GRAD_NORM:  # np.linalg.norm of a vector
+        norm = math.sqrt(grad @ grad)  # np.linalg.norm of a vector
+        if norm <= _ZERO_GRAD_NORM:
             termination = "zero_gradient"
             break
+        scored = -1
+        if math.isfinite(norm):
+            j = int(grad.argmin()) if increment_only else int(np.abs(grad).argmax())
+            gj = float(grad[j])
+            if gj != 0.0:
+                outcome = try_move(x, j, gj)
+                if outcome == "accepted":
+                    continue
+                if outcome == "rejected":
+                    scored = j
         order = np.argsort(-np.abs(grad), kind="stable").tolist()
         grad = grad.tolist()
         accepted = False
         budget_blocked = False
-        any_candidate = False
+        any_candidate = scored >= 0
         for j in order:
             gj = grad[j]
             if gj == 0.0:
                 break  # sorted by |grad|; the rest are zeros too
-            s = -1.0 if gj > 0 else 1.0
-            if spec.bounds.increment_only and s < 0:
+            if j == scored:
                 continue
-            nv = float(x[j]) + s
-            if nv < lo[j] - _FEAS_TOL or nv > hi[j] + _FEAS_TOL:
-                continue
-            dj, nd = delta[j], delta[j] + s
-            if l1:
-                cand_sum = dist_sum - abs(dj) + abs(nd)
-                cand_dist = cand_sum
-            else:
-                cand_sum = dist_sum - dj * dj + nd * nd
-                cand_dist = math.sqrt(cand_sum)
-            if cand_dist > spec.d_max + _FEAS_TOL:
-                budget_blocked = True
-                continue
-            any_candidate = True
-            cand = x.copy()
-            cand[j] = nv
-            f_new = objective_F(model, spec, cand)
-            if f_new < path.f_vals[-1]:
-                path.add(cand, f_new)
-                delta[j], dist_sum = nd, cand_sum
+            outcome = try_move(x, j, gj)
+            if outcome == "accepted":
                 accepted = True
                 break
+            if outcome == "over_budget":
+                budget_blocked = True
+            elif outcome == "rejected":
+                any_candidate = True
         if not accepted:
             if not any_candidate and budget_blocked:
                 termination = "budget_boundary_converged"

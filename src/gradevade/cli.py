@@ -151,9 +151,11 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_attack(cfg: ExperimentConfig, out_dir: Path, model_path: str, sample_index: int,
                split_idx: int = 0, lam: float | None = None, force: bool = False) -> int:
+    # every input check runs before anything is written
     if not 0 <= split_idx < cfg.n_splits:
         raise ConfigError(f"split {split_idx} out of range (0..{cfg.n_splits - 1})")
-    echo_config(cfg, out_dir)
+    lam_val = cfg.lambdas[0] if lam is None else lam
+    spec = replace(cfg.attack, d_max=max(cfg.d_max_grid), lam=lam_val)
     model = load_model(model_path)
     _train, test = _prepare_split(cfg, load_dataset_from_config(cfg), split_idx)
     target = _calibrated(model, test, cfg.fp_target)
@@ -167,13 +169,9 @@ def cmd_attack(cfg: ExperimentConfig, out_dir: Path, model_path: str, sample_ind
             f"sample {sample_index} is already misclassified at the calibrated threshold; use --force to attack it anyway"
         )
 
-    lam_val = cfg.lambdas[0] if lam is None else lam
-    spec = replace(
-        cfg.attack,
-        d_max=max(cfg.d_max_grid),
-        lam=lam_val,
-        mimicry=cfg.kde.build(test.X[test.y == LEGITIMATE]) if lam_val > 0 else None,
-    )
+    echo_config(cfg, out_dir)
+    if lam_val > 0:
+        spec.mimicry = cfg.kde.build(test.X[test.y == LEGITIMATE])
     trace = run_attack(target, spec, x0)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)

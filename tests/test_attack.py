@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -506,6 +508,93 @@ def _random_discrete_case(rng):
     return kind, model, spec, x0
 
 
+class StubGradientModel:
+    """A model whose gradients are drawn from a palette with ties across both
+    signs, signed zeros, infinities and NaN, seeded by the point itself.
+
+    The discriminant is a fixed linear part plus noise seeded the same way,
+    so a move along -grad is as often rejected as accepted.
+    """
+
+    PALETTE = np.array([2.0, -2.0, 1.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan])
+    WEIGHTS = np.array([0.2, 0.2, 0.15, 0.15, 0.08, 0.08, 0.04, 0.04, 0.06])
+
+    def __init__(self, seed: int, w: np.ndarray):
+        self.seed, self.w = seed, w
+
+    def _rng(self, x, stream):
+        return np.random.default_rng([self.seed, stream, *(np.asarray(x).astype(np.int64) + 1000).tolist()])
+
+    def discriminant(self, x):
+        return float(self.w @ x + self._rng(x, 0).uniform(0.0, 2.0))
+
+    def gradient(self, x):
+        return self._rng(x, 1).choice(self.PALETTE, size=len(x), p=self.WEIGHTS)
+
+
+class TableModel:
+    """A model given as {point: (discriminant, gradient)}; records each point it scores."""
+
+    def __init__(self, table):
+        self.table, self.scored = table, []
+
+    def discriminant(self, x):
+        self.scored.append(tuple(x.tolist()))
+        return self.table[tuple(x.tolist())][0]
+
+    def gradient(self, x):
+        return np.array(self.table[tuple(x.tolist())][1])
+
+
+def _stub_discrete_case(rng):
+    """A random discrete spec at lam 0 with a StubGradientModel; returns (kind, model, spec, x0)."""
+    _kind, _model, spec, x0 = _random_discrete_case(rng)
+    model = StubGradientModel(int(rng.integers(2**31)), rng.normal(size=len(x0)))
+    return "stub", model, replace(spec, lam=0.0, mimicry=None), x0
+
+
+def _first_candidate_outcome(model, spec, x0, trace, i):
+    """What became of the first candidate of the stable |grad| order at iterate i.
+
+    None when the gradient is not finite (the sorted scan then runs from the
+    start) or has no candidate of a usable sign; else "box_blocked",
+    "budget_blocked", "accepted", "rejected_later_accepted" (another move
+    was taken) or "rejected" (the descent stopped there).
+    """
+    x = trace.points[i]
+    grad = objective_grad(model, spec, x)
+    if not np.all(np.isfinite(grad)):
+        return None
+    usable = [j for j in np.argsort(-np.abs(grad), kind="stable")
+              if grad[j] != 0.0 and not (spec.bounds.increment_only and grad[j] > 0)]
+    if not usable:
+        return None
+    j = usable[0]
+    cand = x.copy()
+    cand[j] -= np.sign(grad[j])
+    lo, hi = _effective_box(spec, x0)
+    if not lo[j] - _FEAS_TOL <= cand[j] <= hi[j] + _FEAS_TOL:
+        return "box_blocked"
+    if spec.distance.of(cand, x0) > spec.d_max + _FEAS_TOL:
+        return "budget_blocked"
+    if i + 1 == len(trace.points):
+        return "rejected"
+    return "accepted" if np.array_equal(trace.points[i + 1], cand) else "rejected_later_accepted"
+
+
+def _gradient_features(grad):
+    """Which of the stub palette's hard cases a gradient contains."""
+    finite = grad[np.isfinite(grad)]
+    return {
+        name for name, present in (
+            ("nan", np.isnan(grad).any()),
+            ("inf", np.isinf(grad).any()),
+            ("negative_zero", (np.signbit(grad) & (grad == 0.0)).any()),
+            ("tie_across_signs", np.intersect1d(finite[finite > 0], -finite[finite < 0]).size > 0),
+        ) if present
+    }
+
+
 class TestDiscreteMatchesReference:
     def test_same_trace_as_reference_on_random_cases(self, monkeypatch):
         f_calls = []
@@ -515,18 +604,24 @@ class TestDiscreteMatchesReference:
             f_calls.append(1)
             return original_F(model, spec, x)
 
+        # evade_discrete and reference_evade_discrete both look objective_F up at call time
         monkeypatch.setattr(attack_module, "objective_F", counted_F)
+        monkeypatch.setitem(globals(), "objective_F", counted_F)
         rng = np.random.default_rng(2024)
         seen = {"kinds": set(), "distances": set(), "increment_only": set(), "lam_positive": set(),
-                "terminations": set(), "first_candidate_rejected": False}
-        for case in range(400):
-            kind, model, spec, x0 = _random_discrete_case(rng)
+                "terminations": set(), "first_candidate_rejected": False, "first_candidate": set(),
+                "stub_gradients": set()}
+        for case in range(600):
+            kind, model, spec, x0 = _random_discrete_case(rng) if case < 400 else _stub_discrete_case(rng)
             if spec.lam > 0:
                 assert spec.mimicry.density(x0) > 1e-6, case  # the KDE term is live
             f_calls.clear()
             got = evade_discrete(model, spec, x0)
             got_f_calls = len(f_calls)
+            f_calls.clear()
             want = reference_evade_discrete(model, spec, x0)
+            # a rejected first candidate is scored once, not again by the scan
+            assert got_f_calls == len(f_calls), case
             assert len(got.points) == len(want.points), case
             for a, b in zip(got.points, want.points):
                 assert np.array_equal(a, b), case
@@ -540,15 +635,64 @@ class TestDiscreteMatchesReference:
             # one F for x0, one per accepted move; any more scored a rejected candidate
             if got_f_calls > got.iterations + 1:
                 seen["first_candidate_rejected"] = True
+            # every iterate that took a move, and the last one when nothing was accepted there
+            stopped_on_a_scan = got.termination in ("converged", "budget_boundary_converged")
+            for i in range(got.iterations + stopped_on_a_scan):
+                seen["first_candidate"].add(_first_candidate_outcome(model, spec, x0, got, i))
+                if kind == "stub":
+                    seen["stub_gradients"] |= _gradient_features(model.gradient(got.points[i]))
         assert seen == {
-            "kinds": {"linear", "rbf", "mlp"},
+            "kinds": {"linear", "rbf", "mlp", "stub"},
             "distances": {"l1", "l2"},
             "increment_only": {False, True},
             "lam_positive": {False, True},
             "terminations": set(attack_module.TERMINATIONS),
             "first_candidate_rejected": True,
+            "first_candidate": {None, "box_blocked", "budget_blocked", "accepted",
+                                "rejected_later_accepted", "rejected"},
+            "stub_gradients": {"nan", "inf", "negative_zero", "tie_across_signs"},
         }
 
+    def test_rejected_first_candidate_counts_as_tried(self):
+        # at (1, 0) the first candidate steps back to x0 and is rejected, and the
+        # only other move leaves the budget: a candidate was tried, so this is
+        # "converged", not "budget_boundary_converged"
+        table = {(0.0, 0.0): (0.0, [-1.0, 0.5]), (1.0, 0.0): (-1.0, [1.0, 0.5])}
+        model = TableModel(table)
+        spec = spec_l1(1.0, mode="discrete")
+        tr = evade_discrete(model, spec, np.zeros(2))
+        assert [p.tolist() for p in tr.points] == [[0.0, 0.0], [1.0, 0.0]]
+        assert tr.termination == reference_evade_discrete(model, spec, np.zeros(2)).termination == "converged"
+        assert model.scored == [(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)] * 2
+
+    def test_sorts_only_on_the_final_budget_blocked_iterate(self, monkeypatch):
+        # increment-only l1 on an rbf SVM whose every first candidate is taken
+        # until the budget runs out: the last iterate alone needs the sorted scan.
+        # The third support vector makes feature 3 the largest |grad| at x0, with
+        # the sign that increment_only forbids.
+        grads, sorts = [], []
+        original_grad, original_argsort = attack_module.objective_grad, np.argsort
+
+        def counted_grad(model, spec, x):
+            grads.append(1)
+            return original_grad(model, spec, x)
+
+        def counted_argsort(*args, **kwargs):
+            sorts.append(len(grads))
+            return original_argsort(*args, **kwargs)
+
+        sv = np.array([[0.0, 0.0, 0.0, 0.0], [6.0, 3.0, 5.0, 4.0], [0.0, 0.0, 0.0, 2.0]])
+        model = SvmModel(KernelSpec("rbf", gamma=0.05), sv, np.array([1.0, -2.0, 1.0]), 0.0, C=3.0)
+        spec = AttackSpec(distance=DistanceSpec("l1"), d_max=7.0, step_t=1.0,
+                          bounds=FeatureBounds(0.0, 10.0, increment_only=True), mode="discrete")
+        monkeypatch.setattr(attack_module, "objective_grad", counted_grad)
+        monkeypatch.setattr(np, "argsort", counted_argsort)
+        x0 = np.zeros(4)
+        assert int(np.abs(model.gradient(x0)).argmax()) == 3 and model.gradient(x0)[3] > 0
+        tr = evade_discrete(model, spec, x0)
+        assert tr.termination == "budget_boundary_converged"
+        assert tr.iterations == 7
+        assert sorts == [tr.iterations + 1]
 
 
 class TestScoresOncePerF:

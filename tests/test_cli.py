@@ -200,6 +200,25 @@ def test_attack_rejects_a_split_outside_the_config(tmp_path, mnist_sets, capsys)
     assert (out / "traces" / "trace_split1_sample0.txt").exists()
 
 
+def test_attack_checks_every_input_before_writing(tmp_path, mnist_sets, capsys):
+    train_out = tmp_path / "train"
+    assert main(["train", *config_args("mnist_3v7.json", mnist_sets, train_out)]) == 0
+    [entry] = json.loads((train_out / "train_manifest.json").read_text())["models"]
+    out = tmp_path / "out"
+    args = config_args("mnist_3v7.json", mnist_sets, out)
+    for extra, message in (
+        (["--model", entry["path"], "--index", "999"], "sample index 999 out of range"),
+        (["--model", entry["path"], "--index", "0", "--lam", "-1"], "lam must be nonnegative"),
+        (["--model", str(tmp_path / "missing.json"), "--index", "0"], "missing.json"),
+    ):
+        capsys.readouterr()
+        assert main(["attack", *args, *extra]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+    assert main(["attack", *args, "--model", entry["path"], "--index", "0"]) == 0
+    assert (out / "config_resolved.json").exists()
+
+
 def test_train_loads_the_dataset_once(tmp_path, monkeypatch):
     loads = []
 
