@@ -7,9 +7,10 @@ improvement in F stalls below epsilon. Discrete mode moves one feature
 by +-1 per iteration, picking the feasible move best aligned with -grad F
 that strictly decreases F. Its moves are +-1 from an integer start, so it
 tracks the distance from x0 exactly as a running integer sum (l1, or the
-squared l2 norm) instead of recomputing it for every candidate. It finds
-the first candidate of the |grad F| order with one argmin or argmax and
-sorts the gradient only when that candidate is infeasible or rejected.
+squared l2 norm) instead of recomputing it for every candidate. Its
+candidates come from `_candidates`, which finds the first one of the
+|grad F| order with one argmin or argmax and sorts the gradient only when
+the descent asks for a second.
 """
 from __future__ import annotations
 
@@ -89,9 +90,11 @@ class AttackTrace:
 
     points: list
     objective_values: list
-    termination: str
-    sample_index: int | None = None
-    repeat: int | None = None
+    termination: str = "max_iters"
+
+    def add(self, x: np.ndarray, f: float):
+        self.points.append(x)
+        self.objective_values.append(f)
 
     @property
     def iterations(self) -> int:
@@ -248,20 +251,6 @@ def _at_budget(spec: AttackSpec, x0: np.ndarray, x: np.ndarray) -> bool:
     return spec.distance.of(x, x0) >= spec.d_max - _FEAS_TOL
 
 
-class _TraceBuilder:
-    """The iterates of one run and F at each."""
-
-    def __init__(self, x0: np.ndarray, f0: float):
-        self.points, self.f_vals = [x0.copy()], [f0]
-
-    def add(self, x: np.ndarray, f: float):
-        self.points.append(x)
-        self.f_vals.append(f)
-
-    def finish(self, termination: str) -> AttackTrace:
-        return AttackTrace(self.points, self.f_vals, termination)
-
-
 def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> AttackTrace:
     """Projected gradient descent on F from x0 (Algorithm follows module doc)."""
     if spec.mode != "continuous":
@@ -269,8 +258,7 @@ def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> A
     x0 = np.asarray(x0, dtype=float)
     _check_start(spec, x0)
     box = _effective_box(spec, x0)
-    path = _TraceBuilder(x0, objective_F(model, spec, x0))
-    termination = "max_iters"
+    path = AttackTrace([x0.copy()], [objective_F(model, spec, x0)])
     for _ in range(spec.max_iters):
         x = path.points[-1]
         grad = objective_grad(model, spec, x)
@@ -283,30 +271,51 @@ def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> A
         else:
             step = None
         if step is None:
-            termination = "zero_gradient"
+            path.termination = "zero_gradient"
             break
         cand = project_feasible(spec, x0, x - step, box=box)
         f_new = objective_F(model, spec, cand)
-        if f_new - path.f_vals[-1] > -spec.epsilon:
+        if f_new - path.objective_values[-1] > -spec.epsilon:
             # improvement stalled; keep the point only if it still improved
-            if f_new < path.f_vals[-1]:
+            if f_new < path.objective_values[-1]:
                 path.add(cand, f_new)
-            termination = "budget_boundary_converged" if _at_budget(spec, x0, path.points[-1]) else "converged"
+            path.termination = "budget_boundary_converged" if _at_budget(spec, x0, path.points[-1]) else "converged"
             break
         path.add(cand, f_new)
-    return path.finish(termination)
+    return path
+
+
+def _candidates(grad: np.ndarray, increment_only: bool, finite: bool):
+    """(j, grad[j]) for the features with grad[j] != 0, in the stable order
+    of decreasing |grad|.
+
+    A finite gradient's first candidate with a usable sign, `argmin(grad)`
+    under increment_only and `argmax(|grad|)` otherwise (the first index
+    among ties, as in the stable sort), comes first without a sort; the
+    sort runs only if a second candidate is asked for, and skips it. NaN
+    sorts last but argmin and argmax pick it first, so a non-finite
+    gradient is sorted from the start.
+    """
+    first = -1
+    if finite:
+        first = int(grad.argmin()) if increment_only else int(np.abs(grad).argmax())
+        if grad[first] != 0.0:
+            yield first, float(grad[first])
+    values = grad.tolist()
+    for j in np.argsort(-np.abs(grad), kind="stable").tolist():
+        if values[j] == 0.0:
+            return  # sorted by |grad|; the rest are zeros too
+        if j != first:
+            yield j, values[j]
 
 
 def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> AttackTrace:
     """Steepest feasible coordinate descent with +-1 moves on integer features.
 
-    The candidates are the features in the stable order of decreasing |grad F|.
-    The first one with a usable sign is `argmin(grad)` under increment_only and
-    `argmax(|grad|)` otherwise (both take the first index among ties, as the
-    stable sort does), so it is scored without sorting. The full order is built
-    only when that candidate is infeasible or rejected, or the gradient is not
-    finite (NaN sorts last, but argmin/argmax pick it first); the scan then
-    skips the candidate already scored but counts it as tried.
+    Each iterate takes the first move of `_candidates` against the sign of
+    grad F that the bounds and the budget allow and that strictly decreases
+    F. Without one the run ends: `budget_boundary_converged` if a move the
+    bounds allow left the budget and none was scored, else `converged`.
     """
     if spec.mode != "discrete":
         raise ValueError("spec.mode must be 'discrete'")
@@ -320,81 +329,37 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
     # x - x0 and its l1 norm or squared l2 norm: integers, so exact in floats
     delta = [0.0] * len(x0)
     dist_sum = 0.0
-    path = _TraceBuilder(x0, objective_F(model, spec, x0))
-
-    def try_move(x, j, gj):
-        """Score the +-1 move against gj != 0 on feature j and take it if F
-        strictly decreases. Returns "accepted", "rejected", "blocked" (its
-        sign or the box forbids it) or "over_budget"."""
-        nonlocal dist_sum
-        s = -1.0 if gj > 0 else 1.0
-        if increment_only and s < 0:
-            return "blocked"
-        nv = float(x[j]) + s
-        if nv < lo[j] - _FEAS_TOL or nv > hi[j] + _FEAS_TOL:
-            return "blocked"
-        dj, nd = delta[j], delta[j] + s
-        if l1:
-            cand_sum = dist_sum - abs(dj) + abs(nd)
-            cand_dist = cand_sum
-        else:
-            cand_sum = dist_sum - dj * dj + nd * nd
-            cand_dist = math.sqrt(cand_sum)
-        if cand_dist > spec.d_max + _FEAS_TOL:
-            return "over_budget"
-        cand = x.copy()
-        cand[j] = nv
-        f_new = objective_F(model, spec, cand)
-        if f_new < path.f_vals[-1]:
-            path.add(cand, f_new)
-            delta[j], dist_sum = nd, cand_sum
-            return "accepted"
-        return "rejected"
-
-    termination = "max_iters"
+    path = AttackTrace([x0.copy()], [objective_F(model, spec, x0)])
     for _ in range(spec.max_iters):
         x = path.points[-1]
         grad = objective_grad(model, spec, x)
         norm = math.sqrt(grad @ grad)  # np.linalg.norm of a vector
         if norm <= _ZERO_GRAD_NORM:
-            termination = "zero_gradient"
+            path.termination = "zero_gradient"
             break
-        scored = -1
-        if math.isfinite(norm):
-            j = int(grad.argmin()) if increment_only else int(np.abs(grad).argmax())
-            gj = float(grad[j])
-            if gj != 0.0:
-                outcome = try_move(x, j, gj)
-                if outcome == "accepted":
-                    continue
-                if outcome == "rejected":
-                    scored = j
-        order = np.argsort(-np.abs(grad), kind="stable").tolist()
-        grad = grad.tolist()
-        accepted = False
-        budget_blocked = False
-        any_candidate = scored >= 0
-        for j in order:
-            gj = grad[j]
-            if gj == 0.0:
-                break  # sorted by |grad|; the rest are zeros too
-            if j == scored:
+        scored = budget_blocked = False
+        for j, gj in _candidates(grad, increment_only, math.isfinite(norm)):
+            s = -1.0 if gj > 0 else 1.0
+            nv = float(x[j]) + s
+            if (increment_only and s < 0) or nv < lo[j] - _FEAS_TOL or nv > hi[j] + _FEAS_TOL:
                 continue
-            outcome = try_move(x, j, gj)
-            if outcome == "accepted":
-                accepted = True
-                break
-            if outcome == "over_budget":
+            dj, nd = delta[j], delta[j] + s
+            cand_sum = dist_sum - abs(dj) + abs(nd) if l1 else dist_sum - dj * dj + nd * nd
+            if (cand_sum if l1 else math.sqrt(cand_sum)) > spec.d_max + _FEAS_TOL:
                 budget_blocked = True
-            elif outcome == "rejected":
-                any_candidate = True
-        if not accepted:
-            if not any_candidate and budget_blocked:
-                termination = "budget_boundary_converged"
-            else:
-                termination = "converged"
+                continue
+            scored = True
+            cand = x.copy()
+            cand[j] = nv
+            f_new = objective_F(model, spec, cand)
+            if f_new < path.objective_values[-1]:
+                path.add(cand, f_new)
+                delta[j], dist_sum = nd, cand_sum
+                break
+        else:
+            path.termination = "budget_boundary_converged" if budget_blocked and not scored else "converged"
             break
-    return path.finish(termination)
+    return path
 
 
 def run_attack(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> AttackTrace:

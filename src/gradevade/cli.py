@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import sys
@@ -112,6 +113,11 @@ def _prepare_split(cfg: ExperimentConfig, data: Dataset, split_idx: int):
     return split_train_test(data, cfg.n_train, cfg.n_test, seed=_cell_seed(cfg.seed, split_idx, 0, 1))
 
 
+def _rows_digest(data: Dataset) -> str:
+    """SHA-256 of the X bytes then the y bytes: a model file's `trained_on`."""
+    return hashlib.sha256(data.X.tobytes() + data.y.tobytes()).hexdigest()
+
+
 def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
     echo_config(cfg, out_dir)
     models_dir = out_dir / "models"
@@ -120,13 +126,14 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
     data = load_dataset_from_config(cfg)
     for split_idx in range(cfg.n_splits):
         train, _test = _prepare_split(cfg, data, split_idx)
+        trained_on = _rows_digest(train)
         for model_idx, spec in enumerate(cfg.model_grid):
             name = f"{spec.descriptor()}_split{split_idx}".replace("(", "_").replace(")", "").replace(",", "_").replace("=", "")
             path = models_dir / f"{name}.json"
             try:
                 model = train_from_spec(spec, train, seed=_cell_seed(cfg.seed, split_idx, model_idx, 2))
                 acc = float(np.mean(predict(model, train.X) == train.y))
-                save_model(model, path)
+                save_model(model, path, trained_on=trained_on)
                 manifest["models"].append(
                     {
                         "path": str(path),
@@ -157,7 +164,10 @@ def cmd_attack(cfg: ExperimentConfig, out_dir: Path, model_path: str, sample_ind
     lam_val = cfg.lambdas[0] if lam is None else lam
     spec = replace(cfg.attack, d_max=max(cfg.d_max_grid), lam=lam_val)
     model = load_model(model_path)
-    _train, test = _prepare_split(cfg, load_dataset_from_config(cfg), split_idx)
+    train, test = _prepare_split(cfg, load_dataset_from_config(cfg), split_idx)
+    trained_on = json.loads(Path(model_path).read_text()).get("trained_on")
+    if trained_on is not None and trained_on != _rows_digest(train):
+        raise ConfigError(f"model {model_path} was not trained on the train rows of split {split_idx}")
     target = _calibrated(model, test, cfg.fp_target)
 
     malicious_idx = np.flatnonzero(test.y == MALICIOUS)

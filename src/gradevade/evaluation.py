@@ -147,12 +147,9 @@ def _run_cell(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]) -> list[dict]:
         for kind in plan.scenario_kinds:
             scen = replace(plan.scenario, kind=kind, seed=_cell_seed(plan.root_seed, split_idx, model_idx, 3))
             atk = replace(plan.attack, lam=lam, d_max=max(plan.d_grid))
-            traces = run_scenario(target, test, atk, scen, attack_set, kde=plan.kde, surrogates=surrogates)
-            by_repeat: dict = {}
-            for tr in traces:
-                by_repeat.setdefault(tr.repeat, []).append(tr)
-            for repeat, group in sorted(by_repeat.items(), key=lambda kv: (kv[0] is None, kv[0])):
-                fns = fn_rates(target, group, plan.d_grid, plan.attack.distance)
+            rounds = run_scenario(target, test, atk, scen, attack_set, kde=plan.kde, surrogates=surrogates)
+            for repeat, traces in enumerate(rounds):
+                fns = fn_rates(target, traces, plan.d_grid, plan.attack.distance)
                 for b, fn in zip(plan.d_grid, fns):
                     rows.append(
                         {
@@ -160,7 +157,7 @@ def _run_cell(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]) -> list[dict]:
                             "scenario": kind,
                             "lam": float(lam),
                             "split": split_idx,
-                            "repeat": 0 if repeat is None else int(repeat),
+                            "repeat": repeat,
                             "d_max": float(b),
                             "fn": float(fn),
                         }

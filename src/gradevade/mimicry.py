@@ -55,11 +55,6 @@ class MimicryEstimator:
         self._factor = np.empty_like(pts) if laplacian and self.grad_form == "corrected" else self._kept.diffs
         self._near = None
 
-    @property
-    def n_used(self) -> int:
-        """Points per query: min(truncation_k, reference set size)."""
-        return min(self.truncation_k, len(self.reference_points))
-
     def _neighbors(self, x: np.ndarray):
         """(gradient factors, exp(-distance/h)) of the truncation_k nearest
         reference points; the factor of x - x_i is its sign for the corrected

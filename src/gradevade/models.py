@@ -425,13 +425,16 @@ def train_from_spec(spec: ModelSpec, train: Dataset, seed: int = 0) -> TrainedMo
 _MODEL_KINDS = {"linear": LinearModel, "svm": SvmModel, "mlp": MlpModel}
 
 
-def save_model(model: TrainedModel, path):
+def save_model(model: TrainedModel, path, trained_on: str | None = None):
+    """Write model as JSON, with `trained_on` under that key if given."""
     kind = next((k for k, cls in _MODEL_KINDS.items() if isinstance(model, cls)), None)
     if kind is None:
         raise TypeError(f"unknown model type {type(model).__name__}")
     doc = {"format_version": MODEL_FORMAT_VERSION, "kind": kind}
     for name, value in asdict(model).items():
         doc[name] = value.tolist() if isinstance(value, np.ndarray) else value
+    if trained_on is not None:
+        doc["trained_on"] = trained_on
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
         fh.write("\n")

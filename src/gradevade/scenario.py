@@ -95,20 +95,16 @@ def _train_surrogate(target: TrainedModel, data: Dataset, spec: ScenarioSpec, se
     raise TypeError(f"unknown target model type {type(target).__name__}")
 
 
-def _already_evading_trace(target: TrainedModel, x0: np.ndarray, sample_index: int, repeat: int | None) -> AttackTrace:
-    return AttackTrace([np.asarray(x0, float).copy()], [target.discriminant(x0)], "converged", sample_index, repeat)
-
-
 def _descents(target: TrainedModel, pool: Dataset, scenario: ScenarioSpec, surrogates: list):
-    """(model to descend on, the data its KDE is built from, repeat tag) per attack round.
+    """(model to descend on, the data its KDE is built from) per attack round.
 
-    PK yields the target and the pool once, tagged None. LK yields one
-    surrogate and its data per repeat. Repeat r reuses surrogates[r], a
-    (surrogate data, surrogate) pair, when the list has one, and otherwise
-    trains it and appends it.
+    PK yields the target and the pool once. LK yields one surrogate and its
+    data per repeat. Repeat r reuses surrogates[r], a (surrogate data,
+    surrogate) pair, when the list has one, and otherwise trains it and
+    appends it.
     """
     if scenario.kind == "PK":
-        yield target, pool, None
+        yield target, pool
         return
     seeds = np.random.SeedSequence([scenario.seed, 0xA77AC]).spawn(scenario.n_surrogate_repeats)
     for r, seed in enumerate(seeds):
@@ -118,7 +114,7 @@ def _descents(target: TrainedModel, pool: Dataset, scenario: ScenarioSpec, surro
             surrogate = _train_surrogate(target, surrogate_data, scenario, seed=int(child[1]))
             surrogates.append((surrogate_data, surrogate))
         surrogate_data, surrogate = surrogates[r]
-        yield surrogate, surrogate_data, r
+        yield surrogate, surrogate_data
 
 
 def run_scenario(
@@ -129,11 +125,12 @@ def run_scenario(
     attack_set: Dataset,
     kde: KdeParams | None = None,
     surrogates: list | None = None,
-) -> list[AttackTrace]:
+) -> list[list[AttackTrace]]:
     """Attack every sample of attack_set under the given knowledge scenario.
 
-    Returns one trace per (sample, surrogate repeat); PK uses a single
-    repeat tagged None. Samples the target already misclassifies are not
+    Returns one list of traces per attack round (PK: one round; LK: one per
+    surrogate repeat, in repeat order), each with one trace per attack_set
+    row in row order. Samples the target already misclassifies are not
     descended on: they count as evading at every budget and are recorded
     as single-point traces.
 
@@ -152,19 +149,15 @@ def run_scenario(
         raise ValueError("lam > 0 requires kde parameters")
 
     start_preds = predict(target, attack_set.X)
-    to_attack = np.flatnonzero(start_preds == MALICIOUS)
-    skipped = np.flatnonzero(start_preds == LEGITIMATE)
-
-    traces: list[AttackTrace] = []
+    rounds = []
     surrogates = [] if surrogates is None else surrogates
-    for model, data, repeat in _descents(target, pool, scenario, surrogates):
+    for model, data in _descents(target, pool, scenario, surrogates):
         spec_run = attack
         if attack.lam > 0:
             spec_run = replace(attack, mimicry=kde.build(data.X[data.y == LEGITIMATE]))
-        for i in skipped:
-            traces.append(_already_evading_trace(target, attack_set.X[i], int(i), repeat))
-        for i in to_attack:
-            tr = run_attack(model, spec_run, attack_set.X[i])
-            tr.sample_index, tr.repeat = int(i), repeat
-            traces.append(tr)
-    return traces
+        rounds.append([
+            run_attack(model, spec_run, x0) if pred == MALICIOUS
+            else AttackTrace([x0.copy()], [target.discriminant(x0)], "converged")
+            for x0, pred in zip(attack_set.X, start_preds)
+        ])
+    return rounds

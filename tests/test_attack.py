@@ -12,7 +12,6 @@ from gradevade.attack import (
     DistanceSpec,
     _check_start,
     _effective_box,
-    _TraceBuilder,
     _at_budget,
     _project_budget,
     evade_continuous,
@@ -424,7 +423,7 @@ def reference_evade_discrete(model, spec, x0):
         raise ValueError("discrete mode requires an integer-valued x0")
     _check_start(spec, x0)
     lo, hi = _effective_box(spec, x0)
-    path = _TraceBuilder(x0, objective_F(model, spec, x0))
+    path = AttackTrace([x0.copy()], [objective_F(model, spec, x0)])
     termination = "max_iters"
     for _ in range(spec.max_iters):
         x = path.points[-1]
@@ -453,7 +452,7 @@ def reference_evade_discrete(model, spec, x0):
                 continue
             any_candidate = True
             f_new = objective_F(model, spec, cand)
-            if f_new < path.f_vals[-1]:
+            if f_new < path.objective_values[-1]:
                 path.add(cand, f_new)
                 accepted = True
                 break
@@ -463,7 +462,8 @@ def reference_evade_discrete(model, spec, x0):
             else:
                 termination = "converged"
             break
-    return path.finish(termination)
+    path.termination = termination
+    return path
 
 
 def _random_discrete_case(rng):
@@ -760,7 +760,7 @@ def reference_evade_continuous(model, spec, x0):
         raise ValueError("spec.mode must be 'continuous'")
     x0 = np.asarray(x0, dtype=float)
     _check_start(spec, x0)
-    path = _TraceBuilder(x0, objective_F(model, spec, x0))
+    path = AttackTrace([x0.copy()], [objective_F(model, spec, x0)])
     termination = "max_iters"
     for _ in range(spec.max_iters):
         x = path.points[-1]
@@ -776,14 +776,15 @@ def reference_evade_continuous(model, spec, x0):
             step = spec.step_t * unit
         cand = reference_project_feasible(spec, x0, x - step)
         f_new = objective_F(model, spec, cand)
-        if f_new - path.f_vals[-1] > -spec.epsilon:
+        if f_new - path.objective_values[-1] > -spec.epsilon:
             # improvement stalled; keep the point only if it still improved
-            if f_new < path.f_vals[-1]:
+            if f_new < path.objective_values[-1]:
                 path.add(cand, f_new)
             termination = "budget_boundary_converged" if _at_budget(spec, x0, path.points[-1]) else "converged"
             break
         path.add(cand, f_new)
-    return path.finish(termination)
+    path.termination = termination
+    return path
 
 
 def _random_continuous_case(rng):

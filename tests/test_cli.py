@@ -178,7 +178,7 @@ def test_train_writes_each_model_kind(tmp_path):
         doc = json.loads(Path(entry["path"]).read_text())
         assert doc["format_version"] == MODEL_FORMAT_VERSION
         kinds.append(doc["kind"])
-        assert set(doc) == MODEL_KEYS[doc["kind"]] | {"decision_offset", "format_version", "kind"}
+        assert set(doc) == MODEL_KEYS[doc["kind"]] | {"decision_offset", "format_version", "kind", "trained_on"}
         if doc["kind"] == "svm":
             assert set(doc["kernel"]) == {"coef0", "degree", "gamma", "kind"}
         load_model(entry["path"])
@@ -198,6 +198,59 @@ def test_attack_rejects_a_split_outside_the_config(tmp_path, mnist_sets, capsys)
     assert not (out / "traces").exists()
     assert main(["attack", *args, "--model", model, "--index", "0", "--split", "1"]) == 0
     assert (out / "traces" / "trace_split1_sample0.txt").exists()
+
+
+def test_attack_rejects_a_model_trained_on_another_split(tmp_path, mnist_sets, capsys):
+    train_out = tmp_path / "train"
+    sets = [*mnist_sets, "split.n_splits=2"]
+    assert main(["train", *config_args("mnist_3v7.json", sets, train_out)]) == 0
+    [model] = [e["path"] for e in json.loads((train_out / "train_manifest.json").read_text())["models"] if e["split"] == 0]
+    out = tmp_path / "out"
+    args = config_args("mnist_3v7.json", sets, out)
+    capsys.readouterr()
+    assert main(["attack", *args, "--model", model, "--index", "0", "--split", "1", "--force"]) == 2
+    assert "not trained on the train rows of split 1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["attack", *args, "--model", model, "--index", "0", "--split", "0", "--force"]) == 0
+    assert (out / "traces" / "trace_split0_sample0.txt").exists()
+
+
+def test_attack_lam_scores_the_start_with_the_test_split_density(tmp_path):
+    # F(x0) = g(x0) - lam * p(x0), p the KDE over the split's legitimate test rows
+    grid = json.dumps([{"kind": "linear_svm", "C": 1.0}])
+    sets = [*PDF_SMALL, f"models={grid}"]
+    out = tmp_path / "out"
+    args = config_args("synthetic_pdf.json", sets, out)
+    assert main(["train", *args]) == 0
+    [entry] = json.loads((out / "train_manifest.json").read_text())["models"]
+    assert main(["attack", *args, "--model", entry["path"], "--index", "0", "--lam", "500", "--force"]) == 0
+    doc = read_trace(out / "traces" / "trace_split0_sample0.txt")
+
+    cfg = load_config(CONFIGS / "synthetic_pdf.json", sets)
+    _, test = _prepare_split(cfg, load_dataset_from_config(cfg), 0)
+    x0 = test.X[test.y == MALICIOUS][0]
+    density = cfg.kde.build(test.X[test.y == LEGITIMATE]).density(x0)
+    assert density > 0
+    assert doc["rows"][0][1] == load_model(entry["path"]).discriminant(x0) - 500.0 * density
+
+
+def test_sweep_with_every_cell_failing_exits_partial(tmp_path, capsys):
+    # LK draws n_q = 41 surrogate samples from a 40-row test split: every cell fails
+    grid = json.dumps([{"kind": "linear_svm", "C": 1.0}, {"kind": "linear_svm", "C": 10.0}])
+    sets = [*PDF_SMALL, f"models={grid}", "scenario.n_q=41"]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep", *config_args("synthetic_pdf.json", sets, out)]) == 3
+    err = capsys.readouterr().err
+    failures = json.loads((out / "failures.json").read_text())
+    message = "ValueError: pool has 40 samples, surrogate needs 41"
+    assert failures == [
+        {"classifier": "linear_svm(C=1)", "split": 0, "error": message},
+        {"classifier": "linear_svm(C=10)", "split": 0, "error": message},
+    ]
+    assert (out / "results.csv").read_text().splitlines() == [RESULTS_HEADER]
+    for f in failures:
+        assert f"FAILED cell {f['classifier']} split 0: {message}" in err
 
 
 def test_attack_checks_every_input_before_writing(tmp_path, mnist_sets, capsys):

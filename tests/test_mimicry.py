@@ -144,7 +144,7 @@ def reference_density_and_grad(est: MimicryEstimator, x: np.ndarray):
         dists = np.abs(diffs).sum(axis=1)
     else:
         dists = np.einsum("ij,ij->i", diffs, diffs)
-    k = est.n_used
+    k = min(est.truncation_k, len(est.reference_points))
     if k < len(dists):
         sel = np.argpartition(dists, k - 1)[:k]
         diffs, dists = diffs[sel], dists[sel]

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from dataclasses import fields, replace
@@ -686,6 +687,31 @@ class TestModelIO:
             p.write_text(bad)
             with pytest.raises(ValueError, match="malformed svm model"):
                 load_model(p)
+
+    @pytest.mark.parametrize(
+        "model, field, value, message",
+        [
+            (LinearModel(np.array([1.0, 2.0]), 0.5), "w", [1.0, float("nan")], "non-finite"),
+            (SvmModel(KernelSpec("rbf"), np.zeros((2, 1)), np.array([0.5, -0.5]), 0.0, C=1.0),
+             "dual_coefs", [0.5, -0.25, -0.25], "one dual coefficient per support vector"),
+            (SvmModel(KernelSpec("rbf"), np.zeros((2, 1)), np.array([0.5, -0.5]), 0.0, C=1.0),
+             "dual_coefs", [2.0, -2.0], "exceeds the box constraint"),
+            (SvmModel(KernelSpec("rbf"), np.zeros((2, 1)), np.array([0.5, -0.5]), 0.0, C=1.0),
+             "dual_coefs", [0.5, -0.25], "sum"),
+            (MlpModel(np.zeros((3, 2)), np.zeros(3), np.zeros(3), 0.0), "output_weights", [0.0, 0.0],
+             "inconsistent MLP shapes"),
+            (MlpModel(np.zeros((3, 2)), np.zeros(3), np.zeros(3), 0.0), "hidden_biases", [0.0, float("inf"), 0.0],
+             "non-finite"),
+        ],
+    )
+    def test_bad_content_is_a_value_error(self, tmp_path, model, field, value, message):
+        p = tmp_path / "m.json"
+        save_model(model, p)
+        doc = json.loads(p.read_text())
+        doc[field] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_model(p)
 
     def test_corrupted_payload(self, tmp_path):
         p = tmp_path / "bad.json"

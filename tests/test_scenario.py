@@ -66,6 +66,15 @@ class TestBuildSurrogate:
         truth = {tuple(x): y for x, y in zip(pool.X, pool.y)}
         assert all(truth[tuple(x)] == y for x, y in zip(surr.X, surr.y))
 
+    def test_without_relabel_keeps_the_pool_labels(self):
+        pool = toy_pool()
+        always_pos = LinearModel(np.array([0.0, 0.0]), 5.0)  # would relabel every row +1
+        spec = ScenarioSpec(kind="LK", n_q=30, relabel_with_target=False)
+        surr = build_surrogate(always_pos, pool, spec, seed=2)
+        truth = {tuple(x): y for x, y in zip(pool.X, pool.y)}
+        assert [truth[tuple(x)] for x in surr.X] == surr.y.tolist()
+        assert set(surr.y.tolist()) == {-1, 1}
+
     def test_seed_determinism(self):
         pool = toy_pool()
         target = LinearModel(np.array([1.0, 1.0]), 0.0)
@@ -93,12 +102,11 @@ class TestRunScenario:
         target = LinearModel(np.array([1.0, 0.0]), 0.0)
         atk = attack_spec()
         attack_set = Dataset(np.array([[2.0, 0.0]]), np.array([1]))
-        traces = run_scenario(target, pool, atk, ScenarioSpec(kind="PK"), attack_set)
+        [traces] = run_scenario(target, pool, atk, ScenarioSpec(kind="PK"), attack_set)
         direct = evade_continuous(target, atk, np.array([2.0, 0.0]))
         assert len(traces) == 1
         np.testing.assert_allclose(traces[0].points[-1], direct.points[-1])
         assert predict(target, traces[0].points[-1][None])[0] == predict(target, direct.points[-1][None])[0]
-        assert traces[0].sample_index == 0 and traces[0].repeat is None
 
     def test_lk_repeat_count(self):
         pool = toy_pool(n=200, seed=3)
@@ -107,11 +115,15 @@ class TestRunScenario:
         mal = pool.X[pool.y == 1][:4]
         attack_set = Dataset(mal, np.ones(4, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=60, n_surrogate_repeats=5, seed=11)
-        traces = run_scenario(target, pool, atk, scen, attack_set)
-        assert len(traces) == 20
-        for i in range(4):
-            repeats = sorted(t.repeat for t in traces if t.sample_index == i)
-            assert repeats == [0, 1, 2, 3, 4]
+        surrogates = []
+        rounds = run_scenario(target, pool, atk, scen, attack_set, surrogates=surrogates)
+        assert len(rounds) == 5 and len(surrogates) == 5
+        for traces, (_, surrogate) in zip(rounds, surrogates):
+            assert len(traces) == 4
+            for x0, trace in zip(mal, traces):
+                # round r descends on surrogate r, from the sample of its row
+                direct = evade_continuous(surrogate, atk, x0)
+                np.testing.assert_array_equal(np.stack(trace.points), np.stack(direct.points))
 
     def test_lk_equals_pk_when_surrogate_reproduces_target(self):
         # surrogate trained on the whole pool with the target's own params
@@ -124,8 +136,8 @@ class TestRunScenario:
             kind="LK", n_q=pool.n, n_surrogate_repeats=1,
             relabel_with_target=True, surrogate_params={"C": 50.0}, seed=5,
         )
-        lk = run_scenario(target, pool, atk, scen, attack_set)
-        pk = run_scenario(target, pool, atk, ScenarioSpec(kind="PK"), attack_set)
+        [lk] = run_scenario(target, pool, atk, scen, attack_set)
+        [pk] = run_scenario(target, pool, atk, ScenarioSpec(kind="PK"), attack_set)
         assert [predict(target, t.points[-1][None])[0] for t in lk] == [predict(target, t.points[-1][None])[0] for t in pk]
 
     def test_lk_touches_target_only_via_predict(self):
@@ -147,8 +159,9 @@ class TestRunScenario:
         target = LinearModel(np.array([1.0, 0.5]), 0.0)
         atk = attack_spec(d_max=3.0)
         attack_set = Dataset(pool.X[pool.y == 1][:3], np.ones(3, dtype=int))
-        a = run_scenario(target, pool, atk, ScenarioSpec(kind="PK", n_q=10, n_surrogate_repeats=2), attack_set)
-        b = run_scenario(target, pool, atk, ScenarioSpec(kind="PK", n_q=90, n_surrogate_repeats=9), attack_set)
+        [a] = run_scenario(target, pool, atk, ScenarioSpec(kind="PK", n_q=10, n_surrogate_repeats=2), attack_set)
+        [b] = run_scenario(target, pool, atk, ScenarioSpec(kind="PK", n_q=90, n_surrogate_repeats=9), attack_set)
+        assert len(a) == len(b) == 3
         for ta, tb in zip(a, b):
             np.testing.assert_array_equal(ta.points[-1], tb.points[-1])
 
@@ -156,17 +169,18 @@ class TestRunScenario:
         pool = toy_pool()
         target = LinearModel(np.array([1.0, 0.0]), 0.0)
         attack_set = Dataset(np.array([[-1.0, 0.0], [2.0, 0.0]]), np.array([1, 1]))
-        for scenario, repeats in ((ScenarioSpec(kind="PK"), [None]),
-                                  (ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3), [0, 1, 2])):
-            traces = run_scenario(target, pool, attack_spec(), scenario, attack_set)
-            skipped = [t for t in traces if t.sample_index == 0]
-            # one single-point trace per repeat, evading the target at its start
-            assert [t.repeat for t in skipped] == repeats
-            for t in skipped:
-                assert t.iterations == 0 and t.termination == "converged"
-                np.testing.assert_array_equal(t.points[0], attack_set.X[0])
-                _, scores = trace_profile(target, t, DistanceSpec("l1"))
+        for scenario, n_rounds in ((ScenarioSpec(kind="PK"), 1),
+                                   (ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3), 3)):
+            rounds = run_scenario(target, pool, attack_spec(), scenario, attack_set)
+            assert len(rounds) == n_rounds
+            for skipped, attacked in rounds:
+                # a single-point trace in its row's place, evading the target at its start
+                assert skipped.iterations == 0 and skipped.termination == "converged"
+                np.testing.assert_array_equal(skipped.points[0], attack_set.X[0])
+                _, scores = trace_profile(target, skipped, DistanceSpec("l1"))
                 assert scores.tolist() == [-1.0] and scores[0] - target.decision_offset < 0
+                np.testing.assert_array_equal(attacked.points[0], attack_set.X[1])
+                assert attacked.iterations > 0
 
     def test_rejects_legitimate_samples_in_attack_set(self):
         pool = toy_pool()
@@ -194,7 +208,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(scenario_module, "run_attack", recorded)
         surrogates = []
-        traces = run_scenario(target, pool, atk, scen, attack_set, kde=kde, surrogates=surrogates)
+        [traces] = run_scenario(target, pool, atk, scen, attack_set, kde=kde, surrogates=surrogates)
         assert len(traces) == 2
         [(surrogate_data, _)] = surrogates
         legit = surrogate_data.X[surrogate_data.y == LEGITIMATE]
