@@ -100,16 +100,6 @@ class AttackTrace:
     def iterations(self) -> int:
         return len(self.points) - 1
 
-    def distances_from_start(self, dist: DistanceSpec) -> np.ndarray:
-        """dist.of(p, points[0]) for every point, bit for bit, in one pass."""
-        diff = np.stack(self.points).astype(float, copy=False)
-        diff -= diff[0].copy()
-        if dist.kind == "l1":
-            return np.abs(diff, out=diff).sum(axis=1)
-        # stacked vector @ vector reduces like the 1-D `diff @ diff` of `of`
-        # (einsum would sum in another order)
-        return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
-
 
 def objective_F(model: TrainedModel, spec: AttackSpec, x: np.ndarray) -> float:
     """g(x) minus lam times the legitimate-class density at x."""

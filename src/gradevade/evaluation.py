@@ -8,6 +8,7 @@ construction (larger budgets admit a superset of trace points).
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -76,29 +77,43 @@ def trace_profile(target: TrainedModel, trace: AttackTrace, distance: DistanceSp
 
     The one place a trace meets the target: a point evades where its score
     minus `target.decision_offset` (the calibrated threshold) is negative.
+    Each distance has the bits of `distance.of(point, points[0])`.
     """
-    scores = target.discriminant_many(np.stack(trace.points))
-    return trace.distances_from_start(distance), scores
+    diff = np.stack(trace.points).astype(float, copy=False)
+    scores = target.discriminant_many(diff)  # scored before the points become offsets in place
+    diff -= diff[0].copy()
+    if distance.kind == "l1":
+        return np.abs(diff, out=diff).sum(axis=1), scores
+    # stacked vector @ vector reduces like the 1-D `diff @ diff` of `of`
+    # (einsum would sum in another order)
+    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]), scores
 
 
 def fn_rates(
     target: TrainedModel,
-    traces: list[AttackTrace],
+    traces: Iterable[AttackTrace],
     d_grid: list[float],
     distance: DistanceSpec,
 ) -> list[float]:
-    """Fraction of traces that evade the target within each budget of d_grid."""
-    if not traces:
-        raise ValueError("empty malicious set")
+    """Fraction of traces that evade the target within each budget of d_grid.
+
+    `traces` may be any iterable, a lazy round of `scenario.run_scenario`
+    included: each trace is reduced to its nearest evading distance as it
+    arrives, so only one is held at a time.
+    """
     limits = np.asarray(d_grid, dtype=float) + 1e-9
     hits = np.zeros(len(d_grid), dtype=int)
+    n = 0
     for tr in traces:
+        n += 1
         dists, scores = trace_profile(target, tr, distance)
         evading = scores - target.decision_offset < 0
         if evading.any():
             # some evading point lies within b exactly when the nearest one does
             hits += dists[evading].min() <= limits
-    return [h / len(traces) for h in hits]
+    if n == 0:
+        raise ValueError("empty malicious set")
+    return [h / n for h in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +164,7 @@ def _run_cell(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]) -> list[dict]:
             atk = replace(plan.attack, lam=lam, d_max=max(plan.d_grid))
             rounds = run_scenario(target, test, atk, scen, attack_set, kde=plan.kde, surrogates=surrogates)
             for repeat, traces in enumerate(rounds):
+                # counted as the round yields them: one trace alive at a time
                 fns = fn_rates(target, traces, plan.d_grid, plan.attack.distance)
                 for b, fn in zip(plan.d_grid, fns):
                     rows.append(

@@ -6,9 +6,14 @@ surrogate of the same family, and descends on the surrogate's objective.
 The traces record only the descent; whether they evade the target is
 judged by the evaluation (`evaluation.trace_profile`), never here. The
 target is never touched during LK descent except through `models.predict`.
+
+`run_scenario` streams: its rounds and each round's traces are lazy
+iterators, so a caller that reduces each trace as it arrives
+(`evaluation.fn_rates`) holds one trace at a time, not a round of them.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -117,6 +122,30 @@ def _descents(target: TrainedModel, pool: Dataset, scenario: ScenarioSpec, surro
         yield surrogate, surrogate_data
 
 
+def _traces(target: TrainedModel, model: TrainedModel, spec: AttackSpec, X: np.ndarray, start_preds: np.ndarray):
+    """One round's traces, in row order: a descent on `model` for each row
+    the target labels malicious, a single-point trace for the others.
+
+    A function, not a generator expression in `_rounds`: its arguments bind
+    this round's model and spec when the round is created, where a nested
+    expression would look them up when each trace is made.
+    """
+    for x0, pred in zip(X, start_preds):
+        if pred == MALICIOUS:
+            yield run_attack(model, spec, x0)
+        else:
+            yield AttackTrace([x0.copy()], [target.discriminant(x0)], "converged")
+
+
+def _rounds(target, pool, attack, scenario, attack_set, kde, surrogates, start_preds):
+    """`run_scenario`'s rounds, each created with its model and attack spec bound."""
+    for model, data in _descents(target, pool, scenario, surrogates):
+        spec_run = attack
+        if attack.lam > 0:
+            spec_run = replace(attack, mimicry=kde.build(data.X[data.y == LEGITIMATE]))
+        yield _traces(target, model, spec_run, attack_set.X, start_preds)
+
+
 def run_scenario(
     target: TrainedModel,
     pool: Dataset,
@@ -125,19 +154,24 @@ def run_scenario(
     attack_set: Dataset,
     kde: KdeParams | None = None,
     surrogates: list | None = None,
-) -> list[list[AttackTrace]]:
+) -> Iterator[Iterator[AttackTrace]]:
     """Attack every sample of attack_set under the given knowledge scenario.
 
-    Returns one list of traces per attack round (PK: one round; LK: one per
-    surrogate repeat, in repeat order), each with one trace per attack_set
-    row in row order. Samples the target already misclassifies are not
+    Returns a lazy iterator of attack rounds (PK: one round; LK: one per
+    surrogate repeat, in repeat order), each a lazy iterator of one trace
+    per attack_set row in row order. The input checks and the target's
+    start predictions run in this call; everything else runs as the rounds
+    are consumed. An LK surrogate is trained when its round is reached,
+    and each round's model and attack spec (with its mimicry estimator)
+    are bound when the round is created, so rounds may be consumed in any
+    order once reached. Samples the target already misclassifies are not
     descended on: they count as evading at every budget and are recorded
     as single-point traces.
 
     `surrogates` (LK only) holds the (surrogate data, surrogate) pair of
-    each repeat: pairs already in the list are reused, the ones this call
-    trains are appended. Calls with the same target, pool and scenario
-    that differ only in `attack` (its lambda) can share one list.
+    each repeat: pairs already in the list are reused, the ones reached
+    rounds train are appended. Calls with the same target, pool and
+    scenario that differ only in `attack` (its lambda) can share one list.
 
     With lam > 0, every round's mimicry estimator is built from `kde` over
     the legitimate rows of the pool (PK) or of the surrogate data (LK); an
@@ -149,15 +183,5 @@ def run_scenario(
         raise ValueError("lam > 0 requires kde parameters")
 
     start_preds = predict(target, attack_set.X)
-    rounds = []
     surrogates = [] if surrogates is None else surrogates
-    for model, data in _descents(target, pool, scenario, surrogates):
-        spec_run = attack
-        if attack.lam > 0:
-            spec_run = replace(attack, mimicry=kde.build(data.X[data.y == LEGITIMATE]))
-        rounds.append([
-            run_attack(model, spec_run, x0) if pred == MALICIOUS
-            else AttackTrace([x0.copy()], [target.discriminant(x0)], "converged")
-            for x0, pred in zip(attack_set.X, start_preds)
-        ])
-    return rounds
+    return _rounds(target, pool, attack, scenario, attack_set, kde, surrogates, start_preds)

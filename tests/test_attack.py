@@ -258,12 +258,19 @@ class TestDistancesFromStart:
     @pytest.mark.parametrize("kind", ["l1", "l2"])
     def test_equals_distance_of_each_point_bit_for_bit(self, kind):
         rng = np.random.default_rng(16)
+        weights = np.random.default_rng(17)
         dist = DistanceSpec(kind)
         for d in (1, 3, 100, 784, 1000):
             points = [rng.random(d) * 100 for _ in range(int(rng.integers(1, 30)))]
+            kept = np.stack(points)
             tr = AttackTrace(points, [0.0] * len(points), "converged")
+            model = LinearModel(weights.normal(size=d), 0.5)
             want = np.array([dist.of(p, points[0]) for p in points])
-            assert tr.distances_from_start(dist).tobytes() == want.tobytes()
+            dists, scores = trace_profile(model, tr, dist)
+            assert dists.tobytes() == want.tobytes()
+            # scored before the distances are computed in place, and the trace is untouched
+            assert scores.tobytes() == model.discriminant_many(kept).tobytes()
+            assert np.stack(tr.points).tobytes() == kept.tobytes()
 
 
 class TestEvadeContinuous:
@@ -304,7 +311,7 @@ class TestEvadeContinuous:
         x0 = np.clip(sv[0] + 0.5, -2.0, 2.0)
         tr = evade_continuous(model, spec, x0)
         assert len(tr.points) == len(tr.objective_values) == tr.iterations + 1
-        dists = tr.distances_from_start(spec.distance)
+        dists = trace_profile(model, tr, spec.distance)[0]
         assert np.all(dists <= spec.d_max + 1e-9)
         for p in tr.points:
             assert np.all(p >= -2.0 - 1e-9) and np.all(p <= 2.0 + 1e-9)

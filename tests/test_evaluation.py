@@ -1,4 +1,5 @@
 import json
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -231,6 +232,30 @@ class TestSweep:
         assert {r["classifier"] for r in res.records} == {"linear_svm(C=1)"}
 
 
+def test_sweep_holds_at_most_one_finished_trace_when_a_descent_starts(monkeypatch):
+    # each trace is counted as its round yields it, so when a descent starts
+    # only the trace being counted before it may still be alive
+    alive_at_start = []
+    traces = []
+
+    def recorded(model, spec, x0, _original=scenario_module.run_attack):
+        alive_at_start.append(sum(ref() is not None for ref in traces))
+        trace = _original(model, spec, x0)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(scenario_module, "run_attack", recorded)
+    res = sweep(
+        dataset=separable_counts(seed=11), model_grid=[ModelSpec(kind="linear_svm", C=1.0)],
+        scenario=ScenarioSpec(kind="LK", n_q=20, n_surrogate_repeats=2), scenario_kinds=["PK", "LK"],
+        attack=replace(small_attack(), mode="continuous", step_t=0.5), lambdas=[0.0],
+        d_max_grid=[0.0, 6.0], n_splits=1, n_train=40, n_test=40, fp_target=0.1, kde=None, seed=12,
+    )
+    assert not res.failures and len(res.records) == 3 * 2
+    assert len(alive_at_start) >= 3 * 4
+    assert max(alive_at_start) <= 1
+
+
 class TestSurrogateReuse:
     """LK surrogates do not depend on lambda: each cell trains them once."""
 
@@ -287,7 +312,7 @@ def test_lambda_500_is_inert_on_the_flagship_rbf_svm(monkeypatch):
     monkeypatch.setattr(scenario_module, "run_attack", recorded)
     atk = replace(cfg.attack, lam=500.0, d_max=max(cfg.d_max_grid))
     attack_set = test.subset(np.flatnonzero(test.y == MALICIOUS))
-    run_scenario(target, test, atk, replace(cfg.scenario, kind="PK"), attack_set, kde=cfg.kde)
+    [list(r) for r in run_scenario(target, test, atk, replace(cfg.scenario, kind="PK"), attack_set, kde=cfg.kde)]
     assert len(descents) > 200
     assert {trace.termination for _, trace in descents} == {"budget_boundary_converged"}
     density = max(est.density(x) for est, trace in descents for x in trace.points)

@@ -102,7 +102,7 @@ class TestRunScenario:
         target = LinearModel(np.array([1.0, 0.0]), 0.0)
         atk = attack_spec()
         attack_set = Dataset(np.array([[2.0, 0.0]]), np.array([1]))
-        [traces] = run_scenario(target, pool, atk, ScenarioSpec(kind="PK"), attack_set)
+        [traces] = [list(r) for r in run_scenario(target, pool, atk, ScenarioSpec(kind="PK"), attack_set)]
         direct = evade_continuous(target, atk, np.array([2.0, 0.0]))
         assert len(traces) == 1
         np.testing.assert_allclose(traces[0].points[-1], direct.points[-1])
@@ -116,7 +116,7 @@ class TestRunScenario:
         attack_set = Dataset(mal, np.ones(4, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=60, n_surrogate_repeats=5, seed=11)
         surrogates = []
-        rounds = run_scenario(target, pool, atk, scen, attack_set, surrogates=surrogates)
+        rounds = [list(r) for r in run_scenario(target, pool, atk, scen, attack_set, surrogates=surrogates)]
         assert len(rounds) == 5 and len(surrogates) == 5
         for traces, (_, surrogate) in zip(rounds, surrogates):
             assert len(traces) == 4
@@ -150,7 +150,7 @@ class TestRunScenario:
         mal = pool.X[pool.y == 1][:3]
         attack_set = Dataset(mal, np.ones(3, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=50, n_surrogate_repeats=2, seed=7)
-        run_scenario(target, pool, atk, scen, attack_set)
+        [list(r) for r in run_scenario(target, pool, atk, scen, attack_set)]
         assert set(target.calls) == {"discriminant_many"}
         assert "gradient" not in target.calls
 
@@ -159,8 +159,10 @@ class TestRunScenario:
         target = LinearModel(np.array([1.0, 0.5]), 0.0)
         atk = attack_spec(d_max=3.0)
         attack_set = Dataset(pool.X[pool.y == 1][:3], np.ones(3, dtype=int))
-        [a] = run_scenario(target, pool, atk, ScenarioSpec(kind="PK", n_q=10, n_surrogate_repeats=2), attack_set)
-        [b] = run_scenario(target, pool, atk, ScenarioSpec(kind="PK", n_q=90, n_surrogate_repeats=9), attack_set)
+        [a] = [list(r) for r in run_scenario(
+            target, pool, atk, ScenarioSpec(kind="PK", n_q=10, n_surrogate_repeats=2), attack_set)]
+        [b] = [list(r) for r in run_scenario(
+            target, pool, atk, ScenarioSpec(kind="PK", n_q=90, n_surrogate_repeats=9), attack_set)]
         assert len(a) == len(b) == 3
         for ta, tb in zip(a, b):
             np.testing.assert_array_equal(ta.points[-1], tb.points[-1])
@@ -171,7 +173,7 @@ class TestRunScenario:
         attack_set = Dataset(np.array([[-1.0, 0.0], [2.0, 0.0]]), np.array([1, 1]))
         for scenario, n_rounds in ((ScenarioSpec(kind="PK"), 1),
                                    (ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3), 3)):
-            rounds = run_scenario(target, pool, attack_spec(), scenario, attack_set)
+            rounds = [list(r) for r in run_scenario(target, pool, attack_spec(), scenario, attack_set)]
             assert len(rounds) == n_rounds
             for skipped, attacked in rounds:
                 # a single-point trace in its row's place, evading the target at its start
@@ -208,7 +210,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(scenario_module, "run_attack", recorded)
         surrogates = []
-        [traces] = run_scenario(target, pool, atk, scen, attack_set, kde=kde, surrogates=surrogates)
+        [traces] = [list(r) for r in run_scenario(target, pool, atk, scen, attack_set, kde=kde, surrogates=surrogates)]
         assert len(traces) == 2
         [(surrogate_data, _)] = surrogates
         legit = surrogate_data.X[surrogate_data.y == LEGITIMATE]
@@ -217,6 +219,46 @@ class TestRunScenario:
         for est in estimators:
             np.testing.assert_array_equal(est.reference_points, legit)
             assert KdeParams.from_estimator(est) == kde
+
+    def test_rounds_do_not_depend_on_the_order_they_are_consumed_in(self, monkeypatch):
+        # every round binds its surrogate and its mimicry estimator when it
+        # is created: rounds materialized first and consumed last to first
+        # descend exactly as rounds consumed one by one
+        pool = toy_pool(n=200, seed=12)
+        target = train_linear_svm(pool, C=10.0)
+        atk = replace(attack_spec(d_max=3.0), lam=5.0)
+        attack_set = Dataset(pool.X[pool.y == 1][:3], np.ones(3, dtype=int))
+        scen = ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3, seed=13)
+        kde = KdeParams(kernel_kind="laplacian", h=2.0, truncation_k=50)
+        in_order = [list(r) for r in run_scenario(target, pool, atk, scen, attack_set, kde=kde)]
+
+        descents = []
+
+        def recorded(model, spec, x0, _original=scenario_module.run_attack):
+            descents.append((model, spec.mimicry))
+            return _original(model, spec, x0)
+
+        monkeypatch.setattr(scenario_module, "run_attack", recorded)
+        surrogates = []
+        rounds = list(run_scenario(target, pool, atk, scen, attack_set, kde=kde, surrogates=surrogates))
+        assert len(rounds) == 3 and len(surrogates) == 3 and not descents
+        reversed_order = [list(r) for r in reversed(rounds)][::-1]
+
+        assert len(descents) == 9
+        for r, (surrogate_data, surrogate) in enumerate(surrogates):
+            legit = surrogate_data.X[surrogate_data.y == LEGITIMATE]
+            # round r was consumed (2 - r)-th, one descent per row
+            for model, est in descents[3 * (2 - r):3 * (3 - r)]:
+                assert model is surrogate
+                np.testing.assert_array_equal(est.reference_points, legit)
+        for got, want in zip(reversed_order, in_order):
+            assert len(got) == len(want) == 3
+            for a, b in zip(got, want):
+                assert np.stack(a.points).tobytes() == np.stack(b.points).tobytes()
+                assert a.objective_values == b.objective_values
+                assert a.termination == b.termination
+        # the surrogates differ, so a round descended on another's would show
+        assert len({tuple(f for t in traces for f in t.objective_values) for traces in in_order}) == 3
 
     def test_lam_positive_requires_kde_params(self):
         pool = toy_pool()
