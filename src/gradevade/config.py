@@ -155,17 +155,14 @@ def _parse_model(entry: dict, where: str) -> ModelSpec:
         raise ConfigError(f"{where}: unknown model kind {kind!r}")
     _reject_unknown(entry, _MODEL_KEYS[kind], f"{where}.")
     kd = entry.get("kernel", {})
-    _reject_unknown(kd, ("kind", "gamma", "degree", "coef0"), f"{where}.kernel.")
+    if not isinstance(kd, dict):
+        raise ConfigError(f"{where}.kernel must be an object, got {kd!r}")
+    _reject_unknown(kd, ("kind", "gamma"), f"{where}.kernel.")
     try:
         if kind == "linear_svm":
             return ModelSpec(kind="linear_svm", C=float(entry.get("C", 1.0)))
         if kind == "svm":
-            kernel = KernelSpec(
-                kind=kd.get("kind", "rbf"),
-                gamma=float(kd.get("gamma", 1.0)),
-                degree=int(kd.get("degree", 2)),
-                coef0=float(kd.get("coef0", 0.0)),
-            )
+            kernel = KernelSpec(kind=kd.get("kind", "rbf"), gamma=float(kd.get("gamma", 1.0)))
             return ModelSpec(kind="svm", C=float(entry.get("C", 1.0)), kernel=kernel)
         return ModelSpec(
             kind="mlp",
@@ -341,4 +338,6 @@ def load_dataset_from_config(cfg: ExperimentConfig) -> Dataset:
         )
     if ds.get("feature_cap") is not None:
         data = cap_features(data, float(ds["feature_cap"]))
+    if cfg.n_train + cfg.n_test > data.n:
+        raise ConfigError(f"split.n_train + split.n_test is {cfg.n_train + cfg.n_test}, the dataset has {data.n} rows")
     return data

@@ -1,4 +1,5 @@
-"""Kernel functions and their gradients with respect to the query point."""
+"""The rbf kernel of `svm` models and the linear kernel `train_linear_svm`
+solves SMO on, with their gradients with respect to the query point."""
 from __future__ import annotations
 
 import math
@@ -6,15 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-KERNEL_KINDS = ("linear", "rbf", "polynomial")
+KERNEL_KINDS = ("linear", "rbf")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
     kind: str = "linear"
     gamma: float = 1.0      # rbf
-    degree: int = 2         # polynomial
-    coef0: float = 0.0      # polynomial offset
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
@@ -22,8 +21,6 @@ class KernelSpec:
         # `not a < x < b` rather than `x <= a`, so that NaN fails too
         if self.kind == "rbf" and not 0 < self.gamma < math.inf:
             raise ValueError("rbf kernel requires a finite gamma > 0")
-        if self.kind == "polynomial" and self.degree < 1:
-            raise ValueError("polynomial kernel requires degree >= 1")
 
 
 def _check_dims(x: np.ndarray, xi: np.ndarray):
@@ -37,10 +34,8 @@ def kernel_row(k: KernelSpec, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     _check_dims(x, basis)
     if k.kind == "linear":
         return basis @ x
-    if k.kind == "rbf":
-        diff = x - basis
-        return np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
-    return (basis @ x + k.coef0) ** k.degree
+    diff = x - basis
+    return np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
 
 
 def kernel_grad_combination(k: KernelSpec, x: np.ndarray, basis: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -49,12 +44,9 @@ def kernel_grad_combination(k: KernelSpec, x: np.ndarray, basis: np.ndarray, coe
     _check_dims(x, basis)
     if k.kind == "linear":
         return coefs @ basis
-    if k.kind == "rbf":
-        diff = x - basis
-        row = np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
-        return -2.0 * k.gamma * ((coefs * row) @ diff)
-    w = coefs * k.degree * (basis @ x + k.coef0) ** (k.degree - 1)
-    return w @ basis
+    diff = x - basis
+    row = np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
+    return -2.0 * k.gamma * ((coefs * row) @ diff)
 
 
 def kernel_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -63,8 +55,6 @@ def kernel_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     G = A @ B.T
     if k.kind == "linear":
         return G
-    if k.kind == "polynomial":
-        return (G + k.coef0) ** k.degree
     sq = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * G
     np.maximum(sq, 0.0, out=sq)
     return np.exp(-k.gamma * sq)

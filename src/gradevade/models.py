@@ -1,4 +1,4 @@
-"""The three classifier families: training, discriminant g(x), and its gradient.
+"""The classifier families linear_svm, svm (rbf) and mlp: training, g(x), and its gradient.
 
 All models expose:
   discriminant(x)      -> float     the raw score g(x)
@@ -77,7 +77,7 @@ class LinearModel:
 
 @dataclass
 class SvmModel:
-    """Kernel SVM in dual form: g(x) = sum_i dual_coefs[i] k(x, sv[i]) + b.
+    """rbf SVM in dual form: g(x) = sum_i dual_coefs[i] k(x, sv[i]) + b.
 
     dual_coefs[i] is alpha_i * y_i, so |dual_coefs[i]| <= C and the
     coefficients sum to ~0 (equality constraint of the dual).
@@ -136,7 +136,7 @@ class SvmModel:
         return kernel_grad_combination(self.kernel, x, self.support_vectors, self.dual_coefs)
 
     def collapse_linear(self) -> LinearModel:
-        """For the linear kernel only: fold the dual form into w = sum a_i y_i x_i."""
+        """For the linear kernel, which only `train_linear_svm` uses: fold the dual form into w = sum a_i y_i x_i."""
         if self.kernel.kind != "linear":
             raise ValueError("only a linear-kernel SVM collapses to a LinearModel")
         return LinearModel(self.dual_coefs @ self.support_vectors, self.b)
@@ -223,10 +223,13 @@ def _smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3, max_it
     yv = y.astype(float)
     Ky = K * yv[None, :]  # Ky[t, j] = K_tj y_j
 
+    def working_sets():  # I_up and I_low at the current alpha
+        return (((yv > 0) & (alpha < C - 1e-12)) | ((yv < 0) & (alpha > 1e-12)),
+                ((yv < 0) & (alpha < C - 1e-12)) | ((yv > 0) & (alpha > 1e-12)))
+
     for _ in range(max_iter):
         viol = -yv * grad  # equals y_t - s_t, where s_t is the biasless score
-        up = ((yv > 0) & (alpha < C - 1e-12)) | ((yv < 0) & (alpha > 1e-12))
-        low = ((yv < 0) & (alpha < C - 1e-12)) | ((yv > 0) & (alpha > 1e-12))
+        up, low = working_sets()
         if not up.any() or not low.any():
             break
         i = int(np.flatnonzero(up)[np.argmax(viol[up])])
@@ -250,8 +253,7 @@ def _smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3, max_it
         grad += yv * (Ky[:, i] * d_ai + Ky[:, j] * d_aj)
 
     viol = -yv * grad
-    up = ((yv > 0) & (alpha < C - 1e-12)) | ((yv < 0) & (alpha > 1e-12))
-    low = ((yv < 0) & (alpha < C - 1e-12)) | ((yv > 0) & (alpha > 1e-12))
+    up, low = working_sets()
     m_up = viol[up].max() if up.any() else -np.inf
     m_low = viol[low].min() if low.any() else np.inf
     free = (alpha > 1e-8) & (alpha < C - 1e-8)
@@ -379,7 +381,7 @@ class ModelSpec:
 
     kind: str                      # "linear_svm" | "svm" | "mlp"
     C: float = 1.0
-    kernel: KernelSpec = field(default_factory=lambda: KernelSpec("rbf"))
+    kernel: KernelSpec = field(default_factory=lambda: KernelSpec("rbf"))  # svm only, always rbf
     m: int = 10
     epochs: int = 2000
     learning_rate: float = 1.0
@@ -387,6 +389,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("linear_svm", "svm", "mlp"):
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.kind == "svm" and self.kernel.kind != "rbf":
+            raise ValueError(f"an svm model takes an rbf kernel, not {self.kernel.kind!r}")
         # `not x > 0` rather than `x <= 0`, so that NaN fails too
         if not self.C > 0:
             raise ValueError("C must be positive")
@@ -401,12 +405,7 @@ class ModelSpec:
         if self.kind == "linear_svm":
             return f"linear_svm(C={self.C:g})"
         if self.kind == "svm":
-            k = self.kernel
-            if k.kind == "rbf":
-                return f"svm(rbf,gamma={k.gamma:g},C={self.C:g})"
-            if k.kind == "polynomial":
-                return f"svm(poly,p={k.degree},c={k.coef0:g},C={self.C:g})"
-            return f"svm(linear,C={self.C:g})"
+            return f"svm(rbf,gamma={self.kernel.gamma:g},C={self.C:g})"
         return f"mlp(m={self.m})"
 
 
@@ -455,7 +454,8 @@ def load_model(path) -> TrainedModel:
     try:
         args = {f.name: doc[f.name] for f in fields(cls)}
         if cls is SvmModel:
-            args["kernel"] = KernelSpec(**args["kernel"])
+            # files written before the polynomial kernel went also carry degree and coef0
+            args["kernel"] = KernelSpec(args["kernel"]["kind"], args["kernel"]["gamma"])
         return cls(**args)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed {doc['kind']} model: {type(exc).__name__}: {exc}") from None

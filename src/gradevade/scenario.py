@@ -20,7 +20,6 @@ import numpy as np
 
 from .attack import AttackSpec, AttackTrace, run_attack
 from .data import LEGITIMATE, MALICIOUS, Dataset
-from .kernels import KernelSpec
 from .mimicry import KdeParams
 from .models import (
     LinearModel,
@@ -81,13 +80,9 @@ def _train_surrogate(target: TrainedModel, data: Dataset, spec: ScenarioSpec, se
     if isinstance(target, LinearModel):
         return train_linear_svm(data, C=C)
     if isinstance(target, SvmModel):
-        k = target.kernel
-        kernel = KernelSpec(
-            kind=k.kind,
-            gamma=float(params.get("gamma", 0.1)) if k.kind == "rbf" else k.gamma,
-            degree=k.degree,
-            coef0=k.coef0,
-        )
+        kernel = target.kernel
+        if kernel.kind == "rbf":
+            kernel = replace(kernel, gamma=float(params.get("gamma", 0.1)))
         return train_kernel_svm(data, kernel, C=C)
     if isinstance(target, MlpModel):
         return train_mlp(

@@ -797,7 +797,7 @@ def reference_evade_continuous(model, spec, x0):
 def _random_continuous_case(rng):
     """A seeded model, start point and continuous spec; returns (kind, model, spec, x0)."""
     d = int(rng.integers(2, 6))
-    kind = str(rng.choice(["linear", "rbf", "polynomial", "mlp"]))
+    kind = str(rng.choice(["linear", "rbf", "svm_linear", "mlp"]))
     if kind == "linear":
         model = LinearModel(rng.normal(size=d), float(rng.normal()))
     elif kind == "mlp":
@@ -805,10 +805,8 @@ def _random_continuous_case(rng):
         bias = float(rng.choice([rng.normal(), 40.0]))
         model = MlpModel(rng.normal(scale=2.0, size=(4, d)), rng.normal(size=4), rng.normal(scale=3.0, size=4), bias)
     else:
-        if kind == "rbf":
-            kernel = KernelSpec("rbf", gamma=float(rng.uniform(0.1, 1.5)))
-        else:
-            kernel = KernelSpec("polynomial", degree=int(rng.integers(1, 4)), coef0=float(rng.uniform(0.0, 1.0)))
+        # svm_linear: the linear-kernel SvmModel that train_linear_svm folds
+        kernel = KernelSpec("rbf", gamma=float(rng.uniform(0.1, 1.5))) if kind == "rbf" else KernelSpec("linear")
         raw = rng.uniform(0.1, 1.0, size=6) * rng.choice([-1.0, 1.0], size=6)
         model = SvmModel(kernel, rng.uniform(-2.0, 2.0, size=(6, d)), raw - raw.mean(), float(rng.normal()), C=2.0)
     lo = -rng.uniform(0.2, 2.0, size=d)
@@ -868,7 +866,7 @@ class TestContinuousMatchesReference:
             per_projection.clear()
             got = evade_continuous(model, spec, x0)
             # the oracle scores an SVM with two kernel passes per point
-            want = reference_evade_continuous(two_pass_copy(model) if kind in ("rbf", "polynomial") else model,
+            want = reference_evade_continuous(two_pass_copy(model) if kind in ("rbf", "svm_linear") else model,
                                               spec, x0)
             assert len(got.points) == len(want.points), case
             for a, b in zip(got.points, want.points):
@@ -883,7 +881,7 @@ class TestContinuousMatchesReference:
             seen["terminations"].add(got.termination)
             seen["dykstra"] |= any(n >= 2 for n in per_projection)
         assert seen == {
-            "kinds": {"linear", "rbf", "polynomial", "mlp"},
+            "kinds": {"linear", "rbf", "svm_linear", "mlp"},
             "distances": {"l1", "l2"},
             "step_norms": {"l1", "l2"},
             "increment_only": {False, True},

@@ -167,7 +167,6 @@ def test_train_writes_each_model_kind(tmp_path):
     grid = [
         {"kind": "linear_svm", "C": 1.0},
         {"kind": "svm", "C": 1.0, "kernel": {"kind": "rbf", "gamma": 0.01}},
-        {"kind": "svm", "C": 1.0, "kernel": {"kind": "polynomial", "degree": 2, "coef0": 1.0}},
         {"kind": "mlp", "m": 3, "epochs": 5},
     ]
     out = tmp_path / "out"
@@ -180,9 +179,35 @@ def test_train_writes_each_model_kind(tmp_path):
         kinds.append(doc["kind"])
         assert set(doc) == MODEL_KEYS[doc["kind"]] | {"decision_offset", "format_version", "kind", "trained_on"}
         if doc["kind"] == "svm":
-            assert set(doc["kernel"]) == {"coef0", "degree", "gamma", "kind"}
+            assert set(doc["kernel"]) == {"gamma", "kind"}
         load_model(entry["path"])
-    assert kinds == ["linear", "svm", "svm", "mlp"]
+    assert kinds == ["linear", "svm", "mlp"]
+
+
+def test_attack_refuses_a_polynomial_model_file(tmp_path, capsys):
+    grid = json.dumps([{"kind": "svm", "C": 1.0, "kernel": {"kind": "rbf", "gamma": 0.01}}])
+    sets = [*PDF_SMALL, f"models={grid}"]
+    train_out = tmp_path / "train"
+    assert main(["train", *config_args("synthetic_pdf.json", sets, train_out)]) == 0
+    [entry] = json.loads((train_out / "train_manifest.json").read_text())["models"]
+    doc = json.loads(Path(entry["path"]).read_text())
+    doc["kernel"] = {"coef0": 1.0, "degree": 2, "gamma": 0.01, "kind": "polynomial"}
+    model = tmp_path / "poly.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["attack", *config_args("synthetic_pdf.json", sets, out), "--model", str(model), "--index", "0"]) == 2
+    assert "unknown kernel kind 'polynomial'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_split_larger_than_the_dataset_exits_2(tmp_path, capsys, command):
+    # 30 + 30 rows cannot hold a 40-row train split and a 40-row test split
+    sets = [*PDF_SMALL, "dataset.n_legit=30", "dataset.n_malicious=30"]
+    capsys.readouterr()
+    assert main([command, *config_args("synthetic_pdf.json", sets, tmp_path / "out")]) == 2
+    assert "split.n_train + split.n_test is 80, the dataset has 60 rows" in capsys.readouterr().err
 
 
 def test_attack_rejects_a_split_outside_the_config(tmp_path, mnist_sets, capsys):

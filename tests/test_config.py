@@ -36,6 +36,26 @@ class TestUnknownKeys:
         with pytest.raises(ConfigError, match=r"models\[0\]\.kernel\.gama"):
             parse_config({"models": [{"kind": "svm", "kernel": {"gama": 0.5}}]})
 
+    @pytest.mark.parametrize("value", ['"rbf"', "null", "5", "[]"])
+    def test_kernel_that_is_not_an_object_is_named(self, value):
+        with pytest.raises(ConfigError, match=r"models\[1\]\.kernel must be an object"):
+            load_config(CONFIGS / "synthetic_pdf.json", [f"models.1.kernel={value}"])
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ("models.1.kernel.degree=2", "unknown config key models[1].kernel.degree"),
+            ("models.1.kernel.coef0=0.0", "unknown config key models[1].kernel.coef0"),
+            ('models.1.kernel.kind="polynomial"', "models[1]: unknown kernel kind 'polynomial'"),
+            ('models.1.kernel.kind="linear"', "models[1]: an svm model takes an rbf kernel, not 'linear'"),
+        ],
+    )
+    def test_svm_takes_only_an_rbf_kind_and_gamma(self, tmp_path, capsys, override, named):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(CONFIGS / "synthetic_pdf.json"), "--out", str(out), "--set", override]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_typo_is_named(self):
         with pytest.raises(ConfigError, match=r"models\[1\]\.epoch"):
             parse_config({"models": [{"kind": "linear_svm"}, {"kind": "mlp", "epoch": 5}]})
@@ -57,13 +77,13 @@ class TestUnknownKeys:
         cfg = parse_config(
             {
                 "models": [
-                    {"kind": "svm", "C": 2.0, "kernel": {"kind": "polynomial", "gamma": 1.0, "degree": 3, "coef0": 1.0}},
+                    {"kind": "svm", "C": 2.0, "kernel": {"kind": "rbf", "gamma": 0.25}},
                     {"kind": "mlp", "m": 4, "epochs": 5, "learning_rate": 0.5},
                 ]
             }
         )
         svm, mlp = cfg.model_grid
-        assert (svm.C, svm.kernel.kind, svm.kernel.degree, svm.kernel.coef0) == (2.0, "polynomial", 3, 1.0)
+        assert (svm.C, svm.kernel.kind, svm.kernel.gamma) == (2.0, "rbf", 0.25)
         assert (mlp.m, mlp.epochs, mlp.learning_rate) == (4, 5, 0.5)
 
 

@@ -69,21 +69,15 @@ class TestKernels:
         assert pair_value(k, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
         np.testing.assert_allclose(pair_grad(k, np.array([9.0, 9.0]), np.array([3.0, 4.0])), [3.0, 4.0])
 
-    def test_polynomial_hand_values(self):
-        k = KernelSpec("polynomial", degree=2, coef0=1.0)
-        assert pair_value(k, np.array([1.0, 0.0]), np.array([2.0, 1.0])) == 9.0
-        np.testing.assert_allclose(pair_grad(k, np.array([1.0, 0.0]), np.array([2.0, 1.0])), [12.0, 6.0])
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             pair_value(KernelSpec("linear"), np.zeros(2), np.zeros(3))
 
-    @pytest.mark.parametrize("kind", ["linear", "rbf", "polynomial"])
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
     def test_grad_matches_finite_differences(self, kind):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            k = KernelSpec(kind, gamma=float(rng.uniform(0.1, 2.0)),
-                           degree=int(rng.integers(1, 4)), coef0=float(rng.uniform(0.0, 2.0)))
+            k = KernelSpec(kind, gamma=float(rng.uniform(0.1, 2.0)))
             x = rng.normal(size=4)
             xi = rng.normal(size=4)
             numeric = central_diff(lambda v: pair_value(k, v, xi), x)
@@ -387,7 +381,7 @@ class TestDiscriminantGradients:
             raw = rng.uniform(0.1, 0.9, size=6)
             coefs = raw - raw.mean()  # sums to zero, |coef| < 1
             models.append(SvmModel(KernelSpec("rbf", gamma=float(rng.uniform(0.2, 1.5))), sv, coefs, 0.0, C=1.0))
-            models.append(SvmModel(KernelSpec("polynomial", degree=3, coef0=1.0), sv, coefs, 0.1, C=1.0))
+            models.append(SvmModel(KernelSpec("linear"), sv, coefs, 0.1, C=1.0))
             models.append(
                 MlpModel(rng.normal(size=(3, d)), rng.normal(size=3), rng.normal(size=3), float(rng.normal()))
             )
@@ -406,30 +400,25 @@ class TwoPassSvm(SvmModel):
         x, k, basis = np.asarray(x, float), self.kernel, self.support_vectors
         if k.kind == "linear":
             row = basis @ x
-        elif k.kind == "rbf":
+        else:
             diff = basis - x
             row = np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
-        else:
-            row = (basis @ x + k.coef0) ** k.degree
         return float(self.dual_coefs @ row + self.b)
 
     def gradient(self, x):
         x, k, basis, coefs = np.asarray(x, float), self.kernel, self.support_vectors, self.dual_coefs
         if k.kind == "linear":
             return coefs @ basis
-        if k.kind == "rbf":
-            diff = x[None, :] - basis
-            w = coefs * np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
-            return -2.0 * k.gamma * (w @ diff)
-        w = coefs * k.degree * (basis @ x + k.coef0) ** (k.degree - 1)
-        return w @ basis
+        diff = x[None, :] - basis
+        w = coefs * np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
+        return -2.0 * k.gamma * (w @ diff)
 
 
 def two_pass_copy(model: SvmModel) -> TwoPassSvm:
     return TwoPassSvm(**{f.name: getattr(model, f.name) for f in fields(SvmModel)})
 
 
-SVM_KERNELS = [KernelSpec("linear"), KernelSpec("rbf", gamma=0.3), KernelSpec("polynomial", degree=3, coef0=1.0)]
+SVM_KERNELS = [KernelSpec("linear"), KernelSpec("rbf", gamma=0.3)]
 
 
 class TestKernelPassMemo:
@@ -662,6 +651,33 @@ class TestModelIO:
         for _ in range(20):
             x = rng.normal(size=5)
             assert abs(m.discriminant(x) - m2.discriminant(x)) < 1e-12
+
+    def test_rbf_file_with_the_retired_polynomial_keys_loads_bit_for_bit(self, tmp_path):
+        # rbf files written while the polynomial kernel existed carry degree and coef0
+        rng = np.random.default_rng(5)
+        raw = rng.uniform(0.0, 1.0, size=30)
+        m = SvmModel(KernelSpec("rbf", gamma=0.29), rng.normal(size=(30, 4)), raw - raw.mean(), 0.3, C=2.0)
+        p = tmp_path / "svm.json"
+        save_model(m, p, trained_on="ab" * 32)
+        doc = json.loads(p.read_text())
+        doc["kernel"].update(degree=2, coef0=0.0)
+        p.write_text(json.dumps(doc, sort_keys=True) + "\n")
+        m2 = load_model(p)
+        assert m2.kernel == m.kernel
+        X = rng.normal(size=(20, 4))
+        assert m2.discriminant_many(X).tobytes() == m.discriminant_many(X).tobytes()
+        for x in X:
+            assert m2.discriminant(x) == m.discriminant(x)
+            assert m2.gradient(x).tobytes() == m.gradient(x).tobytes()
+
+    def test_polynomial_file_is_a_value_error(self, tmp_path):
+        p = tmp_path / "svm.json"
+        save_model(SvmModel(KernelSpec("rbf"), np.zeros((2, 1)), np.zeros(2), 0.0, C=1.0), p)
+        doc = json.loads(p.read_text())
+        doc["kernel"] = {"coef0": 1.0, "degree": 2, "gamma": 1.0, "kind": "polynomial"}
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed svm model: ValueError: unknown kernel kind 'polynomial'"):
+            load_model(p)
 
     def test_mlp_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
