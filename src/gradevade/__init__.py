@@ -47,6 +47,6 @@ from .models import (
     train_linear_svm,
     train_mlp,
 )
-from .scenario import ScenarioSpec, build_surrogate, run_scenario
+from .scenario import ScenarioSpec, build_surrogate, descent_rounds, run_scenario
 
 __version__ = "0.1.0"

@@ -31,9 +31,10 @@ from .config import (
     load_config,
     load_dataset_from_config,
 )
-from .data import LEGITIMATE, MALICIOUS, Dataset, split_train_test
-from .evaluation import _calibrated, _cell_seed, sweep, trace_profile
-from .models import TrainedModel, load_model, predict, save_model, train_from_spec
+from .data import LEGITIMATE, MALICIOUS, Dataset
+from .evaluation import calibrated, cell_model, cell_split, sweep, trace_profile
+from .models import TrainedModel, load_model, predict, save_model
+from .scenario import with_mimicry
 
 TRACE_FORMAT_VERSION = "gradevade-trace/1"
 
@@ -109,29 +110,25 @@ def write_pgm(vec: np.ndarray, path):
 # Commands.
 # ---------------------------------------------------------------------------
 
-def _prepare_split(cfg: ExperimentConfig, data: Dataset, split_idx: int):
-    return split_train_test(data, cfg.n_train, cfg.n_test, seed=_cell_seed(cfg.seed, split_idx, 0, 1))
-
-
 def _rows_digest(data: Dataset) -> str:
     """SHA-256 of the X bytes then the y bytes: a model file's `trained_on`."""
     return hashlib.sha256(data.X.tobytes() + data.y.tobytes()).hexdigest()
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path) -> int:
+    data = load_dataset_from_config(cfg)
     echo_config(cfg, out_dir)
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     manifest = {"models": [], "failures": []}
-    data = load_dataset_from_config(cfg)
     for split_idx in range(cfg.n_splits):
-        train, _test = _prepare_split(cfg, data, split_idx)
+        train, _test = cell_split(data, cfg.n_train, cfg.n_test, cfg.seed, split_idx)
         trained_on = _rows_digest(train)
         for model_idx, spec in enumerate(cfg.model_grid):
             name = f"{spec.descriptor()}_split{split_idx}".replace("(", "_").replace(")", "").replace(",", "_").replace("=", "")
             path = models_dir / f"{name}.json"
             try:
-                model = train_from_spec(spec, train, seed=_cell_seed(cfg.seed, split_idx, model_idx, 2))
+                model = cell_model(spec, train, cfg.seed, split_idx, model_idx)
                 acc = float(np.mean(predict(model, train.X) == train.y))
                 save_model(model, path, trained_on=trained_on)
                 manifest["models"].append(
@@ -164,11 +161,11 @@ def cmd_attack(cfg: ExperimentConfig, out_dir: Path, model_path: str, sample_ind
     lam_val = cfg.lambdas[0] if lam is None else lam
     spec = replace(cfg.attack, d_max=max(cfg.d_max_grid), lam=lam_val)
     model = load_model(model_path)
-    train, test = _prepare_split(cfg, load_dataset_from_config(cfg), split_idx)
+    train, test = cell_split(load_dataset_from_config(cfg), cfg.n_train, cfg.n_test, cfg.seed, split_idx)
     trained_on = json.loads(Path(model_path).read_text()).get("trained_on")
     if trained_on is not None and trained_on != _rows_digest(train):
         raise ConfigError(f"model {model_path} was not trained on the train rows of split {split_idx}")
-    target = _calibrated(model, test, cfg.fp_target)
+    target = calibrated(model, test, cfg.fp_target)
 
     malicious_idx = np.flatnonzero(test.y == MALICIOUS)
     if not (0 <= sample_index < len(malicious_idx)):
@@ -180,9 +177,7 @@ def cmd_attack(cfg: ExperimentConfig, out_dir: Path, model_path: str, sample_ind
         )
 
     echo_config(cfg, out_dir)
-    if lam_val > 0:
-        spec.mimicry = cfg.kde.build(test.X[test.y == LEGITIMATE])
-    trace = run_attack(target, spec, x0)
+    trace = run_attack(target, with_mimicry(spec, cfg.kde, test), x0)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
     trace_path = traces_dir / f"trace_split{split_idx}_sample{sample_index}.txt"
@@ -203,8 +198,8 @@ def _write_rows(path, header: list[str], rows):
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
-    echo_config(cfg, out_dir)
     data = load_dataset_from_config(cfg)
+    echo_config(cfg, out_dir)
     result = sweep(
         dataset=data,
         model_grid=cfg.model_grid,

@@ -233,6 +233,13 @@ def _stratified_quota(class_sizes: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
+def derive_seeds(words: list[int], n: int = 1, spawn_key: tuple[int, ...] = ()) -> list[int]:
+    """`n` 32-bit seeds from numpy's `SeedSequence(words, spawn_key=...)`: the
+    package's one seed derivation. `spawn_key=(r,)` gives the state of child r
+    of `SeedSequence(words).spawn(...)`, bit for bit."""
+    return [int(s) for s in np.random.SeedSequence(words, spawn_key=spawn_key).generate_state(n)]
+
+
 def split_train_test(ds: Dataset, n_train: int, n_test: int, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint stratified split, deterministic given the seed.
 

@@ -16,10 +16,10 @@ from functools import partial
 import numpy as np
 
 from .attack import AttackSpec, AttackTrace, DistanceSpec
-from .data import LEGITIMATE, MALICIOUS, Dataset, split_train_test
+from .data import LEGITIMATE, MALICIOUS, Dataset, derive_seeds, split_train_test
 from .mimicry import KdeParams
 from .models import ModelSpec, TrainedModel, train_from_spec
-from .scenario import ScenarioSpec, run_scenario
+from .scenario import ScenarioSpec, descent_rounds, run_scenario
 
 
 @dataclass
@@ -65,7 +65,7 @@ def calibrate_threshold(legit_scores, fp_target: float) -> float:
     return float(np.nextafter(order_stat, np.inf))
 
 
-def _calibrated(model: TrainedModel, test: Dataset, fp_target: float) -> TrainedModel:
+def calibrated(model: TrainedModel, test: Dataset, fp_target: float) -> TrainedModel:
     """`model` with its decision offset set to the threshold calibrated on
     its scores for the legitimate rows of `test`."""
     legit_scores = model.discriminant_many(test.X[test.y == LEGITIMATE])
@@ -127,8 +127,16 @@ class SweepResult:
     failures: list  # dict rows: classifier/split/error, for cells that raised
 
 
-def _cell_seed(root: int, split_idx: int, model_idx: int, salt: int) -> int:
-    return int(np.random.SeedSequence([root, split_idx, model_idx, salt]).generate_state(1)[0])
+def cell_split(dataset: Dataset, n_train: int, n_test: int, root_seed: int, split_idx: int) -> tuple[Dataset, Dataset]:
+    """The (train, test) pair of split `split_idx` in a sweep seeded
+    `root_seed`, shared by every model of the grid."""
+    return split_train_test(dataset, n_train, n_test, seed=derive_seeds([root_seed, split_idx, 0, 1])[0])
+
+
+def cell_model(spec: ModelSpec, train: Dataset, root_seed: int, split_idx: int, model_idx: int) -> TrainedModel:
+    """Model `model_idx` of the grid as the sweep trains it on split
+    `split_idx`'s train rows, before its threshold is calibrated."""
+    return train_from_spec(spec, train, seed=derive_seeds([root_seed, split_idx, model_idx, 2])[0])
 
 
 @dataclass(frozen=True)
@@ -150,20 +158,17 @@ class _SweepPlan:
 
 def _run_cell(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]) -> list[dict]:
     split_idx, model_idx, model_spec = cell
-    train, test = split_train_test(
-        plan.dataset, plan.n_train, plan.n_test, seed=_cell_seed(plan.root_seed, split_idx, 0, 1)
-    )
-    model = train_from_spec(model_spec, train, seed=_cell_seed(plan.root_seed, split_idx, model_idx, 2))
-    target = _calibrated(model, test, plan.fp_target)
+    train, test = cell_split(plan.dataset, plan.n_train, plan.n_test, plan.root_seed, split_idx)
+    target = calibrated(cell_model(model_spec, train, plan.root_seed, split_idx, model_idx), test, plan.fp_target)
     attack_set = test.subset(np.flatnonzero(test.y == MALICIOUS))
+    scen = replace(plan.scenario, seed=derive_seeds([plan.root_seed, split_idx, model_idx, 3])[0])
+    # the rounds (LK: the surrogates) do not depend on lambda: built once, attacked per lambda
+    descents = {kind: descent_rounds(target, test, replace(scen, kind=kind)) for kind in plan.scenario_kinds}
     rows = []
-    surrogates: list = []   # LK surrogates are independent of lambda: trained once, shared
     for lam in plan.lambdas:
+        atk = replace(plan.attack, lam=lam, d_max=max(plan.d_grid))
         for kind in plan.scenario_kinds:
-            scen = replace(plan.scenario, kind=kind, seed=_cell_seed(plan.root_seed, split_idx, model_idx, 3))
-            atk = replace(plan.attack, lam=lam, d_max=max(plan.d_grid))
-            rounds = run_scenario(target, test, atk, scen, attack_set, kde=plan.kde, surrogates=surrogates)
-            for repeat, traces in enumerate(rounds):
+            for repeat, traces in enumerate(run_scenario(target, descents[kind], atk, attack_set, kde=plan.kde)):
                 # counted as the round yields them: one trace alive at a time
                 fns = fn_rates(target, traces, plan.d_grid, plan.attack.distance)
                 for b, fn in zip(plan.d_grid, fns):

@@ -1,15 +1,18 @@
 """Perfect-knowledge and limited-knowledge attack orchestration.
 
-PK descends on the target's own objective. LK samples a surrogate dataset
-from a pool, optionally relabels it by querying the target, trains a
+The two knowledge levels differ only in the models the attacker descends
+on, so each is a list of rounds (`descent_rounds`): PK descends on the
+target's own objective once. LK samples a surrogate dataset from a pool
+per repeat, optionally relabels it by querying the target, trains a
 surrogate of the same family, and descends on the surrogate's objective.
 The traces record only the descent; whether they evade the target is
 judged by the evaluation (`evaluation.trace_profile`), never here. The
 target is never touched during LK descent except through `models.predict`.
 
-`run_scenario` streams: its rounds and each round's traces are lazy
-iterators, so a caller that reduces each trace as it arrives
-(`evaluation.fn_rates`) holds one trace at a time, not a round of them.
+`run_scenario` attacks a list of rounds and streams: its rounds and each
+round's traces are lazy iterators, so a caller that reduces each trace as
+it arrives (`evaluation.fn_rates`) holds one trace at a time, not a round
+of them.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .attack import AttackSpec, AttackTrace, run_attack
-from .data import LEGITIMATE, MALICIOUS, Dataset
+from .data import LEGITIMATE, MALICIOUS, Dataset, derive_seeds
 from .mimicry import KdeParams
 from .models import (
     LinearModel,
@@ -95,35 +98,40 @@ def _train_surrogate(target: TrainedModel, data: Dataset, spec: ScenarioSpec, se
     raise TypeError(f"unknown target model type {type(target).__name__}")
 
 
-def _descents(target: TrainedModel, pool: Dataset, scenario: ScenarioSpec, surrogates: list):
-    """(model to descend on, the data its KDE is built from) per attack round.
+def descent_rounds(target: TrainedModel, pool: Dataset, scenario: ScenarioSpec) -> list[tuple[Dataset, TrainedModel]]:
+    """(data the KDE is built from, model to descend on) per attack round.
 
-    PK yields the target and the pool once. LK yields one surrogate and its
-    data per repeat. Repeat r reuses surrogates[r], a (surrogate data,
-    surrogate) pair, when the list has one, and otherwise trains it and
-    appends it.
+    PK: the pool and the target, once. LK: one (surrogate data, surrogate)
+    pair per repeat, in repeat order, repeat r drawn and trained from seeds
+    derived from `scenario.seed` and r. The rounds depend on nothing of the
+    attack, so one list serves every lambda.
     """
     if scenario.kind == "PK":
-        yield target, pool
-        return
-    seeds = np.random.SeedSequence([scenario.seed, 0xA77AC]).spawn(scenario.n_surrogate_repeats)
-    for r, seed in enumerate(seeds):
-        if r == len(surrogates):
-            child = seed.generate_state(2)
-            surrogate_data = build_surrogate(target, pool, scenario, seed=int(child[0]))
-            surrogate = _train_surrogate(target, surrogate_data, scenario, seed=int(child[1]))
-            surrogates.append((surrogate_data, surrogate))
-        surrogate_data, surrogate = surrogates[r]
-        yield surrogate, surrogate_data
+        return [(pool, target)]
+    rounds = []
+    for r in range(scenario.n_surrogate_repeats):
+        build_seed, train_seed = derive_seeds([scenario.seed, 0xA77AC], 2, spawn_key=(r,))
+        surrogate_data = build_surrogate(target, pool, scenario, seed=build_seed)
+        rounds.append((surrogate_data, _train_surrogate(target, surrogate_data, scenario, seed=train_seed)))
+    return rounds
+
+
+def with_mimicry(attack: AttackSpec, kde: KdeParams | None, data: Dataset) -> AttackSpec:
+    """`attack` as run against a round with KDE data `data`: with lam > 0,
+    its mimicry estimator is built from `kde` over the legitimate rows of
+    `data` (an estimator already in `attack` is replaced)."""
+    if attack.lam > 0:
+        return replace(attack, mimicry=kde.build(data.X[data.y == LEGITIMATE]))
+    return attack
 
 
 def _traces(target: TrainedModel, model: TrainedModel, spec: AttackSpec, X: np.ndarray, start_preds: np.ndarray):
     """One round's traces, in row order: a descent on `model` for each row
     the target labels malicious, a single-point trace for the others.
 
-    A function, not a generator expression in `_rounds`: its arguments bind
-    this round's model and spec when the round is created, where a nested
-    expression would look them up when each trace is made.
+    A function, not a nested generator expression in `run_scenario`: its
+    arguments bind this round's model and spec when the round is created,
+    where a nested expression would look them up when each trace is made.
     """
     for x0, pred in zip(X, start_preds):
         if pred == MALICIOUS:
@@ -132,45 +140,24 @@ def _traces(target: TrainedModel, model: TrainedModel, spec: AttackSpec, X: np.n
             yield AttackTrace([x0.copy()], [target.discriminant(x0)], "converged")
 
 
-def _rounds(target, pool, attack, scenario, attack_set, kde, surrogates, start_preds):
-    """`run_scenario`'s rounds, each created with its model and attack spec bound."""
-    for model, data in _descents(target, pool, scenario, surrogates):
-        spec_run = attack
-        if attack.lam > 0:
-            spec_run = replace(attack, mimicry=kde.build(data.X[data.y == LEGITIMATE]))
-        yield _traces(target, model, spec_run, attack_set.X, start_preds)
-
-
 def run_scenario(
     target: TrainedModel,
-    pool: Dataset,
+    rounds: list[tuple[Dataset, TrainedModel]],
     attack: AttackSpec,
-    scenario: ScenarioSpec,
     attack_set: Dataset,
     kde: KdeParams | None = None,
-    surrogates: list | None = None,
 ) -> Iterator[Iterator[AttackTrace]]:
-    """Attack every sample of attack_set under the given knowledge scenario.
+    """Attack every sample of attack_set once per round of `descent_rounds`.
 
-    Returns a lazy iterator of attack rounds (PK: one round; LK: one per
-    surrogate repeat, in repeat order), each a lazy iterator of one trace
-    per attack_set row in row order. The input checks and the target's
-    start predictions run in this call; everything else runs as the rounds
-    are consumed. An LK surrogate is trained when its round is reached,
-    and each round's model and attack spec (with its mimicry estimator)
-    are bound when the round is created, so rounds may be consumed in any
-    order once reached. Samples the target already misclassifies are not
-    descended on: they count as evading at every budget and are recorded
-    as single-point traces.
-
-    `surrogates` (LK only) holds the (surrogate data, surrogate) pair of
-    each repeat: pairs already in the list are reused, the ones reached
-    rounds train are appended. Calls with the same target, pool and
-    scenario that differ only in `attack` (its lambda) can share one list.
-
-    With lam > 0, every round's mimicry estimator is built from `kde` over
-    the legitimate rows of the pool (PK) or of the surrogate data (LK); an
-    estimator already in `attack` is replaced.
+    Returns a lazy iterator with one attack round per (KDE data, model)
+    pair of `rounds`, in order, each a lazy iterator of one trace per
+    attack_set row in row order, descended on the round's model. The input
+    checks and the target's start predictions run in this call; everything
+    else runs as the rounds are consumed. Each round's model and attack
+    spec (`with_mimicry` over its data) are bound when the round is
+    created, so rounds may be consumed in any order once reached. Samples
+    the target already misclassifies are not descended on: they count as
+    evading at every budget and are recorded as single-point traces.
     """
     if np.any(attack_set.y != MALICIOUS):
         raise ValueError("attack_set must contain only malicious samples")
@@ -178,5 +165,4 @@ def run_scenario(
         raise ValueError("lam > 0 requires kde parameters")
 
     start_preds = predict(target, attack_set.X)
-    surrogates = [] if surrogates is None else surrogates
-    return _rounds(target, pool, attack, scenario, attack_set, kde, surrogates, start_preds)
+    return (_traces(target, model, with_mimicry(attack, kde, data), attack_set.X, start_preds) for data, model in rounds)

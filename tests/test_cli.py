@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import os
+import re
+import statistics
 import struct
 import subprocess
 import sys
@@ -14,10 +16,10 @@ import pytest
 
 import gradevade.cli as cli_module
 from gradevade.attack import run_attack
-from gradevade.cli import _prepare_split, main, read_trace
+from gradevade.cli import main, read_trace
 from gradevade.config import load_config, load_dataset_from_config
 from gradevade.data import LEGITIMATE, MALICIOUS
-from gradevade.evaluation import calibrate_threshold, trace_profile
+from gradevade.evaluation import calibrate_threshold, cell_split, trace_profile
 from gradevade.models import MODEL_FORMAT_VERSION, load_model, predict
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -84,7 +86,7 @@ def test_train_attack_export_digits(tmp_path, mnist_sets):
 
     # oracle: the same attack run through the API, then compared value for value
     cfg = load_config(CONFIGS / "mnist_3v7.json", mnist_sets)
-    _, test = _prepare_split(cfg, load_dataset_from_config(cfg), 0)
+    _, test = cell_split(load_dataset_from_config(cfg), cfg.n_train, cfg.n_test, cfg.seed, 0)
     model = load_model(entry["path"])
     theta = calibrate_threshold(model.discriminant_many(test.X[test.y == LEGITIMATE]), cfg.fp_target)
     x0 = test.X[test.y == MALICIOUS][0]
@@ -156,6 +158,49 @@ def test_discrete_mimicry_sweep_same_records_at_jobs_1_and_2(tmp_path):
     assert moved == {row["classifier"] for row in rows}  # every model's attack evaded somewhere
 
 
+def test_curve_files_hold_the_mean_and_population_std_of_the_records(tmp_path):
+    # two splits and two surrogates, so a PK point averages two records and an LK point four
+    dropped = ("split.n_splits=", "scenario.n_surrogate_repeats=", "attack.d_max_grid=")
+    sets = [s for s in PDF_SMALL if not s.startswith(dropped)] + [
+        "split.n_splits=2", "scenario.n_surrogate_repeats=2", "attack.d_max_grid=[0,20,40]", "attack.lambdas=[0]",
+    ]
+    out = tmp_path / "out"
+    assert main(["sweep", *config_args("synthetic_pdf.json", sets, out)]) == 0
+    fns: dict = {}
+    with open(out / "results.csv") as fh:
+        for row in csv.DictReader(fh):
+            key = (row["classifier"], row["scenario"], float(row["lambda"]), float(row["d_max"]))
+            fns.setdefault(key, []).append(float(row["fn"]))
+    with open(out / "curves.csv") as fh:
+        curves = {
+            (row["classifier"], row["scenario"], float(row["lambda"]), float(row["d_max"])):
+                (float(row["mean_fn"]), float(row["std_fn"]))
+            for row in csv.DictReader(fh)
+        }
+    assert curves.keys() == fns.keys()
+    assert {len(fns[key]) for key in fns if key[1] == "PK"} == {2}
+    assert {len(fns[key]) for key in fns if key[1] == "LK"} == {4}
+    for key, values in fns.items():
+        mean, std = curves[key]
+        assert mean == pytest.approx(statistics.fmean(values), rel=1e-12, abs=1e-15)
+        assert std == pytest.approx(statistics.pstdev(values), rel=1e-12, abs=1e-15)
+    assert any(std > 0 for _, std in curves.values())
+
+    # one plot file per curve, holding its budgets, its means and half its stds as error bars
+    names = {
+        (c, s, lam): f"curve_{re.sub(r'[^A-Za-z0-9._-]', '_', c)}_{s}_lam{lam:g}.csv" for c, s, lam, _ in curves
+    }
+    assert sorted(p.name for p in (out / "plots").iterdir()) == sorted(names.values())
+    for curve, name in names.items():
+        with open(out / "plots" / name) as fh:
+            rows = list(csv.DictReader(fh))
+        budgets = sorted(key[3] for key in curves if key[:3] == curve)
+        assert [float(row["d_max"]) for row in rows] == budgets
+        for row, b in zip(rows, budgets):
+            mean, std = curves[(*curve, b)]
+            assert float(row["mean_fn"]) == mean and float(row["yerr"]) == std / 2
+
+
 MODEL_KEYS = {
     "linear": {"b", "w"},
     "svm": {"C", "b", "dual_coefs", "kernel", "support_vectors"},
@@ -208,6 +253,7 @@ def test_split_larger_than_the_dataset_exits_2(tmp_path, capsys, command):
     capsys.readouterr()
     assert main([command, *config_args("synthetic_pdf.json", sets, tmp_path / "out")]) == 2
     assert "split.n_train + split.n_test is 80, the dataset has 60 rows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_attack_rejects_a_split_outside_the_config(tmp_path, mnist_sets, capsys):
@@ -252,7 +298,7 @@ def test_attack_lam_scores_the_start_with_the_test_split_density(tmp_path):
     doc = read_trace(out / "traces" / "trace_split0_sample0.txt")
 
     cfg = load_config(CONFIGS / "synthetic_pdf.json", sets)
-    _, test = _prepare_split(cfg, load_dataset_from_config(cfg), 0)
+    _, test = cell_split(load_dataset_from_config(cfg), cfg.n_train, cfg.n_test, cfg.seed, 0)
     x0 = test.X[test.y == MALICIOUS][0]
     density = cfg.kde.build(test.X[test.y == LEGITIMATE]).density(x0)
     assert density > 0

@@ -9,19 +9,20 @@ import pytest
 import gradevade.scenario as scenario_module
 from gradevade.attack import AttackSpec, AttackTrace, DistanceSpec
 from gradevade.config import load_config, load_dataset_from_config
-from gradevade.data import MALICIOUS, Dataset, FeatureBounds, split_train_test
+from gradevade.data import MALICIOUS, Dataset, FeatureBounds
 from gradevade.evaluation import (
     SecurityCurve,
-    _calibrated,
-    _cell_seed,
     aggregate_curves,
     calibrate_threshold,
+    calibrated,
+    cell_model,
+    cell_split,
     fn_rates,
     sweep,
 )
 from gradevade.mimicry import KdeParams
-from gradevade.models import LinearModel, ModelSpec, train_from_spec
-from gradevade.scenario import ScenarioSpec, run_scenario
+from gradevade.models import LinearModel, ModelSpec
+from gradevade.scenario import ScenarioSpec, descent_rounds, run_scenario
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -297,11 +298,8 @@ def test_lambda_500_is_inert_on_the_flagship_rbf_svm(monkeypatch):
     cfg = load_config(CONFIGS / "synthetic_pdf.json")
     model_idx, spec = 1, cfg.model_grid[1]
     assert spec.kernel.kind == "rbf" and 500.0 in cfg.lambdas
-    train, test = split_train_test(
-        load_dataset_from_config(cfg), cfg.n_train, cfg.n_test, seed=_cell_seed(cfg.seed, 0, 0, 1)
-    )
-    model = train_from_spec(spec, train, seed=_cell_seed(cfg.seed, 0, model_idx, 2))
-    target = _calibrated(model, test, cfg.fp_target)
+    train, test = cell_split(load_dataset_from_config(cfg), cfg.n_train, cfg.n_test, cfg.seed, 0)
+    target = calibrated(cell_model(spec, train, cfg.seed, 0, model_idx), test, cfg.fp_target)
     descents = []
 
     def recorded(model, spec, x0, _original=scenario_module.run_attack):
@@ -312,7 +310,8 @@ def test_lambda_500_is_inert_on_the_flagship_rbf_svm(monkeypatch):
     monkeypatch.setattr(scenario_module, "run_attack", recorded)
     atk = replace(cfg.attack, lam=500.0, d_max=max(cfg.d_max_grid))
     attack_set = test.subset(np.flatnonzero(test.y == MALICIOUS))
-    [list(r) for r in run_scenario(target, test, atk, replace(cfg.scenario, kind="PK"), attack_set, kde=cfg.kde)]
+    rounds = descent_rounds(target, test, replace(cfg.scenario, kind="PK"))
+    [list(r) for r in run_scenario(target, rounds, atk, attack_set, kde=cfg.kde)]
     assert len(descents) > 200
     assert {trace.termination for _, trace in descents} == {"budget_boundary_converged"}
     density = max(est.density(x) for est, trace in descents for x in trace.points)

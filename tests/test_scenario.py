@@ -10,7 +10,7 @@ from gradevade.data import LEGITIMATE, Dataset, FeatureBounds
 from gradevade.mimicry import KdeParams
 from gradevade.evaluation import trace_profile
 from gradevade.models import LinearModel, predict, train_linear_svm
-from gradevade.scenario import ScenarioSpec, build_surrogate, run_scenario
+from gradevade.scenario import ScenarioSpec, build_surrogate, descent_rounds, run_scenario
 
 FREE = FeatureBounds(lower=-np.inf, upper=np.inf)
 
@@ -102,7 +102,8 @@ class TestRunScenario:
         target = LinearModel(np.array([1.0, 0.0]), 0.0)
         atk = attack_spec()
         attack_set = Dataset(np.array([[2.0, 0.0]]), np.array([1]))
-        [traces] = [list(r) for r in run_scenario(target, pool, atk, ScenarioSpec(kind="PK"), attack_set)]
+        rounds = descent_rounds(target, pool, ScenarioSpec(kind="PK"))
+        [traces] = [list(r) for r in run_scenario(target, rounds, atk, attack_set)]
         direct = evade_continuous(target, atk, np.array([2.0, 0.0]))
         assert len(traces) == 1
         np.testing.assert_allclose(traces[0].points[-1], direct.points[-1])
@@ -115,8 +116,8 @@ class TestRunScenario:
         mal = pool.X[pool.y == 1][:4]
         attack_set = Dataset(mal, np.ones(4, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=60, n_surrogate_repeats=5, seed=11)
-        surrogates = []
-        rounds = [list(r) for r in run_scenario(target, pool, atk, scen, attack_set, surrogates=surrogates)]
+        surrogates = descent_rounds(target, pool, scen)
+        rounds = [list(r) for r in run_scenario(target, surrogates, atk, attack_set)]
         assert len(rounds) == 5 and len(surrogates) == 5
         for traces, (_, surrogate) in zip(rounds, surrogates):
             assert len(traces) == 4
@@ -136,8 +137,8 @@ class TestRunScenario:
             kind="LK", n_q=pool.n, n_surrogate_repeats=1,
             relabel_with_target=True, surrogate_params={"C": 50.0}, seed=5,
         )
-        [lk] = run_scenario(target, pool, atk, scen, attack_set)
-        [pk] = run_scenario(target, pool, atk, ScenarioSpec(kind="PK"), attack_set)
+        [lk] = run_scenario(target, descent_rounds(target, pool, scen), atk, attack_set)
+        [pk] = run_scenario(target, descent_rounds(target, pool, ScenarioSpec(kind="PK")), atk, attack_set)
         assert [predict(target, t.points[-1][None])[0] for t in lk] == [predict(target, t.points[-1][None])[0] for t in pk]
 
     def test_lk_touches_target_only_via_predict(self):
@@ -150,7 +151,7 @@ class TestRunScenario:
         mal = pool.X[pool.y == 1][:3]
         attack_set = Dataset(mal, np.ones(3, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=50, n_surrogate_repeats=2, seed=7)
-        [list(r) for r in run_scenario(target, pool, atk, scen, attack_set)]
+        [list(r) for r in run_scenario(target, descent_rounds(target, pool, scen), atk, attack_set)]
         assert set(target.calls) == {"discriminant_many"}
         assert "gradient" not in target.calls
 
@@ -159,10 +160,12 @@ class TestRunScenario:
         target = LinearModel(np.array([1.0, 0.5]), 0.0)
         atk = attack_spec(d_max=3.0)
         attack_set = Dataset(pool.X[pool.y == 1][:3], np.ones(3, dtype=int))
-        [a] = [list(r) for r in run_scenario(
-            target, pool, atk, ScenarioSpec(kind="PK", n_q=10, n_surrogate_repeats=2), attack_set)]
-        [b] = [list(r) for r in run_scenario(
-            target, pool, atk, ScenarioSpec(kind="PK", n_q=90, n_surrogate_repeats=9), attack_set)]
+        rounds_a = descent_rounds(target, pool, ScenarioSpec(kind="PK", n_q=10, n_surrogate_repeats=2))
+        rounds_b = descent_rounds(target, pool, ScenarioSpec(kind="PK", n_q=90, n_surrogate_repeats=9))
+        for [(data, model)] in (rounds_a, rounds_b):
+            assert data is pool and model is target
+        [a] = [list(r) for r in run_scenario(target, rounds_a, atk, attack_set)]
+        [b] = [list(r) for r in run_scenario(target, rounds_b, atk, attack_set)]
         assert len(a) == len(b) == 3
         for ta, tb in zip(a, b):
             np.testing.assert_array_equal(ta.points[-1], tb.points[-1])
@@ -173,7 +176,7 @@ class TestRunScenario:
         attack_set = Dataset(np.array([[-1.0, 0.0], [2.0, 0.0]]), np.array([1, 1]))
         for scenario, n_rounds in ((ScenarioSpec(kind="PK"), 1),
                                    (ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3), 3)):
-            rounds = [list(r) for r in run_scenario(target, pool, attack_spec(), scenario, attack_set)]
+            rounds = [list(r) for r in run_scenario(target, descent_rounds(target, pool, scenario), attack_spec(), attack_set)]
             assert len(rounds) == n_rounds
             for skipped, attacked in rounds:
                 # a single-point trace in its row's place, evading the target at its start
@@ -189,7 +192,7 @@ class TestRunScenario:
         target = LinearModel(np.array([1.0, 0.0]), 0.0)
         bad = Dataset(np.array([[1.0, 0.0]]), np.array([-1]))
         with pytest.raises(ValueError, match="malicious"):
-            run_scenario(target, pool, attack_spec(), ScenarioSpec(kind="PK"), bad)
+            run_scenario(target, descent_rounds(target, pool, ScenarioSpec(kind="PK")), attack_spec(), bad)
 
     def test_lk_kde_reference_points_come_from_surrogate(self, monkeypatch):
         # with one repeat and a tiny pool, the mimicry estimator must be
@@ -209,8 +212,8 @@ class TestRunScenario:
             return _original(model, spec, x0)
 
         monkeypatch.setattr(scenario_module, "run_attack", recorded)
-        surrogates = []
-        [traces] = [list(r) for r in run_scenario(target, pool, atk, scen, attack_set, kde=kde, surrogates=surrogates)]
+        surrogates = descent_rounds(target, pool, scen)
+        [traces] = [list(r) for r in run_scenario(target, surrogates, atk, attack_set, kde=kde)]
         assert len(traces) == 2
         [(surrogate_data, _)] = surrogates
         legit = surrogate_data.X[surrogate_data.y == LEGITIMATE]
@@ -230,7 +233,7 @@ class TestRunScenario:
         attack_set = Dataset(pool.X[pool.y == 1][:3], np.ones(3, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3, seed=13)
         kde = KdeParams(kernel_kind="laplacian", h=2.0, truncation_k=50)
-        in_order = [list(r) for r in run_scenario(target, pool, atk, scen, attack_set, kde=kde)]
+        in_order = [list(r) for r in run_scenario(target, descent_rounds(target, pool, scen), atk, attack_set, kde=kde)]
 
         descents = []
 
@@ -239,8 +242,8 @@ class TestRunScenario:
             return _original(model, spec, x0)
 
         monkeypatch.setattr(scenario_module, "run_attack", recorded)
-        surrogates = []
-        rounds = list(run_scenario(target, pool, atk, scen, attack_set, kde=kde, surrogates=surrogates))
+        surrogates = descent_rounds(target, pool, scen)
+        rounds = list(run_scenario(target, surrogates, atk, attack_set, kde=kde))
         assert len(rounds) == 3 and len(surrogates) == 3 and not descents
         reversed_order = [list(r) for r in reversed(rounds)][::-1]
 
@@ -268,4 +271,22 @@ class TestRunScenario:
         atk = replace(attack_spec(), lam=5.0, mimicry=prebuilt)
         for kind in ("PK", "LK"):
             with pytest.raises(ValueError, match="requires kde parameters"):
-                run_scenario(target, pool, atk, ScenarioSpec(kind=kind, n_q=30), attack_set)
+                run_scenario(target, descent_rounds(target, pool, ScenarioSpec(kind=kind, n_q=30)), atk, attack_set)
+
+
+def test_lk_repeat_seeds_are_pinned(monkeypatch):
+    # repeat r draws its data and trains its surrogate from the seed pair
+    # SeedSequence([scenario.seed, 0xA77AC]).spawn(n)[r].generate_state(2);
+    # these are the values of repeat 2 with scenario.seed = 13
+    pool = toy_pool(n=200, seed=12)
+    target = train_linear_svm(pool, C=10.0)
+    seen = []
+    for name in ("build_surrogate", "_train_surrogate"):
+        def recorded(target, data, spec, seed, _name=name, _original=getattr(scenario_module, name)):
+            seen.append((_name, seed))
+            return _original(target, data, spec, seed)
+
+        monkeypatch.setattr(scenario_module, name, recorded)
+    descent_rounds(target, pool, ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3, seed=13))
+    assert [name for name, _ in seen] == ["build_surrogate", "_train_surrogate"] * 3
+    assert seen[4:] == [("build_surrogate", 2629606423), ("_train_surrogate", 3981232412)]
