@@ -1,7 +1,7 @@
 """Command-line surface: train, attack, sweep, and export-digits.
 
-Exit codes: 0 success, 2 configuration error, 3 partial completion (some
-grid cells failed; see the failure manifest in the output directory).
+Exit codes: 0 success, 2 configuration or path error, 3 partial completion
+(some grid cells failed; see the failure manifest in the output directory).
 
 Trace file format (gradevade-trace/1): header comments carry the run
 outcome, then one `m,F,g_target,d_from_x0` row per iterate, then the
@@ -321,7 +321,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, out_dir)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (FileNotFoundError, ValueError) as exc:  # ConfigError is a ValueError
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

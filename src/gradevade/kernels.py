@@ -1,5 +1,6 @@
-"""The rbf kernel of `svm` models and the linear kernel `train_linear_svm`
-solves SMO on, with their gradients with respect to the query point."""
+"""The rbf kernel of `svm` models, its row and gradient at a query point
+from that point's distances to the basis (kept by `_DistanceMemo`), and the
+Gram matrices SMO solves on: rbf, or linear for `train_linear_svm`."""
 from __future__ import annotations
 
 import math
@@ -28,25 +29,15 @@ def _check_dims(x: np.ndarray, xi: np.ndarray):
         raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {xi.shape[-1]}")
 
 
-def kernel_row(k: KernelSpec, x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Vector of k(x, basis[i]) over the rows of `basis`."""
-    x = np.asarray(x, float)
-    _check_dims(x, basis)
-    if k.kind == "linear":
-        return basis @ x
-    diff = x - basis
-    return np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
+def kernel_row(k: KernelSpec, sq_dists: np.ndarray) -> np.ndarray:
+    """The rbf row exp(-gamma |x - basis[i]|^2) from the squared distances."""
+    return np.exp(-k.gamma * sq_dists)
 
 
-def kernel_grad_combination(k: KernelSpec, x: np.ndarray, basis: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """sum_i coefs[i] * grad_x k(x, basis[i]), vectorized over the basis."""
-    x = np.asarray(x, float)
-    _check_dims(x, basis)
-    if k.kind == "linear":
-        return coefs @ basis
-    diff = x - basis
-    row = np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
-    return -2.0 * k.gamma * ((coefs * row) @ diff)
+def kernel_grad_combination(k: KernelSpec, row: np.ndarray, diffs: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """sum_i coefs[i] * grad_x k(x, basis[i]) for the rbf kernel, from its
+    row at x and diffs[i] = x - basis[i]."""
+    return -2.0 * k.gamma * ((coefs * row) @ diffs)
 
 
 def kernel_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:

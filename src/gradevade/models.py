@@ -5,10 +5,12 @@ All models expose:
   discriminant_many(X) -> ndarray   g over the rows of X
   gradient(x)          -> ndarray   exact analytic grad_x g(x)
 
-`SvmModel` keeps its latest rbf kernel pass, so discriminant(x) followed
-by gradient(x) at the same point, as the attack asks for them, computes
-the kernel once, and a discrete +-1 move patches the kept pass in O(N)
-where that is bit-identical to a full pass (`kernels._DistanceMemo`).
+`SvmModel` is the rbf SVM; the linear SVM is solved on the linear Gram
+matrix and folded to a `LinearModel`. `SvmModel` keeps its latest kernel
+pass, so discriminant(x) followed by gradient(x) at the same point, as the
+attack asks for them, computes the kernel once, and a discrete +-1 move
+patches the kept pass in O(N) where that is bit-identical to a full pass
+(`kernels._DistanceMemo`).
 
 `predict(model, X)` labels rows by the sign of g(x) - decision_offset,
 tie -> +1. The decision offset is 0 for SVM variants and 0.5 for the
@@ -61,10 +63,6 @@ class LinearModel:
         if not (np.all(np.isfinite(self.w)) and np.isfinite(self.b)):
             raise ValueError("linear model has non-finite parameters")
 
-    @property
-    def dim(self) -> int:
-        return len(self.w)
-
     def discriminant(self, x: np.ndarray) -> float:
         return float(self.w @ np.asarray(x, float) + self.b)
 
@@ -91,6 +89,8 @@ class SvmModel:
     decision_offset: float = 0.0
 
     def __post_init__(self):
+        if self.kernel.kind != "rbf":
+            raise ValueError(f"an svm model takes an rbf kernel, not {self.kernel.kind!r}")
         self.support_vectors = np.asarray(self.support_vectors, dtype=float)
         self.dual_coefs = np.asarray(self.dual_coefs, dtype=float).reshape(-1)
         if self.support_vectors.ndim != 2 or len(self.support_vectors) == 0:
@@ -101,45 +101,27 @@ class SvmModel:
             raise ValueError("|alpha_i| exceeds the box constraint C")
         if abs(float(self.dual_coefs.sum())) > 1e-6:
             raise ValueError("dual coefficients do not satisfy sum(alpha_i y_i) = 0")
-        if self.kernel.kind == "rbf":
-            # the latest rbf query's x - sv and squared distances, and its row
-            self._kept = _DistanceMemo(self.support_vectors)
-            self._row = None
-
-    @property
-    def dim(self) -> int:
-        return self.support_vectors.shape[1]
+        # the latest query's x - sv and squared distances, and its kernel row
+        self._kept = _DistanceMemo(self.support_vectors)
+        self._row = None
 
     def _rbf_pass(self, x: np.ndarray) -> np.ndarray:
         """The kernel row at x, from the distances `self._kept` brings to x;
         x - support vectors is left in `self._kept.diffs`."""
         if self._kept.query(x) != _SAME_QUERY:
-            self._row = np.exp(-self.kernel.gamma * self._kept.dists)
+            self._row = kernel_row(self.kernel, self._kept.dists)
         return self._row
 
     def discriminant(self, x: np.ndarray) -> float:
-        x = np.asarray(x, float)
-        if self.kernel.kind == "rbf":
-            row = self._rbf_pass(x)
-        else:
-            row = kernel_row(self.kernel, x, self.support_vectors)
+        row = self._rbf_pass(np.asarray(x, float))
         return float(self.dual_coefs @ row + self.b)
 
     def discriminant_many(self, X: np.ndarray) -> np.ndarray:
         return kernel_matrix(self.kernel, X, self.support_vectors) @ self.dual_coefs + self.b
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        if self.kernel.kind == "rbf":
-            row = self._rbf_pass(x)
-            return -2.0 * self.kernel.gamma * ((self.dual_coefs * row) @ self._kept.diffs)
-        return kernel_grad_combination(self.kernel, x, self.support_vectors, self.dual_coefs)
-
-    def collapse_linear(self) -> LinearModel:
-        """For the linear kernel, which only `train_linear_svm` uses: fold the dual form into w = sum a_i y_i x_i."""
-        if self.kernel.kind != "linear":
-            raise ValueError("only a linear-kernel SVM collapses to a LinearModel")
-        return LinearModel(self.dual_coefs @ self.support_vectors, self.b)
+        row = self._rbf_pass(np.asarray(x, float))
+        return kernel_grad_combination(self.kernel, row, self._kept.diffs, self.dual_coefs)
 
 
 @dataclass
@@ -162,10 +144,6 @@ class MlpModel:
         for arr in (self.hidden_weights, self.hidden_biases, self.output_weights):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("MLP has non-finite parameters")
-
-    @property
-    def dim(self) -> int:
-        return self.hidden_weights.shape[1]
 
     @property
     def m(self) -> int:
@@ -197,7 +175,11 @@ TrainedModel = LinearModel | SvmModel | MlpModel
 
 def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:
     """Label of each row of X: +1 where g(x) - decision_offset >= 0, else -1."""
-    scores = model.discriminant_many(X)
+    return score_labels(model, model.discriminant_many(X))
+
+
+def score_labels(model: TrainedModel, scores: np.ndarray) -> np.ndarray:
+    """`predict`'s labels for scores g(x) that `model` gave."""
     return np.where(scores - model.decision_offset >= 0, MALICIOUS, LEGITIMATE)
 
 
@@ -267,8 +249,9 @@ def _smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3, max_it
     return alpha, b, gap
 
 
-def train_kernel_svm(train: Dataset, kernel: KernelSpec, C: float, tol: float = 1e-3) -> SvmModel:
-    """Soft-margin SVM via SMO; KKT violation of the result is below `tol`."""
+def train_kernel_svm(train: Dataset, kernel: KernelSpec, C: float, tol: float = 1e-3) -> SvmModel | LinearModel:
+    """Soft-margin SVM via SMO; KKT violation of the result is below `tol`.
+    On the linear kernel the dual is folded into LinearModel(sum_i a_i y_i x_i, b)."""
     train.require_both_classes()
     if not C > 0:  # NaN fails too
         raise ValueError("C must be positive")
@@ -285,13 +268,14 @@ def train_kernel_svm(train: Dataset, kernel: KernelSpec, C: float, tol: float = 
     coefs = alpha[keep] * train.y[keep]
     # re-center the tiny equality drift from dropping near-zero alphas
     coefs -= coefs.sum() / len(coefs) if abs(coefs.sum()) > 0 else 0.0
+    if kernel.kind == "linear":
+        return LinearModel(coefs @ sv, b)
     return SvmModel(kernel=kernel, support_vectors=sv, dual_coefs=coefs, b=b, C=C)
 
 
 def train_linear_svm(train: Dataset, C: float, tol: float = 1e-3) -> LinearModel:
     """Linear soft-margin SVM: SMO on the linear kernel, folded to (w, b)."""
-    svm = train_kernel_svm(train, KernelSpec(kind="linear"), C, tol=tol)
-    return svm.collapse_linear()
+    return train_kernel_svm(train, KernelSpec(kind="linear"), C, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .models import (
     SvmModel,
     TrainedModel,
     predict,
+    score_labels,
     train_kernel_svm,
     train_linear_svm,
     train_mlp,
@@ -83,9 +84,7 @@ def _train_surrogate(target: TrainedModel, data: Dataset, spec: ScenarioSpec, se
     if isinstance(target, LinearModel):
         return train_linear_svm(data, C=C)
     if isinstance(target, SvmModel):
-        kernel = target.kernel
-        if kernel.kind == "rbf":
-            kernel = replace(kernel, gamma=float(params.get("gamma", 0.1)))
+        kernel = replace(target.kernel, gamma=float(params.get("gamma", 0.1)))
         return train_kernel_svm(data, kernel, C=C)
     if isinstance(target, MlpModel):
         return train_mlp(
@@ -125,19 +124,20 @@ def with_mimicry(attack: AttackSpec, kde: KdeParams | None, data: Dataset) -> At
     return attack
 
 
-def _traces(target: TrainedModel, model: TrainedModel, spec: AttackSpec, X: np.ndarray, start_preds: np.ndarray):
+def _traces(model: TrainedModel, spec: AttackSpec, X: np.ndarray, start_scores: np.ndarray, start_preds: np.ndarray):
     """One round's traces, in row order: a descent on `model` for each row
-    the target labels malicious, a single-point trace for the others.
+    the target labels malicious, and for the others a single-point trace
+    holding the target's score of the row from `start_scores`.
 
     A function, not a nested generator expression in `run_scenario`: its
     arguments bind this round's model and spec when the round is created,
     where a nested expression would look them up when each trace is made.
     """
-    for x0, pred in zip(X, start_preds):
+    for x0, score, pred in zip(X, start_scores, start_preds):
         if pred == MALICIOUS:
             yield run_attack(model, spec, x0)
         else:
-            yield AttackTrace([x0.copy()], [target.discriminant(x0)], "converged")
+            yield AttackTrace([x0.copy()], [float(score)], "converged")
 
 
 def run_scenario(
@@ -152,8 +152,8 @@ def run_scenario(
     Returns a lazy iterator with one attack round per (KDE data, model)
     pair of `rounds`, in order, each a lazy iterator of one trace per
     attack_set row in row order, descended on the round's model. The input
-    checks and the target's start predictions run in this call; everything
-    else runs as the rounds are consumed. Each round's model and attack
+    checks and the target's one batched scoring of the rows run in this
+    call; everything else runs as the rounds are consumed. Each round's model and attack
     spec (`with_mimicry` over its data) are bound when the round is
     created, so rounds may be consumed in any order once reached. Samples
     the target already misclassifies are not descended on: they count as
@@ -164,5 +164,7 @@ def run_scenario(
     if attack.lam > 0 and kde is None:
         raise ValueError("lam > 0 requires kde parameters")
 
-    start_preds = predict(target, attack_set.X)
-    return (_traces(target, model, with_mimicry(attack, kde, data), attack_set.X, start_preds) for data, model in rounds)
+    start_scores = target.discriminant_many(attack_set.X)
+    start_preds = score_labels(target, start_scores)
+    return (_traces(model, with_mimicry(attack, kde, data), attack_set.X, start_scores, start_preds)
+            for data, model in rounds)

@@ -797,7 +797,7 @@ def reference_evade_continuous(model, spec, x0):
 def _random_continuous_case(rng):
     """A seeded model, start point and continuous spec; returns (kind, model, spec, x0)."""
     d = int(rng.integers(2, 6))
-    kind = str(rng.choice(["linear", "rbf", "svm_linear", "mlp"]))
+    kind = str(rng.choice(["linear", "rbf", "mlp"]))
     if kind == "linear":
         model = LinearModel(rng.normal(size=d), float(rng.normal()))
     elif kind == "mlp":
@@ -805,8 +805,7 @@ def _random_continuous_case(rng):
         bias = float(rng.choice([rng.normal(), 40.0]))
         model = MlpModel(rng.normal(scale=2.0, size=(4, d)), rng.normal(size=4), rng.normal(scale=3.0, size=4), bias)
     else:
-        # svm_linear: the linear-kernel SvmModel that train_linear_svm folds
-        kernel = KernelSpec("rbf", gamma=float(rng.uniform(0.1, 1.5))) if kind == "rbf" else KernelSpec("linear")
+        kernel = KernelSpec("rbf", gamma=float(rng.uniform(0.1, 1.5)))
         raw = rng.uniform(0.1, 1.0, size=6) * rng.choice([-1.0, 1.0], size=6)
         model = SvmModel(kernel, rng.uniform(-2.0, 2.0, size=(6, d)), raw - raw.mean(), float(rng.normal()), C=2.0)
     lo = -rng.uniform(0.2, 2.0, size=d)
@@ -866,8 +865,7 @@ class TestContinuousMatchesReference:
             per_projection.clear()
             got = evade_continuous(model, spec, x0)
             # the oracle scores an SVM with two kernel passes per point
-            want = reference_evade_continuous(two_pass_copy(model) if kind in ("rbf", "svm_linear") else model,
-                                              spec, x0)
+            want = reference_evade_continuous(two_pass_copy(model) if kind == "rbf" else model, spec, x0)
             assert len(got.points) == len(want.points), case
             for a, b in zip(got.points, want.points):
                 assert np.array_equal(a, b), case
@@ -881,7 +879,7 @@ class TestContinuousMatchesReference:
             seen["terminations"].add(got.termination)
             seen["dykstra"] |= any(n >= 2 for n in per_projection)
         assert seen == {
-            "kinds": {"linear", "rbf", "svm_linear", "mlp"},
+            "kinds": {"linear", "rbf", "mlp"},
             "distances": {"l1", "l2"},
             "step_norms": {"l1", "l2"},
             "increment_only": {False, True},

@@ -230,20 +230,40 @@ def test_train_writes_each_model_kind(tmp_path):
 
 
 def test_attack_refuses_a_polynomial_model_file(tmp_path, capsys):
+    # and a linear-kernel svm file, which is refused the same way
     grid = json.dumps([{"kind": "svm", "C": 1.0, "kernel": {"kind": "rbf", "gamma": 0.01}}])
     sets = [*PDF_SMALL, f"models={grid}"]
     train_out = tmp_path / "train"
     assert main(["train", *config_args("synthetic_pdf.json", sets, train_out)]) == 0
     [entry] = json.loads((train_out / "train_manifest.json").read_text())["models"]
     doc = json.loads(Path(entry["path"]).read_text())
-    doc["kernel"] = {"coef0": 1.0, "degree": 2, "gamma": 0.01, "kind": "polynomial"}
-    model = tmp_path / "poly.json"
-    model.write_text(json.dumps(doc))
-    out = tmp_path / "out"
+    for name, kernel, message in (
+        ("poly", {"coef0": 1.0, "degree": 2, "gamma": 0.01, "kind": "polynomial"}, "unknown kernel kind 'polynomial'"),
+        ("linear", {"gamma": 0.01, "kind": "linear"}, "an svm model takes an rbf kernel, not 'linear'"),
+    ):
+        model = tmp_path / f"{name}.json"
+        model.write_text(json.dumps({**doc, "kernel": kernel}))
+        out = tmp_path / f"out_{name}"
+        capsys.readouterr()
+        assert main(["attack", *config_args("synthetic_pdf.json", sets, out), "--model", str(model), "--index", "0"]) == 2
+        assert f"malformed svm model: ValueError: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_sweep_into_an_existing_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
     capsys.readouterr()
-    assert main(["attack", *config_args("synthetic_pdf.json", sets, out), "--model", str(model), "--index", "0"]) == 2
-    assert "unknown kernel kind 'polynomial'" in capsys.readouterr().err
-    assert not out.exists()
+    assert main(["sweep", *config_args("synthetic_pdf.json", PDF_SMALL, taken)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{taken}'\n"
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_export_digits_from_a_directory_exits_2(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["export-digits", "--trace", str(tmp_path), "--out", str(tmp_path / "images")]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    assert not (tmp_path / "images").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

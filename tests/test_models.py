@@ -12,12 +12,13 @@ import gradevade.models as models_module
 from gradevade.attack import AttackSpec, DistanceSpec, evade_continuous, evade_discrete
 from gradevade.benchmark import synthetic_pdf_dataset
 from gradevade.data import Dataset, FeatureBounds, cap_features
-from gradevade.kernels import KernelSpec, kernel_grad_combination, kernel_row
+from gradevade.kernels import KernelSpec, kernel_grad_combination, kernel_matrix, kernel_row
 from gradevade.models import (
     LinearModel,
     MlpModel,
     SvmModel,
     _sigmoid,
+    _smo_solve,
     load_model,
     predict,
     save_model,
@@ -47,41 +48,43 @@ def assert_grad_close(analytic, numeric, rel=1e-4, abs_tol=1e-8):
         assert np.linalg.norm(analytic - numeric) <= abs_tol
 
 
-def pair_value(k, x, xi):
-    """k(x, xi) for one pair, through the one-row kernel routine."""
-    return float(kernel_row(k, x, np.asarray(xi, float)[None, :])[0])
-
-
-def pair_grad(k, x, xi):
-    """grad_x k(x, xi) for one pair, through the weighted-sum routine."""
-    return kernel_grad_combination(k, x, np.asarray(xi, float)[None, :], np.ones(1))
+def rbf_sum(k, x, basis, coefs):
+    """sum_i coefs[i] k(x, basis[i]) and its gradient, through the row and
+    gradient routines, from distances built here."""
+    diffs = np.asarray(x, float) - basis
+    row = kernel_row(k, np.einsum("ij,ij->i", diffs, diffs))
+    return float(coefs @ row), kernel_grad_combination(k, row, diffs, coefs)
 
 
 class TestKernels:
     def test_rbf_at_same_point(self):
         k = KernelSpec("rbf", gamma=0.7)
         x = np.array([1.0, -2.0])
-        assert pair_value(k, x, x) == 1.0
-        np.testing.assert_allclose(pair_grad(k, x, x), [0.0, 0.0])
+        value, grad = rbf_sum(k, x, x[None, :], np.ones(1))
+        assert value == 1.0
+        np.testing.assert_allclose(grad, [0.0, 0.0])
+        assert kernel_matrix(k, x[None, :], x[None, :]).tolist() == [[1.0]]
 
     def test_linear_hand_values(self):
-        k = KernelSpec("linear")
-        assert pair_value(k, np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-        np.testing.assert_allclose(pair_grad(k, np.array([9.0, 9.0]), np.array([3.0, 4.0])), [3.0, 4.0])
+        K = kernel_matrix(KernelSpec("linear"), np.array([[1.0, 2.0], [0.0, -1.0]]), np.array([[3.0, 4.0]]))
+        assert K.tolist() == [[11.0], [-4.0]]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            pair_value(KernelSpec("linear"), np.zeros(2), np.zeros(3))
+        for kind in ("linear", "rbf"):
+            with pytest.raises(ValueError, match="dimension"):
+                kernel_matrix(KernelSpec(kind), np.zeros((1, 2)), np.zeros((1, 3)))
 
-    @pytest.mark.parametrize("kind", ["linear", "rbf"])
-    def test_grad_matches_finite_differences(self, kind):
+    def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            k = KernelSpec(kind, gamma=float(rng.uniform(0.1, 2.0)))
+            k = KernelSpec("rbf", gamma=float(rng.uniform(0.1, 2.0)))
+            basis = rng.normal(size=(int(rng.integers(1, 6)), 4))
+            coefs = rng.normal(size=len(basis))
             x = rng.normal(size=4)
-            xi = rng.normal(size=4)
-            numeric = central_diff(lambda v: pair_value(k, v, xi), x)
-            assert_grad_close(pair_grad(k, x, xi), numeric, rel=1e-6)
+            value, grad = rbf_sum(k, x, basis, coefs)
+            assert_grad_close(grad, central_diff(lambda v: rbf_sum(k, v, basis, coefs)[0], x), rel=1e-6)
+            # the row is the Gram matrix row of x, up to rounding
+            np.testing.assert_allclose(value, kernel_matrix(k, x[None, :], basis)[0] @ coefs, rtol=1e-12, atol=1e-12)
 
 
 def blobs(n_per_class=20, sep=4.0, seed=0, d=2):
@@ -142,14 +145,18 @@ def kkt_violation(model: SvmModel, ds: Dataset) -> float:
 
 class TestKernelSvm:
     def test_linear_kernel_collapse_matches(self):
+        # the linear kernel's dual solution comes back folded: w = sum_i alpha_i y_i x_i
         ds = blobs(20, sep=3.0, seed=7)
-        svm = train_kernel_svm(ds, KernelSpec("linear"), C=1.0)
-        lin = svm.collapse_linear()
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(100, 2)) * 3
-        for x in X:
-            assert abs(svm.discriminant(x) - lin.discriminant(x)) < 1e-6
-        np.testing.assert_array_equal(predict(svm, X), predict(lin, X))
+        lin = train_kernel_svm(ds, KernelSpec("linear"), C=1.0)
+        alpha, b, _ = _smo_solve(kernel_matrix(KernelSpec("linear"), ds.X, ds.X), ds.y, 1.0)
+        assert isinstance(lin, LinearModel) and 0 < np.count_nonzero(alpha) < ds.n
+        np.testing.assert_allclose(lin.w, (alpha * ds.y) @ ds.X, rtol=1e-9, atol=1e-9)
+        assert lin.b == b
+        assert lin.w.tobytes() == train_linear_svm(ds, C=1.0).w.tobytes()
+
+    def test_svm_model_refuses_a_linear_kernel(self):
+        with pytest.raises(ValueError, match="an svm model takes an rbf kernel, not 'linear'"):
+            SvmModel(KernelSpec("linear"), np.zeros((2, 1)), np.zeros(2), 0.0, C=1.0)
 
     def test_xor_rbf(self):
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
@@ -381,7 +388,6 @@ class TestDiscriminantGradients:
             raw = rng.uniform(0.1, 0.9, size=6)
             coefs = raw - raw.mean()  # sums to zero, |coef| < 1
             models.append(SvmModel(KernelSpec("rbf", gamma=float(rng.uniform(0.2, 1.5))), sv, coefs, 0.0, C=1.0))
-            models.append(SvmModel(KernelSpec("linear"), sv, coefs, 0.1, C=1.0))
             models.append(
                 MlpModel(rng.normal(size=(3, d)), rng.normal(size=3), rng.normal(size=3), float(rng.normal()))
             )
@@ -398,17 +404,12 @@ class TwoPassSvm(SvmModel):
 
     def discriminant(self, x):
         x, k, basis = np.asarray(x, float), self.kernel, self.support_vectors
-        if k.kind == "linear":
-            row = basis @ x
-        else:
-            diff = basis - x
-            row = np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
+        diff = basis - x
+        row = np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
         return float(self.dual_coefs @ row + self.b)
 
     def gradient(self, x):
         x, k, basis, coefs = np.asarray(x, float), self.kernel, self.support_vectors, self.dual_coefs
-        if k.kind == "linear":
-            return coefs @ basis
         diff = x[None, :] - basis
         w = coefs * np.exp(-k.gamma * np.einsum("ij,ij->i", diff, diff))
         return -2.0 * k.gamma * (w @ diff)
@@ -418,7 +419,7 @@ def two_pass_copy(model: SvmModel) -> TwoPassSvm:
     return TwoPassSvm(**{f.name: getattr(model, f.name) for f in fields(SvmModel)})
 
 
-SVM_KERNELS = [KernelSpec("linear"), KernelSpec("rbf", gamma=0.3)]
+SVM_KERNELS = [KernelSpec("rbf", gamma=0.3)]
 
 
 class TestKernelPassMemo:
@@ -671,13 +672,18 @@ class TestModelIO:
             assert m2.gradient(x).tobytes() == m.gradient(x).tobytes()
 
     def test_polynomial_file_is_a_value_error(self, tmp_path):
+        # and a linear-kernel file, which an svm model no longer takes either
         p = tmp_path / "svm.json"
         save_model(SvmModel(KernelSpec("rbf"), np.zeros((2, 1)), np.zeros(2), 0.0, C=1.0), p)
         doc = json.loads(p.read_text())
-        doc["kernel"] = {"coef0": 1.0, "degree": 2, "gamma": 1.0, "kind": "polynomial"}
-        p.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="malformed svm model: ValueError: unknown kernel kind 'polynomial'"):
-            load_model(p)
+        for kernel, message in (
+            ({"coef0": 1.0, "degree": 2, "gamma": 1.0, "kind": "polynomial"}, "unknown kernel kind 'polynomial'"),
+            ({"gamma": 1.0, "kind": "linear"}, "an svm model takes an rbf kernel, not 'linear'"),
+        ):
+            p.write_text(json.dumps({**doc, "kernel": kernel}))
+            with pytest.raises(ValueError) as exc:
+                load_model(p)
+            assert str(exc.value) == f"{p}: malformed svm model: ValueError: {message}"
 
     def test_mlp_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -172,13 +172,24 @@ class TestRunScenario:
 
     def test_misclassified_sample_recorded_as_evading(self):
         pool = toy_pool()
-        target = LinearModel(np.array([1.0, 0.0]), 0.0)
+        target = RecordingLinear(np.array([1.0, 0.0]), 0.0)
         attack_set = Dataset(np.array([[-1.0, 0.0], [2.0, 0.0]]), np.array([1, 1]))
+        batch_scores = target.discriminant_many(attack_set.X)
         for scenario, n_rounds in ((ScenarioSpec(kind="PK"), 1),
                                    (ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3), 3)):
-            rounds = [list(r) for r in run_scenario(target, descent_rounds(target, pool, scenario), attack_spec(), attack_set)]
+            descents = descent_rounds(target, pool, scenario)
+            target.calls.clear()
+            rounds = list(run_scenario(target, descents, attack_spec(), attack_set))
             assert len(rounds) == n_rounds
-            for skipped, attacked in rounds:
+            # the rows' labels come from one batched scoring, made in the call
+            assert target.calls == ["discriminant_many"]
+            for traces in rounds:
+                target.calls.clear()
+                skipped = next(traces)
+                # no scalar call for the skipped row: its value is the batch score
+                assert target.calls == []
+                assert skipped.objective_values == [batch_scores[0]] == [-1.0]
+                attacked, = traces
                 # a single-point trace in its row's place, evading the target at its start
                 assert skipped.iterations == 0 and skipped.termination == "converged"
                 np.testing.assert_array_equal(skipped.points[0], attack_set.X[0])
