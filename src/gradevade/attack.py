@@ -308,6 +308,8 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
     grad F that the bounds and the budget allow and that strictly decreases
     F. Without one the run ends: `budget_boundary_converged` if a move the
     bounds allow left the budget and none was scored, else `converged`.
+    Under increment_only and l1, once every +1 move leaves the budget, one
+    vector test of a finite gradient settles which.
     """
     if spec.mode != "discrete":
         raise ValueError("spec.mode must be 'discrete'")
@@ -315,7 +317,8 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
     if np.any(x0 != np.round(x0)):
         raise ValueError("discrete mode requires an integer-valued x0")
     _check_start(spec, x0)
-    lo, hi = (b.tolist() for b in _effective_box(spec, x0))
+    box = _effective_box(spec, x0)
+    lo, hi = (b.tolist() for b in box)
     l1 = spec.distance.kind == "l1"
     increment_only = spec.bounds.increment_only
     # x - x0 and its l1 norm or squared l2 norm: integers, so exact in floats
@@ -329,8 +332,14 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
         if norm <= _ZERO_GRAD_NORM:
             path.termination = "zero_gradient"
             break
+        finite = math.isfinite(norm)
+        if increment_only and l1 and finite and dist_sum + 1.0 > spec.d_max + _FEAS_TOL:
+            # every move is +1 and over budget, so none is scored (x + 1 > lo holds)
+            blocked = np.any((grad < 0.0) & (x + 1.0 <= box[1] + _FEAS_TOL))
+            path.termination = "budget_boundary_converged" if blocked else "converged"
+            break
         scored = budget_blocked = False
-        for j, gj in _candidates(grad, increment_only, math.isfinite(norm)):
+        for j, gj in _candidates(grad, increment_only, finite):
             s = -1.0 if gj > 0 else 1.0
             nv = float(x[j]) + s
             if (increment_only and s < 0) or nv < lo[j] - _FEAS_TOL or nv > hi[j] + _FEAS_TOL:

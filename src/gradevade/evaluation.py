@@ -9,7 +9,6 @@ construction (larger budgets admit a superset of trace points).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -216,6 +215,9 @@ def sweep(
     run = partial(_run_cell_safe, plan)
     cells = [(si, mi, ms) for si in range(n_splits) for mi, ms in enumerate(model_grid)]
     if jobs > 1 and len(cells) > 1:
+        # imported here: a jobs=1 sweep (and the CLI's start-up) need not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_cell = list(pool.map(run, cells))
     else:

@@ -40,15 +40,38 @@ def kernel_grad_combination(k: KernelSpec, row: np.ndarray, diffs: np.ndarray, c
     return -2.0 * k.gamma * ((coefs * row) @ diffs)
 
 
+_BLOCK = 64  # rows per block of the rbf Gram's temporaries
+
+
+def _sq_norms(A: np.ndarray) -> np.ndarray:
+    """np.sum(A * A, axis=1) without an n x d A * A copy: summed per _BLOCK
+    rows, which leaves each row's sum, and so its bits, as they are."""
+    out = np.empty(len(A))
+    for s in range(0, len(A), _BLOCK):
+        out[s:s + _BLOCK] = np.sum(A[s:s + _BLOCK] * A[s:s + _BLOCK], axis=1)
+    return out
+
+
 def kernel_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Gram matrix K[i, j] = k(A[i], B[j])."""
+    """Gram matrix K[i, j] = k(A[i], B[j]) of float64 rows.
+
+    The rbf Gram is built in place in G = A @ B.T, its one n x m array:
+    G *= 2, then per _BLOCK rows G = (a + b) - G with a, b the squared row
+    norms, then G = max(G, 0), G *= -gamma and G = exp(G). Each entry sees
+    the IEEE operations of exp(-gamma * max((a + b) - 2 G, 0)) in that
+    order, so its bits are those of the allocating form.
+    """
     _check_dims(A, B)
     G = A @ B.T
     if k.kind == "linear":
         return G
-    sq = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * G
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-k.gamma * sq)
+    a, b = _sq_norms(A), _sq_norms(B)
+    G *= 2.0
+    for s in range(0, len(A), _BLOCK):
+        np.subtract(a[s:s + _BLOCK, None] + b, G[s:s + _BLOCK], out=G[s:s + _BLOCK])
+    np.maximum(G, 0.0, out=G)
+    G *= -k.gamma
+    return np.exp(G, out=G)
 
 
 # what `_DistanceMemo.query` returns for the query whose state it keeps

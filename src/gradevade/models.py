@@ -195,6 +195,11 @@ def _smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3, max_it
     s_t is the biasless discriminant at sample t) and solves the
     two-variable subproblem exactly. Stops when the KKT violation gap
     drops below `tol`. Returns (alpha, b, gap).
+
+    A step t moves alpha_i by y_i t and alpha_j by -y_j t, and grad by
+    y * (K[:, i] y_i y_i t - K[:, j] y_j y_j t). With y in {-1, +1} each
+    factor y_i only flips a sign, exactly, so grad += y * (K[:, i] t -
+    K[:, j] t) has the same bits and needs no y-scaled n x n copy of K.
     """
     n = len(y)
     if max_iter is None:
@@ -203,7 +208,6 @@ def _smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3, max_it
     # grad of the dual objective: Q alpha - 1; maintained incrementally.
     grad = -np.ones(n)
     yv = y.astype(float)
-    Ky = K * yv[None, :]  # Ky[t, j] = K_tj y_j
 
     def working_sets():  # I_up and I_low at the current alpha
         return (((yv > 0) & (alpha < C - 1e-12)) | ((yv < 0) & (alpha > 1e-12)),
@@ -228,11 +232,9 @@ def _smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3, max_it
         t = min(t_star, t_max_i, t_max_j)
         if t <= 0:
             break
-        d_ai = yv[i] * t
-        d_aj = -yv[j] * t
-        alpha[i] += d_ai
-        alpha[j] += d_aj
-        grad += yv * (Ky[:, i] * d_ai + Ky[:, j] * d_aj)
+        alpha[i] += yv[i] * t
+        alpha[j] -= yv[j] * t
+        grad += yv * (K[:, i] * t - K[:, j] * t)
 
     viol = -yv * grad
     up, low = working_sets()

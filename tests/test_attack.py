@@ -589,6 +589,14 @@ def _first_candidate_outcome(model, spec, x0, trace, i):
     return "accepted" if np.array_equal(trace.points[i + 1], cand) else "rejected_later_accepted"
 
 
+def _budget_shortcut_applies(model, spec, x0, x):
+    """Whether evade_discrete settles the iterate x with its one-vector budget
+    test: increment_only, l1, a finite gradient, and every +1 move over budget."""
+    return (spec.bounds.increment_only and spec.distance.kind == "l1"
+            and bool(np.all(np.isfinite(objective_grad(model, spec, x))))
+            and spec.distance.of(x, x0) + 1.0 > spec.d_max + _FEAS_TOL)
+
+
 def _gradient_features(grad):
     """Which of the stub palette's hard cases a gradient contains."""
     finite = grad[np.isfinite(grad)]
@@ -614,17 +622,26 @@ class TestDiscreteMatchesReference:
         # evade_discrete and reference_evade_discrete both look objective_F up at call time
         monkeypatch.setattr(attack_module, "objective_F", counted_F)
         monkeypatch.setitem(globals(), "objective_F", counted_F)
+        walks = []
+        original_candidates = attack_module._candidates
+
+        def counted_candidates(*args):
+            walks.append(1)
+            return original_candidates(*args)
+
+        monkeypatch.setattr(attack_module, "_candidates", counted_candidates)
         rng = np.random.default_rng(2024)
         seen = {"kinds": set(), "distances": set(), "increment_only": set(), "lam_positive": set(),
                 "terminations": set(), "first_candidate_rejected": False, "first_candidate": set(),
-                "stub_gradients": set()}
+                "stub_gradients": set(), "budget_shortcut": set()}
         for case in range(600):
             kind, model, spec, x0 = _random_discrete_case(rng) if case < 400 else _stub_discrete_case(rng)
             if spec.lam > 0:
                 assert spec.mimicry.density(x0) > 1e-6, case  # the KDE term is live
             f_calls.clear()
+            walks.clear()
             got = evade_discrete(model, spec, x0)
-            got_f_calls = len(f_calls)
+            got_f_calls, got_walks = len(f_calls), len(walks)
             f_calls.clear()
             want = reference_evade_discrete(model, spec, x0)
             # a rejected first candidate is scored once, not again by the scan
@@ -648,6 +665,10 @@ class TestDiscreteMatchesReference:
                 seen["first_candidate"].add(_first_candidate_outcome(model, spec, x0, got, i))
                 if kind == "stub":
                     seen["stub_gradients"] |= _gradient_features(model.gradient(got.points[i]))
+            if stopped_on_a_scan and _budget_shortcut_applies(model, spec, x0, got.points[-1]):
+                # the final iterate was settled without a candidate walk
+                assert got_walks == got.iterations, case
+                seen["budget_shortcut"].add(got.termination)
         assert seen == {
             "kinds": {"linear", "rbf", "mlp", "stub"},
             "distances": {"l1", "l2"},
@@ -658,6 +679,7 @@ class TestDiscreteMatchesReference:
             "first_candidate": {None, "box_blocked", "budget_blocked", "accepted",
                                 "rejected_later_accepted", "rejected"},
             "stub_gradients": {"nan", "inf", "negative_zero", "tie_across_signs"},
+            "budget_shortcut": {"converged", "budget_boundary_converged"},
         }
 
     def test_rejected_first_candidate_counts_as_tried(self):
@@ -672,11 +694,11 @@ class TestDiscreteMatchesReference:
         assert tr.termination == reference_evade_discrete(model, spec, np.zeros(2)).termination == "converged"
         assert model.scored == [(0.0, 0.0), (1.0, 0.0), (0.0, 0.0)] * 2
 
-    def test_sorts_only_on_the_final_budget_blocked_iterate(self, monkeypatch):
+    def test_settles_the_final_budget_blocked_iterate_without_a_sort(self, monkeypatch):
         # increment-only l1 on an rbf SVM whose every first candidate is taken
-        # until the budget runs out: the last iterate alone needs the sorted scan.
-        # The third support vector makes feature 3 the largest |grad| at x0, with
-        # the sign that increment_only forbids.
+        # until the budget runs out: the last iterate is settled by the budget
+        # test, so no iterate sorts. The third support vector makes feature 3 the
+        # largest |grad| at x0, with the sign that increment_only forbids.
         grads, sorts = [], []
         original_grad, original_argsort = attack_module.objective_grad, np.argsort
 
@@ -699,7 +721,8 @@ class TestDiscreteMatchesReference:
         tr = evade_discrete(model, spec, x0)
         assert tr.termination == "budget_boundary_converged"
         assert tr.iterations == 7
-        assert sorts == [tr.iterations + 1]
+        assert len(grads) == tr.iterations + 1
+        assert sorts == []
 
 
 class TestScoresOncePerF:

@@ -397,3 +397,13 @@ def test_module_entry_point_runs_the_command_line(tmp_path):
     assert proc.returncode == 2
     assert "models[2].epoch" in proc.stderr
     assert not out.exists()
+
+
+def test_importing_the_command_line_leaves_the_process_pool_unloaded():
+    # a fresh interpreter: ProcessPoolExecutor is imported only by a sweep with jobs > 1
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import sys, gradevade.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -187,6 +188,156 @@ class TestKernelSvm:
         x = np.array([0.5, 0.25])
         by_hand = sum(c * np.exp(-0.3 * np.sum((x - v) ** 2)) for c, v in zip(coefs, sv)) + 0.1
         assert abs(m.discriminant(x) - by_hand) < 1e-9
+
+
+def reference_kernel_matrix(k, A, B):
+    """`kernel_matrix` before it built the rbf Gram in place, verbatim, as its oracle."""
+    if A.shape[-1] != B.shape[-1]:
+        raise ValueError(f"dimension mismatch: {A.shape[-1]} vs {B.shape[-1]}")
+    G = A @ B.T
+    if k.kind == "linear":
+        return G
+    sq = np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :] - 2.0 * G
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-k.gamma * sq)
+
+
+def reference_smo_solve(K, y, C, tol=1e-3, max_iter=None):
+    """`_smo_solve` before it dropped the y-scaled copy Ky of K, verbatim, as its oracle."""
+    n = len(y)
+    if max_iter is None:
+        max_iter = max(20_000, 400 * n)
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    yv = y.astype(float)
+    Ky = K * yv[None, :]  # Ky[t, j] = K_tj y_j
+
+    def working_sets():
+        return (((yv > 0) & (alpha < C - 1e-12)) | ((yv < 0) & (alpha > 1e-12)),
+                ((yv < 0) & (alpha < C - 1e-12)) | ((yv > 0) & (alpha > 1e-12)))
+
+    for _ in range(max_iter):
+        viol = -yv * grad
+        up, low = working_sets()
+        if not up.any() or not low.any():
+            break
+        i = int(np.flatnonzero(up)[np.argmax(viol[up])])
+        j = int(np.flatnonzero(low)[np.argmin(viol[low])])
+        gap = viol[i] - viol[j]
+        if gap < tol:
+            break
+        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        t_star = gap / quad if quad > 1e-12 else np.inf
+        t_max_i = C - alpha[i] if yv[i] > 0 else alpha[i]
+        t_max_j = alpha[j] if yv[j] > 0 else C - alpha[j]
+        t = min(t_star, t_max_i, t_max_j)
+        if t <= 0:
+            break
+        d_ai = yv[i] * t
+        d_aj = -yv[j] * t
+        alpha[i] += d_ai
+        alpha[j] += d_aj
+        grad += yv * (Ky[:, i] * d_ai + Ky[:, j] * d_aj)
+
+    viol = -yv * grad
+    up, low = working_sets()
+    m_up = viol[up].max() if up.any() else -np.inf
+    m_low = viol[low].min() if low.any() else np.inf
+    free = (alpha > 1e-8) & (alpha < C - 1e-8)
+    if free.any():
+        b = float(np.mean(viol[free]))
+    elif np.isfinite(m_up) and np.isfinite(m_low):
+        b = float((m_up + m_low) / 2.0)
+    else:
+        b = 0.0
+    gap = float(m_up - m_low) if np.isfinite(m_up) and np.isfinite(m_low) else 0.0
+    return alpha, b, gap
+
+
+def gram_rows(rng, n, d, integer):
+    """n seeded rows of d features: small integer counts, or real values of mixed scale."""
+    if integer:
+        return rng.integers(0, 12, size=(n, d)).astype(float)
+    return rng.normal(size=(n, d)) * rng.choice([0.01, 1.0, 30.0])
+
+
+class TestGramAndSmoMatchReference:
+    """The in-place rbf Gram and the Ky-free SMO step give the allocating forms' bits."""
+
+    # (rows of A, rows of B, d): 1 x 1, one block, blocks that are not a multiple of 64
+    SHAPES = [(1, 1, 1), (1, 7, 3), (5, 1, 4), (63, 64, 5), (64, 65, 2), (65, 63, 8), (129, 40, 100), (200, 200, 17)]
+
+    @pytest.mark.parametrize("integer", [True, False])
+    @pytest.mark.parametrize("kind", ["linear", "rbf"])
+    def test_kernel_matrix_byte_equal(self, integer, kind):
+        rng = np.random.default_rng(31 + integer)
+        for na, nb, d in self.SHAPES:
+            k = KernelSpec(kind, gamma=float(rng.choice([1e-3, 0.05, 1.0, 20.0])))
+            A, B = gram_rows(rng, na, d, integer), gram_rows(rng, nb, d, integer)
+            for a, b in ((A, B), (A, A), (np.asfortranarray(A), B), (A[:, ::-1], B[:, ::-1])):
+                got, want = kernel_matrix(k, a, b), reference_kernel_matrix(k, a, b)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (na, nb, d)
+
+    def test_kernel_matrix_of_the_benchmark_rows_byte_equal(self):
+        X = pdf_rows(300, seed=4).X
+        for gamma in (0.001, 0.01, 0.1):
+            k = KernelSpec("rbf", gamma=gamma)
+            assert kernel_matrix(k, X, X).tobytes() == reference_kernel_matrix(k, X, X).tobytes()
+            assert kernel_matrix(k, X[:101], X).tobytes() == reference_kernel_matrix(k, X[:101], X).tobytes()
+
+    def test_smo_solve_byte_equal(self):
+        rng = np.random.default_rng(41)
+        outcomes = Counter()
+        for case in range(60):
+            kind = ("linear", "rbf")[case % 2]
+            integer = case % 4 >= 2
+            C = (0.1, 1.0, 100.0)[case % 3]
+            n, d = int(rng.integers(2, 70)), int(rng.integers(1, 9))
+            X = gram_rows(rng, n, d, integer)
+            y = np.where(rng.random(n) < 0.5, -1, 1)
+            y[:2] = (-1, 1)
+            # shift one class so that some problems separate and some overlap
+            X[y > 0] += rng.choice([0.0, 1.0, 4.0])
+            k = KernelSpec(kind, gamma=float(rng.choice([0.05, 0.5, 2.0])))
+            # overlapping linear problems can take 20,000 steps: 1,500 keep the test fast
+            got = _smo_solve(kernel_matrix(k, X, X), y, C, max_iter=1500)
+            want = reference_smo_solve(reference_kernel_matrix(k, X, X), y, C, max_iter=1500)
+            assert got[0].tobytes() == want[0].tobytes(), case
+            assert np.array(got[1:]).tobytes() == np.array(want[1:]).tobytes(), case
+            alpha = got[0]
+            outcomes["at_C"] += bool(np.any(alpha >= C - 1e-8))
+            outcomes["free"] += bool(np.any((alpha > 1e-8) & (alpha < C - 1e-8)))
+        # the cases reach both bounded and free multipliers
+        assert outcomes["at_C"] > 0 and outcomes["free"] > 0
+
+
+class TestSvmTrainingMemory:
+    """tracemalloc peaks at n = 400: one n x n float64 array, plus small blocks."""
+
+    N = 400
+    NN = N * N * 8  # bytes of one n x n float64 array
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_rbf_gram_allocates_its_output_plus_half_an_n_by_n(self):
+        X = np.random.default_rng(0).normal(size=(self.N, 10))
+        K, peak = self.traced_peak(lambda: kernel_matrix(KernelSpec("rbf", gamma=0.1), X, X))
+        assert K.nbytes == self.NN
+        assert peak <= K.nbytes + 0.5 * self.NN
+
+    def test_svm_training_peaks_at_one_and_a_half_n_by_n(self):
+        ds = blobs(self.N // 2, sep=2.0, seed=9, d=10)
+        model, peak = self.traced_peak(lambda: train_kernel_svm(ds, KernelSpec("rbf", gamma=0.1), C=1.0))
+        assert isinstance(model, SvmModel)
+        assert peak <= 1.5 * self.NN
 
 
 def masked_sigmoid(z):
