@@ -6,7 +6,6 @@ from .attack import (
     DistanceSpec,
     evade_continuous,
     evade_discrete,
-    normalize_step,
     objective_F,
     objective_grad,
     project_feasible,

@@ -1,16 +1,17 @@
 """Evasion engine: objective F(x), feasible-set projection, and descent.
 
-Continuous mode follows the projected gradient scheme: step along the
-unit gradient of F, project back into {d(x, x0) <= d_max} intersected
-with the box (and the increment constraint when set), stop when the
-improvement in F stalls below epsilon. Discrete mode moves one feature
-by +-1 per iteration, picking the feasible move best aligned with -grad F
-that strictly decreases F. Its moves are +-1 from an integer start, so it
-tracks the distance from x0 exactly as a running integer sum (l1, or the
-squared l2 norm) instead of recomputing it for every candidate. Its
-candidates come from `_candidates`, which finds the first one of the
-|grad F| order with one argmin or argmax and sorts the gradient only when
-the descent asks for a second.
+Distances are l1, the count of added keywords in the source paper's PDF
+attack. Continuous mode follows the projected gradient scheme: step along
+the gradient of F scaled to l1 length step_t, project back into
+{||x - x0||_1 <= d_max} intersected with the box (and the increment
+constraint when set), stop when the improvement in F stalls below epsilon.
+Discrete mode only inserts: it moves one feature by +1 per iteration,
+picking the feasible move best aligned with -grad F that strictly
+decreases F. Every move adds exactly 1 to the distance from x0, so the
+descent keeps that distance as a running count instead of recomputing it
+for every candidate. Its candidates come from `_candidates`, which finds
+the first one with one argmin and sorts the gradient only when the descent
+asks for a second.
 """
 from __future__ import annotations
 
@@ -30,22 +31,23 @@ _FEAS_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DistanceSpec:
+    """The attack's distance: l1, the only kind."""
+
     kind: str = "l1"
 
     def __post_init__(self):
-        if self.kind not in ("l1", "l2"):
-            raise ValueError(f"unknown distance kind {self.kind!r}")
+        if self.kind != "l1":
+            raise ValueError(f"unknown distance kind {self.kind!r}: the attack distance is l1")
 
     def of(self, a: np.ndarray, b: np.ndarray) -> float:
-        diff = np.asarray(a, float) - np.asarray(b, float)
-        if self.kind == "l1":
-            return float(np.abs(diff).sum())
-        return float(np.sqrt(diff @ diff))
+        return float(np.abs(np.asarray(a, float) - np.asarray(b, float)).sum())
 
 
 @dataclass
 class AttackSpec:
-    """Everything one evasion run needs besides the model and start point."""
+    """Everything one evasion run needs besides the model and start point.
+
+    `step_norm` is "l1"; discrete mode ignores it and also accepts "l2"."""
 
     distance: DistanceSpec = DistanceSpec("l1")
     d_max: float = 0.0
@@ -55,7 +57,7 @@ class AttackSpec:
     max_iters: int = 500
     bounds: FeatureBounds = field(default_factory=FeatureBounds)
     mode: str = "continuous"
-    step_norm: str = "l2"
+    step_norm: str = "l1"
     mimicry: MimicryEstimator | None = None
 
     def __post_init__(self):
@@ -72,6 +74,10 @@ class AttackSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.step_norm not in ("l1", "l2"):
             raise ValueError(f"unknown step_norm {self.step_norm!r}")
+        if self.mode == "continuous" and self.step_norm != "l1":
+            raise ValueError(f"continuous mode takes an l1 step_norm, not {self.step_norm!r}")
+        if self.mode == "discrete" and not self.bounds.increment_only:
+            raise ValueError("discrete mode makes +1 moves only: it requires bounds.increment_only")
         if not self.lam >= 0:
             raise ValueError("lam must be nonnegative")
         # lam > 0 additionally needs a mimicry estimator, but scenarios bind
@@ -122,14 +128,6 @@ def objective_grad(model: TrainedModel, spec: AttackSpec, x: np.ndarray) -> np.n
     return grad - spec.lam * spec.mimicry.density_grad(x)
 
 
-def normalize_step(grad: np.ndarray) -> np.ndarray | None:
-    """grad scaled to unit l2 norm; None signals a vanishing gradient."""
-    norm = float(np.linalg.norm(grad))
-    if norm <= _ZERO_GRAD_NORM:
-        return None
-    return grad / norm
-
-
 # ---------------------------------------------------------------------------
 # Projections.
 # ---------------------------------------------------------------------------
@@ -156,15 +154,8 @@ def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _project_budget(spec: AttackSpec, x0: np.ndarray, p: np.ndarray) -> np.ndarray:
-    v = p - x0
-    if spec.distance.kind == "l1":
-        return x0 + project_l1_ball(v, spec.d_max)
-    norm = float(np.linalg.norm(v))
-    if norm <= spec.d_max:
-        return p.copy()
-    if norm == 0.0:
-        return x0.copy()
-    return x0 + v * (spec.d_max / norm)
+    """Euclidean projection of p onto the budget ball {||x - x0||_1 <= d_max}."""
+    return x0 + project_l1_ball(p - x0, spec.d_max)
 
 
 def _effective_box(spec: AttackSpec, x0: np.ndarray):
@@ -254,17 +245,11 @@ def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> A
     for _ in range(spec.max_iters):
         x = path.points[-1]
         grad = objective_grad(model, spec, x)
-        if spec.step_norm == "l2":
-            unit = normalize_step(grad)
-            step = None if unit is None else spec.step_t * unit
-        elif float(np.linalg.norm(grad)) > _ZERO_GRAD_NORM:
-            # fix the l1 length of the raw step; its l2 norm only tests for zero
-            step = spec.step_t * grad / float(np.abs(grad).sum())
-        else:
-            step = None
-        if step is None:
+        # the l2 norm only tests for zero (NaN included); the step has l1 length step_t
+        if not float(np.linalg.norm(grad)) > _ZERO_GRAD_NORM:
             path.termination = "zero_gradient"
             break
+        step = spec.step_t * grad / float(np.abs(grad).sum())
         cand = project_feasible(spec, x0, x - step, box=box)
         f_new = objective_F(model, spec, cand)
         if f_new - path.objective_values[-1] > -spec.epsilon:
@@ -277,39 +262,39 @@ def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> A
     return path
 
 
-def _candidates(grad: np.ndarray, increment_only: bool, finite: bool):
-    """(j, grad[j]) for the features with grad[j] != 0, in the stable order
-    of decreasing |grad|.
+def _candidates(grad: np.ndarray, finite: bool):
+    """The features j whose +1 move goes against grad F, grad[j] < 0 (or
+    NaN, whose sign is unknown), in the stable order of decreasing |grad|,
+    up to the first zero.
 
-    A finite gradient's first candidate with a usable sign, `argmin(grad)`
-    under increment_only and `argmax(|grad|)` otherwise (the first index
-    among ties, as in the stable sort), comes first without a sort; the
-    sort runs only if a second candidate is asked for, and skips it. NaN
-    sorts last but argmin and argmax pick it first, so a non-finite
-    gradient is sorted from the start.
+    A finite gradient's first candidate, `argmin(grad)` (the first index
+    among ties, as in the stable sort), comes first without a sort; the sort
+    runs only if a second candidate is asked for, and skips it. NaN sorts
+    last but argmin picks it first, so a non-finite gradient is sorted from
+    the start, and a NaN behind a zero is never a candidate.
     """
     first = -1
     if finite:
-        first = int(grad.argmin()) if increment_only else int(np.abs(grad).argmax())
-        if grad[first] != 0.0:
-            yield first, float(grad[first])
+        first = int(grad.argmin())
+        if grad[first] < 0.0:
+            yield first
     values = grad.tolist()
     for j in np.argsort(-np.abs(grad), kind="stable").tolist():
         if values[j] == 0.0:
-            return  # sorted by |grad|; the rest are zeros too
-        if j != first:
-            yield j, values[j]
+            return  # sorted by |grad|; the rest are zeros or NaN
+        if j != first and not values[j] > 0.0:
+            yield j
 
 
 def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> AttackTrace:
-    """Steepest feasible coordinate descent with +-1 moves on integer features.
+    """Steepest feasible coordinate descent with +1 moves on integer features.
 
-    Each iterate takes the first move of `_candidates` against the sign of
-    grad F that the bounds and the budget allow and that strictly decreases
-    F. Without one the run ends: `budget_boundary_converged` if a move the
-    bounds allow left the budget and none was scored, else `converged`.
-    Under increment_only and l1, once every +1 move leaves the budget, one
-    vector test of a finite gradient settles which.
+    Each iterate takes the first +1 move of `_candidates` that the upper
+    bound and the budget allow and that strictly decreases F. Without one
+    the run ends: `budget_boundary_converged` if a move the bound allows
+    left the budget, else `converged`. Every move adds 1 to the l1 distance
+    from x0, so once the next one would leave the budget, no move is scored,
+    and one vector test of a finite gradient settles which.
     """
     if spec.mode != "discrete":
         raise ValueError("spec.mode must be 'discrete'")
@@ -317,13 +302,10 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
     if np.any(x0 != np.round(x0)):
         raise ValueError("discrete mode requires an integer-valued x0")
     _check_start(spec, x0)
-    box = _effective_box(spec, x0)
-    lo, hi = (b.tolist() for b in box)
-    l1 = spec.distance.kind == "l1"
-    increment_only = spec.bounds.increment_only
-    # x - x0 and its l1 norm or squared l2 norm: integers, so exact in floats
-    delta = [0.0] * len(x0)
-    dist_sum = 0.0
+    # a +1 move from x >= x0 stays above the lower bound, so only hi is tested
+    hi = _effective_box(spec, x0)[1]
+    hi_list = hi.tolist()
+    moves = 0.0  # the l1 distance from x0: one per accepted move, exact in floats
     path = AttackTrace([x0.copy()], [objective_F(model, spec, x0)])
     for _ in range(spec.max_iters):
         x = path.points[-1]
@@ -333,32 +315,28 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
             path.termination = "zero_gradient"
             break
         finite = math.isfinite(norm)
-        if increment_only and l1 and finite and dist_sum + 1.0 > spec.d_max + _FEAS_TOL:
-            # every move is +1 and over budget, so none is scored (x + 1 > lo holds)
-            blocked = np.any((grad < 0.0) & (x + 1.0 <= box[1] + _FEAS_TOL))
+        over_budget = moves + 1.0 > spec.d_max + _FEAS_TOL
+        if over_budget and finite:
+            blocked = np.any((grad < 0.0) & (x + 1.0 <= hi + _FEAS_TOL))
             path.termination = "budget_boundary_converged" if blocked else "converged"
             break
-        scored = budget_blocked = False
-        for j, gj in _candidates(grad, increment_only, finite):
-            s = -1.0 if gj > 0 else 1.0
-            nv = float(x[j]) + s
-            if (increment_only and s < 0) or nv < lo[j] - _FEAS_TOL or nv > hi[j] + _FEAS_TOL:
+        budget_blocked = False
+        for j in _candidates(grad, finite):
+            nv = float(x[j]) + 1.0
+            if nv > hi_list[j] + _FEAS_TOL:
                 continue
-            dj, nd = delta[j], delta[j] + s
-            cand_sum = dist_sum - abs(dj) + abs(nd) if l1 else dist_sum - dj * dj + nd * nd
-            if (cand_sum if l1 else math.sqrt(cand_sum)) > spec.d_max + _FEAS_TOL:
+            if over_budget:
                 budget_blocked = True
                 continue
-            scored = True
             cand = x.copy()
             cand[j] = nv
             f_new = objective_F(model, spec, cand)
             if f_new < path.objective_values[-1]:
                 path.add(cand, f_new)
-                delta[j], dist_sum = nd, cand_sum
+                moves += 1.0
                 break
         else:
-            path.termination = "budget_boundary_converged" if budget_blocked and not scored else "converged"
+            path.termination = "budget_boundary_converged" if budget_blocked else "converged"
             break
     return path
 

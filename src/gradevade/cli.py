@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attack import AttackTrace, DistanceSpec, run_attack
+from .attack import AttackTrace, run_attack
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -47,9 +47,9 @@ EXIT_PARTIAL = 3
 # Trace files.
 # ---------------------------------------------------------------------------
 
-def write_trace(target: TrainedModel, trace: AttackTrace, distance: DistanceSpec, path) -> tuple[bool, float]:
+def write_trace(target: TrainedModel, trace: AttackTrace, path) -> tuple[bool, float]:
     """Write one trace file; returns (evaded, target score at x*)."""
-    dists, scores = trace_profile(target, trace, distance)
+    dists, scores = trace_profile(target, trace)
     evading = (scores - target.decision_offset < 0).tolist()
     evaded = evading[-1]
     with open(path, "w") as fh:
@@ -181,7 +181,7 @@ def cmd_attack(cfg: ExperimentConfig, out_dir: Path, model_path: str, sample_ind
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
     trace_path = traces_dir / f"trace_split{split_idx}_sample{sample_index}.txt"
-    evaded, final_g = write_trace(target, trace, spec.distance, trace_path)
+    evaded, final_g = write_trace(target, trace, trace_path)
     print(
         f"attacked sample {sample_index}: iterations={trace.iterations} evaded={str(evaded).lower()} "
         f"final_g={final_g:.6g} termination={trace.termination} trace={trace_path}"

@@ -65,7 +65,7 @@ _DEFAULTS = {
         "distance": "l1",
         "d_max_grid": [0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50],
         "step_t": 1.0,
-        "step_norm": "l2",
+        "step_norm": "l1",
         "lambdas": [0.0],
         "epsilon": 1e-9,
         "max_iters": 500,

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .attack import AttackSpec, AttackTrace, DistanceSpec
+from .attack import AttackSpec, AttackTrace
 from .data import LEGITIMATE, MALICIOUS, Dataset, derive_seeds, split_train_test
 from .mimicry import KdeParams
 from .models import ModelSpec, TrainedModel, train_from_spec
@@ -71,28 +71,23 @@ def calibrated(model: TrainedModel, test: Dataset, fp_target: float) -> TrainedM
     return replace(model, decision_offset=calibrate_threshold(legit_scores, fp_target))
 
 
-def trace_profile(target: TrainedModel, trace: AttackTrace, distance: DistanceSpec):
-    """(distance-from-start, target score) arrays over the trace points.
+def trace_profile(target: TrainedModel, trace: AttackTrace):
+    """(l1 distance-from-start, target score) arrays over the trace points.
 
     The one place a trace meets the target: a point evades where its score
     minus `target.decision_offset` (the calibrated threshold) is negative.
-    Each distance has the bits of `distance.of(point, points[0])`.
+    Each distance has the bits of `DistanceSpec().of(point, points[0])`.
     """
     diff = np.stack(trace.points).astype(float, copy=False)
     scores = target.discriminant_many(diff)  # scored before the points become offsets in place
     diff -= diff[0].copy()
-    if distance.kind == "l1":
-        return np.abs(diff, out=diff).sum(axis=1), scores
-    # stacked vector @ vector reduces like the 1-D `diff @ diff` of `of`
-    # (einsum would sum in another order)
-    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]), scores
+    return np.abs(diff, out=diff).sum(axis=1), scores
 
 
 def fn_rates(
     target: TrainedModel,
     traces: Iterable[AttackTrace],
     d_grid: list[float],
-    distance: DistanceSpec,
 ) -> list[float]:
     """Fraction of traces that evade the target within each budget of d_grid.
 
@@ -105,7 +100,7 @@ def fn_rates(
     n = 0
     for tr in traces:
         n += 1
-        dists, scores = trace_profile(target, tr, distance)
+        dists, scores = trace_profile(target, tr)
         evading = scores - target.decision_offset < 0
         if evading.any():
             # some evading point lies within b exactly when the nearest one does
@@ -169,7 +164,7 @@ def _run_cell(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]) -> list[dict]:
         for kind in plan.scenario_kinds:
             for repeat, traces in enumerate(run_scenario(target, descents[kind], atk, attack_set, kde=plan.kde)):
                 # counted as the round yields them: one trace alive at a time
-                fns = fn_rates(target, traces, plan.d_grid, plan.attack.distance)
+                fns = fn_rates(target, traces, plan.d_grid)
                 for b, fn in zip(plan.d_grid, fns):
                     rows.append(
                         {

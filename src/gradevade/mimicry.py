@@ -1,20 +1,18 @@
 """Kernel density estimation over legitimate samples, and its gradient.
 
-The estimator averages exp(-d(x, x_i)/h) over the `truncation_k` reference
-points nearest to the query, where d is the Manhattan distance for the
-laplacian kernel and the squared euclidean distance for the rbf kernel.
-The neighbor set is re-selected at every query, with the same distance.
+The estimator averages the laplacian kernel exp(-||x - x_i||_1 / h) over
+the `truncation_k` reference points nearest to the query in Manhattan
+distance. The neighbor set is re-selected at every query.
 
 The latest query's differences and distances to all N reference points
 are kept, with exp(-d/h) of its neighbours, so density and density_grad
-at one point share one search, and a discrete +-1 move patches the kept
+at one point share one search, and a discrete +1 move patches the kept
 distances in O(N) where that is bit-identical to a full search
 (`kernels._DistanceMemo`).
 
-The laplacian gradient ships in two forms. "corrected" (default) is the
-true subgradient, with an elementwise sign(x - x_i) factor and sign(0)=0.
-"paper" keeps a raw (x - x_i) factor instead; it reproduces a published
-variant of the formula and is selectable for comparison runs.
+The gradient is the corrected one: the true subgradient, with an
+elementwise sign(x - x_i) factor and sign(0) = 0. (A published variant of
+the formula keeps the raw x - x_i instead of its sign; it is not offered.)
 """
 from __future__ import annotations
 
@@ -24,8 +22,9 @@ import numpy as np
 
 from .kernels import _SAME_QUERY, _DistanceMemo
 
-KDE_KERNELS = ("laplacian", "rbf")
-GRAD_FORMS = ("corrected", "paper")
+# the one accepted value of each setting; the fields stay because configs name them
+KDE_KERNELS = ("laplacian",)
+GRAD_FORMS = ("corrected",)
 
 
 @dataclass
@@ -47,18 +46,15 @@ class MimicryEstimator:
             raise ValueError("reference_points contain non-finite values")
         KdeParams.from_estimator(self)  # checks the settings
         self.reference_points = pts
-        laplacian = self.kernel_kind == "laplacian"
-        # the latest query's x - x_i and distances, the gradient's factor of
-        # each x - x_i (its sign for the corrected laplacian form, else itself),
-        # and (factor, exp(-distance/h)) of its nearest points
-        self._kept = _DistanceMemo(pts, manhattan=laplacian)
-        self._factor = np.empty_like(pts) if laplacian and self.grad_form == "corrected" else self._kept.diffs
+        # the latest query's x - x_i and Manhattan distances, the signs of
+        # each x - x_i, and (signs, exp(-distance/h)) of its nearest points
+        self._kept = _DistanceMemo(pts, manhattan=True)
+        self._signs = np.empty_like(pts)
         self._near = None
 
     def _neighbors(self, x: np.ndarray):
-        """(gradient factors, exp(-distance/h)) of the truncation_k nearest
-        reference points; the factor of x - x_i is its sign for the corrected
-        laplacian gradient and x - x_i itself otherwise.
+        """(sign(x - x_i), exp(-distance/h)) of the truncation_k nearest
+        reference points.
 
         The latest query's result is kept, so density(x) followed by
         density_grad(x) searches once. The distances come from
@@ -70,15 +66,14 @@ class MimicryEstimator:
         j = self._kept.query(x)
         if j == _SAME_QUERY:
             return self._near
-        if self._factor is not self._kept.diffs:
-            cols = slice(None) if j is None else j
-            np.sign(self._kept.diffs[:, cols], out=self._factor[:, cols])
-        factor, dists = self._factor, self._kept.dists
+        cols = slice(None) if j is None else j
+        np.sign(self._kept.diffs[:, cols], out=self._signs[:, cols])
+        signs, dists = self._signs, self._kept.dists
         k = self.truncation_k
         if k < len(dists):
             sel = np.argpartition(dists, k - 1)[:k]
-            factor, dists = factor[sel], dists[sel]
-        self._near = (factor, np.exp(-dists / self.h))
+            signs, dists = signs[sel], dists[sel]
+        self._near = (signs, np.exp(-dists / self.h))
         return self._near
 
     def density(self, x: np.ndarray) -> float:
@@ -87,10 +82,9 @@ class MimicryEstimator:
         return float(w.sum() / len(w))  # the reduction np.mean makes
 
     def density_grad(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of density at x; see module docstring for the l1 variants."""
-        factor, w = self._neighbors(x)
-        scale = -2.0 if self.kernel_kind == "rbf" else -1.0
-        return (scale / (len(w) * self.h)) * (w @ factor)
+        """-(1/(n h)) sum of exp(-d(x, x_i)/h) sign(x - x_i) over the n nearest."""
+        signs, w = self._neighbors(x)
+        return (-1.0 / (len(w) * self.h)) * (w @ signs)
 
 
 @dataclass(frozen=True)
@@ -108,9 +102,9 @@ class KdeParams:
         if self.truncation_k < 1:
             raise ValueError("truncation_k must be >= 1")
         if self.kernel_kind not in KDE_KERNELS:
-            raise ValueError(f"unknown KDE kernel {self.kernel_kind!r}")
+            raise ValueError(f"unknown KDE kernel {self.kernel_kind!r}: the KDE is laplacian")
         if self.grad_form not in GRAD_FORMS:
-            raise ValueError(f"unknown grad_form {self.grad_form!r}")
+            raise ValueError(f"unknown grad_form {self.grad_form!r}: the KDE gradient is the corrected one")
 
     def build(self, reference_points: np.ndarray) -> MimicryEstimator:
         return MimicryEstimator(reference_points, **asdict(self))

@@ -8,7 +8,7 @@ All models expose:
 `SvmModel` is the rbf SVM; the linear SVM is solved on the linear Gram
 matrix and folded to a `LinearModel`. `SvmModel` keeps its latest kernel
 pass, so discriminant(x) followed by gradient(x) at the same point, as the
-attack asks for them, computes the kernel once, and a discrete +-1 move
+attack asks for them, computes the kernel once, and a discrete +1 move
 patches the kept pass in O(N) where that is bit-identical to a full pass
 (`kernels._DistanceMemo`).
 
@@ -194,7 +194,8 @@ def _smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3, max_it
     (i from I_up maximizing y_t - s_t, j from I_low minimizing it, where
     s_t is the biasless discriminant at sample t) and solves the
     two-variable subproblem exactly. Stops when the KKT violation gap
-    drops below `tol`. Returns (alpha, b, gap).
+    drops below `tol`, or after `max_iter` steps (max(20,000, 400 n) by
+    default) with the gap still above it. Returns (alpha, b, gap).
 
     A step t moves alpha_i by y_i t and alpha_j by -y_j t, and grad by
     y * (K[:, i] y_i y_i t - K[:, j] y_j y_j t). With y in {-1, +1} each
@@ -252,7 +253,9 @@ def _smo_solve(K: np.ndarray, y: np.ndarray, C: float, tol: float = 1e-3, max_it
 
 
 def train_kernel_svm(train: Dataset, kernel: KernelSpec, C: float, tol: float = 1e-3) -> SvmModel | LinearModel:
-    """Soft-margin SVM via SMO; KKT violation of the result is below `tol`.
+    """Soft-margin SVM via SMO, stopped when the KKT violation gap falls below
+    `tol` or at `_smo_solve`'s step cap, max(20,000, 400 n) steps, where the
+    gap can still exceed `tol`; the model is returned either way.
     On the linear kernel the dual is folded into LinearModel(sum_i a_i y_i x_i, b)."""
     train.require_both_classes()
     if not C > 0:  # NaN fails too

@@ -92,7 +92,7 @@ def test_train_attack_export_digits(tmp_path, mnist_sets):
     x0 = test.X[test.y == MALICIOUS][0]
     target = replace(model, decision_offset=theta)
     trace = run_attack(target, replace(cfg.attack, d_max=max(cfg.d_max_grid)), x0)
-    dists, scores = trace_profile(target, trace, cfg.attack.distance)
+    dists, scores = trace_profile(target, trace)
     # g_target is the evaluation's target score, bit for bit
     assert [struct.pack(">d", row[2]) for row in doc["rows"]] == [struct.pack(">d", g) for g in scores.tolist()]
     assert doc["rows"] == list(zip(range(len(dists)), trace.objective_values, scores.tolist(), dists.tolist()))

@@ -118,8 +118,12 @@ class TestOverrides:
                 "scenario.surrogate.C=-1", "scenario.surrogate.gamma=NaN", "scenario.surrogate.m=0",
                 "scenario.surrogate.learning_rate=0", "attack.bounds.lower=NaN", "attack.bounds.upper=NaN",
                 "attack.bounds.lower=200",
+                # values the attack does not run: l2 budgets, rbf and printed-gradient KDEs, -1 moves
+                'attack.distance="l2"', 'attack.kde.kernel="rbf"', 'attack.kde.grad="paper"',
+                "attack.bounds.increment_only=false",
             )
         ]
+        + [["--set", 'attack.mode="continuous"', "--set", 'attack.step_norm="l2"']]
         + [["--jobs", "0"]],
         ids=" ".join,
     )
@@ -128,6 +132,12 @@ class TestOverrides:
         assert main(["sweep", "--config", str(CONFIGS / "synthetic_pdf.json"), "--out", str(out), *args]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()  # rejected before any work
+
+    def test_continuous_config_without_a_step_norm_parses_to_l1(self):
+        doc = json.loads((CONFIGS / "mnist_3v7.json").read_text())
+        del doc["attack"]["step_norm"]
+        cfg = parse_config(doc)
+        assert cfg.attack.mode == "continuous" and cfg.attack.step_norm == "l1"
 
     def test_list_entries_and_new_keys_are_set(self):
         doc = flagship_doc()
@@ -176,7 +186,12 @@ OUT_OF_RANGE = {
     "split.n_test": st.integers(max_value=0),
     "attack.kde.h": st.floats().filter(lambda v: not v > 0),
     "attack.kde.truncation_k": st.integers(max_value=0),
-    "attack.kde.kernel": st.text(max_size=8).filter(lambda t: t not in KDE_KERNELS),
+    "attack.kde.kernel": st.just("rbf") | st.text(max_size=8).filter(lambda t: t not in KDE_KERNELS),
+    "attack.kde.grad": st.just("paper"),
+    "attack.distance": st.just("l2"),
+    "attack.bounds.increment_only": st.just(False),
+    # the flagship config's step_norm is l2, which only discrete mode accepts
+    "attack.mode": st.just("continuous"),
     "attack.step_t": st.floats().filter(lambda v: not v > 0),
     "attack.epsilon": st.floats().filter(lambda v: not v > 0),
     "attack.d_max_grid": st.lists(st.floats(0, 1e3), max_size=3).flatmap(
@@ -234,11 +249,12 @@ class TestOverrideProperties:
         doc = flagship_doc()
         list_path = data.draw(st.sampled_from(["models", "scenario.kinds", "attack.d_max_grid", "attack.lambdas"]))
         n = len(_resolved_at(doc, list_path))
-        # a "." would split the drawn text into more path segments ("0." is index 0 and a key)
+        # a "." would split the drawn text into more path segments ("0." is index 0 and a key),
+        # and an "=" would end the path ("0=" is index 0 and a value starting with "=")
         index = data.draw(
             st.integers(n, 10**9)
             | st.integers(max_value=-1)
-            | st.text(max_size=4).filter(lambda t: not t.isdecimal() and "." not in t)
+            | st.text(max_size=4).filter(lambda t: not t.isdecimal() and "." not in t and "=" not in t)
         )
         rest = data.draw(st.lists(SEGMENTS, max_size=2))
         with pytest.raises(ConfigError, match="is not an index"):

@@ -86,7 +86,6 @@ def trace_of(points, model):
 class TestFnRate:
     def setup_method(self):
         self.model = LinearModel(np.array([1.0]), 0.0)
-        self.dist = DistanceSpec("l1")
 
     def at(self, theta):
         """The model with its threshold calibrated to theta."""
@@ -98,11 +97,11 @@ class TestFnRate:
             trace_of([[0.2], [-1.0]], self.model),  # starts below theta: clean FN
             trace_of([[2.0], [-1.0]], self.model),  # starts above: clean TP
         ]
-        assert fn_rates(self.at(theta), traces, [0.0], self.dist) == [0.5]
+        assert fn_rates(self.at(theta), traces, [0.0]) == [0.5]
 
     def test_all_evaded_saturates(self):
         traces = [trace_of([[2.0], [-1.0]], self.model) for _ in range(4)]
-        assert fn_rates(self.at(0.0), traces, [3.0], self.dist) == [1.0]
+        assert fn_rates(self.at(0.0), traces, [3.0]) == [1.0]
 
     def test_monotone_in_budget(self):
         rng = np.random.default_rng(19)
@@ -114,7 +113,7 @@ class TestFnRate:
                 path.append([path[-1][0] - float(rng.uniform(0.1, 0.6))])
             traces.append(trace_of(path, self.model))
         budgets = list(np.linspace(0, 5, 11))
-        rates = fn_rates(self.at(0.1), traces, budgets, self.dist)
+        rates = fn_rates(self.at(0.1), traces, budgets)
         assert all(b >= a for a, b in zip(rates, rates[1:]))
         # brute force: a trace counts when some point within the budget scores below theta
         for b, rate in zip(budgets, rates):
@@ -126,16 +125,16 @@ class TestFnRate:
 
     def test_misclassified_at_start_counts_at_every_budget(self):
         traces = [trace_of([[-0.5]], self.model)]
-        assert fn_rates(self.at(0.0), traces, [0.0, 1.0, 10.0], self.dist) == [1.0, 1.0, 1.0]
+        assert fn_rates(self.at(0.0), traces, [0.0, 1.0, 10.0]) == [1.0, 1.0, 1.0]
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fn_rates(self.at(0.0), [], [1.0], self.dist)
+            fn_rates(self.at(0.0), [], [1.0])
 
     def test_needs_within_budget_point(self):
         # evading point sits at distance 2; budget 1 cannot use it
         traces = [trace_of([[1.5], [-0.5]], self.model)]
-        assert fn_rates(self.at(0.0), traces, [1.0, 2.0], self.dist) == [0.0, 1.0]
+        assert fn_rates(self.at(0.0), traces, [1.0, 2.0]) == [0.0, 1.0]
 
 
 class TestSecurityCurve:
@@ -160,7 +159,7 @@ def separable_counts(n_per_class=40, seed=0, n_dup=1):
 def small_attack():
     return AttackSpec(
         distance=DistanceSpec("l1"), d_max=6.0, step_t=1.0,
-        bounds=FeatureBounds(0.0, 30.0), mode="discrete", max_iters=50,
+        bounds=FeatureBounds(0.0, 30.0, increment_only=True), mode="discrete", max_iters=50,
     )
 
 

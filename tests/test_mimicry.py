@@ -10,27 +10,26 @@ class TestDensity:
     def test_single_reference_laplacian_closed_form(self):
         est = MimicryEstimator(np.zeros((1, 2)), h=1.0, kernel_kind="laplacian")
         assert abs(est.density(np.array([1.0, 0.0])) - np.exp(-1.0)) < 1e-15
+        # the corrected gradient: sign(x - x_i), not x - x_i itself
+        pts = np.array([[2.0, -1.0]])
+        est = MimicryEstimator(pts, h=1.0)
+        x = np.zeros(2)
+        np.testing.assert_allclose(est.density_grad(x), -np.exp(-3.0) * np.sign(x - pts[0]))
 
     def test_zero_distance_is_one(self):
-        for kind in ("laplacian", "rbf"):
-            est = MimicryEstimator(np.array([[2.0, -1.0]]), h=3.0, kernel_kind=kind)
-            assert est.density(np.array([2.0, -1.0])) == 1.0
+        est = MimicryEstimator(np.array([[2.0, -1.0]]), h=3.0)
+        assert est.density(np.array([2.0, -1.0])) == 1.0
 
     def test_truncation_equals_full_sum(self):
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(100, 3))
         x = rng.normal(size=3)
-        for kind in ("laplacian", "rbf"):
-            full = MimicryEstimator(pts, h=2.0, kernel_kind=kind, truncation_k=100)
-            # untruncated oracle: direct mean over all points
-            if kind == "laplacian":
-                dists = np.abs(x - pts).sum(axis=1)
-            else:
-                dists = ((x - pts) ** 2).sum(axis=1)
-            oracle = np.mean(np.exp(-dists / 2.0))
-            assert abs(full.density(x) - oracle) < 1e-12
-            over = MimicryEstimator(pts, h=2.0, kernel_kind=kind, truncation_k=500)
-            assert abs(over.density(x) - oracle) < 1e-12
+        full = MimicryEstimator(pts, h=2.0, truncation_k=100)
+        # untruncated oracle: direct mean over all points
+        oracle = np.mean(np.exp(-np.abs(x - pts).sum(axis=1) / 2.0))
+        assert abs(full.density(x) - oracle) < 1e-12
+        over = MimicryEstimator(pts, h=2.0, truncation_k=500)
+        assert abs(over.density(x) - oracle) < 1e-12
 
     def test_truncation_keeps_nearest(self):
         pts = np.array([[0.0], [1.0], [100.0]])
@@ -41,7 +40,7 @@ class TestDensity:
 
     def test_density_bounds(self):
         rng = np.random.default_rng(1)
-        est = MimicryEstimator(rng.normal(size=(30, 4)), h=1.5, kernel_kind="rbf", truncation_k=10)
+        est = MimicryEstimator(rng.normal(size=(30, 4)), h=1.5, truncation_k=10)
         for _ in range(50):
             v = est.density(rng.normal(size=4) * 2)
             assert 0.0 < v <= 1.0
@@ -50,12 +49,11 @@ class TestDensity:
         rng = np.random.default_rng(2)
         pts = rng.normal(size=(20, 3))
         shift = rng.normal(size=3) * 5
-        for kind in ("laplacian", "rbf"):
-            a = MimicryEstimator(pts, h=2.0, kernel_kind=kind, truncation_k=7)
-            b = MimicryEstimator(pts + shift, h=2.0, kernel_kind=kind, truncation_k=7)
-            for _ in range(10):
-                x = rng.normal(size=3)
-                assert abs(a.density(x) - b.density(x + shift)) < 1e-12
+        a = MimicryEstimator(pts, h=2.0, truncation_k=7)
+        b = MimicryEstimator(pts + shift, h=2.0, truncation_k=7)
+        for _ in range(10):
+            x = rng.normal(size=3)
+            assert abs(a.density(x) - b.density(x + shift)) < 1e-12
 
     def test_dimension_mismatch(self):
         est = MimicryEstimator(np.zeros((2, 3)), h=1.0)
@@ -65,17 +63,8 @@ class TestDensity:
 
 class TestDensityGrad:
     def test_zero_at_sole_reference_point(self):
-        for kind in ("laplacian", "rbf"):
-            est = MimicryEstimator(np.array([[1.0, 2.0]]), h=1.0, kernel_kind=kind)
-            np.testing.assert_allclose(est.density_grad(np.array([1.0, 2.0])), 0.0)
-
-    def test_rbf_matches_finite_differences(self):
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(5, 3))
-        est = MimicryEstimator(pts, h=1.7, kernel_kind="rbf", truncation_k=5)
-        for _ in range(20):
-            x = rng.normal(size=3)
-            assert_grad_close(est.density_grad(x), central_diff(est.density, x))
+        est = MimicryEstimator(np.array([[1.0, 2.0]]), h=1.0)
+        np.testing.assert_allclose(est.density_grad(np.array([1.0, 2.0])), 0.0)
 
     def test_laplacian_matches_finite_differences_off_kinks(self):
         rng = np.random.default_rng(4)
@@ -87,20 +76,9 @@ class TestDensityGrad:
 
     def test_symmetric_pair_cancels(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        for kind in ("laplacian", "rbf"):
-            est = MimicryEstimator(pts, h=1.0, kernel_kind=kind)
-            g = est.density_grad(np.array([0.0, 0.0]))
-            assert abs(g[0]) < 1e-15
-
-    def test_paper_form_differs_by_magnitude_only_in_l1(self):
-        # the printed l1 formula keeps the raw difference instead of its sign
-        pts = np.array([[2.0, -1.0]])
-        x = np.array([0.0, 0.0])
-        corrected = MimicryEstimator(pts, h=1.0, kernel_kind="laplacian", grad_form="corrected")
-        printed = MimicryEstimator(pts, h=1.0, kernel_kind="laplacian", grad_form="paper")
-        w = np.exp(-3.0)
-        np.testing.assert_allclose(corrected.density_grad(x), -w * np.sign(x - pts[0]))
-        np.testing.assert_allclose(printed.density_grad(x), -w * (x - pts[0]))
+        est = MimicryEstimator(pts, h=1.0)
+        g = est.density_grad(np.array([0.0, 0.0]))
+        assert abs(g[0]) < 1e-15
 
     def test_sign_zero_at_kink(self):
         pts = np.array([[1.0, 5.0]])
@@ -140,21 +118,13 @@ def reference_density_and_grad(est: MimicryEstimator, x: np.ndarray):
     """Density and gradient from a full neighbour search, with np.mean: the
     estimator's formulas without any kept state."""
     diffs = x[None, :] - est.reference_points
-    if est.kernel_kind == "laplacian":
-        dists = np.abs(diffs).sum(axis=1)
-    else:
-        dists = np.einsum("ij,ij->i", diffs, diffs)
+    dists = np.abs(diffs).sum(axis=1)
     k = min(est.truncation_k, len(est.reference_points))
     if k < len(dists):
         sel = np.argpartition(dists, k - 1)[:k]
         diffs, dists = diffs[sel], dists[sel]
     w = np.exp(-dists / est.h)
-    n = len(dists)
-    if est.kernel_kind == "rbf":
-        grad = (-2.0 / (n * est.h)) * (w @ diffs)
-    else:
-        factor = np.sign(diffs) if est.grad_form == "corrected" else diffs
-        grad = (-1.0 / (n * est.h)) * (w @ factor)
+    grad = (-1.0 / (len(dists) * est.h)) * (w @ np.sign(diffs))
     return float(np.mean(w)), grad
 
 
@@ -225,7 +195,17 @@ class TestValidation:
             MimicryEstimator(np.zeros((0, 2)), h=1.0)
 
     def test_kde_params_build(self):
-        params = KdeParams(kernel_kind="rbf", h=2.0, truncation_k=3, grad_form="corrected")
+        params = KdeParams(kernel_kind="laplacian", h=2.0, truncation_k=3, grad_form="corrected")
         est = params.build(np.zeros((5, 2)))
-        assert est.kernel_kind == "rbf" and est.truncation_k == 3
+        assert est.kernel_kind == "laplacian" and est.truncation_k == 3
         assert KdeParams.from_estimator(est) == params
+
+    @pytest.mark.parametrize(
+        "setting, named",
+        [({"kernel_kind": "rbf"}, "unknown KDE kernel 'rbf'"), ({"grad_form": "paper"}, "unknown grad_form 'paper'")],
+    )
+    def test_kde_params_refuse_the_rbf_kernel_and_the_paper_gradient(self, setting, named):
+        with pytest.raises(ValueError, match=named):
+            KdeParams(**setting)
+        with pytest.raises(ValueError, match=named):
+            MimicryEstimator(np.zeros((5, 2)), h=1.0, **setting)

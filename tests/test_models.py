@@ -286,9 +286,10 @@ class TestGramAndSmoMatchReference:
             assert kernel_matrix(k, X, X).tobytes() == reference_kernel_matrix(k, X, X).tobytes()
             assert kernel_matrix(k, X[:101], X).tobytes() == reference_kernel_matrix(k, X[:101], X).tobytes()
 
-    def test_smo_solve_byte_equal(self):
+    @staticmethod
+    def smo_cases():
+        """60 seeded (kernel, X, y, C) problems: linear and rbf, integer and real rows."""
         rng = np.random.default_rng(41)
-        outcomes = Counter()
         for case in range(60):
             kind = ("linear", "rbf")[case % 2]
             integer = case % 4 >= 2
@@ -299,7 +300,11 @@ class TestGramAndSmoMatchReference:
             y[:2] = (-1, 1)
             # shift one class so that some problems separate and some overlap
             X[y > 0] += rng.choice([0.0, 1.0, 4.0])
-            k = KernelSpec(kind, gamma=float(rng.choice([0.05, 0.5, 2.0])))
+            yield KernelSpec(kind, gamma=float(rng.choice([0.05, 0.5, 2.0]))), X, y, C
+
+    def test_smo_solve_byte_equal(self):
+        outcomes = Counter()
+        for case, (k, X, y, C) in enumerate(self.smo_cases()):
             # overlapping linear problems can take 20,000 steps: 1,500 keep the test fast
             got = _smo_solve(kernel_matrix(k, X, X), y, C, max_iter=1500)
             want = reference_smo_solve(reference_kernel_matrix(k, X, X), y, C, max_iter=1500)
@@ -310,6 +315,17 @@ class TestGramAndSmoMatchReference:
             outcomes["free"] += bool(np.any((alpha > 1e-8) & (alpha < C - 1e-8)))
         # the cases reach both bounded and free multipliers
         assert outcomes["at_C"] > 0 and outcomes["free"] > 0
+
+    def test_step_cap_can_leave_the_gap_above_tol(self):
+        # case 26: 39 one-dimensional integer rows with heavy class overlap, a
+        # linear kernel and C = 100; its gap still reads 4.57 after the default
+        # 20,000 steps, and falls below tol only by 100,000
+        k, X, y, C = list(self.smo_cases())[26]
+        assert (k.kind, X.shape, C) == ("linear", (39, 1), 100.0)
+        K = kernel_matrix(k, X, X)
+        _, _, gap = _smo_solve(K, y, C)
+        assert gap > 1.0
+        assert _smo_solve(K, y, C, max_iter=100_000)[2] < 1e-3
 
 
 class TestSvmTrainingMemory:
@@ -615,7 +631,7 @@ class TestKernelPassMemo:
         sv = rng.normal(size=(10, 4))
         raw = rng.uniform(0.1, 1.0, size=10)
         model = SvmModel(KernelSpec("rbf", gamma=0.4), sv, raw - raw.mean(), 0.5, C=2.0)
-        spec = AttackSpec(distance=DistanceSpec("l2"), d_max=3.0, step_t=0.1,
+        spec = AttackSpec(distance=DistanceSpec("l1"), d_max=3.0, step_t=0.1,
                           bounds=FeatureBounds(-np.inf, np.inf), max_iters=40)
         tr = evade_continuous(model, spec, sv[0] + 0.1)
         assert tr.iterations >= 5

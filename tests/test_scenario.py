@@ -193,7 +193,7 @@ class TestRunScenario:
                 # a single-point trace in its row's place, evading the target at its start
                 assert skipped.iterations == 0 and skipped.termination == "converged"
                 np.testing.assert_array_equal(skipped.points[0], attack_set.X[0])
-                _, scores = trace_profile(target, skipped, DistanceSpec("l1"))
+                _, scores = trace_profile(target, skipped)
                 assert scores.tolist() == [-1.0] and scores[0] - target.decision_offset < 0
                 np.testing.assert_array_equal(attacked.points[0], attack_set.X[1])
                 assert attacked.iterations > 0
