@@ -132,30 +132,39 @@ def objective_grad(model: TrainedModel, spec: AttackSpec, x: np.ndarray) -> np.n
 # Projections.
 # ---------------------------------------------------------------------------
 
-def project_l1_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection of v onto {u : ||u||_1 <= radius}.
+def project_l1_ball(v: np.ndarray, radius: float, cap: np.ndarray | float = np.inf) -> np.ndarray:
+    """Euclidean projection of v onto {u : ||u||_1 <= radius, |u_i| <= cap_i}.
 
-    Sort-based soft thresholding: find the shift theta such that
-    sum(max(|v| - theta, 0)) = radius and shrink coordinates by it.
+    A capped soft threshold, u_i = sign(v_i) min(max(|v_i| - theta, 0), cap_i)
+    (Duchi et al., ICML 2008; with caps, the continuous quadratic knapsack of
+    Kiwiel, Math. Prog. 2008). The l1 norm of u is linear in theta between
+    the kinks |v_i| and |v_i| - cap_i, so one stable sort of the positive
+    kinks and two cumulative sums find the theta at which it equals radius.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     a = np.abs(v)
-    if a.sum() <= radius:
-        return np.asarray(v, float).copy()
+    capped = np.minimum(a, cap)
+    if capped.sum() <= radius:
+        return np.copysign(capped, v)
     if radius == 0.0:
         return np.zeros_like(v, dtype=float)
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, len(u) + 1)
-    rho = int(np.nonzero(u - (css - radius) / ks > 0)[0].max())
-    theta = (css[rho] - radius) / (rho + 1)
-    return np.sign(v) * np.maximum(a - theta, 0.0)
-
-
-def _project_budget(spec: AttackSpec, x0: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Euclidean projection of p onto the budget ball {||x - x0||_1 <= d_max}."""
-    return x0 + project_l1_ball(p - x0, spec.d_max)
+    # each |v_i| kink adds a unit of slope and its |v_i| - cap_i kink takes it
+    # back; the stable sort puts |v_i| kinks first among ties, so the count of
+    # units never goes negative
+    kinks = np.concatenate([a, a - cap])
+    slopes = np.repeat([1.0, -1.0], len(a))
+    order = np.argsort(-kinks, kind="stable")
+    order = order[kinks[order] > 0]
+    kinks, slopes = kinks[order], slopes[order]
+    css = np.cumsum(kinks * slopes)
+    count = np.cumsum(slopes)
+    # the norm is flat below a kink whose count is 0, so theta is never there
+    live = count > 0
+    kinks, css, count = kinks[live], css[live], count[live]
+    rho = int(np.nonzero(kinks - (css - radius) / count > 0)[0].max())
+    theta = (css[rho] - radius) / count[rho]
+    return np.copysign(np.minimum(np.maximum(a - theta, 0.0), cap), v)
 
 
 def _effective_box(spec: AttackSpec, x0: np.ndarray):
@@ -173,17 +182,14 @@ def is_feasible(spec: AttackSpec, x0: np.ndarray, x: np.ndarray, tol: float = _F
     return spec.distance.of(x, x0) <= spec.d_max + tol
 
 
-def project_feasible(
-    spec: AttackSpec, x0: np.ndarray, x: np.ndarray, max_rounds: int = 1000, box=None
-) -> np.ndarray:
+def project_feasible(spec: AttackSpec, x0: np.ndarray, x: np.ndarray, box=None) -> np.ndarray:
     """Nearest point (in l2) of the budget ball intersected with the box.
 
-    Dykstra's scheme with correction terms: plain alternation between the
-    two exact projectors reaches a feasible point but not generally the
-    nearest one, while the corrected iteration converges to the true
-    projection for convex sets. A final box-then-ball pass pins exact
-    feasibility (shrinking toward x0 never leaves the box, since x0 is
-    inside it).
+    The box holds x0, so the projection of v = x - x0 keeps each sign and
+    caps each coordinate at the room from x0 to the box on its side: the box
+    clip when that is within budget, else the capped soft threshold of
+    `project_l1_ball`. The caps are clamped at 0, since `_check_start` lets
+    x0 sit up to `_FEAS_TOL` outside the box.
 
     `box` is `_effective_box(spec, x0)` from a caller that has already
     checked x0 against it; without it the box is built and x0 checked here.
@@ -195,30 +201,12 @@ def project_feasible(
         if np.any(x0 < box[0] - _FEAS_TOL) or np.any(x0 > box[1] + _FEAS_TOL):
             raise ValueError("infeasible configuration: x0 violates the bounds")
     lo, hi = box
-    # fast paths: the projection onto one set alone is valid whenever it
-    # already lands in the other (projection onto a superset that happens
-    # to fall inside the subset is the subset projection)
     boxed = np.clip(x, lo, hi)
     if spec.distance.of(boxed, x0) <= spec.d_max:
         return boxed
-    balled = _project_budget(spec, x0, x)
-    if np.all(balled >= lo) and np.all(balled <= hi):
-        return balled
-    z = x.copy()
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(max_rounds):
-        y = np.clip(z + p, lo, hi)
-        p = z + p - y
-        z_new = _project_budget(spec, x0, y + q)
-        q = y + q - z_new
-        # converged when both projections agree and the cycle is stationary
-        # (z alone can stall transiently while the corrections still move)
-        if float(np.abs(y - z_new).max()) <= 1e-12 and float(np.abs(z_new - z).max()) <= 1e-12:
-            z = z_new
-            break
-        z = z_new
-    return _project_budget(spec, x0, np.clip(z, lo, hi))
+    v = x - x0
+    cap = np.maximum(np.where(v > 0, hi - x0, x0 - lo), 0.0)
+    return x0 + project_l1_ball(v, spec.d_max, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +233,14 @@ def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> A
     for _ in range(spec.max_iters):
         x = path.points[-1]
         grad = objective_grad(model, spec, x)
-        # the l2 norm only tests for zero (NaN included); the step has l1 length step_t
-        if not float(np.linalg.norm(grad)) > _ZERO_GRAD_NORM:
+        length = float(np.abs(grad).sum())
+        if not math.isfinite(length):
+            raise ValueError(f"gradient of F is not finite at iterate {path.iterations}")
+        # the l2 norm only tests for zero; the step has l1 length step_t
+        if float(np.linalg.norm(grad)) <= _ZERO_GRAD_NORM:
             path.termination = "zero_gradient"
             break
-        step = spec.step_t * grad / float(np.abs(grad).sum())
+        step = spec.step_t * grad / length
         cand = project_feasible(spec, x0, x - step, box=box)
         f_new = objective_F(model, spec, cand)
         if f_new - path.objective_values[-1] > -spec.epsilon:

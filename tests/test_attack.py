@@ -13,7 +13,6 @@ from gradevade.attack import (
     _check_start,
     _effective_box,
     _at_budget,
-    _project_budget,
     evade_continuous,
     evade_discrete,
     is_feasible,
@@ -140,6 +139,82 @@ def brute_force_projection(spec, x0, x, step=1e-3):
     return pts[int(np.argmin(d))]
 
 
+def dykstra_projection(spec, x0, x, max_rounds=1000):
+    """Dykstra's alternating projections onto the box and the budget ball,
+    as `project_feasible` computed them before the capped soft threshold;
+    returns the point and whether the loop hit `max_rounds`.
+
+    Kept as a comparison: the exact projection is never farther from x.
+    """
+    lo, hi = _effective_box(spec, x0)
+
+    def ball(p):
+        return x0 + project_l1_ball(p - x0, spec.d_max)
+
+    boxed = np.clip(x, lo, hi)
+    if spec.distance.of(boxed, x0) <= spec.d_max:
+        return boxed, False
+    balled = ball(x)
+    if np.all(balled >= lo) and np.all(balled <= hi):
+        return balled, False
+    z, p, q = x.copy(), np.zeros_like(x), np.zeros_like(x)
+    for _ in range(max_rounds):
+        y = np.clip(z + p, lo, hi)
+        p = z + p - y
+        z_new = ball(y + q)
+        q = y + q - z_new
+        if float(np.abs(y - z_new).max()) <= 1e-12 and float(np.abs(z_new - z).max()) <= 1e-12:
+            return ball(np.clip(z_new, lo, hi)), False
+        z = z_new
+    return ball(np.clip(z, lo, hi)), True
+
+
+def bisection_projection(spec, x0, x):
+    """Projection onto the budget ball and the box by bisection on theta.
+
+    For a box around x0, each coordinate of the projection minimises
+    (u - v)^2 / 2 + theta |u| over its box interval: the soft threshold of
+    v = x - x0 by theta, clipped to the box. The l1 norm falls as theta
+    grows, so halving [0, max |v|] finds the theta that meets the budget.
+    Independent of `project_l1_ball`: no sort, no caps.
+    """
+    lo, hi = _effective_box(spec, x0)
+    v = x - x0
+
+    def at(theta):
+        return np.clip(x0 + np.sign(v) * np.maximum(np.abs(v) - theta, 0.0), lo, hi)
+
+    if spec.distance.of(at(0.0), x0) <= spec.d_max:
+        return at(0.0)
+    below, above = 0.0, float(np.abs(v).max())
+    for _ in range(200):
+        mid = 0.5 * (below + above)
+        if mid in (below, above):
+            break
+        if spec.distance.of(at(mid), x0) > spec.d_max:
+            below = mid
+        else:
+            above = mid
+    return at(above)
+
+
+def _random_projection_case(rng):
+    """A seeded box around x0 with zero-width and unbounded sides, a budget
+    (0 at times) and a point x, often outside the budget."""
+    d = int(rng.integers(1, 40))
+    x0 = rng.uniform(-1.0, 1.0, size=d)
+    lo = x0 - rng.uniform(0.0, 1.0, size=d) * (rng.random(d) < 0.9)
+    hi = x0 + rng.uniform(0.0, 1.0, size=d) * (rng.random(d) < 0.9)
+    hi[rng.random(d) < 0.1] = np.inf
+    spec = AttackSpec(
+        distance=DistanceSpec("l1"),
+        d_max=float(rng.uniform(0.0, 3.0)) if rng.random() < 0.9 else 0.0,
+        bounds=FeatureBounds(lo, hi, increment_only=bool(rng.integers(0, 2))),
+    )
+    x = x0 + rng.normal(size=d) * rng.uniform(0.1, 3.0)
+    return spec, x0, x
+
+
 class TestL1BallProjection:
     def test_hand_cases(self):
         np.testing.assert_allclose(project_l1_ball(np.array([2.0, 2.0]), 2.0), [1.0, 1.0])
@@ -214,6 +289,42 @@ class TestProjectFeasible:
             ref = brute_force_projection(spec, x0, x)
             assert np.linalg.norm(ours - ref) <= 2e-3, (trial, ours, ref)
             assert is_feasible(spec, x0, ours)
+
+    def test_start_just_outside_the_box_moves_no_further_out(self):
+        # x0 may sit up to _FEAS_TOL above the box; that side's cap is 0, so
+        # the coordinate stays at x0 and the whole budget goes to the other one
+        spec = spec_l1(0.25, bounds=FeatureBounds(0.0, 1.0))
+        x0 = np.array([1.0 + _FEAS_TOL / 2, 0.5])
+        out = project_feasible(spec, x0, np.array([3.0, 3.0]))
+        np.testing.assert_array_equal(out, [x0[0], 0.75])
+
+    def test_matches_bisection_oracle_random_cases(self):
+        rng = np.random.default_rng(31)
+        ball_bound = 0
+        for case in range(400):
+            spec, x0, x = _random_projection_case(rng)
+            ours = project_feasible(spec, x0, x)
+            ref = bisection_projection(spec, x0, x)
+            scale = max(1.0, float(np.abs(x).max()))
+            assert float(np.abs(ours - ref).max()) <= 1e-12 * scale, case
+            assert is_feasible(spec, x0, ours), case
+            lo, hi = _effective_box(spec, x0)
+            ball_bound += spec.distance.of(np.clip(x, lo, hi), x0) > spec.d_max > 0
+        assert ball_bound >= 200  # most cases leave the budget after the box clip
+
+    def test_never_farther_than_dykstra_and_closer_where_it_stops_early(self):
+        # Dykstra's loop stops at max_rounds short of the projection: on a
+        # seeded case where it does, the exact projection is strictly closer
+        rng = np.random.default_rng(32)
+        cut_short = 0
+        for case in range(500):
+            spec, x0, x = _random_projection_case(rng)
+            ours = project_feasible(spec, x0, x)
+            theirs, hit_cap = dykstra_projection(spec, x0, x)
+            gap = np.linalg.norm(theirs - x) - np.linalg.norm(ours - x)
+            assert gap >= -1e-12 * max(1.0, float(np.abs(x).max())), case
+            cut_short += hit_cap and gap > 1e-9
+        assert cut_short >= 1
 
 
 class TestDistancesFromStart:
@@ -294,6 +405,16 @@ class TestEvadeContinuous:
         spec = spec_l1(1.0, bounds=FeatureBounds(0.0, 1.0))
         with pytest.raises(ValueError, match="x0"):
             evade_continuous(model, spec, np.array([2.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_is_refused(self, bad):
+        # a NaN entry used to end the run as zero_gradient, and an infinite
+        # one made the step NaN; both raise, naming the iterate
+        table = {(0.0, 0.0): (1.0, [-1.0, 0.0]), (1.0, 0.0): (0.0, [bad, 1.0])}
+        spec = spec_l1(5.0, bounds=FeatureBounds(-5.0, 5.0))
+        for run in (evade_continuous, reference_evade_continuous):
+            with pytest.raises(ValueError, match="not finite at iterate 1"):
+                run(TableModel(table), spec, np.zeros(2))
 
 
 def brute_force_discrete(model, spec, x0):
@@ -703,51 +824,10 @@ class TestScoresOncePerF:
         assert model.calls.count("discriminant") == len(f_calls) >= tr.iterations + 1
 
 
-def reference_project_feasible(spec, x0, x, max_rounds=1000):
-    """Oracle for project_feasible: the same projection, building the box
-    and checking x0 on every call."""
-    x0 = np.asarray(x0, float)
-    x = np.asarray(x, float)
-    lo, hi = _effective_box(spec, x0)
-    if np.any(x0 < lo - _FEAS_TOL) or np.any(x0 > hi + _FEAS_TOL):
-        raise ValueError("infeasible configuration: x0 violates the bounds")
-    # fast paths: the projection onto one set alone is valid whenever it
-    # already lands in the other (projection onto a superset that happens
-    # to fall inside the subset is the subset projection)
-    boxed = np.clip(x, lo, hi)
-    if spec.distance.of(boxed, x0) <= spec.d_max:
-        return boxed
-    balled = _project_budget(spec, x0, x)
-    if np.all(balled >= lo) and np.all(balled <= hi):
-        return balled
-    z = x.copy()
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for _ in range(max_rounds):
-        y = np.clip(z + p, lo, hi)
-        p = z + p - y
-        z_new = _project_budget(spec, x0, y + q)
-        q = y + q - z_new
-        # converged when both projections agree and the cycle is stationary
-        # (z alone can stall transiently while the corrections still move)
-        if float(np.abs(y - z_new).max()) <= 1e-12 and float(np.abs(z_new - z).max()) <= 1e-12:
-            z = z_new
-            break
-        z = z_new
-    return _project_budget(spec, x0, np.clip(z, lo, hi))
-
-
-def normalize_step(grad):
-    """grad scaled to unit l2 norm; None signals a vanishing gradient."""
-    norm = float(np.linalg.norm(grad))
-    if norm <= _ZERO_GRAD_NORM:
-        return None
-    return grad / norm
-
-
 def reference_evade_continuous(model, spec, x0):
     """Oracle for evade_continuous: the same descent, projecting through
-    reference_project_feasible and normalising every gradient."""
+    `project_feasible` without a prepared box, so the box is rebuilt and x0
+    checked on every call."""
     if spec.mode != "continuous":
         raise ValueError("spec.mode must be 'continuous'")
     x0 = np.asarray(x0, dtype=float)
@@ -757,16 +837,14 @@ def reference_evade_continuous(model, spec, x0):
     for _ in range(spec.max_iters):
         x = path.points[-1]
         grad = objective_grad(model, spec, x)
-        unit = normalize_step(grad)
-        if unit is None:
+        if not np.isfinite(grad).all():
+            raise ValueError(f"gradient of F is not finite at iterate {path.iterations}")
+        if float(np.linalg.norm(grad)) <= _ZERO_GRAD_NORM:
             termination = "zero_gradient"
             break
-        if spec.step_norm == "l1":
-            # fix the l1 length of the raw step instead of its l2 length
-            step = spec.step_t * grad / float(np.abs(grad).sum())
-        else:
-            step = spec.step_t * unit
-        cand = reference_project_feasible(spec, x0, x - step)
+        # fix the l1 length of the raw step instead of its l2 length
+        step = spec.step_t * grad / float(np.abs(grad).sum())
+        cand = attack_module.project_feasible(spec, x0, x - step)
         f_new = objective_F(model, spec, cand)
         if f_new - path.objective_values[-1] > -spec.epsilon:
             # improvement stalled; keep the point only if it still improved
@@ -777,6 +855,21 @@ def reference_evade_continuous(model, spec, x0):
         path.add(cand, f_new)
     path.termination = termination
     return path
+
+
+def count_capped_projections(monkeypatch):
+    """Patch `attack.project_l1_ball` to record, per call, whether a cap
+    binds: whether the capped projection differs from the uncapped one."""
+    capped = []
+    original = attack_module.project_l1_ball
+
+    def counted(v, radius, cap=np.inf):
+        out = original(v, radius, cap)
+        capped.append(not np.array_equal(out, original(v, radius)))
+        return out
+
+    monkeypatch.setattr(attack_module, "project_l1_ball", counted)
+    return capped
 
 
 def _random_continuous_case(rng):
@@ -819,31 +912,14 @@ def _random_continuous_case(rng):
 
 class TestContinuousMatchesReference:
     def test_same_trace_as_reference_on_random_cases(self, monkeypatch):
-        # _project_budget calls per project_feasible call: 0 or 1 on the fast
-        # paths, 2 or more once Dykstra's loop runs
-        budget_calls, per_projection = [], []
-        original_budget, original_project = attack_module._project_budget, attack_module.project_feasible
-
-        def counted_budget(*args):
-            budget_calls.append(1)
-            return original_budget(*args)
-
-        def counted_project(*args, **kwargs):
-            budget_calls.clear()
-            out = original_project(*args, **kwargs)
-            per_projection.append(len(budget_calls))
-            return out
-
-        monkeypatch.setattr(attack_module, "_project_budget", counted_budget)
-        monkeypatch.setattr(attack_module, "project_feasible", counted_project)
+        capped = count_capped_projections(monkeypatch)
         rng = np.random.default_rng(2025)
         seen = {"kinds": set(), "increment_only": set(), "lam_positive": set(), "terminations": set(),
-                "dykstra": False}
+                "capped": False}
         for case in range(300):
             kind, model, spec, x0 = _random_continuous_case(rng)
             if spec.lam > 0:
                 assert spec.mimicry.density(x0) > 1e-6, case  # the KDE term is live
-            per_projection.clear()
             got = evade_continuous(model, spec, x0)
             # the oracle scores an SVM with two kernel passes per point
             want = reference_evade_continuous(two_pass_copy(model) if kind == "rbf" else model, spec, x0)
@@ -856,11 +932,11 @@ class TestContinuousMatchesReference:
             seen["increment_only"].add(spec.bounds.increment_only)
             seen["lam_positive"].add(spec.lam > 0)
             seen["terminations"].add(got.termination)
-            seen["dykstra"] |= any(n >= 2 for n in per_projection)
+            seen["capped"] |= any(capped)
         assert seen == {
             "kinds": {"linear", "rbf", "mlp"},
             "increment_only": {False, True},
             "lam_positive": {False, True},
             "terminations": set(attack_module.TERMINATIONS),
-            "dykstra": True,
+            "capped": True,
         }

@@ -22,6 +22,8 @@ from gradevade.data import LEGITIMATE, MALICIOUS
 from gradevade.evaluation import calibrate_threshold, cell_split, trace_profile
 from gradevade.models import MODEL_FORMAT_VERSION, load_model, predict
 
+from test_attack import count_capped_projections
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 RESULTS_HEADER = "classifier,scenario,lambda,split,repeat,d_max,fn"
 SIDE = 4
@@ -118,23 +120,28 @@ def test_train_attack_export_digits(tmp_path, mnist_sets):
     assert (images / "start.pgm").read_bytes()[len(header):] == np.round(x0 * 255).astype(np.uint8).tobytes()
 
 
-def test_continuous_rbf_sweep_same_records_at_jobs_1_and_2(tmp_path, mnist_sets):
-    # the projection path on an rbf SVM, two splits so that two workers share the cells
+def test_continuous_rbf_sweep_same_records_at_jobs_1_and_2(tmp_path, mnist_sets, monkeypatch):
+    # the projection path on an rbf SVM, two splits so that two workers share
+    # the cells; at the config's largest budget (19.6) every projection is a
+    # box clip, so the budget here is small enough to bind
     sets = [s for s in mnist_sets if not s.startswith("jobs=")] + [
         'models=[{"kind": "svm", "C": 1.0, "kernel": {"kind": "rbf", "gamma": 0.5}}]',
-        "split.n_train=20", "split.n_test=20", "split.n_splits=2",
+        "split.n_train=20", "split.n_test=20", "split.n_splits=2", "attack.d_max_grid=[0,2.5,5,7.5]",
     ]
+    capped = count_capped_projections(monkeypatch)
     results = []
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}"
         assert main(["sweep", *config_args("mnist_3v7.json", sets, out), "--jobs", str(jobs)]) == 0
         assert not (out / "failures.json").exists()
         results.append((out / "results.csv").read_bytes())
+        if jobs == 1:
+            assert sum(capped) > 0  # projections where the box clip left the budget and a cap bound
     assert results[0] == results[1]
     rows = list(csv.DictReader(io.StringIO(results[0].decode())))
     fn = {(row["split"], float(row["d_max"])): float(row["fn"]) for row in rows}
     assert {split for split, _ in fn} == {"0", "1"}
-    assert all(fn[split, 19.607843137254903] > fn[split, 0.0] for split in ("0", "1"))  # the attack moved
+    assert all(fn[split, 7.5] > fn[split, 0.0] for split in ("0", "1"))  # the attack moved
 
 
 
