@@ -84,7 +84,6 @@ class AttackSpec:
         # the estimator after construction; enforced when F is evaluated
 
 
-@dataclass
 class AttackTrace:
     """What one attack run did: every iterate, F at each, and why it stopped.
 
@@ -94,19 +93,37 @@ class AttackTrace:
     labels legitimate: that holds the target's batched score g(x0). Whether
     a point evades the target is not recorded here: `evaluation.trace_profile`
     scores the points on the target.
+
+    The points live in one float64 (capacity, d) array, and `points` is the
+    (n, d) view of the n rows written so far. The engines pass as
+    `capacity` the most points their run can record; without one, `add`
+    doubles the array when it is full.
     """
 
-    points: list
-    objective_values: list
-    termination: str = "max_iters"
+    def __init__(self, points, objective_values: list, termination: str = "max_iters", capacity: int = 0):
+        first = np.asarray(points, dtype=float)
+        self._rows = np.empty((max(capacity, len(first)), first.shape[1]))
+        self._rows[:len(first)] = first
+        self._n = len(first)
+        self.objective_values = objective_values
+        self.termination = termination
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._rows[:self._n]
 
     def add(self, x: np.ndarray, f: float):
-        self.points.append(x)
+        if self._n == len(self._rows):
+            grown = np.empty((2 * self._n, self._rows.shape[1]))
+            grown[:self._n] = self._rows
+            self._rows = grown
+        self._rows[self._n] = x
+        self._n += 1
         self.objective_values.append(f)
 
     @property
     def iterations(self) -> int:
-        return len(self.points) - 1
+        return self._n - 1
 
 
 def objective_F(model: TrainedModel, spec: AttackSpec, x: np.ndarray) -> float:
@@ -162,7 +179,9 @@ def project_l1_ball(v: np.ndarray, radius: float, cap: np.ndarray | float = np.i
     # the norm is flat below a kink whose count is 0, so theta is never there
     live = count > 0
     kinks, css, count = kinks[live], css[live], count[live]
-    rho = int(np.nonzero(kinks - (css - radius) / count > 0)[0].max())
+    # the first kink passes in exact arithmetic; with radius below the rounding
+    # unit of max |v_i| none may, and the first kink's theta clears u to 0
+    rho = int(np.nonzero(kinks - (css - radius) / count > 0)[0].max(initial=0))
     theta = (css[rho] - radius) / count[rho]
     return np.copysign(np.minimum(np.maximum(a - theta, 0.0), cap), v)
 
@@ -229,7 +248,7 @@ def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> A
     x0 = np.asarray(x0, dtype=float)
     _check_start(spec, x0)
     box = _effective_box(spec, x0)
-    path = AttackTrace([x0.copy()], [objective_F(model, spec, x0)])
+    path = AttackTrace([x0], [objective_F(model, spec, x0)], capacity=spec.max_iters + 1)
     for _ in range(spec.max_iters):
         x = path.points[-1]
         grad = objective_grad(model, spec, x)
@@ -297,7 +316,9 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
     hi = _effective_box(spec, x0)[1]
     hi_list = hi.tolist()
     moves = 0.0  # the l1 distance from x0: one per accepted move, exact in floats
-    path = AttackTrace([x0.copy()], [objective_F(model, spec, x0)])
+    # x0 and at most one point per move that fits in the budget
+    capacity = math.floor(min(spec.d_max + _FEAS_TOL, spec.max_iters)) + 1
+    path = AttackTrace([x0], [objective_F(model, spec, x0)], capacity=capacity)
     for _ in range(spec.max_iters):
         x = path.points[-1]
         grad = objective_grad(model, spec, x)

@@ -80,7 +80,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.X[idx].copy(), self.y[idx].copy(), self.feature_names)
+        return Dataset(self.X[idx], self.y[idx], self.feature_names)  # indexing copies
 
     def class_counts(self) -> tuple[int, int]:
         """(legitimate count, malicious count)."""

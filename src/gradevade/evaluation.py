@@ -16,6 +16,7 @@ import numpy as np
 
 from .attack import AttackSpec, AttackTrace
 from .data import LEGITIMATE, MALICIOUS, Dataset, derive_seeds, split_train_test
+from .kernels import _BLOCK
 from .mimicry import KdeParams
 from .models import ModelSpec, TrainedModel, train_from_spec
 from .scenario import ScenarioSpec, descent_rounds, run_scenario
@@ -77,11 +78,21 @@ def trace_profile(target: TrainedModel, trace: AttackTrace):
     The one place a trace meets the target: a point evades where its score
     minus `target.decision_offset` (the calibrated threshold) is negative.
     Each distance has the bits of `DistanceSpec().of(point, points[0])`.
+
+    `trace.points` is never copied or written. It is scored in one batched
+    call: a C-contiguous view, so the model sees what `np.stack` of the
+    points would give it (scoring in row blocks would change the bits). The
+    distances go through one `kernels._BLOCK`-row buffer; each row is
+    reduced alone, so the block size leaves their bits as they are.
     """
-    diff = np.stack(trace.points).astype(float, copy=False)
-    scores = target.discriminant_many(diff)  # scored before the points become offsets in place
-    diff -= diff[0].copy()
-    return np.abs(diff, out=diff).sum(axis=1), scores
+    points = trace.points
+    scores = target.discriminant_many(points)
+    dists = np.empty(len(points))
+    block = np.empty((min(len(points), _BLOCK), points.shape[1]))
+    for s in range(0, len(points), _BLOCK):
+        diff = np.subtract(points[s:s + _BLOCK], points[0], out=block[:len(points) - s])
+        dists[s:s + _BLOCK] = np.abs(diff, out=diff).sum(axis=1)
+    return dists, scores
 
 
 def fn_rates(
@@ -93,14 +104,16 @@ def fn_rates(
 
     `traces` may be any iterable, a lazy round of `scenario.run_scenario`
     included: each trace is reduced to its nearest evading distance as it
-    arrives, so only one is held at a time.
+    arrives and released before the next one is asked for, so a descent
+    never runs while a finished trace is still held here.
     """
     limits = np.asarray(d_grid, dtype=float) + 1e-9
     hits = np.zeros(len(d_grid), dtype=int)
     n = 0
-    for tr in traces:
+    # map keeps no trace between calls; a `for tr in traces` variable would
+    # keep trace k alive while trace k+1 is made
+    for dists, scores in map(partial(trace_profile, target), traces):
         n += 1
-        dists, scores = trace_profile(target, tr)
         evading = scores - target.decision_offset < 0
         if evading.any():
             # some evading point lies within b exactly when the nearest one does
@@ -163,7 +176,7 @@ def _run_cell(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]) -> list[dict]:
         atk = replace(plan.attack, lam=lam, d_max=max(plan.d_grid))
         for kind in plan.scenario_kinds:
             for repeat, traces in enumerate(run_scenario(target, descents[kind], atk, attack_set, kde=plan.kde)):
-                # counted as the round yields them: one trace alive at a time
+                # counted as the round yields them: no finished trace alive during a descent
                 fns = fn_rates(target, traces, plan.d_grid)
                 for b, fn in zip(plan.d_grid, fns):
                     rows.append(

@@ -10,9 +10,10 @@ judged by the evaluation (`evaluation.trace_profile`), never here. The
 target is never touched during LK descent except through `models.predict`.
 
 `run_scenario` attacks a list of rounds and streams: its rounds and each
-round's traces are lazy iterators, so a caller that reduces each trace as
-it arrives (`evaluation.fn_rates`) holds one trace at a time, not a round
-of them.
+round's traces are lazy iterators that keep no trace once it is yielded.
+A caller that reduces each trace as it arrives and lets it go before
+asking for the next (`evaluation.fn_rates`) holds one trace at a time, not
+a round of them, and none while a descent runs.
 """
 from __future__ import annotations
 
@@ -137,7 +138,7 @@ def _traces(model: TrainedModel, spec: AttackSpec, X: np.ndarray, start_scores: 
         if pred == MALICIOUS:
             yield run_attack(model, spec, x0)
         else:
-            yield AttackTrace([x0.copy()], [float(score)], "converged")
+            yield AttackTrace([x0], [float(score)], "converged")
 
 
 def run_scenario(

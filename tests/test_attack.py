@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -242,6 +243,17 @@ class TestL1BallProjection:
             assert np.all(np.sign(p[active]) == np.sign(v[active]))
 
 
+    def test_radius_below_the_rounding_unit_of_the_largest_entry(self):
+        # no kink passes its test in floats here; the first kink's theta
+        # clears every coordinate, as bisection on theta does
+        for v, radius in (([1e20], 1.0), ([3e16, 1.0], 0.5), ([-1e20, 2.0], 1.0)):
+            v = np.array(v)
+            p = project_l1_ball(v, radius)
+            assert np.abs(p).sum() <= radius
+            spec = spec_l1(radius)
+            np.testing.assert_array_equal(p, bisection_projection(spec, np.zeros_like(v), v))
+
+
 class TestProjectFeasible:
     def test_feasible_point_unchanged(self):
         spec = spec_l1(2.0, bounds=FeatureBounds(0.0, 1.0))
@@ -340,9 +352,26 @@ class TestDistancesFromStart:
             want = np.array([dist.of(p, points[0]) for p in points])
             dists, scores = trace_profile(model, tr)
             assert dists.tobytes() == want.tobytes()
-            # scored before the distances are computed in place, and the trace is untouched
+            # the stacked points' scores, and the trace is untouched
             assert scores.tobytes() == model.discriminant_many(kept).tobytes()
             assert np.stack(tr.points).tobytes() == kept.tobytes()
+
+
+class TestTraceArray:
+    """A run's points live in one array, sized for the most points it can write."""
+
+    def test_discrete_reserves_one_row_per_move_the_budget_allows(self):
+        model = LinearModel(np.array([-1.0, -2.0]), 0.0)  # every +1 move lowers F
+        bounds = FeatureBounds(0.0, np.inf, increment_only=True)
+        for d_max, max_iters, rows in ((3.5, 500, 4), (3.0, 500, 4), (0.0, 500, 1), (10.0, 2, 3)):
+            spec = spec_l1(d_max, mode="discrete", max_iters=max_iters, bounds=bounds)
+            tr = evade_discrete(model, spec, np.zeros(2))
+            assert tr.points.base.shape == (rows, 2) and len(tr.points) == rows
+            assert rows <= math.floor(d_max) + 1
+
+    def test_continuous_reserves_max_iters_plus_one_rows(self):
+        tr = evade_continuous(LinearModel(np.array([1.0]), 0.0), spec_l1(3.0, max_iters=20), np.array([2.0]))
+        assert tr.points.base.shape == (21, 1) and len(tr.points) == 4
 
 
 class TestEvadeContinuous:

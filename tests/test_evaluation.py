@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -19,9 +20,11 @@ from gradevade.evaluation import (
     cell_split,
     fn_rates,
     sweep,
+    trace_profile,
 )
 from gradevade.mimicry import KdeParams
-from gradevade.models import LinearModel, ModelSpec
+from gradevade.kernels import KernelSpec
+from gradevade.models import LinearModel, MlpModel, ModelSpec, SvmModel
 from gradevade.scenario import ScenarioSpec, descent_rounds, run_scenario
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -232,9 +235,9 @@ class TestSweep:
         assert {r["classifier"] for r in res.records} == {"linear_svm(C=1)"}
 
 
-def test_sweep_holds_at_most_one_finished_trace_when_a_descent_starts(monkeypatch):
-    # each trace is counted as its round yields it, so when a descent starts
-    # only the trace being counted before it may still be alive
+def test_sweep_holds_no_finished_trace_when_a_descent_starts(monkeypatch):
+    # each trace is counted as its round yields it and released before the
+    # next one is asked for, so no finished trace is alive when a descent starts
     alive_at_start = []
     traces = []
 
@@ -253,7 +256,77 @@ def test_sweep_holds_at_most_one_finished_trace_when_a_descent_starts(monkeypatc
     )
     assert not res.failures and len(res.records) == 3 * 2
     assert len(alive_at_start) >= 3 * 4
-    assert max(alive_at_start) <= 1
+    assert max(alive_at_start) == 0
+
+
+def test_fn_rates_releases_each_trace_before_asking_for_the_next():
+    model = LinearModel(np.array([1.0]), 0.0)
+    made = []
+
+    def traces():
+        for start in (2.0, 1.0, -1.0, 3.0):
+            assert all(ref() is None for ref in made), f"trace {len(made) - 1} still alive"
+            trace = [trace_of([[start], [start - 1.5]], model)]
+            made.append(weakref.ref(trace[0]))
+            yield trace.pop()  # the generator keeps no reference either
+
+    assert fn_rates(model, traces(), [0.0, 1.0, 2.0]) == [0.25, 0.25, 0.5]
+    assert len(made) == 4
+
+
+def reference_trace_profile(target, points):
+    """`trace_profile` as it was when a trace kept a list of point arrays:
+    `np.stack` copies them, the copy is scored, then turned into the
+    distances in place."""
+    diff = np.stack(points).astype(float, copy=False)
+    scores = target.discriminant_many(diff)
+    diff -= diff[0].copy()
+    return np.abs(diff, out=diff).sum(axis=1), scores
+
+
+def _random_target(kind, d, rng):
+    if kind == "linear":
+        return LinearModel(rng.normal(size=d), 0.3)
+    if kind == "rbf":
+        coefs = rng.uniform(-1.0, 1.0, size=20)
+        return SvmModel(KernelSpec("rbf", gamma=0.5 / d), rng.random((20, d)), coefs - coefs.mean(), 0.1, C=2.0)
+    return MlpModel(rng.normal(size=(6, d)) / np.sqrt(d), rng.normal(size=6), rng.normal(size=6), 0.2)
+
+
+class TestTraceProfile:
+    @pytest.mark.parametrize("kind", ["linear", "rbf", "mlp"])
+    def test_same_bits_as_stacking_the_points(self, kind):
+        # on a trace array with rows to spare (as the engines reserve them)
+        # and on one that grew, for 1, 51 and 501 points of 5 to 784 features
+        rng = np.random.default_rng(23)
+        for d in (5, 100, 784):
+            target = _random_target(kind, d, rng)
+            for n in (1, 51, 501):
+                points = list(rng.random(d) + np.cumsum(rng.normal(scale=0.1, size=(n, d)), axis=0))
+                want_dists, want_scores = reference_trace_profile(target, points)
+                reserved = AttackTrace(points[:1], [0.0], capacity=n + 7)
+                grown = AttackTrace(points[:1], [0.0])
+                for trace in (reserved, grown):
+                    for p in points[1:]:
+                        trace.add(p, 0.0)
+                    dists, scores = trace_profile(target, trace)
+                    assert dists.tobytes() == want_dists.tobytes(), (d, n)
+                    assert scores.tobytes() == want_scores.tobytes(), (d, n)
+                    assert trace.points.tobytes() == np.stack(points).tobytes()
+
+    def test_allocates_a_quarter_of_the_trace_beyond_its_outputs(self):
+        # a full-length digits trace, 501 x 784: scored as it is, and the
+        # distances come one 64-row block at a time, not from a copy
+        rng = np.random.default_rng(24)
+        trace = AttackTrace(list(rng.random((501, 784))), [0.0] * 501)
+        target = LinearModel(rng.normal(size=784), 0.0)
+        tracemalloc.start()
+        try:
+            dists, scores = trace_profile(target, trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - dists.nbytes - scores.nbytes <= 0.25 * (501 * 784 * 8)
 
 
 class TestSurrogateReuse:
