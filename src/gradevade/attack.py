@@ -11,7 +11,7 @@ decreases F. Every move adds exactly 1 to the distance from x0, so the
 descent keeps that distance as a running count instead of recomputing it
 for every candidate. Its candidates come from `_candidates`, which finds
 the first one with one argmin and sorts the gradient only when the descent
-asks for a second.
+asks for a second. Both descents raise on a gradient that is not finite.
 """
 from __future__ import annotations
 
@@ -95,9 +95,8 @@ class AttackTrace:
     scores the points on the target.
 
     The points live in one float64 (capacity, d) array, and `points` is the
-    (n, d) view of the n rows written so far. The engines pass as
-    `capacity` the most points their run can record; without one, `add`
-    doubles the array when it is full.
+    (n, d) view of the n rows written so far. A caller that adds points
+    passes as `capacity` the most points its run can record.
     """
 
     def __init__(self, points, objective_values: list, termination: str = "max_iters", capacity: int = 0):
@@ -113,10 +112,6 @@ class AttackTrace:
         return self._rows[:self._n]
 
     def add(self, x: np.ndarray, f: float):
-        if self._n == len(self._rows):
-            grown = np.empty((2 * self._n, self._rows.shape[1]))
-            grown[:self._n] = self._rows
-            self._rows = grown
         self._rows[self._n] = x
         self._n += 1
         self.objective_values.append(f)
@@ -272,39 +267,34 @@ def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> A
     return path
 
 
-def _candidates(grad: np.ndarray, finite: bool):
-    """The features j whose +1 move goes against grad F, grad[j] < 0 (or
-    NaN, whose sign is unknown), in the stable order of decreasing |grad|,
-    up to the first zero.
+def _candidates(grad: np.ndarray):
+    """The features j whose +1 move goes against grad F, grad[j] < 0, in
+    the stable order of increasing grad.
 
-    A finite gradient's first candidate, `argmin(grad)` (the first index
-    among ties, as in the stable sort), comes first without a sort; the sort
-    runs only if a second candidate is asked for, and skips it. NaN sorts
-    last but argmin picks it first, so a non-finite gradient is sorted from
-    the start, and a NaN behind a zero is never a candidate.
+    The first, `argmin(grad)` (the first index among ties, as in the stable
+    sort), comes without a sort; the sort runs only if a second candidate
+    is asked for, and skips it.
     """
-    first = -1
-    if finite:
-        first = int(grad.argmin())
-        if grad[first] < 0.0:
-            yield first
+    first = int(grad.argmin())
+    if not grad[first] < 0.0:
+        return
+    yield first
     values = grad.tolist()
-    for j in np.argsort(-np.abs(grad), kind="stable").tolist():
-        if values[j] == 0.0:
-            return  # sorted by |grad|; the rest are zeros or NaN
-        if j != first and not values[j] > 0.0:
-            yield j
+    for j in np.argsort(grad, kind="stable")[1:].tolist():
+        if not values[j] < 0.0:
+            return
+        yield j
 
 
 def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> AttackTrace:
     """Steepest feasible coordinate descent with +1 moves on integer features.
 
     Each iterate takes the first +1 move of `_candidates` that the upper
-    bound and the budget allow and that strictly decreases F. Without one
-    the run ends: `budget_boundary_converged` if a move the bound allows
-    left the budget, else `converged`. Every move adds 1 to the l1 distance
-    from x0, so once the next one would leave the budget, no move is scored,
-    and one vector test of a finite gradient settles which.
+    bound allows and that strictly decreases F; without one the run ends
+    `converged`. Every move adds 1 to the l1 distance from x0, so once the
+    next one would leave the budget, no move is scored: one vector test
+    settles `budget_boundary_converged` if a move the bound allows goes
+    against the gradient, else `converged`.
     """
     if spec.mode != "discrete":
         raise ValueError("spec.mode must be 'discrete'")
@@ -323,22 +313,19 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
         x = path.points[-1]
         grad = objective_grad(model, spec, x)
         norm = math.sqrt(grad @ grad)  # np.linalg.norm of a vector
+        # test the entries only for a norm that is not finite; a finite gradient's square may overflow
+        if not math.isfinite(norm) and not np.isfinite(grad).all():
+            raise ValueError(f"gradient of F is not finite at iterate {path.iterations}")
         if norm <= _ZERO_GRAD_NORM:
             path.termination = "zero_gradient"
             break
-        finite = math.isfinite(norm)
-        over_budget = moves + 1.0 > spec.d_max + _FEAS_TOL
-        if over_budget and finite:
+        if moves + 1.0 > spec.d_max + _FEAS_TOL:
             blocked = np.any((grad < 0.0) & (x + 1.0 <= hi + _FEAS_TOL))
             path.termination = "budget_boundary_converged" if blocked else "converged"
             break
-        budget_blocked = False
-        for j in _candidates(grad, finite):
+        for j in _candidates(grad):
             nv = float(x[j]) + 1.0
             if nv > hi_list[j] + _FEAS_TOL:
-                continue
-            if over_budget:
-                budget_blocked = True
                 continue
             cand = x.copy()
             cand[j] = nv
@@ -348,7 +335,7 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
                 moves += 1.0
                 break
         else:
-            path.termination = "budget_boundary_converged" if budget_blocked else "converged"
+            path.termination = "converged"
             break
     return path
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attack import AttackSpec, DistanceSpec
+from .attack import AttackSpec
 from .benchmark import synthetic_pdf_dataset
 from .data import (
     Dataset,
@@ -62,15 +62,13 @@ _DEFAULTS = {
     },
     "attack": {
         "mode": "discrete",
-        "distance": "l1",
         "d_max_grid": [0, 5, 10, 15, 20, 25, 30, 35, 40, 45, 50],
         "step_t": 1.0,
-        "step_norm": "l1",
         "lambdas": [0.0],
         "epsilon": 1e-9,
         "max_iters": 500,
         "bounds": {"lower": 0.0, "upper": None, "increment_only": True},
-        "kde": {"kernel": "laplacian", "h": 10.0, "truncation_k": 50, "grad": "corrected"},
+        "kde": {"h": 10.0, "truncation_k": 50},
     },
     "evaluation": {"fp_target": 0.005},
 }
@@ -248,15 +246,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         lambdas = [float(l) for l in atk["lambdas"]]
         if not all(l >= 0 for l in lambdas):
             raise ConfigError("attack.lambdas values must be nonnegative")
-        kde_doc = atk["kde"]
-        kde = KdeParams(
-            kernel_kind=kde_doc["kernel"],
-            h=float(kde_doc["h"]),
-            truncation_k=int(kde_doc["truncation_k"]),
-            grad_form=kde_doc["grad"],
-        )
+        kde = KdeParams(h=float(atk["kde"]["h"]), truncation_k=int(atk["kde"]["truncation_k"]))
         attack = AttackSpec(
-            distance=DistanceSpec(atk["distance"]),
             d_max=max(d_grid),
             step_t=float(atk["step_t"]),
             lam=0.0,
@@ -264,7 +255,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
             max_iters=int(atk["max_iters"]),
             bounds=bounds,
             mode=atk["mode"],
-            step_norm=atk["step_norm"],
         )
 
         ev = resolved["evaluation"]

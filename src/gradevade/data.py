@@ -148,7 +148,7 @@ def load_dense_csv(path, label_column: str = "label") -> Dataset:
     return Dataset(np.array(rows), np.array(labels), feature_names)
 
 
-def load_sparse_counts(path, dim: int | None = None) -> Dataset:
+def load_sparse_counts(path) -> Dataset:
     """Load `label index:value ...` lines (1-based indices) into dense form."""
     entries = []
     labels = []
@@ -174,10 +174,7 @@ def load_sparse_counts(path, dim: int | None = None) -> Dataset:
             entries.append(pairs)
     if not entries:
         raise ValueError(f"{path}: no data rows")
-    d = dim if dim is not None else max_idx
-    if max_idx > d:
-        raise ValueError(f"{path}: index {max_idx} exceeds declared dim {d}")
-    X = np.zeros((len(entries), d))
+    X = np.zeros((len(entries), max_idx))
     for i, pairs in enumerate(entries):
         for j, v in pairs:
             X[i, j] = v

@@ -16,15 +16,11 @@ the formula keeps the raw x - x_i instead of its sign; it is not offered.)
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import _SAME_QUERY, _DistanceMemo
-
-# the one accepted value of each setting; the fields stay because configs name them
-KDE_KERNELS = ("laplacian",)
-GRAD_FORMS = ("corrected",)
 
 
 @dataclass
@@ -34,9 +30,7 @@ class MimicryEstimator:
 
     reference_points: np.ndarray      # (N, d) samples labeled legitimate
     h: float
-    kernel_kind: str = "laplacian"
     truncation_k: int = 50
-    grad_form: str = "corrected"
 
     def __post_init__(self):
         pts = np.asarray(self.reference_points, dtype=float)
@@ -44,7 +38,7 @@ class MimicryEstimator:
             raise ValueError("reference_points must be a non-empty 2-D array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("reference_points contain non-finite values")
-        KdeParams.from_estimator(self)  # checks the settings
+        KdeParams(h=self.h, truncation_k=self.truncation_k)  # checks the settings
         self.reference_points = pts
         # the latest query's x - x_i and Manhattan distances, the signs of
         # each x - x_i, and (signs, exp(-distance/h)) of its nearest points
@@ -89,7 +83,10 @@ class MimicryEstimator:
 
 @dataclass(frozen=True)
 class KdeParams:
-    """Estimator settings without a reference set; scenarios bind the points."""
+    """Estimator settings without a reference set; scenarios bind the points.
+
+    `kernel_kind` and `grad_form` accept one value each; they stay because
+    the benchmark workloads name them."""
 
     kernel_kind: str = "laplacian"
     h: float = 10.0
@@ -101,14 +98,10 @@ class KdeParams:
             raise ValueError("bandwidth h must be positive")
         if self.truncation_k < 1:
             raise ValueError("truncation_k must be >= 1")
-        if self.kernel_kind not in KDE_KERNELS:
+        if self.kernel_kind != "laplacian":
             raise ValueError(f"unknown KDE kernel {self.kernel_kind!r}: the KDE is laplacian")
-        if self.grad_form not in GRAD_FORMS:
+        if self.grad_form != "corrected":
             raise ValueError(f"unknown grad_form {self.grad_form!r}: the KDE gradient is the corrected one")
 
     def build(self, reference_points: np.ndarray) -> MimicryEstimator:
-        return MimicryEstimator(reference_points, **asdict(self))
-
-    @classmethod
-    def from_estimator(cls, est: MimicryEstimator) -> "KdeParams":
-        return cls(**{f.name: getattr(est, f.name) for f in fields(cls)})
+        return MimicryEstimator(reference_points, h=self.h, truncation_k=self.truncation_k)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gradevade.cli import main
 from gradevade.config import ConfigError, apply_override, load_config, parse_config
-from gradevade.mimicry import KDE_KERNELS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -110,7 +109,7 @@ class TestOverrides:
             ["--set", o]
             for o in (
                 "split.n_splits=-1", "split.n_splits=0", "split.n_train=0", "split.n_test=0", "jobs=0",
-                "attack.kde.h=-1", "attack.kde.h=NaN", "attack.kde.truncation_k=0", 'attack.kde.kernel="gauss"',
+                "attack.kde.h=-1", "attack.kde.h=NaN", "attack.kde.truncation_k=0",
                 "attack.d_max_grid=[NaN]", "attack.d_max_grid=[0,Infinity]", "attack.step_t=NaN",
                 "attack.epsilon=NaN", "attack.lambdas=[NaN]",
                 "scenario.n_q=1", "models.0.C=-1", "models.0.C=NaN", "models.1.kernel.gamma=NaN",
@@ -118,9 +117,11 @@ class TestOverrides:
                 "scenario.surrogate.C=-1", "scenario.surrogate.gamma=NaN", "scenario.surrogate.m=0",
                 "scenario.surrogate.learning_rate=0", "attack.bounds.lower=NaN", "attack.bounds.upper=NaN",
                 "attack.bounds.lower=200",
-                # values the attack does not run: l2 budgets, rbf and printed-gradient KDEs, -1 moves
-                'attack.distance="l2"', 'attack.kde.kernel="rbf"', 'attack.kde.grad="paper"',
+                # -1 moves, which the attack does not run
                 "attack.bounds.increment_only=false",
+                # keys that are gone: each took one value
+                'attack.kde.kernel="gauss"', 'attack.distance="l2"', 'attack.kde.kernel="rbf"',
+                'attack.kde.grad="paper"',
             )
         ]
         + [["--set", 'attack.mode="continuous"', "--set", 'attack.step_norm="l2"']]
@@ -133,11 +134,14 @@ class TestOverrides:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()  # rejected before any work
 
-    def test_continuous_config_without_a_step_norm_parses_to_l1(self):
+    def test_config_naming_a_step_norm_exits_2_naming_the_key(self, tmp_path, capsys):
+        # the continuous step has l1 length, so the key is gone, "l1" included
+        config = tmp_path / "mnist_3v7.json"
         doc = json.loads((CONFIGS / "mnist_3v7.json").read_text())
-        del doc["attack"]["step_norm"]
-        cfg = parse_config(doc)
-        assert cfg.attack.mode == "continuous" and cfg.attack.step_norm == "l1"
+        doc["attack"]["step_norm"] = "l1"
+        config.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown config key attack.step_norm" in capsys.readouterr().err
 
     def test_list_entries_and_new_keys_are_set(self):
         doc = flagship_doc()
@@ -186,12 +190,13 @@ OUT_OF_RANGE = {
     "split.n_test": st.integers(max_value=0),
     "attack.kde.h": st.floats().filter(lambda v: not v > 0),
     "attack.kde.truncation_k": st.integers(max_value=0),
-    "attack.kde.kernel": st.just("rbf") | st.text(max_size=8).filter(lambda t: t not in KDE_KERNELS),
-    "attack.kde.grad": st.just("paper"),
-    "attack.distance": st.just("l2"),
+    # keys that are gone: any value, the one they took included, is an unknown key
+    "attack.kde.kernel": st.just("laplacian") | JSON_VALUES,
+    "attack.kde.grad": st.just("corrected") | JSON_VALUES,
+    "attack.distance": st.just("l1") | JSON_VALUES,
+    "attack.step_norm": st.sampled_from(["l1", "l2"]) | JSON_VALUES,
     "attack.bounds.increment_only": st.just(False),
-    # the flagship config's step_norm is l2, which only discrete mode accepts
-    "attack.mode": st.just("continuous"),
+    "attack.mode": st.text(max_size=8).filter(lambda t: t not in ("continuous", "discrete")),
     "attack.step_t": st.floats().filter(lambda v: not v > 0),
     "attack.epsilon": st.floats().filter(lambda v: not v > 0),
     "attack.d_max_grid": st.lists(st.floats(0, 1e3), max_size=3).flatmap(

@@ -296,23 +296,21 @@ def _random_target(kind, d, rng):
 class TestTraceProfile:
     @pytest.mark.parametrize("kind", ["linear", "rbf", "mlp"])
     def test_same_bits_as_stacking_the_points(self, kind):
-        # on a trace array with rows to spare (as the engines reserve them)
-        # and on one that grew, for 1, 51 and 501 points of 5 to 784 features
+        # on a trace array with rows to spare, as the engines reserve them,
+        # for 1, 51 and 501 points of 5 to 784 features
         rng = np.random.default_rng(23)
         for d in (5, 100, 784):
             target = _random_target(kind, d, rng)
             for n in (1, 51, 501):
                 points = list(rng.random(d) + np.cumsum(rng.normal(scale=0.1, size=(n, d)), axis=0))
                 want_dists, want_scores = reference_trace_profile(target, points)
-                reserved = AttackTrace(points[:1], [0.0], capacity=n + 7)
-                grown = AttackTrace(points[:1], [0.0])
-                for trace in (reserved, grown):
-                    for p in points[1:]:
-                        trace.add(p, 0.0)
-                    dists, scores = trace_profile(target, trace)
-                    assert dists.tobytes() == want_dists.tobytes(), (d, n)
-                    assert scores.tobytes() == want_scores.tobytes(), (d, n)
-                    assert trace.points.tobytes() == np.stack(points).tobytes()
+                trace = AttackTrace(points[:1], [0.0], capacity=n + 7)
+                for p in points[1:]:
+                    trace.add(p, 0.0)
+                dists, scores = trace_profile(target, trace)
+                assert dists.tobytes() == want_dists.tobytes(), (d, n)
+                assert scores.tobytes() == want_scores.tobytes(), (d, n)
+                assert trace.points.tobytes() == np.stack(points).tobytes()
 
     def test_allocates_a_quarter_of_the_trace_beyond_its_outputs(self):
         # a full-length digits trace, 501 x 784: scored as it is, and the
@@ -337,7 +335,7 @@ class TestSurrogateReuse:
         scenario=ScenarioSpec(kind="LK", n_q=20, n_surrogate_repeats=2),
         scenario_kinds=["PK", "LK"], attack=small_attack(), d_max_grid=[0.0, 3.0, 6.0],
         n_splits=2, n_train=40, n_test=40, fp_target=0.1,
-        kde=KdeParams(kernel_kind="laplacian", h=2.0, truncation_k=50), seed=10,
+        kde=KdeParams(h=2.0, truncation_k=50), seed=10,
     )
 
     def test_one_training_per_repeat_and_rows_of_one_lambda_sweeps(self, monkeypatch):

@@ -215,7 +215,7 @@ class TestRunScenario:
         )
         attack_set = Dataset(pool.X[pool.y == 1][:2], np.ones(2, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=20, n_surrogate_repeats=1, seed=10)
-        kde = KdeParams(kernel_kind="laplacian", h=2.0, truncation_k=50)
+        kde = KdeParams(h=2.0, truncation_k=50)
         estimators = []
 
         def recorded(model, spec, x0, _original=scenario_module.run_attack):
@@ -232,7 +232,7 @@ class TestRunScenario:
         assert len(estimators) == 2
         for est in estimators:
             np.testing.assert_array_equal(est.reference_points, legit)
-            assert KdeParams.from_estimator(est) == kde
+            assert (est.h, est.truncation_k) == (kde.h, kde.truncation_k)
 
     def test_rounds_do_not_depend_on_the_order_they_are_consumed_in(self, monkeypatch):
         # every round binds its surrogate and its mimicry estimator when it
@@ -243,7 +243,7 @@ class TestRunScenario:
         atk = replace(attack_spec(d_max=3.0), lam=5.0)
         attack_set = Dataset(pool.X[pool.y == 1][:3], np.ones(3, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3, seed=13)
-        kde = KdeParams(kernel_kind="laplacian", h=2.0, truncation_k=50)
+        kde = KdeParams(h=2.0, truncation_k=50)
         in_order = [list(r) for r in run_scenario(target, descent_rounds(target, pool, scen), atk, attack_set, kde=kde)]
 
         descents = []
