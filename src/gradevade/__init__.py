@@ -43,7 +43,6 @@ from .models import (
     save_model,
     train_from_spec,
     train_kernel_svm,
-    train_linear_svm,
     train_mlp,
 )
 from .scenario import ScenarioSpec, build_surrogate, descent_rounds, run_scenario

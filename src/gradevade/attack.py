@@ -189,11 +189,12 @@ def _effective_box(spec: AttackSpec, x0: np.ndarray):
     return lo, hi
 
 
-def is_feasible(spec: AttackSpec, x0: np.ndarray, x: np.ndarray, tol: float = _FEAS_TOL) -> bool:
-    lo, hi = _effective_box(spec, x0)
-    if np.any(x < lo - tol) or np.any(x > hi + tol):
-        return False
-    return spec.distance.of(x, x0) <= spec.d_max + tol
+def _check_start(x0: np.ndarray, box):
+    """Refuse a start x0 that is not finite or lies more than `_FEAS_TOL`
+    outside `box`, the `_effective_box` of x0."""
+    lo, hi = box
+    if not np.isfinite(x0).all() or np.any(x0 < lo - _FEAS_TOL) or np.any(x0 > hi + _FEAS_TOL):
+        raise ValueError("x0 is not feasible under the given bounds")
 
 
 def project_feasible(spec: AttackSpec, x0: np.ndarray, x: np.ndarray, box=None) -> np.ndarray:
@@ -212,8 +213,7 @@ def project_feasible(spec: AttackSpec, x0: np.ndarray, x: np.ndarray, box=None) 
     x = np.asarray(x, float)
     if box is None:
         box = _effective_box(spec, x0)
-        if np.any(x0 < box[0] - _FEAS_TOL) or np.any(x0 > box[1] + _FEAS_TOL):
-            raise ValueError("infeasible configuration: x0 violates the bounds")
+        _check_start(x0, box)
     lo, hi = box
     boxed = np.clip(x, lo, hi)
     if spec.distance.of(boxed, x0) <= spec.d_max:
@@ -227,11 +227,6 @@ def project_feasible(spec: AttackSpec, x0: np.ndarray, x: np.ndarray, box=None) 
 # Descent drivers.
 # ---------------------------------------------------------------------------
 
-def _check_start(spec: AttackSpec, x0: np.ndarray):
-    if not is_feasible(spec, x0, np.asarray(x0, float)):
-        raise ValueError("x0 is not feasible under the given bounds")
-
-
 def _at_budget(spec: AttackSpec, x0: np.ndarray, x: np.ndarray) -> bool:
     return spec.distance.of(x, x0) >= spec.d_max - _FEAS_TOL
 
@@ -241,8 +236,8 @@ def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> A
     if spec.mode != "continuous":
         raise ValueError("spec.mode must be 'continuous'")
     x0 = np.asarray(x0, dtype=float)
-    _check_start(spec, x0)
     box = _effective_box(spec, x0)
+    _check_start(x0, box)
     path = AttackTrace([x0], [objective_F(model, spec, x0)], capacity=spec.max_iters + 1)
     for _ in range(spec.max_iters):
         x = path.points[-1]
@@ -301,9 +296,10 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 != np.round(x0)):
         raise ValueError("discrete mode requires an integer-valued x0")
-    _check_start(spec, x0)
+    box = _effective_box(spec, x0)
+    _check_start(x0, box)
     # a +1 move from x >= x0 stays above the lower bound, so only hi is tested
-    hi = _effective_box(spec, x0)[1]
+    hi = box[1]
     hi_list = hi.tolist()
     moves = 0.0  # the l1 distance from x0: one per accepted move, exact in floats
     # x0 and at most one point per move that fits in the budget

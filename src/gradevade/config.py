@@ -27,7 +27,7 @@ from .data import (
 from .kernels import KernelSpec
 from .mimicry import KdeParams
 from .models import ModelSpec
-from .scenario import ScenarioSpec
+from .scenario import ScenarioSpec, surrogate_spec
 
 
 class ConfigError(ValueError):
@@ -57,7 +57,7 @@ _DEFAULTS = {
         "n_q": 100,
         "relabel_with_target": True,
         "n_surrogate_repeats": 5,
-        # the keys _train_surrogate reads; null keeps its default
+        # the keys scenario.surrogate_spec reads; null keeps its default
         "surrogate": {"C": None, "gamma": None, "m": None, "epochs": None, "learning_rate": None},
     },
     "attack": {
@@ -145,6 +145,7 @@ _MODEL_KEYS = {
     "svm": ("kind", "C", "kernel"),
     "mlp": ("kind", "m", "epochs", "learning_rate"),
 }
+_MODEL_CASTS = {"C": float, "m": int, "epochs": int, "learning_rate": float}
 
 
 def _parse_model(entry: dict, where: str) -> ModelSpec:
@@ -156,33 +157,16 @@ def _parse_model(entry: dict, where: str) -> ModelSpec:
     if not isinstance(kd, dict):
         raise ConfigError(f"{where}.kernel must be an object, got {kd!r}")
     _reject_unknown(kd, ("kind", "gamma"), f"{where}.kernel.")
+    # only the keys the entry sets: ModelSpec's defaults are the only ones
     try:
-        if kind == "linear_svm":
-            return ModelSpec(kind="linear_svm", C=float(entry.get("C", 1.0)))
-        if kind == "svm":
-            kernel = KernelSpec(kind=kd.get("kind", "rbf"), gamma=float(kd.get("gamma", 1.0)))
-            return ModelSpec(kind="svm", C=float(entry.get("C", 1.0)), kernel=kernel)
-        return ModelSpec(
-            kind="mlp",
-            m=int(entry.get("m", 10)),
-            epochs=int(entry.get("epochs", 2000)),
-            learning_rate=float(entry.get("learning_rate", 1.0)),
-        )
+        settings = {}
+        if kind == "svm":  # KernelSpec() is linear, an svm's kernel rbf
+            gamma = {"gamma": float(kd["gamma"])} if "gamma" in kd else {}
+            settings["kernel"] = KernelSpec(kd.get("kind", "rbf"), **gamma)
+        settings.update((key, cast(entry[key])) for key, cast in _MODEL_CASTS.items() if key in entry)
+        return ModelSpec(kind, **settings)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
-
-
-def _check_surrogate(params: dict):
-    """The surrogate keys obey the ranges of the model settings they stand for."""
-    casts = {"C": float, "m": int, "epochs": int, "learning_rate": float}
-    try:
-        ModelSpec(
-            "svm",
-            kernel=KernelSpec("rbf", gamma=float(params.get("gamma", 1.0))),
-            **{key: cast(params[key]) for key, cast in casts.items() if key in params},
-        )
-    except ValueError as exc:
-        raise ConfigError(f"scenario.surrogate: {exc}") from None
 
 
 def _count(value, where: str) -> int:
@@ -218,7 +202,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if "LK" in sc["kinds"]:
             if int(sc["n_q"]) < 2:
                 raise ConfigError("scenario.n_q: LK requires n_q >= 2")
-            _check_surrogate(surrogate)
+            try:
+                for spec in model_grid:
+                    surrogate_spec(spec, surrogate)
+            except ValueError as exc:
+                raise ConfigError(f"scenario.surrogate: {exc}") from None
         scenario = ScenarioSpec(
             kind=sc["kinds"][0],
             n_q=int(sc["n_q"]),

@@ -170,7 +170,7 @@ def _run_cell(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]) -> list[dict]:
     attack_set = test.subset(np.flatnonzero(test.y == MALICIOUS))
     scen = replace(plan.scenario, seed=derive_seeds([plan.root_seed, split_idx, model_idx, 3])[0])
     # the rounds (LK: the surrogates) do not depend on lambda: built once, attacked per lambda
-    descents = {kind: descent_rounds(target, test, replace(scen, kind=kind)) for kind in plan.scenario_kinds}
+    descents = {kind: descent_rounds(target, model_spec, test, replace(scen, kind=kind)) for kind in plan.scenario_kinds}
     rows = []
     for lam in plan.lambdas:
         atk = replace(plan.attack, lam=lam, d_max=max(plan.d_grid))

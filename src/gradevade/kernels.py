@@ -1,6 +1,6 @@
 """The rbf kernel of `svm` models, its row and gradient at a query point
 from that point's distances to the basis (kept by `_DistanceMemo`), and the
-Gram matrices SMO solves on: rbf, or linear for `train_linear_svm`."""
+Gram matrices SMO solves on: rbf, or linear for a `linear_svm`."""
 from __future__ import annotations
 
 import math

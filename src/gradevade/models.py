@@ -278,11 +278,6 @@ def train_kernel_svm(train: Dataset, kernel: KernelSpec, C: float, tol: float = 
     return SvmModel(kernel=kernel, support_vectors=sv, dual_coefs=coefs, b=b, C=C)
 
 
-def train_linear_svm(train: Dataset, C: float, tol: float = 1e-3) -> LinearModel:
-    """Linear soft-margin SVM: SMO on the linear kernel, folded to (w, b)."""
-    return train_kernel_svm(train, KernelSpec(kind="linear"), C, tol=tol)
-
-
 # ---------------------------------------------------------------------------
 # MLP training: full-batch gradient descent on the logistic loss.
 # ---------------------------------------------------------------------------
@@ -399,8 +394,9 @@ class ModelSpec:
 
 
 def train_from_spec(spec: ModelSpec, train: Dataset, seed: int = 0) -> TrainedModel:
+    """Train `spec`, a target or an LK surrogate; `seed` draws the MLP's initial weights."""
     if spec.kind == "linear_svm":
-        return train_linear_svm(train, C=spec.C)
+        return train_kernel_svm(train, KernelSpec("linear"), C=spec.C)
     if spec.kind == "svm":
         return train_kernel_svm(train, spec.kernel, C=spec.C)
     return train_mlp(train, m=spec.m, epochs=spec.epochs, learning_rate=spec.learning_rate, seed=seed)

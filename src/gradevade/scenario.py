@@ -4,7 +4,11 @@ The two knowledge levels differ only in the models the attacker descends
 on, so each is a list of rounds (`descent_rounds`): PK descends on the
 target's own objective once. LK samples a surrogate dataset from a pool
 per repeat, optionally relabels it by querying the target, trains a
-surrogate of the same family, and descends on the surrogate's objective.
+surrogate, and descends on the surrogate's objective. The LK attacker knows
+the target's recipe, its `ModelSpec` (family and architecture), but not its
+trained parameters: the surrogate is trained by `models.train_from_spec` on
+that recipe with the training settings of `surrogate_spec`.
+
 The traces record only the descent; whether they evade the target is
 judged by the evaluation (`evaluation.trace_profile`), never here. The
 target is never touched during LK descent except through `models.predict`.
@@ -25,17 +29,8 @@ import numpy as np
 from .attack import AttackSpec, AttackTrace, run_attack
 from .data import LEGITIMATE, MALICIOUS, Dataset, derive_seeds
 from .mimicry import KdeParams
-from .models import (
-    LinearModel,
-    MlpModel,
-    SvmModel,
-    TrainedModel,
-    predict,
-    score_labels,
-    train_kernel_svm,
-    train_linear_svm,
-    train_mlp,
-)
+from .models import ModelSpec, TrainedModel, predict, score_labels, train_from_spec
+from .models import train_kernel_svm, train_mlp  # unused: benchmarks/tracing.py wraps them in this module
 
 SCENARIO_KINDS = ("PK", "LK")
 
@@ -78,32 +73,36 @@ def build_surrogate(target: TrainedModel, pool: Dataset, spec: ScenarioSpec, see
     raise ValueError("surrogate untrainable: one class absent after 10 resampling attempts")
 
 
-def _train_surrogate(target: TrainedModel, data: Dataset, spec: ScenarioSpec, seed: int) -> TrainedModel:
-    """Same family as the target, with heavy-penalty defaults (C=100, gamma=0.1)."""
-    params = spec.surrogate_params
-    C = float(params.get("C", 100.0))
-    if isinstance(target, LinearModel):
-        return train_linear_svm(data, C=C)
-    if isinstance(target, SvmModel):
-        kernel = replace(target.kernel, gamma=float(params.get("gamma", 0.1)))
-        return train_kernel_svm(data, kernel, C=C)
-    if isinstance(target, MlpModel):
-        return train_mlp(
-            data,
-            m=int(params.get("m", target.m)),
-            epochs=int(params.get("epochs", 2000)),
-            learning_rate=float(params.get("learning_rate", 1.0)),
-            seed=seed,
-        )
-    raise TypeError(f"unknown target model type {type(target).__name__}")
+def surrogate_spec(target: ModelSpec, params: dict) -> ModelSpec:
+    """The LK surrogate's recipe: the target's, with the heavy-penalty
+    defaults C=100 and gamma=0.1, the target's width m, 2000 epochs and
+    rate 1.0, each overridden by its key in `params`.
+
+    Raises ValueError on an out-of-range value, as ModelSpec does."""
+    return replace(
+        target,
+        kernel=replace(target.kernel, gamma=float(params.get("gamma", 0.1))),
+        C=float(params.get("C", 100.0)),
+        m=int(params.get("m", target.m)),
+        epochs=int(params.get("epochs", 2000)),
+        learning_rate=float(params.get("learning_rate", 1.0)),
+    )
 
 
-def descent_rounds(target: TrainedModel, pool: Dataset, scenario: ScenarioSpec) -> list[tuple[Dataset, TrainedModel]]:
+def _train_surrogate(target_spec: ModelSpec, data: Dataset, spec: ScenarioSpec, seed: int) -> TrainedModel:
+    return train_from_spec(surrogate_spec(target_spec, spec.surrogate_params), data, seed=seed)
+
+
+def descent_rounds(
+    target: TrainedModel, target_spec: ModelSpec, pool: Dataset, scenario: ScenarioSpec
+) -> list[tuple[Dataset, TrainedModel]]:
     """(data the KDE is built from, model to descend on) per attack round.
 
     PK: the pool and the target, once. LK: one (surrogate data, surrogate)
     pair per repeat, in repeat order, repeat r drawn and trained from seeds
-    derived from `scenario.seed` and r. The rounds depend on nothing of the
+    derived from `scenario.seed` and r. The trained `target` answers the
+    relabelling queries; the surrogate is trained from its recipe
+    `target_spec` (`surrogate_spec`). The rounds depend on nothing of the
     attack, so one list serves every lambda.
     """
     if scenario.kind == "PK":
@@ -112,7 +111,7 @@ def descent_rounds(target: TrainedModel, pool: Dataset, scenario: ScenarioSpec) 
     for r in range(scenario.n_surrogate_repeats):
         build_seed, train_seed = derive_seeds([scenario.seed, 0xA77AC], 2, spawn_key=(r,))
         surrogate_data = build_surrogate(target, pool, scenario, seed=build_seed)
-        rounds.append((surrogate_data, _train_surrogate(target, surrogate_data, scenario, seed=train_seed)))
+        rounds.append((surrogate_data, _train_surrogate(target_spec, surrogate_data, scenario, seed=train_seed)))
     return rounds
 
 

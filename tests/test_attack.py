@@ -16,7 +16,6 @@ from gradevade.attack import (
     _at_budget,
     evade_continuous,
     evade_discrete,
-    is_feasible,
     objective_F,
     objective_grad,
     project_feasible,
@@ -33,6 +32,22 @@ from test_models import assert_grad_close, central_diff, two_pass_copy
 from test_scenario import RecordingLinear
 
 FREE = FeatureBounds(lower=-np.inf, upper=np.inf)
+
+
+def is_feasible(spec, x0, x, tol=_FEAS_TOL):
+    """Whether x lies in the box of `spec` around x0 and within its budget,
+    each to `tol`."""
+    lo, hi = _effective_box(spec, x0)
+    if np.any(x < lo - tol) or np.any(x > hi + tol):
+        return False
+    return spec.distance.of(x, x0) <= spec.d_max + tol
+
+
+def reference_check_start(spec, x0):
+    """The start check of the reference engines: x0 is a feasible point of
+    its own budget ball, by `is_feasible`."""
+    if not is_feasible(spec, x0, np.asarray(x0, float)):
+        raise ValueError("x0 is not feasible under the given bounds")
 
 
 def spec_l1(d_max, **kw):
@@ -533,7 +548,7 @@ def reference_evade_discrete(model, spec, x0):
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 != np.round(x0)):
         raise ValueError("discrete mode requires an integer-valued x0")
-    _check_start(spec, x0)
+    reference_check_start(spec, x0)
     lo, hi = _effective_box(spec, x0)
     path = AttackTrace([x0.copy()], [objective_F(model, spec, x0)], capacity=spec.max_iters + 1)
     termination = "max_iters"
@@ -871,7 +886,7 @@ def reference_evade_continuous(model, spec, x0):
     if spec.mode != "continuous":
         raise ValueError("spec.mode must be 'continuous'")
     x0 = np.asarray(x0, dtype=float)
-    _check_start(spec, x0)
+    reference_check_start(spec, x0)
     path = AttackTrace([x0.copy()], [objective_F(model, spec, x0)], capacity=spec.max_iters + 1)
     termination = "max_iters"
     for _ in range(spec.max_iters):
@@ -980,3 +995,51 @@ class TestContinuousMatchesReference:
             "terminations": set(attack_module.TERMINATIONS),
             "capped": True,
         }
+
+
+class TestStartCheck:
+    """The engines check x0 against the box they build; the reference
+    engines keep the old check, x0 a feasible point of its own budget ball."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_is_refused_by_every_engine(self, bad):
+        # a non-finite x0 is at no finite distance from itself, so the budget
+        # ball refused it even where the box holds it; the box check must too
+        model = LinearModel(np.array([1.0, 1.0]), 0.0)
+        x0 = np.array([0.0, bad])
+        continuous = spec_l1(5.0)
+        runs = [(evade_continuous, continuous), (reference_evade_continuous, continuous)]
+        if bad == np.inf:  # the only non-finite value that passes discrete mode's integer test
+            discrete = spec_l1(5.0, mode="discrete", bounds=FeatureBounds(0.0, np.inf, increment_only=True))
+            runs += [(evade_discrete, discrete), (reference_evade_discrete, discrete)]
+        for run, spec in runs:
+            # np.errstate: the reference check's inf - inf warns
+            with pytest.raises(ValueError, match="x0 is not feasible"), np.errstate(invalid="ignore"):
+                run(model, spec, x0)
+        with pytest.raises(ValueError, match="x0 is not feasible under the given bounds"):
+            project_feasible(continuous, x0, np.zeros(2))
+
+    def test_box_check_agrees_with_the_budget_ball_check(self):
+        # starts within a few tolerances of a box face, on either side of it
+        rng = np.random.default_rng(41)
+        refused = 0
+        for case in range(400):
+            d = int(rng.integers(1, 4))
+            lo = rng.uniform(-1.0, 0.0, size=d)
+            hi = lo + rng.uniform(0.0, 2.0, size=d)
+            spec = spec_l1(float(rng.uniform(0.0, 1.0)),
+                           bounds=FeatureBounds(lo, hi, increment_only=bool(rng.integers(0, 2))))
+            x0 = np.where(rng.random(d) < 0.5, lo, hi) + rng.uniform(-3, 3, size=d) * _FEAS_TOL
+            try:
+                reference_check_start(spec, x0)
+                want = None
+            except ValueError as exc:
+                want = str(exc)
+                refused += 1
+            try:
+                _check_start(x0, _effective_box(spec, x0))
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == want, case
+        assert 100 < refused < 300

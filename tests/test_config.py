@@ -86,6 +86,35 @@ class TestUnknownKeys:
         assert (mlp.m, mlp.epochs, mlp.learning_rate) == (4, 5, 0.5)
 
 
+class TestSurrogateKeys:
+    """With LK, every grid model's surrogate recipe (`scenario.surrogate_spec`)
+    must be in range; the keys' ranges do not depend on the grid's kinds."""
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ("scenario.surrogate.C=-1", "scenario.surrogate: C must be positive"),
+            ("scenario.surrogate.gamma=NaN", "scenario.surrogate: rbf kernel requires a finite gamma > 0"),
+            ("scenario.surrogate.m=0", "scenario.surrogate: hidden width m must be >= 1"),
+            ("scenario.surrogate.epochs=-1", "scenario.surrogate: epochs must be >= 0"),
+            ("scenario.surrogate.learning_rate=0", "scenario.surrogate: learning_rate must be finite and positive"),
+        ],
+    )
+    def test_a_linear_only_grid_still_refuses_each_out_of_range_key(self, tmp_path, capsys, override, named):
+        grid = json.dumps([{"kind": "linear_svm", "C": 1.0}])
+        out = tmp_path / "out"
+        args = ["sweep", "--config", str(CONFIGS / "synthetic_pdf.json"), "--out", str(out),
+                "--set", f"models={grid}", "--set", override]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {named}\n"
+        assert not out.exists()
+
+    def test_a_pk_only_config_does_not_check_the_surrogate_keys(self):
+        sets = ['scenario.kinds=["PK"]', "scenario.surrogate.C=-1", "scenario.surrogate.m=0"]
+        cfg = load_config(CONFIGS / "synthetic_pdf.json", sets)
+        assert cfg.scenario.surrogate_params == {"C": -1, "gamma": 0.002, "m": 0}
+
+
 class TestOverrides:
     @pytest.mark.parametrize(
         "override, named",

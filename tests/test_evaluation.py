@@ -380,7 +380,7 @@ def test_lambda_500_is_inert_on_the_flagship_rbf_svm(monkeypatch):
     monkeypatch.setattr(scenario_module, "run_attack", recorded)
     atk = replace(cfg.attack, lam=500.0, d_max=max(cfg.d_max_grid))
     attack_set = test.subset(np.flatnonzero(test.y == MALICIOUS))
-    rounds = descent_rounds(target, test, replace(cfg.scenario, kind="PK"))
+    rounds = descent_rounds(target, spec, test, replace(cfg.scenario, kind="PK"))
     [list(r) for r in run_scenario(target, rounds, atk, attack_set, kde=cfg.kde)]
     assert len(descents) > 200
     assert {trace.termination for _, trace in descents} == {"budget_boundary_converged"}

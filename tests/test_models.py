@@ -17,14 +17,15 @@ from gradevade.kernels import KernelSpec, kernel_grad_combination, kernel_matrix
 from gradevade.models import (
     LinearModel,
     MlpModel,
+    ModelSpec,
     SvmModel,
     _sigmoid,
     _smo_solve,
     load_model,
     predict,
     save_model,
+    train_from_spec,
     train_kernel_svm,
-    train_linear_svm,
     train_mlp,
 )
 
@@ -100,7 +101,7 @@ def blobs(n_per_class=20, sep=4.0, seed=0, d=2):
 class TestLinearSvm:
     def test_hand_solved_max_margin(self):
         ds = Dataset(np.array([[-1.0], [1.0]]), np.array([-1, 1]))
-        m = train_linear_svm(ds, C=1000.0)
+        m = train_kernel_svm(ds, KernelSpec("linear"), C=1000.0)
         assert abs(m.w[0] - 1.0) < 1e-6
         assert abs(m.b) < 1e-6
 
@@ -109,20 +110,20 @@ class TestLinearSvm:
         # every point leaves the solution unchanged (solver property)
         ds = blobs(15, sep=5.0, seed=3)
         dup = Dataset(np.vstack([ds.X, ds.X]), np.concatenate([ds.y, ds.y]))
-        m1 = train_linear_svm(ds, C=1000.0, tol=1e-6)
-        m2 = train_linear_svm(dup, C=1000.0, tol=1e-6)
+        m1 = train_kernel_svm(ds, KernelSpec("linear"), C=1000.0, tol=1e-6)
+        m2 = train_kernel_svm(dup, KernelSpec("linear"), C=1000.0, tol=1e-6)
         np.testing.assert_allclose(m1.w, m2.w, atol=1e-6)
         assert abs(m1.b - m2.b) < 1e-6
 
     def test_separable_blobs_perfect_training_accuracy(self):
         ds = blobs(25, sep=6.0, seed=1)
-        m = train_linear_svm(ds, C=10.0)
+        m = train_from_spec(ModelSpec("linear_svm", C=10.0), ds)
         assert np.all(predict(m, ds.X) == ds.y)
 
     def test_degenerate_data_rejected(self):
         ds = Dataset(np.ones((4, 2)), np.array([-1, -1, 1, 1]))
         with pytest.raises(ValueError, match="degenerate"):
-            train_linear_svm(ds, C=1.0)
+            train_from_spec(ModelSpec("linear_svm", C=1.0), ds)
 
 
 def kkt_violation(model: SvmModel, ds: Dataset) -> float:
@@ -153,7 +154,7 @@ class TestKernelSvm:
         assert isinstance(lin, LinearModel) and 0 < np.count_nonzero(alpha) < ds.n
         np.testing.assert_allclose(lin.w, (alpha * ds.y) @ ds.X, rtol=1e-9, atol=1e-9)
         assert lin.b == b
-        assert lin.w.tobytes() == train_linear_svm(ds, C=1.0).w.tobytes()
+        assert lin.w.tobytes() == train_from_spec(ModelSpec("linear_svm", C=1.0), ds).w.tobytes()
 
     def test_svm_model_refuses_a_linear_kernel(self):
         with pytest.raises(ValueError, match="an svm model takes an rbf kernel, not 'linear'"):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,10 +9,23 @@ from gradevade.attack import AttackSpec, DistanceSpec, evade_continuous
 from gradevade.data import LEGITIMATE, Dataset, FeatureBounds
 from gradevade.mimicry import KdeParams
 from gradevade.evaluation import trace_profile
-from gradevade.models import LinearModel, predict, train_linear_svm
+from gradevade.kernels import KernelSpec
+from gradevade.models import (
+    LinearModel,
+    MlpModel,
+    ModelSpec,
+    SvmModel,
+    TrainedModel,
+    predict,
+    train_from_spec,
+    train_kernel_svm,
+    train_mlp,
+)
 from gradevade.scenario import ScenarioSpec, build_surrogate, descent_rounds, run_scenario
 
 FREE = FeatureBounds(lower=-np.inf, upper=np.inf)
+# the recipe of the linear targets built by hand below
+LINEAR_SPEC = ModelSpec("linear_svm")
 
 
 def toy_pool(n=60, seed=0):
@@ -24,11 +37,17 @@ def toy_pool(n=60, seed=0):
     return Dataset(X, y)
 
 
+def linear_target(pool, C):
+    """A linear SVM target trained on `pool`, and its recipe."""
+    spec = ModelSpec("linear_svm", C=C)
+    return train_from_spec(spec, pool), spec
+
+
 class RecordingLinear(LinearModel):
     """LinearModel that records which access paths get used.
 
-    Subclasses the real family so the scenario can still infer the
-    classifier type (which the attacker legitimately knows).
+    A real model of the family, so it scores like the target it stands for;
+    the scenario learns the family from the target's `ModelSpec`.
     """
 
     def __post_init__(self):
@@ -102,7 +121,7 @@ class TestRunScenario:
         target = LinearModel(np.array([1.0, 0.0]), 0.0)
         atk = attack_spec()
         attack_set = Dataset(np.array([[2.0, 0.0]]), np.array([1]))
-        rounds = descent_rounds(target, pool, ScenarioSpec(kind="PK"))
+        rounds = descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind="PK"))
         [traces] = [list(r) for r in run_scenario(target, rounds, atk, attack_set)]
         direct = evade_continuous(target, atk, np.array([2.0, 0.0]))
         assert len(traces) == 1
@@ -111,12 +130,12 @@ class TestRunScenario:
 
     def test_lk_repeat_count(self):
         pool = toy_pool(n=200, seed=3)
-        target = train_linear_svm(pool, C=10.0)
+        target, target_spec = linear_target(pool, 10.0)
         atk = attack_spec(d_max=2.0)
         mal = pool.X[pool.y == 1][:4]
         attack_set = Dataset(mal, np.ones(4, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=60, n_surrogate_repeats=5, seed=11)
-        surrogates = descent_rounds(target, pool, scen)
+        surrogates = descent_rounds(target, target_spec, pool, scen)
         rounds = [list(r) for r in run_scenario(target, surrogates, atk, attack_set)]
         assert len(rounds) == 5 and len(surrogates) == 5
         for traces, (_, surrogate) in zip(rounds, surrogates):
@@ -129,7 +148,7 @@ class TestRunScenario:
     def test_lk_equals_pk_when_surrogate_reproduces_target(self):
         # surrogate trained on the whole pool with the target's own params
         pool = toy_pool(n=200, seed=4)
-        target = train_linear_svm(pool, C=50.0)
+        target, target_spec = linear_target(pool, 50.0)
         atk = attack_spec(d_max=8.0)
         mal = pool.X[pool.y == 1][:6]
         attack_set = Dataset(mal, np.ones(6, dtype=int))
@@ -137,21 +156,21 @@ class TestRunScenario:
             kind="LK", n_q=pool.n, n_surrogate_repeats=1,
             relabel_with_target=True, surrogate_params={"C": 50.0}, seed=5,
         )
-        [lk] = run_scenario(target, descent_rounds(target, pool, scen), atk, attack_set)
-        [pk] = run_scenario(target, descent_rounds(target, pool, ScenarioSpec(kind="PK")), atk, attack_set)
+        [lk] = run_scenario(target, descent_rounds(target, target_spec, pool, scen), atk, attack_set)
+        [pk] = run_scenario(target, descent_rounds(target, target_spec, pool, ScenarioSpec(kind="PK")), atk, attack_set)
         assert [predict(target, t.points[-1][None])[0] for t in lk] == [predict(target, t.points[-1][None])[0] for t in pk]
 
     def test_lk_touches_target_only_via_predict(self):
         # models.predict labels rows through discriminant_many, the only
         # access path the scenario may use on the target
         pool = toy_pool(n=200, seed=6)
-        inner = train_linear_svm(pool, C=10.0)
+        inner, target_spec = linear_target(pool, 10.0)
         target = RecordingLinear(inner.w, inner.b, inner.decision_offset)
         atk = attack_spec(d_max=2.0)
         mal = pool.X[pool.y == 1][:3]
         attack_set = Dataset(mal, np.ones(3, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=50, n_surrogate_repeats=2, seed=7)
-        [list(r) for r in run_scenario(target, descent_rounds(target, pool, scen), atk, attack_set)]
+        [list(r) for r in run_scenario(target, descent_rounds(target, target_spec, pool, scen), atk, attack_set)]
         assert set(target.calls) == {"discriminant_many"}
         assert "gradient" not in target.calls
 
@@ -160,8 +179,8 @@ class TestRunScenario:
         target = LinearModel(np.array([1.0, 0.5]), 0.0)
         atk = attack_spec(d_max=3.0)
         attack_set = Dataset(pool.X[pool.y == 1][:3], np.ones(3, dtype=int))
-        rounds_a = descent_rounds(target, pool, ScenarioSpec(kind="PK", n_q=10, n_surrogate_repeats=2))
-        rounds_b = descent_rounds(target, pool, ScenarioSpec(kind="PK", n_q=90, n_surrogate_repeats=9))
+        rounds_a = descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind="PK", n_q=10, n_surrogate_repeats=2))
+        rounds_b = descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind="PK", n_q=90, n_surrogate_repeats=9))
         for [(data, model)] in (rounds_a, rounds_b):
             assert data is pool and model is target
         [a] = [list(r) for r in run_scenario(target, rounds_a, atk, attack_set)]
@@ -177,7 +196,7 @@ class TestRunScenario:
         batch_scores = target.discriminant_many(attack_set.X)
         for scenario, n_rounds in ((ScenarioSpec(kind="PK"), 1),
                                    (ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3), 3)):
-            descents = descent_rounds(target, pool, scenario)
+            descents = descent_rounds(target, LINEAR_SPEC, pool, scenario)
             target.calls.clear()
             rounds = list(run_scenario(target, descents, attack_spec(), attack_set))
             assert len(rounds) == n_rounds
@@ -203,13 +222,13 @@ class TestRunScenario:
         target = LinearModel(np.array([1.0, 0.0]), 0.0)
         bad = Dataset(np.array([[1.0, 0.0]]), np.array([-1]))
         with pytest.raises(ValueError, match="malicious"):
-            run_scenario(target, descent_rounds(target, pool, ScenarioSpec(kind="PK")), attack_spec(), bad)
+            run_scenario(target, descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind="PK")), attack_spec(), bad)
 
     def test_lk_kde_reference_points_come_from_surrogate(self, monkeypatch):
         # with one repeat and a tiny pool, the mimicry estimator must be
         # built from `kde` over the surrogate's legitimately-labeled rows only
         pool = toy_pool(n=40, seed=9)
-        target = train_linear_svm(pool, C=10.0)
+        target, target_spec = linear_target(pool, 10.0)
         atk = AttackSpec(
             distance=DistanceSpec("l1"), d_max=2.0, step_t=0.5, bounds=FREE, mode="continuous", lam=5.0,
         )
@@ -223,7 +242,7 @@ class TestRunScenario:
             return _original(model, spec, x0)
 
         monkeypatch.setattr(scenario_module, "run_attack", recorded)
-        surrogates = descent_rounds(target, pool, scen)
+        surrogates = descent_rounds(target, target_spec, pool, scen)
         [traces] = [list(r) for r in run_scenario(target, surrogates, atk, attack_set, kde=kde)]
         assert len(traces) == 2
         [(surrogate_data, _)] = surrogates
@@ -239,12 +258,12 @@ class TestRunScenario:
         # is created: rounds materialized first and consumed last to first
         # descend exactly as rounds consumed one by one
         pool = toy_pool(n=200, seed=12)
-        target = train_linear_svm(pool, C=10.0)
+        target, target_spec = linear_target(pool, 10.0)
         atk = replace(attack_spec(d_max=3.0), lam=5.0)
         attack_set = Dataset(pool.X[pool.y == 1][:3], np.ones(3, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3, seed=13)
         kde = KdeParams(h=2.0, truncation_k=50)
-        in_order = [list(r) for r in run_scenario(target, descent_rounds(target, pool, scen), atk, attack_set, kde=kde)]
+        in_order = [list(r) for r in run_scenario(target, descent_rounds(target, target_spec, pool, scen), atk, attack_set, kde=kde)]
 
         descents = []
 
@@ -253,7 +272,7 @@ class TestRunScenario:
             return _original(model, spec, x0)
 
         monkeypatch.setattr(scenario_module, "run_attack", recorded)
-        surrogates = descent_rounds(target, pool, scen)
+        surrogates = descent_rounds(target, target_spec, pool, scen)
         rounds = list(run_scenario(target, surrogates, atk, attack_set, kde=kde))
         assert len(rounds) == 3 and len(surrogates) == 3 and not descents
         reversed_order = [list(r) for r in reversed(rounds)][::-1]
@@ -282,7 +301,7 @@ class TestRunScenario:
         atk = replace(attack_spec(), lam=5.0, mimicry=prebuilt)
         for kind in ("PK", "LK"):
             with pytest.raises(ValueError, match="requires kde parameters"):
-                run_scenario(target, descent_rounds(target, pool, ScenarioSpec(kind=kind, n_q=30)), atk, attack_set)
+                run_scenario(target, descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind=kind, n_q=30)), atk, attack_set)
 
 
 def test_lk_repeat_seeds_are_pinned(monkeypatch):
@@ -290,14 +309,66 @@ def test_lk_repeat_seeds_are_pinned(monkeypatch):
     # SeedSequence([scenario.seed, 0xA77AC]).spawn(n)[r].generate_state(2);
     # these are the values of repeat 2 with scenario.seed = 13
     pool = toy_pool(n=200, seed=12)
-    target = train_linear_svm(pool, C=10.0)
+    target, target_spec = linear_target(pool, 10.0)
     seen = []
     for name in ("build_surrogate", "_train_surrogate"):
-        def recorded(target, data, spec, seed, _name=name, _original=getattr(scenario_module, name)):
+        # the first argument is the trained target for build_surrogate, its recipe for _train_surrogate
+        def recorded(target_or_spec, data, spec, seed, _name=name, _original=getattr(scenario_module, name)):
             seen.append((_name, seed))
-            return _original(target, data, spec, seed)
+            return _original(target_or_spec, data, spec, seed)
 
         monkeypatch.setattr(scenario_module, name, recorded)
-    descent_rounds(target, pool, ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3, seed=13))
+    descent_rounds(target, target_spec, pool, ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3, seed=13))
     assert [name for name, _ in seen] == ["build_surrogate", "_train_surrogate"] * 3
     assert seen[4:] == [("build_surrogate", 2629606423), ("_train_surrogate", 3981232412)]
+
+
+def reference_train_surrogate(target: TrainedModel, data: Dataset, spec: ScenarioSpec, seed: int) -> TrainedModel:
+    """Oracle: the surrogate trainer that read the family off the trained
+    target's type, with its own copy of the LK defaults. Verbatim, but for
+    its linear branch, which inlines the body of the linear SVM trainer it
+    called."""
+    params = spec.surrogate_params
+    C = float(params.get("C", 100.0))
+    if isinstance(target, LinearModel):
+        return train_kernel_svm(data, KernelSpec(kind="linear"), C, tol=1e-3)
+    if isinstance(target, SvmModel):
+        kernel = replace(target.kernel, gamma=float(params.get("gamma", 0.1)))
+        return train_kernel_svm(data, kernel, C=C)
+    if isinstance(target, MlpModel):
+        return train_mlp(
+            data,
+            m=int(params.get("m", target.m)),
+            epochs=int(params.get("epochs", 2000)),
+            learning_rate=float(params.get("learning_rate", 1.0)),
+            seed=seed,
+        )
+    raise TypeError(f"unknown target model type {type(target).__name__}")
+
+
+def parameter_bytes(model) -> dict:
+    """Each field of a trained model, its arrays and floats as their bytes."""
+    return {name: np.asarray(value).tobytes() if isinstance(value, (np.ndarray, float)) else value
+            for name, value in asdict(model).items()}
+
+
+@pytest.mark.parametrize("params", [
+    {},
+    {"C": 100.0, "gamma": 0.002},  # the flagship's
+    {"C": 5.0, "gamma": 0.05, "m": 3, "epochs": 300, "learning_rate": 0.5},
+], ids=["defaults", "flagship", "all_keys"])
+@pytest.mark.parametrize("target_spec", [
+    ModelSpec("linear_svm", C=1.0),
+    ModelSpec("svm", C=1.0, kernel=KernelSpec("rbf", gamma=0.002)),
+    ModelSpec("mlp", m=6, epochs=200, learning_rate=10.0),
+], ids=lambda s: s.kind)
+def test_surrogate_recipe_trains_the_reference_surrogate_bit_for_bit(target_spec, params):
+    pool = toy_pool(n=60, seed=14)
+    target = train_from_spec(target_spec, pool, seed=3)
+    data = build_surrogate(target, pool, ScenarioSpec(kind="LK", n_q=40), seed=5)
+    scen = ScenarioSpec(kind="LK", n_q=40, surrogate_params=params)
+    ours = scenario_module._train_surrogate(target_spec, data, scen, seed=7)
+    ref = reference_train_surrogate(target, data, scen, seed=7)
+    assert type(ours) is type(ref)
+    assert parameter_bytes(ours) == parameter_bytes(ref)
+
