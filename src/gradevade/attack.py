@@ -8,10 +8,11 @@ constraint when set), stop when the improvement in F stalls below epsilon.
 Discrete mode only inserts: it moves one feature by +1 per iteration,
 picking the feasible move best aligned with -grad F that strictly
 decreases F. Every move adds exactly 1 to the distance from x0, so the
-descent keeps that distance as a running count instead of recomputing it
-for every candidate. Its candidates come from `_candidates`, which finds
-the first one with one argmin and sorts the gradient only when the descent
-asks for a second. Both descents raise on a gradient that is not finite.
+distance is the trace's iteration count and no candidate's is recomputed.
+Its candidates come from `_candidates`, which finds the first one with one
+argmin and sorts the gradient only when the descent asks for a second.
+Both descents check x0 with `_start` and take the gradient through
+`_gradient`, so both raise on a gradient whose l1 length is not finite.
 """
 from __future__ import annotations
 
@@ -181,39 +182,30 @@ def project_l1_ball(v: np.ndarray, radius: float, cap: np.ndarray | float = np.i
     return np.copysign(np.minimum(np.maximum(a - theta, 0.0), cap), v)
 
 
-def _effective_box(spec: AttackSpec, x0: np.ndarray):
+def _start(spec: AttackSpec, x0: np.ndarray):
+    """x0 as float64 and the box (lo, hi) of `spec` around it: the bounds,
+    with lo raised to x0 under increment_only. Refuses an x0 that is not
+    finite or lies more than `_FEAS_TOL` outside the box."""
+    x0 = np.asarray(x0, dtype=float)
     lo = np.broadcast_to(np.asarray(spec.bounds.lower, float), x0.shape).copy()
     hi = np.broadcast_to(np.asarray(spec.bounds.upper, float), x0.shape).copy()
     if spec.bounds.increment_only:
         lo = np.maximum(lo, x0)
-    return lo, hi
-
-
-def _check_start(x0: np.ndarray, box):
-    """Refuse a start x0 that is not finite or lies more than `_FEAS_TOL`
-    outside `box`, the `_effective_box` of x0."""
-    lo, hi = box
     if not np.isfinite(x0).all() or np.any(x0 < lo - _FEAS_TOL) or np.any(x0 > hi + _FEAS_TOL):
         raise ValueError("x0 is not feasible under the given bounds")
+    return x0, (lo, hi)
 
 
-def project_feasible(spec: AttackSpec, x0: np.ndarray, x: np.ndarray, box=None) -> np.ndarray:
-    """Nearest point (in l2) of the budget ball intersected with the box.
+def project_feasible(spec: AttackSpec, x0: np.ndarray, x: np.ndarray, box) -> np.ndarray:
+    """Nearest point (in l2) of the budget ball intersected with `box`, the
+    box that `_start` built for x0 and checked it against.
 
     The box holds x0, so the projection of v = x - x0 keeps each sign and
     caps each coordinate at the room from x0 to the box on its side: the box
     clip when that is within budget, else the capped soft threshold of
-    `project_l1_ball`. The caps are clamped at 0, since `_check_start` lets
-    x0 sit up to `_FEAS_TOL` outside the box.
-
-    `box` is `_effective_box(spec, x0)` from a caller that has already
-    checked x0 against it; without it the box is built and x0 checked here.
+    `project_l1_ball`. The caps are clamped at 0, since `_start` lets x0 sit
+    up to `_FEAS_TOL` outside the box.
     """
-    x0 = np.asarray(x0, float)
-    x = np.asarray(x, float)
-    if box is None:
-        box = _effective_box(spec, x0)
-        _check_start(x0, box)
     lo, hi = box
     boxed = np.clip(x, lo, hi)
     if spec.distance.of(boxed, x0) <= spec.d_max:
@@ -227,36 +219,40 @@ def project_feasible(spec: AttackSpec, x0: np.ndarray, x: np.ndarray, box=None) 
 # Descent drivers.
 # ---------------------------------------------------------------------------
 
-def _at_budget(spec: AttackSpec, x0: np.ndarray, x: np.ndarray) -> bool:
-    return spec.distance.of(x, x0) >= spec.d_max - _FEAS_TOL
+def _gradient(model: TrainedModel, spec: AttackSpec, x: np.ndarray, k: int):
+    """grad F at the iterate x, number k, and its l2 norm. Refuses a gradient
+    whose l1 length is not finite: no step of l1 length step_t scales from it.
+    That length overflows only where the norm does, so it is summed only then."""
+    grad = objective_grad(model, spec, x)
+    norm = math.sqrt(np.dot(grad, grad))
+    if not math.isfinite(norm) and not math.isfinite(np.abs(grad).sum()):
+        raise ValueError(f"gradient of F is not finite at iterate {k}")
+    return grad, norm
 
 
 def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> AttackTrace:
     """Projected gradient descent on F from x0 (Algorithm follows module doc)."""
     if spec.mode != "continuous":
         raise ValueError("spec.mode must be 'continuous'")
-    x0 = np.asarray(x0, dtype=float)
-    box = _effective_box(spec, x0)
-    _check_start(x0, box)
+    x0, box = _start(spec, x0)
     path = AttackTrace([x0], [objective_F(model, spec, x0)], capacity=spec.max_iters + 1)
     for _ in range(spec.max_iters):
         x = path.points[-1]
-        grad = objective_grad(model, spec, x)
+        grad, norm = _gradient(model, spec, x, path.iterations)
         length = float(np.abs(grad).sum())
-        if not math.isfinite(length):
-            raise ValueError(f"gradient of F is not finite at iterate {path.iterations}")
         # the l2 norm only tests for zero; the step has l1 length step_t
-        if float(np.linalg.norm(grad)) <= _ZERO_GRAD_NORM:
+        if norm <= _ZERO_GRAD_NORM:
             path.termination = "zero_gradient"
             break
         step = spec.step_t * grad / length
-        cand = project_feasible(spec, x0, x - step, box=box)
+        cand = project_feasible(spec, x0, x - step, box)
         f_new = objective_F(model, spec, cand)
         if f_new - path.objective_values[-1] > -spec.epsilon:
             # improvement stalled; keep the point only if it still improved
             if f_new < path.objective_values[-1]:
                 path.add(cand, f_new)
-            path.termination = "budget_boundary_converged" if _at_budget(spec, x0, path.points[-1]) else "converged"
+            at_budget = spec.distance.of(path.points[-1], x0) >= spec.d_max - _FEAS_TOL
+            path.termination = "budget_boundary_converged" if at_budget else "converged"
             break
         path.add(cand, f_new)
     return path
@@ -286,36 +282,30 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
 
     Each iterate takes the first +1 move of `_candidates` that the upper
     bound allows and that strictly decreases F; without one the run ends
-    `converged`. Every move adds 1 to the l1 distance from x0, so once the
-    next one would leave the budget, no move is scored: one vector test
-    settles `budget_boundary_converged` if a move the bound allows goes
-    against the gradient, else `converged`.
+    `converged`. Every move adds 1 to the l1 distance from x0, so that
+    distance is `path.iterations`. Once the next move would leave the budget,
+    no move is scored: one vector test settles `budget_boundary_converged` if
+    a move the bound allows goes against the gradient, else `converged`.
+    An x0 that is not integer-valued is refused before `_start` checks it.
     """
     if spec.mode != "discrete":
         raise ValueError("spec.mode must be 'discrete'")
     x0 = np.asarray(x0, dtype=float)
     if np.any(x0 != np.round(x0)):
         raise ValueError("discrete mode requires an integer-valued x0")
-    box = _effective_box(spec, x0)
-    _check_start(x0, box)
+    x0, (_, hi) = _start(spec, x0)
     # a +1 move from x >= x0 stays above the lower bound, so only hi is tested
-    hi = box[1]
     hi_list = hi.tolist()
-    moves = 0.0  # the l1 distance from x0: one per accepted move, exact in floats
     # x0 and at most one point per move that fits in the budget
     capacity = math.floor(min(spec.d_max + _FEAS_TOL, spec.max_iters)) + 1
     path = AttackTrace([x0], [objective_F(model, spec, x0)], capacity=capacity)
     for _ in range(spec.max_iters):
         x = path.points[-1]
-        grad = objective_grad(model, spec, x)
-        norm = math.sqrt(grad @ grad)  # np.linalg.norm of a vector
-        # test the entries only for a norm that is not finite; a finite gradient's square may overflow
-        if not math.isfinite(norm) and not np.isfinite(grad).all():
-            raise ValueError(f"gradient of F is not finite at iterate {path.iterations}")
+        grad, norm = _gradient(model, spec, x, path.iterations)
         if norm <= _ZERO_GRAD_NORM:
             path.termination = "zero_gradient"
             break
-        if moves + 1.0 > spec.d_max + _FEAS_TOL:
+        if path.iterations + 1.0 > spec.d_max + _FEAS_TOL:
             blocked = np.any((grad < 0.0) & (x + 1.0 <= hi + _FEAS_TOL))
             path.termination = "budget_boundary_converged" if blocked else "converged"
             break
@@ -328,7 +318,6 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
             f_new = objective_F(model, spec, cand)
             if f_new < path.objective_values[-1]:
                 path.add(cand, f_new)
-                moves += 1.0
                 break
         else:
             path.termination = "converged"

@@ -30,7 +30,7 @@ def synthetic_pdf_dataset(
     dim: int = 100,
     seed: int = 0,
 ) -> Dataset:
-    """Seeded two-class integer count dataset; features named kw_000..."""
+    """Seeded two-class integer count dataset."""
     if dim < N_LEGIT_MARKERS + N_MALWARE_MARKERS + 1:
         raise ValueError(f"dim must be at least {N_LEGIT_MARKERS + N_MALWARE_MARKERS + 1}")
     rng = np.random.default_rng(seed)
@@ -54,5 +54,4 @@ def synthetic_pdf_dataset(
     X_mal = draw(n_malicious, 0.02, 1.0)
     X = np.concatenate([X_plain, X_macro, X_mal], axis=0)
     y = np.concatenate([-np.ones(n_legit, dtype=int), np.ones(n_malicious, dtype=int)])
-    names = [f"kw_{i:03d}" for i in range(dim)]
-    return Dataset(X, y, names)
+    return Dataset(X, y)

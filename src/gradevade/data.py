@@ -48,7 +48,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    feature_names: list[str] | None = None
 
     def __post_init__(self):
         X = np.ascontiguousarray(np.asarray(self.X, dtype=np.float64))
@@ -63,8 +62,6 @@ class Dataset:
         if not np.all(np.isin(y, (LEGITIMATE, MALICIOUS))):
             bad = int(np.argwhere(~np.isin(y, (LEGITIMATE, MALICIOUS)))[0][0])
             raise ValueError(f"label of sample {bad} is {y[bad]}, expected -1 or +1")
-        if self.feature_names is not None and len(self.feature_names) != X.shape[1]:
-            raise ValueError("feature_names length does not match dimensionality")
         X.flags.writeable = False
         y.flags.writeable = False
         object.__setattr__(self, "X", X)
@@ -80,7 +77,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.X[idx], self.y[idx], self.feature_names)  # indexing copies
+        return Dataset(self.X[idx], self.y[idx])  # indexing copies
 
     def class_counts(self) -> tuple[int, int]:
         """(legitimate count, malicious count)."""
@@ -111,7 +108,6 @@ def load_dense_csv(path, label_column: str = "label") -> Dataset:
     """
     rows = []
     labels = []
-    feature_names = None
     label_idx = None
     width = None
     with open(path, newline="") as fh:
@@ -129,7 +125,6 @@ def load_dense_csv(path, label_column: str = "label") -> Dataset:
                             f"header present but no {label_column!r} column in {path}"
                         )
                     label_idx = names.index(label_column)
-                    feature_names = [n for i, n in enumerate(names) if i != label_idx]
                     width = len(names)
                     continue
             if width is None:
@@ -145,7 +140,7 @@ def load_dense_csv(path, label_column: str = "label") -> Dataset:
             rows.append([v for i, v in enumerate(values) if i != label_idx])
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(labels), feature_names)
+    return Dataset(np.array(rows), np.array(labels))
 
 
 def load_sparse_counts(path) -> Dataset:
@@ -269,4 +264,4 @@ def cap_features(ds: Dataset, cap: float) -> Dataset:
     """Clamp every feature value to at most `cap` (outlier limiting)."""
     if cap <= 0:
         raise ValueError("cap must be positive")
-    return Dataset(np.minimum(ds.X, cap), ds.y.copy(), ds.feature_names)
+    return Dataset(np.minimum(ds.X, cap), ds.y.copy())

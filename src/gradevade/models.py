@@ -430,12 +430,15 @@ def load_model(path) -> TrainedModel:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: corrupted model file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a model file holds a JSON object, not {type(doc).__name__}")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"{path}: model format version {version!r}, expected {MODEL_FORMAT_VERSION!r}")
-    cls = _MODEL_KINDS.get(doc.get("kind"))
+    kind = doc.get("kind")
+    cls = _MODEL_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ValueError(f"{path}: unknown model kind {doc.get('kind')!r}")
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
     try:
         args = {f.name: doc[f.name] for f in fields(cls)}
         if cls is SvmModel:

@@ -69,7 +69,7 @@ def build_surrogate(target: TrainedModel, pool: Dataset, spec: ScenarioSpec, see
         else:
             y = pool.y[idx].copy()
         if np.any(y == LEGITIMATE) and np.any(y == MALICIOUS):
-            return Dataset(X, y, pool.feature_names)
+            return Dataset(X, y)
     raise ValueError("surrogate untrainable: one class absent after 10 resampling attempts")
 
 

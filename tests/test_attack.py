@@ -11,9 +11,7 @@ from gradevade.attack import (
     AttackSpec,
     AttackTrace,
     DistanceSpec,
-    _check_start,
-    _effective_box,
-    _at_budget,
+    _start,
     evade_continuous,
     evade_discrete,
     objective_F,
@@ -34,10 +32,24 @@ from test_scenario import RecordingLinear
 FREE = FeatureBounds(lower=-np.inf, upper=np.inf)
 
 
+def box_of(spec, x0):
+    """The box of `spec` around x0, the bounds with lo raised to x0 under
+    increment_only, built apart from `_start` and without its check of x0."""
+    lo = np.broadcast_to(np.asarray(spec.bounds.lower, float), np.shape(x0))
+    hi = np.broadcast_to(np.asarray(spec.bounds.upper, float), np.shape(x0))
+    return (np.maximum(lo, x0) if spec.bounds.increment_only else lo), hi
+
+
+def project(spec, x0, x):
+    """`project_feasible` onto the box that `_start` builds for x0."""
+    x0, box = _start(spec, x0)
+    return project_feasible(spec, x0, x, box)
+
+
 def is_feasible(spec, x0, x, tol=_FEAS_TOL):
     """Whether x lies in the box of `spec` around x0 and within its budget,
     each to `tol`."""
-    lo, hi = _effective_box(spec, x0)
+    lo, hi = box_of(spec, x0)
     if np.any(x < lo - tol) or np.any(x > hi + tol):
         return False
     return spec.distance.of(x, x0) <= spec.d_max + tol
@@ -162,7 +174,7 @@ def dykstra_projection(spec, x0, x, max_rounds=1000):
 
     Kept as a comparison: the exact projection is never farther from x.
     """
-    lo, hi = _effective_box(spec, x0)
+    lo, hi = box_of(spec, x0)
 
     def ball(p):
         return x0 + project_l1_ball(p - x0, spec.d_max)
@@ -194,7 +206,7 @@ def bisection_projection(spec, x0, x):
     grows, so halving [0, max |v|] finds the theta that meets the budget.
     Independent of `project_l1_ball`: no sort, no caps.
     """
-    lo, hi = _effective_box(spec, x0)
+    lo, hi = box_of(spec, x0)
     v = x - x0
 
     def at(theta):
@@ -274,24 +286,24 @@ class TestProjectFeasible:
         spec = spec_l1(2.0, bounds=FeatureBounds(0.0, 1.0))
         x0 = np.array([0.5, 0.5])
         x = np.array([0.75, 0.25])
-        np.testing.assert_allclose(project_feasible(spec, x0, x), x, atol=1e-12)
+        np.testing.assert_allclose(project(spec, x0, x), x, atol=1e-12)
 
     def test_hand_l1_cases(self):
         spec = spec_l1(2.0)
         x0 = np.zeros(2)
-        np.testing.assert_allclose(project_feasible(spec, x0, np.array([2.0, 2.0])), [1.0, 1.0], atol=1e-9)
-        np.testing.assert_allclose(project_feasible(spec, x0, np.array([3.0, 0.0])), [2.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(project(spec, x0, np.array([2.0, 2.0])), [1.0, 1.0], atol=1e-9)
+        np.testing.assert_allclose(project(spec, x0, np.array([3.0, 0.0])), [2.0, 0.0], atol=1e-9)
 
     def test_infeasible_x0_rejected(self):
         spec = spec_l1(1.0, bounds=FeatureBounds(0.0, 1.0))
         with pytest.raises(ValueError, match="x0"):
-            project_feasible(spec, np.array([2.0, 0.0]), np.array([0.5, 0.5]))
+            project(spec, np.array([2.0, 0.0]), np.array([0.5, 0.5]))
 
     def test_box_corner_case_beats_plain_alternation(self):
         # plain project-box-then-ball lands on (0.7, 0.3); the true nearest
         # feasible point to (2, 0.6) is the corner (1, 0)
         spec = spec_l1(1.0, bounds=FeatureBounds(0.0, 1.0))
-        out = project_feasible(spec, np.zeros(2), np.array([2.0, 0.6]))
+        out = project(spec, np.zeros(2), np.array([2.0, 0.6]))
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-6)
 
     def test_matches_brute_force_random_cases(self):
@@ -312,7 +324,7 @@ class TestProjectFeasible:
                 bounds=FeatureBounds(lo, hi, increment_only=inc),
             )
             x = rng.uniform(-1.0, 1.0, size=d)
-            ours = project_feasible(spec, x0, x)
+            ours = project(spec, x0, x)
             ref = brute_force_projection(spec, x0, x)
             assert np.linalg.norm(ours - ref) <= 2e-3, (trial, ours, ref)
             assert is_feasible(spec, x0, ours)
@@ -322,7 +334,7 @@ class TestProjectFeasible:
         # the coordinate stays at x0 and the whole budget goes to the other one
         spec = spec_l1(0.25, bounds=FeatureBounds(0.0, 1.0))
         x0 = np.array([1.0 + _FEAS_TOL / 2, 0.5])
-        out = project_feasible(spec, x0, np.array([3.0, 3.0]))
+        out = project(spec, x0, np.array([3.0, 3.0]))
         np.testing.assert_array_equal(out, [x0[0], 0.75])
 
     def test_matches_bisection_oracle_random_cases(self):
@@ -330,12 +342,12 @@ class TestProjectFeasible:
         ball_bound = 0
         for case in range(400):
             spec, x0, x = _random_projection_case(rng)
-            ours = project_feasible(spec, x0, x)
+            ours = project(spec, x0, x)
             ref = bisection_projection(spec, x0, x)
             scale = max(1.0, float(np.abs(x).max()))
             assert float(np.abs(ours - ref).max()) <= 1e-12 * scale, case
             assert is_feasible(spec, x0, ours), case
-            lo, hi = _effective_box(spec, x0)
+            lo, hi = box_of(spec, x0)
             ball_bound += spec.distance.of(np.clip(x, lo, hi), x0) > spec.d_max > 0
         assert ball_bound >= 200  # most cases leave the budget after the box clip
 
@@ -346,7 +358,7 @@ class TestProjectFeasible:
         cut_short = 0
         for case in range(500):
             spec, x0, x = _random_projection_case(rng)
-            ours = project_feasible(spec, x0, x)
+            ours = project(spec, x0, x)
             theirs, hit_cap = dykstra_projection(spec, x0, x)
             gap = np.linalg.norm(theirs - x) - np.linalg.norm(ours - x)
             assert gap >= -1e-12 * max(1.0, float(np.abs(x).max())), case
@@ -450,10 +462,14 @@ class TestEvadeContinuous:
         with pytest.raises(ValueError, match="x0"):
             evade_continuous(model, spec, np.array([2.0]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 1.0], [-1e308, -1e308]],
+                             ids=["nan", "inf", "l1_overflow"])
     def test_non_finite_gradient_is_refused(self, bad):
-        # both modes raise, naming the iterate; each takes the move to (1, 0) first
-        table = {(0.0, 0.0): (1.0, [-1.0, 0.0]), (1.0, 0.0): (0.0, [bad, 1.0])}
+        # both modes raise on a gradient whose l1 length is not finite, naming
+        # the iterate: an entry that is not finite, or finite entries whose
+        # sum overflows; each run takes the move to (1, 0) first
+        table = {(0.0, 0.0): (1.0, [-1.0, 0.0]), (1.0, 0.0): (0.0, bad)}
         continuous = spec_l1(5.0, bounds=FeatureBounds(-5.0, 5.0))
         discrete = spec_l1(5.0, mode="discrete", bounds=FeatureBounds(0.0, 5.0, increment_only=True))
         for run, spec in ((evade_continuous, continuous), (reference_evade_continuous, continuous),
@@ -549,13 +565,13 @@ def reference_evade_discrete(model, spec, x0):
     if np.any(x0 != np.round(x0)):
         raise ValueError("discrete mode requires an integer-valued x0")
     reference_check_start(spec, x0)
-    lo, hi = _effective_box(spec, x0)
+    lo, hi = box_of(spec, x0)
     path = AttackTrace([x0.copy()], [objective_F(model, spec, x0)], capacity=spec.max_iters + 1)
     termination = "max_iters"
     for _ in range(spec.max_iters):
         x = path.points[-1]
         grad = objective_grad(model, spec, x)
-        if not np.isfinite(grad).all():
+        if not math.isfinite(float(np.abs(grad).sum())):
             raise ValueError(f"gradient of F is not finite at iterate {path.iterations}")
         if float(np.linalg.norm(grad)) <= _ZERO_GRAD_NORM:
             termination = "zero_gradient"
@@ -693,7 +709,7 @@ def _first_candidate_outcome(model, spec, x0, trace, i):
     j = usable[0]
     cand = x.copy()
     cand[j] += 1.0
-    lo, hi = _effective_box(spec, x0)
+    lo, hi = box_of(spec, x0)
     if not lo[j] - _FEAS_TOL <= cand[j] <= hi[j] + _FEAS_TOL:
         return "box_blocked"
     if spec.distance.of(cand, x0) > spec.d_max + _FEAS_TOL:
@@ -817,12 +833,20 @@ class TestDiscreteMatchesReference:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_finite_gradient_whose_square_overflows_still_descends(self):
-        # grad @ grad overflows to inf (numpy warns), but every entry is finite: no refusal
-        table = {(0.0, 0.0): (1.0, [-1e200, 1e200]), (1.0, 0.0): (0.0, [1.0, 1.0])}
-        spec = spec_l1(5.0, mode="discrete", bounds=FeatureBounds(0.0, 10.0, increment_only=True))
-        for run in (evade_discrete, reference_evade_discrete):
+        # grad @ grad overflows to inf (numpy warns), but the l1 length is finite: no refusal.
+        # The discrete move is (1, 0); the continuous step of l1 length 1 is (0.5, -0.5)
+        table = {(0.0, 0.0): (1.0, [-1e200, 1e200]), (1.0, 0.0): (0.0, [1.0, 1.0]),
+                 (0.5, -0.5): (0.0, [0.0, 0.0])}
+        discrete = spec_l1(5.0, mode="discrete", bounds=FeatureBounds(0.0, 10.0, increment_only=True))
+        continuous = spec_l1(5.0, bounds=FeatureBounds(-5.0, 5.0))
+        for run, spec, end, termination in (
+            (evade_discrete, discrete, [1.0, 0.0], "converged"),
+            (reference_evade_discrete, discrete, [1.0, 0.0], "converged"),
+            (evade_continuous, continuous, [0.5, -0.5], "zero_gradient"),
+            (reference_evade_continuous, continuous, [0.5, -0.5], "zero_gradient"),
+        ):
             tr = run(TableModel(table), spec, np.zeros(2))
-            assert ([p.tolist() for p in tr.points], tr.termination) == ([[0.0, 0.0], [1.0, 0.0]], "converged")
+            assert ([p.tolist() for p in tr.points], tr.termination) == ([[0.0, 0.0], end], termination)
 
     def test_settles_the_final_budget_blocked_iterate_without_a_sort(self, monkeypatch):
         # increment-only l1 on an rbf SVM whose every first candidate is taken
@@ -880,32 +904,35 @@ class TestScoresOncePerF:
 
 
 def reference_evade_continuous(model, spec, x0):
-    """Oracle for evade_continuous: the same descent, projecting through
-    `project_feasible` without a prepared box, so the box is rebuilt and x0
-    checked on every call."""
+    """Oracle for evade_continuous: the same descent, with the start check
+    of `reference_check_start`, the box of `box_of`, the gradient norm of
+    np.linalg.norm and the budget test inline."""
     if spec.mode != "continuous":
         raise ValueError("spec.mode must be 'continuous'")
     x0 = np.asarray(x0, dtype=float)
     reference_check_start(spec, x0)
+    box = box_of(spec, x0)
     path = AttackTrace([x0.copy()], [objective_F(model, spec, x0)], capacity=spec.max_iters + 1)
     termination = "max_iters"
     for _ in range(spec.max_iters):
         x = path.points[-1]
         grad = objective_grad(model, spec, x)
-        if not np.isfinite(grad).all():
+        length = float(np.abs(grad).sum())
+        if not math.isfinite(length):
             raise ValueError(f"gradient of F is not finite at iterate {path.iterations}")
         if float(np.linalg.norm(grad)) <= _ZERO_GRAD_NORM:
             termination = "zero_gradient"
             break
         # fix the l1 length of the raw step instead of its l2 length
-        step = spec.step_t * grad / float(np.abs(grad).sum())
-        cand = attack_module.project_feasible(spec, x0, x - step)
+        step = spec.step_t * grad / length
+        cand = attack_module.project_feasible(spec, x0, x - step, box)
         f_new = objective_F(model, spec, cand)
         if f_new - path.objective_values[-1] > -spec.epsilon:
             # improvement stalled; keep the point only if it still improved
             if f_new < path.objective_values[-1]:
                 path.add(cand, f_new)
-            termination = "budget_boundary_converged" if _at_budget(spec, x0, path.points[-1]) else "converged"
+            at_budget = spec.distance.of(path.points[-1], x0) >= spec.d_max - _FEAS_TOL
+            termination = "budget_boundary_converged" if at_budget else "converged"
             break
         path.add(cand, f_new)
     path.termination = termination
@@ -1017,7 +1044,7 @@ class TestStartCheck:
             with pytest.raises(ValueError, match="x0 is not feasible"), np.errstate(invalid="ignore"):
                 run(model, spec, x0)
         with pytest.raises(ValueError, match="x0 is not feasible under the given bounds"):
-            project_feasible(continuous, x0, np.zeros(2))
+            _start(continuous, x0)
 
     def test_box_check_agrees_with_the_budget_ball_check(self):
         # starts within a few tolerances of a box face, on either side of it
@@ -1037,7 +1064,7 @@ class TestStartCheck:
                 want = str(exc)
                 refused += 1
             try:
-                _check_start(x0, _effective_box(spec, x0))
+                _start(spec, x0)
                 got = None
             except ValueError as exc:
                 got = str(exc)

@@ -357,10 +357,13 @@ def test_attack_checks_every_input_before_writing(tmp_path, mnist_sets, capsys):
     [entry] = json.loads((train_out / "train_manifest.json").read_text())["models"]
     out = tmp_path / "out"
     args = config_args("mnist_3v7.json", mnist_sets, out)
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1, 2]\n")
     for extra, message in (
         (["--model", entry["path"], "--index", "999"], "sample index 999 out of range"),
         (["--model", entry["path"], "--index", "0", "--lam", "-1"], "lam must be nonnegative"),
         (["--model", str(tmp_path / "missing.json"), "--index", "0"], "missing.json"),
+        (["--model", str(not_an_object), "--index", "0"], f"{not_an_object}: a model file holds a JSON object"),
     ):
         capsys.readouterr()
         assert main(["attack", *args, *extra]) == 2

@@ -73,7 +73,6 @@ class TestCsv:
         p = tmp_path / "d.csv"
         p.write_text("a,label,b\n0.5,1,0.25\n")
         ds = load_dense_csv(p)
-        assert ds.feature_names == ["a", "b"]
         np.testing.assert_allclose(ds.X, [[0.5, 0.25]])
         assert ds.y[0] == 1
 

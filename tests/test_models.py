@@ -892,16 +892,23 @@ class TestModelIO:
              "inconsistent MLP shapes"),
             (MlpModel(np.zeros((3, 2)), np.zeros(3), np.zeros(3), 0.0), "hidden_biases", [0.0, float("inf"), 0.0],
              "non-finite"),
+            # field None: the value replaces the whole document
+            (LinearModel(np.array([1.0, 2.0]), 0.5), None, [1, 2], "a model file holds a JSON object, not list"),
+            (LinearModel(np.array([1.0, 2.0]), 0.5), "kind", ["linear"], r"unknown model kind \['linear'\]"),
         ],
     )
     def test_bad_content_is_a_value_error(self, tmp_path, model, field, value, message):
         p = tmp_path / "m.json"
         save_model(model, p)
         doc = json.loads(p.read_text())
-        doc[field] = value
+        if field is None:
+            doc = value
+        else:
+            doc[field] = value
         p.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as refused:
             load_model(p)
+        assert str(refused.value).startswith(f"{p}: ")
 
     def test_corrupted_payload(self, tmp_path):
         p = tmp_path / "bad.json"
