@@ -222,11 +222,15 @@ def project_feasible(spec: AttackSpec, x0: np.ndarray, x: np.ndarray, box) -> np
 def _gradient(model: TrainedModel, spec: AttackSpec, x: np.ndarray, k: int):
     """grad F at the iterate x, number k, and its l2 norm. Refuses a gradient
     whose l1 length is not finite: no step of l1 length step_t scales from it.
-    That length overflows only where the norm does, so it is summed only then."""
+    That length overflows only where the norm does, so it is summed only then.
+    Neither overflow warns: np.vdot, unlike np.dot, does not check for it."""
     grad = objective_grad(model, spec, x)
-    norm = math.sqrt(np.dot(grad, grad))
-    if not math.isfinite(norm) and not math.isfinite(np.abs(grad).sum()):
-        raise ValueError(f"gradient of F is not finite at iterate {k}")
+    norm = math.sqrt(np.vdot(grad, grad))
+    if not math.isfinite(norm):
+        with np.errstate(over="ignore"):
+            length = np.abs(grad).sum()
+        if not math.isfinite(length):
+            raise ValueError(f"gradient of F is not finite at iterate {k}")
     return grad, norm
 
 

@@ -8,9 +8,10 @@ All models expose:
 `SvmModel` is the rbf SVM; the linear SVM is solved on the linear Gram
 matrix and folded to a `LinearModel`. `SvmModel` keeps its latest kernel
 pass, so discriminant(x) followed by gradient(x) at the same point, as the
-attack asks for them, computes the kernel once, and a discrete +1 move
-patches the kept pass in O(N) where that is bit-identical to a full pass
-(`kernels._DistanceMemo`).
+attack asks for them, computes the kernel once. The pass keeps x - sv only
+in an exact state, where a discrete +1 move patches it in O(N), bit-identical
+to a full pass; elsewhere it scores from |x|^2 + |sv|^2 - 2 sv.x with no
+N x d array (`kernels._DistanceMemo`).
 
 `predict(model, X)` labels rows by the sign of g(x) - decision_offset,
 tie -> +1. The decision offset is 0 for SVM variants and 0.5 for the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -52,6 +54,14 @@ def _sigmoid(z, out=None, e=None):
     return out
 
 
+def _finite_real(value, name: str):
+    """`value` if it is a finite real number; a bool, which JSON `true`
+    loads as, is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, not {value!r}")
+    return value
+
+
 @dataclass
 class LinearModel:
     w: np.ndarray
@@ -60,7 +70,8 @@ class LinearModel:
 
     def __post_init__(self):
         self.w = np.asarray(self.w, dtype=float).reshape(-1)
-        if not (np.all(np.isfinite(self.w)) and np.isfinite(self.b)):
+        _finite_real(self.b, "b")
+        if not np.all(np.isfinite(self.w)):
             raise ValueError("linear model has non-finite parameters")
 
     def discriminant(self, x: np.ndarray) -> float:
@@ -97,17 +108,22 @@ class SvmModel:
             raise ValueError("support_vectors must be a non-empty 2-D array")
         if len(self.dual_coefs) != len(self.support_vectors):
             raise ValueError("one dual coefficient per support vector required")
+        if not (np.all(np.isfinite(self.support_vectors)) and np.all(np.isfinite(self.dual_coefs))):
+            raise ValueError("svm model has non-finite support vectors or dual coefficients")
+        _finite_real(self.b, "b")
+        if not _finite_real(self.C, "C") > 0:
+            raise ValueError("C must be positive")
         if np.any(np.abs(self.dual_coefs) > self.C + 1e-9):
             raise ValueError("|alpha_i| exceeds the box constraint C")
         if abs(float(self.dual_coefs.sum())) > 1e-6:
             raise ValueError("dual coefficients do not satisfy sum(alpha_i y_i) = 0")
-        # the latest query's x - sv and squared distances, and its kernel row
+        # the latest query's squared distances (and x - sv, in an exact
+        # state), and its kernel row
         self._kept = _DistanceMemo(self.support_vectors)
         self._row = None
 
     def _rbf_pass(self, x: np.ndarray) -> np.ndarray:
-        """The kernel row at x, from the distances `self._kept` brings to x;
-        x - support vectors is left in `self._kept.diffs`."""
+        """The kernel row at x, from the distances `self._kept` brings to x."""
         if self._kept.query(x) != _SAME_QUERY:
             self._row = kernel_row(self.kernel, self._kept.dists)
         return self._row
@@ -120,8 +136,9 @@ class SvmModel:
         return kernel_matrix(self.kernel, X, self.support_vectors) @ self.dual_coefs + self.b
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        row = self._rbf_pass(np.asarray(x, float))
-        return kernel_grad_combination(self.kernel, row, self._kept.diffs, self.dual_coefs)
+        x = np.asarray(x, float)
+        row = self._rbf_pass(x)
+        return kernel_grad_combination(self.kernel, row, self.dual_coefs, x, self.support_vectors, self._kept.diffs)
 
 
 @dataclass
@@ -144,6 +161,7 @@ class MlpModel:
         for arr in (self.hidden_weights, self.hidden_biases, self.output_weights):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("MLP has non-finite parameters")
+        _finite_real(self.output_bias, "output_bias")
 
     @property
     def m(self) -> int:
@@ -378,6 +396,8 @@ class ModelSpec:
         # `not x > 0` rather than `x <= 0`, so that NaN fails too
         if not self.C > 0:
             raise ValueError("C must be positive")
+        if self.C == math.inf:  # a trained svm model refuses it
+            raise ValueError("C must be finite")
         if self.m < 1:
             raise ValueError("hidden width m must be >= 1")
         if self.epochs < 0:

@@ -237,19 +237,22 @@ def test_train_writes_each_model_kind(tmp_path):
 
 
 def test_attack_refuses_a_polynomial_model_file(tmp_path, capsys):
-    # and a linear-kernel svm file, which is refused the same way
+    # and a linear-kernel svm file, and one whose intercept is null, which
+    # are refused the same way
     grid = json.dumps([{"kind": "svm", "C": 1.0, "kernel": {"kind": "rbf", "gamma": 0.01}}])
     sets = [*PDF_SMALL, f"models={grid}"]
     train_out = tmp_path / "train"
     assert main(["train", *config_args("synthetic_pdf.json", sets, train_out)]) == 0
     [entry] = json.loads((train_out / "train_manifest.json").read_text())["models"]
     doc = json.loads(Path(entry["path"]).read_text())
-    for name, kernel, message in (
-        ("poly", {"coef0": 1.0, "degree": 2, "gamma": 0.01, "kind": "polynomial"}, "unknown kernel kind 'polynomial'"),
-        ("linear", {"gamma": 0.01, "kind": "linear"}, "an svm model takes an rbf kernel, not 'linear'"),
+    for name, change, message in (
+        ("poly", {"kernel": {"coef0": 1.0, "degree": 2, "gamma": 0.01, "kind": "polynomial"}},
+         "unknown kernel kind 'polynomial'"),
+        ("linear", {"kernel": {"gamma": 0.01, "kind": "linear"}}, "an svm model takes an rbf kernel, not 'linear'"),
+        ("null_b", {"b": None}, "b must be a finite real number, not None"),
     ):
         model = tmp_path / f"{name}.json"
-        model.write_text(json.dumps({**doc, "kernel": kernel}))
+        model.write_text(json.dumps({**doc, **change}))
         out = tmp_path / f"out_{name}"
         capsys.readouterr()
         assert main(["attack", *config_args("synthetic_pdf.json", sets, out), "--model", str(model), "--index", "0"]) == 2

@@ -98,6 +98,7 @@ class TestSurrogateKeys:
             ("scenario.surrogate.m=0", "scenario.surrogate: hidden width m must be >= 1"),
             ("scenario.surrogate.epochs=-1", "scenario.surrogate: epochs must be >= 0"),
             ("scenario.surrogate.learning_rate=0", "scenario.surrogate: learning_rate must be finite and positive"),
+            ("scenario.surrogate.C=Infinity", "scenario.surrogate: C must be finite"),
         ],
     )
     def test_a_linear_only_grid_still_refuses_each_out_of_range_key(self, tmp_path, capsys, override, named):

@@ -53,9 +53,10 @@ def assert_grad_close(analytic, numeric, rel=1e-4, abs_tol=1e-8):
 def rbf_sum(k, x, basis, coefs):
     """sum_i coefs[i] k(x, basis[i]) and its gradient, through the row and
     gradient routines, from distances built here."""
-    diffs = np.asarray(x, float) - basis
+    x = np.asarray(x, float)
+    diffs = x - basis
     row = kernel_row(k, np.einsum("ij,ij->i", diffs, diffs))
-    return float(coefs @ row), kernel_grad_combination(k, row, diffs, coefs)
+    return float(coefs @ row), kernel_grad_combination(k, row, coefs, x, basis, diffs)
 
 
 class TestKernels:
@@ -85,6 +86,10 @@ class TestKernels:
             x = rng.normal(size=4)
             value, grad = rbf_sum(k, x, basis, coefs)
             assert_grad_close(grad, central_diff(lambda v: rbf_sum(k, v, basis, coefs)[0], x), rel=1e-6)
+            # without the differences, the gradient is summed from the expansion
+            row = kernel_row(k, np.einsum("ij,ij->i", x - basis, x - basis))
+            expanded = kernel_grad_combination(k, row, coefs, x, basis)
+            np.testing.assert_allclose(expanded, grad, rtol=1e-12, atol=1e-12 * np.abs(coefs).sum())
             # the row is the Gram matrix row of x, up to rounding
             np.testing.assert_allclose(value, kernel_matrix(k, x[None, :], basis)[0] @ coefs, rtol=1e-12, atol=1e-12)
 
@@ -587,6 +592,20 @@ def two_pass_copy(model: SvmModel) -> TwoPassSvm:
     return TwoPassSvm(**{f.name: getattr(model, f.name) for f in fields(SvmModel)})
 
 
+def assert_near_two_pass(model: SvmModel, x, g, grad, rel=1e-12):
+    """g and grad at x, from the expansion |x|^2 + |sv|^2 - 2 sv.x, against
+    the two-pass oracle, which sums over x - sv: each within `rel` of the
+    sum of the magnitudes of the terms it adds up, and grad also against
+    central differences of g."""
+    two_pass = two_pass_copy(model)
+    diff = np.asarray(x, float) - model.support_vectors
+    w = np.abs(model.dual_coefs * np.exp(-model.kernel.gamma * np.einsum("ij,ij->i", diff, diff)))
+    assert abs(g - two_pass.discriminant(x)) <= rel * (w.sum() + abs(model.b))
+    scale = 2.0 * model.kernel.gamma * (w @ (np.abs(x) + np.abs(model.support_vectors)))
+    assert np.all(np.abs(grad - two_pass.gradient(x)) <= rel * scale)
+    assert_grad_close(grad, central_diff(two_pass.discriminant, np.asarray(x, float)))
+
+
 SVM_KERNELS = [KernelSpec("rbf", gamma=0.3)]
 
 
@@ -601,13 +620,16 @@ class TestKernelPassMemo:
         a, b = rng.normal(size=5), rng.normal(size=5)
 
         def check(x, grad_first):
-            fresh, two_pass = SvmModel(*args), two_pass_copy(model)
+            # the queries are off the integers: no exact state, so the
+            # two-pass oracle is matched to rounding, and a fresh model bit for bit
+            fresh = SvmModel(*args)
             if grad_first:
                 grad, g = model.gradient(x), model.discriminant(x)
             else:
                 g, grad = model.discriminant(x), model.gradient(x)
-            assert g == fresh.discriminant(x) == two_pass.discriminant(x)
-            assert grad.tobytes() == fresh.gradient(x).tobytes() == two_pass.gradient(x).tobytes()
+            assert g == fresh.discriminant(x)
+            assert grad.tobytes() == fresh.gradient(x).tobytes()
+            assert_near_two_pass(model, x, g, grad)
 
         check(a, False)
         a[2] += 0.5  # same array object, new contents
@@ -718,14 +740,23 @@ class TestKernelPassPatch:
         raw = np.random.default_rng(29).uniform(0.1, 1.0, size=len(sv))
         return (KernelSpec("rbf", gamma=gamma), sv, raw - raw.mean(), 0.3, 2.0)
 
-    def check_against_fresh(self, model, args, x, grad_first):
+    def check_against_fresh(self, model, args, x, grad_first, exact=True):
+        """g and grad at x against a fresh model bit for bit, and against the
+        two-pass oracle bit for bit where the query is `exact` (an integer x
+        on integer support vectors, within the bound), else to rounding."""
         fresh, two_pass = SvmModel(*args), two_pass_copy(SvmModel(*args))
         if grad_first:
             grad, g = model.gradient(x), model.discriminant(x)
         else:
             g, grad = model.discriminant(x), model.gradient(x)
-        assert g == fresh.discriminant(x) == two_pass.discriminant(x)
-        assert grad.tobytes() == fresh.gradient(x).tobytes() == two_pass.gradient(x).tobytes()
+        assert g == fresh.discriminant(x)
+        assert grad.tobytes() == fresh.gradient(x).tobytes()
+        assert (model._kept.diffs is not None) == exact  # x - sv is kept in exact states only
+        if exact:
+            assert g == two_pass.discriminant(x)
+            assert grad.tobytes() == two_pass.gradient(x).tobytes()
+        else:
+            assert_near_two_pass(model, x, g, grad)
 
     def test_integer_walk_is_patched_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -762,14 +793,16 @@ class TestKernelPassPatch:
                 with pytest.raises(ValueError, match="dimension mismatch"):
                     model.discriminant(np.array(x))
             else:
-                self.check_against_fresh(model, self.model_args(sv), np.array(x), grad_first=False)
+                exact = name == "two-coordinate step"
+                self.check_against_fresh(model, self.model_args(sv), np.array(x), grad_first=False, exact=exact)
             assert steps["patch"] == 0, name
             # one step on from there is patched only where the kept state is
             # an exact one (a pass that raised keeps none)
             follow = np.array(x if len(x) == d else start, dtype=float)
             follow[0] += 1.0
             steps.clear()
-            self.check_against_fresh(model, self.model_args(sv), follow, False)
+            exact = name in ("two-coordinate step", "wrong dimension")
+            self.check_against_fresh(model, self.model_args(sv), follow, False, exact=exact)
             assert steps["patch"] == (name == "two-coordinate step"), name
         # a step up to the bound itself is patched, bit for bit
         model = SvmModel(*self.model_args(sv))
@@ -782,8 +815,59 @@ class TestKernelPassPatch:
             model = SvmModel(*self.model_args(bad))
             steps.clear()
             for x in descent_queries(np.random.default_rng(41), np.zeros(d), 5):
-                self.check_against_fresh(model, self.model_args(bad), x, grad_first=False)
+                self.check_against_fresh(model, self.model_args(bad), x, grad_first=False, exact=False)
             assert steps["patch"] == 0 and steps["full"] > 0
+
+
+class TestExpansionPass:
+    """rbf queries outside an exact state: distances from |x|^2 + |sv|^2 -
+    2 sv.x and the gradient from (sum_i w_i) x - w @ sv, with no x - sv."""
+
+    def model(self, rng, d=5, gamma=0.7):
+        raw = rng.uniform(0.1, 1.0, size=8) * np.where(np.arange(8) % 2 == 0, 1.0, -1.0)
+        sv = rng.uniform(-2.0, 2.0, size=(8, d))
+        return SvmModel(KernelSpec("rbf", gamma=gamma), sv, raw - raw.mean(), 0.2, C=2.0)
+
+    def test_query_next_to_a_support_vector(self):
+        # |x|^2 + |sv|^2 and 2 sv.x agree in all but their last bits there:
+        # the expansion's worst cancellation
+        rng = np.random.default_rng(47)
+        model = self.model(rng)
+        for sv in model.support_vectors:
+            x = sv + 1e-6 * rng.normal(size=len(sv))
+            g, grad = model.discriminant(x), model.gradient(x)
+            assert model._kept.diffs is None
+            assert_near_two_pass(model, x, g, grad)
+
+    def test_far_query_whose_row_underflows_has_an_exact_zero_gradient(self):
+        rng = np.random.default_rng(53)
+        model = self.model(rng)
+        x = np.full(5, 60.5)  # gamma |x - sv|^2 > 745 for every sv: exp underflows to 0
+        two_pass = two_pass_copy(model)
+        g, grad = model.discriminant(x), model.gradient(x)
+        assert model._kept.diffs is None
+        assert np.all(model._row == 0.0)
+        assert g == two_pass.discriminant(x) == model.b
+        assert np.all(grad == 0.0) and np.all(two_pass.gradient(x) == 0.0)
+        assert np.all(central_diff(model.discriminant, x) == 0.0)
+        tr = evade_continuous(model, AttackSpec(d_max=5.0, step_t=0.5, bounds=FeatureBounds(-np.inf, np.inf)), x)
+        assert (tr.iterations, tr.termination) == (0, "zero_gradient")
+
+    def test_continuous_descent_on_a_non_integer_basis_allocates_no_n_by_d_array(self):
+        rng = np.random.default_rng(59)
+        n, d = 400, 300
+        sv = rng.uniform(0.0, 1.0, size=(n, d))
+        raw = rng.uniform(0.1, 1.0, size=n) * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        spec = AttackSpec(d_max=5.0, step_t=0.5, bounds=FeatureBounds(0.0, 1.0), max_iters=10)
+        x0 = rng.uniform(0.0, 1.0, size=d)
+
+        def descend():
+            model = SvmModel(KernelSpec("rbf", gamma=0.01), sv, raw - raw.mean(), 0.0, C=2.0)
+            return evade_continuous(model, spec, x0)
+
+        trace, peak = TestSvmTrainingMemory.traced_peak(descend)
+        assert trace.iterations == spec.max_iters
+        assert peak < sv.nbytes
 
 
 class TestPredict:
@@ -909,6 +993,48 @@ class TestModelIO:
         with pytest.raises(ValueError, match=message) as refused:
             load_model(p)
         assert str(refused.value).startswith(f"{p}: ")
+
+    SCALARS = {"linear": (LinearModel(np.array([1.0, 2.0]), 0.5), "b"),
+               "svm": (SvmModel(KernelSpec("rbf"), np.zeros((2, 1)), np.array([0.5, -0.5]), 0.0, C=1.0), "b"),
+               "mlp": (MlpModel(np.zeros((3, 2)), np.zeros(3), np.zeros(3), 0.0), "output_bias")}
+
+    @pytest.mark.parametrize("kind", SCALARS)
+    @pytest.mark.parametrize("value", [None, "0.5", [1.0], True, float("nan")], ids=repr)
+    def test_intercept_that_is_not_a_finite_real_is_a_value_error(self, tmp_path, kind, value):
+        # each would load and fail later, in scoring, with a TypeError or a NaN score
+        model, field = self.SCALARS[kind]
+        p = tmp_path / "m.json"
+        save_model(model, p)
+        p.write_text(json.dumps({**json.loads(p.read_text()), field: value}))
+        with pytest.raises(ValueError) as refused:
+            load_model(p)
+        assert str(refused.value) == (
+            f"{p}: malformed {kind} model: ValueError: {field} must be a finite real number, not {value!r}"
+        )
+
+    NON_FINITE = "svm model has non-finite support vectors or dual coefficients"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("support_vectors", [[0.0], [float("inf")]], NON_FINITE),
+            ("support_vectors", [[float("nan")], [0.0]], NON_FINITE),
+            ("dual_coefs", [float("nan"), 0.5], NON_FINITE),
+            ("C", float("inf"), "C must be a finite real number, not inf"),
+            ("C", float("nan"), "C must be a finite real number, not nan"),
+            ("C", True, "C must be a finite real number, not True"),
+            ("C", "1.0", "C must be a finite real number, not '1.0'"),
+            ("C", 0.0, "C must be positive"),
+            ("C", -1.0, "C must be positive"),
+        ],
+    )
+    def test_svm_array_or_box_bound_out_of_range_is_a_value_error(self, tmp_path, field, value, message):
+        p = tmp_path / "svm.json"
+        save_model(SvmModel(KernelSpec("rbf"), np.zeros((2, 1)), np.zeros(2), 0.0, C=1.0), p)
+        p.write_text(json.dumps({**json.loads(p.read_text()), field: value}))
+        with pytest.raises(ValueError) as refused:
+            load_model(p)
+        assert str(refused.value) == f"{p}: malformed svm model: ValueError: {message}"
 
     def test_corrupted_payload(self, tmp_path):
         p = tmp_path / "bad.json"
