@@ -25,7 +25,6 @@ from .data import (
     split_train_test,
 )
 from .evaluation import (
-    SecurityCurve,
     SweepResult,
     calibrate_threshold,
     fn_rates,

@@ -65,10 +65,10 @@ class AttackSpec:
         # `not x >= 0` rather than `x < 0`, so that NaN fails too
         if not self.d_max >= 0:
             raise ValueError("d_max must be nonnegative")
-        if not self.step_t > 0:
-            raise ValueError("step_t must be positive")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.step_t < math.inf:
+            raise ValueError("step_t must be finite and positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.mode not in ("continuous", "discrete"):
@@ -79,8 +79,8 @@ class AttackSpec:
             raise ValueError(f"continuous mode takes an l1 step_norm, not {self.step_norm!r}")
         if self.mode == "discrete" and not self.bounds.increment_only:
             raise ValueError("discrete mode makes +1 moves only: it requires bounds.increment_only")
-        if not self.lam >= 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be nonnegative and finite")
         # lam > 0 additionally needs a mimicry estimator, but scenarios bind
         # the estimator after construction; enforced when F is evaluated
 

@@ -19,6 +19,8 @@ import json
 import math
 import sys
 from dataclasses import replace
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -193,8 +195,7 @@ def _write_rows(path, header: list[str], rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -228,25 +229,21 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         out_dir / "curves.csv",
         ["classifier", "scenario", "lambda", "d_max", "mean_fn", "std_fn"],
         (
-            [c.classifier, c.scenario, repr(c.lam), repr(float(b)), repr(float(m)), repr(float(s))]
-            for c in result.curves
-            for b, m, s in zip(c.d_max, c.mean_fn, c.std_fn)
+            [r["classifier"], r["scenario"], repr(r["lam"]), repr(r["d_max"]), repr(r["mean_fn"]), repr(r["std_fn"])]
+            for r in result.curve_rows
         ),
     )
     plots_dir = out_dir / "plots"
     plots_dir.mkdir(parents=True, exist_ok=True)
-    for c in result.curves:
+    for (classifier, scenario, lam), rows in groupby(result.curve_rows, itemgetter("classifier", "scenario", "lam")):
+        rows = list(rows)
+        safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in classifier)
         _write_rows(
-            plots_dir / f"curve_{c.slug()}.csv",
+            plots_dir / f"curve_{safe}_{scenario}_lam{lam:g}.csv",
             ["d_max", "mean_fn", "yerr"],
-            (
-                [repr(float(b)), repr(float(m)), repr(float(s / 2.0))]
-                for b, m, s in zip(c.d_max, c.mean_fn, c.std_fn)
-            ),
+            ([repr(r["d_max"]), repr(r["mean_fn"]), repr(r["std_fn"] / 2.0)] for r in rows),
         )
-    for c in result.curves:
-        tail = c.mean_fn[-1]
-        print(f"curve {c.classifier} {c.scenario} lambda={c.lam:g}: FN({c.d_max[-1]:g}) = {tail:.3f}")
+        print(f"curve {classifier} {scenario} lambda={lam:g}: FN({rows[-1]['d_max']:g}) = {rows[-1]['mean_fn']:.3f}")
     if result.failures:
         with open(out_dir / "failures.json", "w") as fh:
             json.dump(result.failures, fh, indent=2, sort_keys=True)

@@ -192,6 +192,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError("models: grid must be non-empty")
         model_grid = [_parse_model(m, f"models[{i}]") for i, m in enumerate(resolved["models"])]
 
+        split = resolved["split"]
+        n_test = _count(split["n_test"], "split.n_test")
         sc = resolved["scenario"]
         for kind in sc["kinds"]:
             if kind not in ("PK", "LK"):
@@ -200,8 +202,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError("scenario.kinds must be non-empty")
         surrogate = {k: v for k, v in sc["surrogate"].items() if v is not None}
         if "LK" in sc["kinds"]:
-            if int(sc["n_q"]) < 2:
-                raise ConfigError("scenario.n_q: LK requires n_q >= 2")
+            if not 2 <= int(sc["n_q"]) <= n_test:
+                raise ConfigError(f"scenario.n_q: LK draws n_q of the split.n_test = {n_test} test rows, "
+                                  f"so it needs 2 <= n_q <= {n_test}, got {sc['n_q']}")
             try:
                 for spec in model_grid:
                     surrogate_spec(spec, surrogate)
@@ -232,8 +235,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if not all(math.isfinite(b) and b >= 0 for b in d_grid):
             raise ConfigError("attack.d_max_grid values must be finite and nonnegative")
         lambdas = [float(l) for l in atk["lambdas"]]
-        if not all(l >= 0 for l in lambdas):
-            raise ConfigError("attack.lambdas values must be nonnegative")
+        if not all(0 <= l < math.inf for l in lambdas):
+            raise ConfigError("attack.lambdas values must be finite and nonnegative")
         kde = KdeParams(h=float(atk["kde"]["h"]), truncation_k=int(atk["kde"]["truncation_k"]))
         attack = AttackSpec(
             d_max=max(d_grid),
@@ -250,14 +253,13 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if not (0 <= fp_target < 1):
             raise ConfigError("evaluation.fp_target must lie in [0, 1)")
 
-        split = resolved["split"]
         return ExperimentConfig(
             seed=int(resolved["seed"]),
             output_dir=str(resolved["output_dir"]),
             jobs=_count(resolved["jobs"], "jobs"),
             dataset=ds,
             n_train=_count(split["n_train"], "split.n_train"),
-            n_test=_count(split["n_test"], "split.n_test"),
+            n_test=n_test,
             n_splits=_count(split["n_splits"], "split.n_splits"),
             model_grid=model_grid,
             scenario=scenario,

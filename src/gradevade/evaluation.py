@@ -4,13 +4,17 @@ A sample counts as a false negative at budget b when its attack trace
 contains a point within distance b of the start whose target score falls
 below the threshold. One attack run at the largest budget therefore
 serves every budget of the sweep, and FN is nondecreasing in b by
-construction (larger budgets admit a superset of trace points).
+construction (larger budgets admit a superset of trace points). Curves
+are rows: `aggregate_curves` returns the rows of curves.csv, one per point.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,32 +24,6 @@ from .kernels import _BLOCK
 from .mimicry import KdeParams
 from .models import ModelSpec, TrainedModel, train_from_spec
 from .scenario import ScenarioSpec, descent_rounds, run_scenario
-
-
-@dataclass
-class SecurityCurve:
-    classifier: str
-    scenario: str
-    lam: float
-    fp_target: float
-    d_max: np.ndarray
-    mean_fn: np.ndarray
-    std_fn: np.ndarray
-
-    def __post_init__(self):
-        self.d_max = np.asarray(self.d_max, dtype=float)
-        self.mean_fn = np.asarray(self.mean_fn, dtype=float)
-        self.std_fn = np.asarray(self.std_fn, dtype=float)
-        if len(self.d_max) == 0:
-            raise ValueError("curve must have at least one point")
-        if np.any(np.diff(self.d_max) <= 0):
-            raise ValueError("d_max values must be strictly increasing")
-        if np.any((self.mean_fn < 0) | (self.mean_fn > 1)):
-            raise ValueError("mean FN rates must lie in [0, 1]")
-
-    def slug(self) -> str:
-        safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in self.classifier)
-        return f"{safe}_{self.scenario}_lam{self.lam:g}"
 
 
 def calibrate_threshold(legit_scores, fp_target: float) -> float:
@@ -129,9 +107,16 @@ def fn_rates(
 
 @dataclass
 class SweepResult:
-    curves: list
-    records: list   # dict rows: classifier/scenario/lam/split/repeat/d_max/fn
-    failures: list  # dict rows: classifier/split/error, for cells that raised
+    curve_rows: list  # the rows of curves.csv: classifier/scenario/lam/d_max/mean_fn/std_fn
+    records: list     # dict rows: classifier/scenario/lam/split/repeat/d_max/fn
+    failures: list    # dict rows: classifier/split/error, for cells that raised
+
+    @property
+    def curves(self) -> list:
+        """Per curve, its classifier, scenario, lam and mean_fn column: read only
+        by `benchmarks/record_digests.py`, until it reads rows (ROADMAP item 2)."""
+        return [SimpleNamespace(classifier=c, scenario=s, lam=lam, mean_fn=[r["mean_fn"] for r in rows])
+                for (c, s, lam), rows in groupby(self.curve_rows, itemgetter("classifier", "scenario", "lam"))]
 
 
 def cell_split(dataset: Dataset, n_train: int, n_test: int, root_seed: int, split_idx: int) -> tuple[Dataset, Dataset]:
@@ -232,7 +217,7 @@ def sweep(
         per_cell = [run(c) for c in cells]
     records = [row for rows, _ in per_cell for row in rows]
     failures = [err for _, err in per_cell if err is not None]
-    return SweepResult(curves=aggregate_curves(records, fp_target), records=records, failures=failures)
+    return SweepResult(curve_rows=aggregate_curves(records), records=records, failures=failures)
 
 
 def _run_cell_safe(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]):
@@ -248,26 +233,14 @@ def _run_cell_safe(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]):
         }
 
 
-def aggregate_curves(records: list[dict], fp_target: float) -> list[SecurityCurve]:
-    """Mean and std of FN over (split, repeat) cells, per curve and budget."""
-    groups: dict = {}
+def aggregate_curves(records: list[dict]) -> list[dict]:
+    """The rows of curves.csv, sorted: per (classifier, scenario, lam, d_max) point,
+    the mean and population std of FN over its (split, repeat) records, as Python floats."""
+    points: dict = {}
     for row in records:
-        key = (row["classifier"], row["scenario"], row["lam"])
-        groups.setdefault(key, {}).setdefault(row["d_max"], []).append(row["fn"])
-    curves = []
-    for (classifier, scen, lam), series in sorted(groups.items()):
-        d_vals = np.array(sorted(series))
-        means = np.array([np.mean(series[b]) for b in d_vals])
-        stds = np.array([np.std(series[b]) for b in d_vals])
-        curves.append(
-            SecurityCurve(
-                classifier=classifier,
-                scenario=scen,
-                lam=lam,
-                fp_target=fp_target,
-                d_max=d_vals,
-                mean_fn=means,
-                std_fn=stds,
-            )
-        )
-    return curves
+        points.setdefault((row["classifier"], row["scenario"], row["lam"], row["d_max"]), []).append(row["fn"])
+    return [
+        {"classifier": c, "scenario": s, "lam": lam, "d_max": b,
+         "mean_fn": float(np.mean(fns)), "std_fn": float(np.std(fns))}
+        for (c, s, lam, b), fns in sorted(points.items())
+    ]

@@ -163,10 +163,6 @@ class MlpModel:
                 raise ValueError("MLP has non-finite parameters")
         _finite_real(self.output_bias, "output_bias")
 
-    @property
-    def m(self) -> int:
-        return self.hidden_weights.shape[0]
-
     def _forward(self, x: np.ndarray):
         delta = _sigmoid(self.hidden_weights @ x + self.hidden_biases)
         h = float(self.output_weights @ delta + self.output_bias)

@@ -63,11 +63,8 @@ def build_surrogate(target: TrainedModel, pool: Dataset, spec: ScenarioSpec, see
     rng = np.random.default_rng(seed)
     for _ in range(10):
         idx = rng.choice(pool.n, size=spec.n_q, replace=False)
-        X = pool.X[idx].copy()
-        if spec.relabel_with_target:
-            y = predict(target, X)
-        else:
-            y = pool.y[idx].copy()
+        X = pool.X[idx]  # fancy indexing: a fresh array, as is pool.y[idx]
+        y = predict(target, X) if spec.relabel_with_target else pool.y[idx]
         if np.any(y == LEGITIMATE) and np.any(y == MALICIOUS):
             return Dataset(X, y)
     raise ValueError("surrogate untrainable: one class absent after 10 resampling attempts")

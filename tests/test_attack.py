@@ -142,6 +142,19 @@ class TestRefusedValues:
         assert AttackSpec(d_max=1.0, mode="discrete", step_norm="l2", bounds=inc).step_norm == "l2"
         assert AttackSpec(d_max=1.0).step_norm == "l1"
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["step_t", "epsilon"])
+    def test_attack_spec_refuses_a_step_or_tolerance_that_is_not_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive$"):
+            AttackSpec(d_max=1.0, **{name: value})
+        assert getattr(AttackSpec(d_max=1.0, **{name: 1e308}), name) == 1e308
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, -1e-300])
+    def test_attack_spec_refuses_a_lam_that_is_not_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="^lam must be nonnegative and finite$"):
+            AttackSpec(d_max=1.0, lam=value)
+        assert AttackSpec(d_max=1.0, lam=0.0).lam == 0.0 and AttackSpec(d_max=1.0, lam=1e308).lam == 1e308
+
 
 def brute_force_projection(spec, x0, x, step=1e-3):
     """Full grid search at the given step over the feasible set's lattice.

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line through main([...]) on both shipped configs."""
 import csv
+import hashlib
 import io
 import json
 import os
@@ -208,6 +209,63 @@ def test_curve_files_hold_the_mean_and_population_std_of_the_records(tmp_path):
             assert float(row["mean_fn"]) == mean and float(row["yerr"]) == std / 2
 
 
+# SHA-256 of every file the shrunk flagship sweep below writes, as the code
+# wrote them before curves were rows; the config echo records `jobs`
+PINNED_SWEEP_FILES = {
+    "curves.csv": "0e818e6eff79b77f5c6f5905a788405f3924234b0b4332cc4c70baf12918539b",
+    "results.csv": "cf5d5cae55f79d08afcb9ff10d51542490ddc775e89b2fe0ff3c790410c5289f",
+    "plots/curve_linear_svm_C_1__LK_lam0.csv": "dbf5263d2f99bd6eb743317ae2d74b5bc45384dc758833cf7223afeab120dc02",
+    "plots/curve_linear_svm_C_1__LK_lam500.csv": "dbf5263d2f99bd6eb743317ae2d74b5bc45384dc758833cf7223afeab120dc02",
+    "plots/curve_linear_svm_C_1__PK_lam0.csv": "9653e613bbd1bbef727048bb9da74ac1e3b031a3e66e26451c929ab257b80f4d",
+    "plots/curve_linear_svm_C_1__PK_lam500.csv": "9653e613bbd1bbef727048bb9da74ac1e3b031a3e66e26451c929ab257b80f4d",
+    "plots/curve_mlp_m_10__LK_lam0.csv": "1ce7df97c59e4649c4d632efbf48b6fb12003f63bdc4a38596d72fffc8ff0742",
+    "plots/curve_mlp_m_10__LK_lam500.csv": "ac7cfd774599ecb8f859326393d10335fbc8fa32813e07fdf95838b9f544d0c1",
+    "plots/curve_mlp_m_10__PK_lam0.csv": "fcef1d22285b1fe45ee130a071ec5ef0c7c218853f72f475cfc1bc88c4a42053",
+    "plots/curve_mlp_m_10__PK_lam500.csv": "8a263ba9166af0df1b9e01a7379bc6bae3cc972f4e17cad51c9876243cc6a3ff",
+    "plots/curve_svm_rbf_gamma_0.002_C_1__LK_lam0.csv": "b7fadae2d00301dbd7c67b57085e7ed7b12f2b15729c3c5e668285ffb5e9d93f",
+    "plots/curve_svm_rbf_gamma_0.002_C_1__LK_lam500.csv": "b7fadae2d00301dbd7c67b57085e7ed7b12f2b15729c3c5e668285ffb5e9d93f",
+    "plots/curve_svm_rbf_gamma_0.002_C_1__PK_lam0.csv": "b7fadae2d00301dbd7c67b57085e7ed7b12f2b15729c3c5e668285ffb5e9d93f",
+    "plots/curve_svm_rbf_gamma_0.002_C_1__PK_lam500.csv": "b7fadae2d00301dbd7c67b57085e7ed7b12f2b15729c3c5e668285ffb5e9d93f",
+}
+PINNED_CONFIG_ECHO = {
+    1: "3911487e8c76ef7053aa4a9067c31fb57c162d1bff6202d839a1d7702be9815d",
+    2: "062c1896e41ff3972783908530df9c1aeb2f6d06ce21f150c92be5382c5d0cf3",
+}
+PINNED_CURVE_LINES = """\
+curve linear_svm(C=1) LK lambda=0: FN(40) = 0.100
+curve linear_svm(C=1) LK lambda=500: FN(40) = 0.100
+curve linear_svm(C=1) PK lambda=0: FN(40) = 0.500
+curve linear_svm(C=1) PK lambda=500: FN(40) = 0.500
+curve mlp(m=10) LK lambda=0: FN(40) = 0.525
+curve mlp(m=10) LK lambda=500: FN(40) = 0.450
+curve mlp(m=10) PK lambda=0: FN(40) = 0.500
+curve mlp(m=10) PK lambda=500: FN(40) = 0.525
+curve svm(rbf,gamma=0.002,C=1) LK lambda=0: FN(40) = 0.500
+curve svm(rbf,gamma=0.002,C=1) LK lambda=500: FN(40) = 0.500
+curve svm(rbf,gamma=0.002,C=1) PK lambda=0: FN(40) = 0.500
+curve svm(rbf,gamma=0.002,C=1) PK lambda=500: FN(40) = 0.500
+"""
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_shrunk_flagship_sweep_writes_the_pinned_bytes(tmp_path, capsys, jobs):
+    # two splits, PK and LK, lambda 0 and 500, and budgets up to 40, where
+    # every model's attack evades; its means include 0.5249999999999999 and
+    # its stds 0.47500000000000003, which a numpy scalar would print otherwise
+    sets = [s for s in PDF_SMALL if not s.startswith(("jobs=", "split.n_splits=", "attack.d_max_grid="))] + [
+        "split.n_splits=2", "attack.d_max_grid=[0,20,40]",
+    ]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["sweep", *config_args("synthetic_pdf.json", sets, out), "--jobs", str(jobs)]) == 0
+    captured = capsys.readouterr()
+    written = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.rglob("*") if p.is_file()}
+    assert written == {**PINNED_SWEEP_FILES, "config_resolved.json": PINNED_CONFIG_ECHO[jobs]}
+    assert captured.out == PINNED_CURVE_LINES
+    assert captured.err == ""
+
+
 MODEL_KEYS = {
     "linear": {"b", "w"},
     "svm": {"C", "b", "dual_coefs", "kernel", "support_vectors"},
@@ -336,15 +394,15 @@ def test_attack_lam_scores_the_start_with_the_test_split_density(tmp_path):
 
 
 def test_sweep_with_every_cell_failing_exits_partial(tmp_path, capsys):
-    # LK draws n_q = 41 surrogate samples from a 40-row test split: every cell fails
+    # the synthetic counts reach 100, far outside a [0, 1] box: every start is refused
     grid = json.dumps([{"kind": "linear_svm", "C": 1.0}, {"kind": "linear_svm", "C": 10.0}])
-    sets = [*PDF_SMALL, f"models={grid}", "scenario.n_q=41"]
+    sets = [*PDF_SMALL, f"models={grid}", "attack.bounds.upper=1"]
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(["sweep", *config_args("synthetic_pdf.json", sets, out)]) == 3
     err = capsys.readouterr().err
     failures = json.loads((out / "failures.json").read_text())
-    message = "ValueError: pool has 40 samples, surrogate needs 41"
+    message = "ValueError: x0 is not feasible under the given bounds"
     assert failures == [
         {"classifier": "linear_svm(C=1)", "split": 0, "error": message},
         {"classifier": "linear_svm(C=10)", "split": 0, "error": message},
@@ -365,6 +423,7 @@ def test_attack_checks_every_input_before_writing(tmp_path, mnist_sets, capsys):
     for extra, message in (
         (["--model", entry["path"], "--index", "999"], "sample index 999 out of range"),
         (["--model", entry["path"], "--index", "0", "--lam", "-1"], "lam must be nonnegative"),
+        (["--model", entry["path"], "--index", "0", "--lam", "inf"], "lam must be nonnegative and finite"),
         (["--model", str(tmp_path / "missing.json"), "--index", "0"], "missing.json"),
         (["--model", str(not_an_object), "--index", "0"], f"{not_an_object}: a model file holds a JSON object"),
     ):

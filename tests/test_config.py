@@ -141,7 +141,8 @@ class TestOverrides:
                 "split.n_splits=-1", "split.n_splits=0", "split.n_train=0", "split.n_test=0", "jobs=0",
                 "attack.kde.h=-1", "attack.kde.h=NaN", "attack.kde.truncation_k=0",
                 "attack.d_max_grid=[NaN]", "attack.d_max_grid=[0,Infinity]", "attack.step_t=NaN",
-                "attack.epsilon=NaN", "attack.lambdas=[NaN]",
+                "attack.epsilon=NaN", "attack.lambdas=[NaN]", "attack.lambdas=[Infinity]", "attack.step_t=Infinity",
+                "attack.epsilon=Infinity",
                 "scenario.n_q=1", "models.0.C=-1", "models.0.C=NaN", "models.1.kernel.gamma=NaN",
                 "models.1.kernel.gamma=0", "models.2.m=0", "models.2.epochs=-1", "models.2.learning_rate=NaN",
                 "scenario.surrogate.C=-1", "scenario.surrogate.gamma=NaN", "scenario.surrogate.m=0",
@@ -163,6 +164,19 @@ class TestOverrides:
         assert main(["sweep", "--config", str(CONFIGS / "synthetic_pdf.json"), "--out", str(out), *args]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()  # rejected before any work
+
+    def test_lk_drawing_more_surrogate_samples_than_test_rows_exits_2(self, tmp_path, capsys):
+        # the LK pool is the split's 60 test rows: a PK-only config may set any n_q
+        out = tmp_path / "out"
+        sets = ["--set", "split.n_test=60", "--set", "scenario.n_q=100"]
+        assert main(["sweep", "--config", str(CONFIGS / "synthetic_pdf.json"), "--out", str(out), *sets]) == 2
+        assert capsys.readouterr().err == (
+            "error: scenario.n_q: LK draws n_q of the split.n_test = 60 test rows, so it needs 2 <= n_q <= 60, got 100\n"
+        )
+        assert not out.exists()
+        assert load_config(CONFIGS / "synthetic_pdf.json", ["split.n_test=60", "scenario.n_q=60"]).scenario.n_q == 60
+        pk_only = load_config(CONFIGS / "synthetic_pdf.json", ["split.n_test=60", "scenario.n_q=100", 'scenario.kinds=["PK"]'])
+        assert pk_only.scenario.n_q == 100
 
     def test_config_naming_a_step_norm_exits_2_naming_the_key(self, tmp_path, capsys):
         # the continuous step has l1 length, so the key is gone, "l1" included
@@ -187,8 +201,9 @@ SCALAR_LEAVES = {
     "jobs": (st.integers(1, 64), lambda cfg: cfg.jobs),
     "output_dir": (st.text(min_size=1), lambda cfg: cfg.output_dir),
     "split.n_train": (st.integers(1, 10**6), lambda cfg: cfg.n_train),
-    # the flagship config runs LK, which needs two surrogate samples at least
-    "scenario.n_q": (st.integers(2, 10**6), lambda cfg: cfg.scenario.n_q),
+    # the flagship config runs LK, which draws two surrogate samples at least
+    # and at most its 500 test rows
+    "scenario.n_q": (st.integers(2, 500), lambda cfg: cfg.scenario.n_q),
     "scenario.surrogate.gamma": (st.floats(1e-6, 1e3), lambda cfg: cfg.scenario.surrogate_params["gamma"]),
     "models.0.C": (st.floats(1e-6, 1e6), lambda cfg: cfg.model_grid[0].C),
     "models.2.epochs": (st.integers(0, 10**6), lambda cfg: cfg.model_grid[2].epochs),
@@ -227,15 +242,16 @@ OUT_OF_RANGE = {
     "attack.step_norm": st.sampled_from(["l1", "l2"]) | JSON_VALUES,
     "attack.bounds.increment_only": st.just(False),
     "attack.mode": st.text(max_size=8).filter(lambda t: t not in ("continuous", "discrete")),
-    "attack.step_t": st.floats().filter(lambda v: not v > 0),
-    "attack.epsilon": st.floats().filter(lambda v: not v > 0),
+    "attack.step_t": st.floats().filter(lambda v: not 0 < v < math.inf),
+    "attack.epsilon": st.floats().filter(lambda v: not 0 < v < math.inf),
     "attack.d_max_grid": st.lists(st.floats(0, 1e3), max_size=3).flatmap(
         lambda ok: st.floats().filter(lambda v: not (math.isfinite(v) and v >= 0)).map(lambda bad: [*ok, bad])
     ),
     "attack.lambdas": st.lists(st.floats(0, 1e3), max_size=3).flatmap(
-        lambda ok: st.floats().filter(lambda v: not v >= 0).map(lambda bad: [bad, *ok])
+        lambda ok: st.floats().filter(lambda v: not 0 <= v < math.inf).map(lambda bad: [bad, *ok])
     ),
-    "scenario.n_q": st.integers(max_value=1),
+    # LK needs 2 surrogate samples at least, drawn from the 500 test rows
+    "scenario.n_q": st.integers(max_value=1) | st.integers(min_value=501),
     "models.0.C": st.floats().filter(lambda v: not v > 0),
     "models.1.C": st.floats().filter(lambda v: not v > 0),
     "models.1.kernel.gamma": st.floats().filter(lambda v: not 0 < v < math.inf),

@@ -1,4 +1,5 @@
 import json
+import statistics
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -6,13 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradevade.scenario as scenario_module
 from gradevade.attack import AttackSpec, AttackTrace, DistanceSpec
 from gradevade.config import load_config, load_dataset_from_config
 from gradevade.data import MALICIOUS, Dataset, FeatureBounds
 from gradevade.evaluation import (
-    SecurityCurve,
+    SweepResult,
     aggregate_curves,
     calibrate_threshold,
     calibrated,
@@ -140,16 +143,6 @@ class TestFnRate:
         assert fn_rates(self.at(0.0), traces, [1.0, 2.0]) == [0.0, 1.0]
 
 
-class TestSecurityCurve:
-    def test_requires_increasing_budgets(self):
-        with pytest.raises(ValueError, match="increasing"):
-            SecurityCurve("m", "PK", 0.0, 0.005, [0.0, 0.0], [0.1, 0.2], [0.0, 0.0])
-
-    def test_rejects_out_of_range_fn(self):
-        with pytest.raises(ValueError, match="FN"):
-            SecurityCurve("m", "PK", 0.0, 0.005, [0.0, 1.0], [0.1, 1.2], [0.0, 0.0])
-
-
 def separable_counts(n_per_class=40, seed=0, n_dup=1):
     rng = np.random.default_rng(seed)
     neg = rng.poisson(4.0, size=(n_per_class, 3)).astype(float)
@@ -176,12 +169,13 @@ class TestSweep:
             d_max_grid=[0.0, 3.0, 6.0], n_splits=1, n_train=40, n_test=40,
             fp_target=0.1, kde=None, seed=5,
         )
-        assert len(res.curves) == 1
-        curve = res.curves[0]
+        curve = res.curve_rows
+        assert len({(r["classifier"], r["scenario"], r["lam"]) for r in curve}) == 1
         # recompute one point from the raw records
         rows = [r for r in res.records if r["d_max"] == 3.0]
-        assert curve.mean_fn[1] == pytest.approx(np.mean([r["fn"] for r in rows]))
-        assert np.all(np.diff(curve.mean_fn) >= 0)
+        assert curve[1]["d_max"] == 3.0
+        assert curve[1]["mean_fn"] == pytest.approx(np.mean([r["fn"] for r in rows]))
+        assert np.all(np.diff([r["mean_fn"] for r in curve]) >= 0)
 
     def test_identical_splits_zero_std(self):
         # one prototype per class: every stratified split is the same multiset
@@ -193,7 +187,7 @@ class TestSweep:
             attack=small_attack(), lambdas=[0.0], d_max_grid=[0.0, 6.0],
             n_splits=3, n_train=30, n_test=30, fp_target=0.1, kde=None, seed=6,
         )
-        np.testing.assert_allclose(res.curves[0].std_fn, 0.0, atol=1e-12)
+        np.testing.assert_allclose([r["std_fn"] for r in res.curve_rows], 0.0, atol=1e-12)
 
     def test_deterministic_across_runs_and_jobs(self):
         data = separable_counts(seed=3)
@@ -394,7 +388,46 @@ class TestAggregate:
             {"classifier": "m", "scenario": "PK", "lam": 0.0, "split": s, "repeat": 0, "d_max": b, "fn": fn}
             for s, b, fn in [(0, 0.0, 0.0), (1, 0.0, 0.5), (0, 5.0, 1.0), (1, 5.0, 0.5)]
         ]
-        curves = aggregate_curves(records, 0.005)
-        c = curves[0]
-        np.testing.assert_allclose(c.mean_fn, [0.25, 0.75])
-        np.testing.assert_allclose(c.std_fn, [0.25, 0.25])
+        rows = aggregate_curves(records)
+        np.testing.assert_allclose([r["mean_fn"] for r in rows], [0.25, 0.75])
+        np.testing.assert_allclose([r["std_fn"] for r in rows], [0.25, 0.25])
+
+    def test_per_curve_view_of_the_rows(self):
+        # benchmarks/record_digests.py reads each curve's mean FN at its first and last budget
+        records = [
+            {"classifier": c, "scenario": "PK", "lam": 0.0, "split": 0, "repeat": 0, "d_max": b, "fn": fn}
+            for c, b, fn in [("b", 5.0, 0.5), ("a", 5.0, 1.0), ("b", 0.0, 0.25), ("a", 0.0, 0.0)]
+        ]
+        result = SweepResult(curve_rows=aggregate_curves(records), records=records, failures=[])
+        assert [(c.classifier, c.scenario, c.lam, c.mean_fn) for c in result.curves] == [
+            ("a", "PK", 0.0, [0.0, 1.0]), ("b", "PK", 0.0, [0.25, 0.5]),
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.fixed_dictionaries({
+            "classifier": st.sampled_from(["linear_svm(C=1)", "svm(rbf,gamma=0.002,C=1)", "mlp(m=10)"]),
+            "scenario": st.sampled_from(["PK", "LK"]),
+            "lam": st.sampled_from([0.0, 50.0, 500.0]),
+            "split": st.integers(0, 4),
+            "repeat": st.integers(0, 4),
+            "d_max": st.sampled_from([0.0, 5.0, 10.0, 50.0]),
+            "fn": st.integers(0, 250).map(lambda k: k / 250) | st.floats(0.0, 1.0),
+        }),
+        min_size=1, max_size=60,
+    ))
+    def test_rows_of_random_records(self, records):
+        rows = aggregate_curves(records)
+        keys = [(r["classifier"], r["scenario"], r["lam"], r["d_max"]) for r in rows]
+        # sorted and one row a point: each curve's budgets strictly increase
+        assert keys == sorted(set(keys))
+        fns: dict = {}
+        for rec in records:
+            fns.setdefault((rec["classifier"], rec["scenario"], rec["lam"], rec["d_max"]), []).append(rec["fn"])
+        assert set(keys) == set(fns)
+        for key, row in zip(keys, rows):
+            assert list(row) == ["classifier", "scenario", "lam", "d_max", "mean_fn", "std_fn"]
+            assert all(type(row[k]) is float for k in ("lam", "d_max", "mean_fn", "std_fn"))
+            assert 0.0 <= row["mean_fn"] <= 1.0
+            assert row["mean_fn"] == pytest.approx(statistics.fmean(fns[key]), rel=0, abs=1e-12)
+            assert row["std_fn"] == pytest.approx(statistics.pstdev(fns[key]), rel=0, abs=1e-12)

@@ -338,7 +338,7 @@ def reference_train_surrogate(target: TrainedModel, data: Dataset, spec: Scenari
     if isinstance(target, MlpModel):
         return train_mlp(
             data,
-            m=int(params.get("m", target.m)),
+            m=int(params.get("m", target.hidden_weights.shape[0])),
             epochs=int(params.get("epochs", 2000)),
             learning_rate=float(params.get("learning_rate", 1.0)),
             seed=seed,
