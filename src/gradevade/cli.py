@@ -35,7 +35,7 @@ from .config import (
 )
 from .data import LEGITIMATE, MALICIOUS, Dataset
 from .evaluation import calibrated, cell_model, cell_split, sweep, trace_profile
-from .models import TrainedModel, load_model, predict, save_model
+from .models import TrainedModel, evading, load_model, predict, save_model
 from .scenario import with_mimicry
 
 TRACE_FORMAT_VERSION = "gradevade-trace/1"
@@ -52,8 +52,8 @@ EXIT_PARTIAL = 3
 def write_trace(target: TrainedModel, trace: AttackTrace, path) -> tuple[bool, float]:
     """Write one trace file; returns (evaded, target score at x*)."""
     dists, scores = trace_profile(target, trace)
-    evading = (scores - target.decision_offset < 0).tolist()
-    evaded = evading[-1]
+    evaded_at = evading(target, scores).tolist()
+    evaded = evaded_at[-1]
     with open(path, "w") as fh:
         fh.write(f"# {TRACE_FORMAT_VERSION}\n")
         fh.write(f"# evaded: {'true' if evaded else 'false'}\n")
@@ -63,8 +63,8 @@ def write_trace(target: TrainedModel, trace: AttackTrace, path) -> tuple[bool, f
         for m, (f_val, g_val, d_val) in enumerate(zip(trace.objective_values, scores.tolist(), dists.tolist())):
             fh.write(f"{m},{f_val!r},{g_val!r},{d_val!r}\n")
         vectors = [("x0", trace.points[0])]
-        if any(evading):
-            vectors.append(("x_first_evading", trace.points[evading.index(True)]))
+        if any(evaded_at):
+            vectors.append(("x_first_evading", trace.points[evaded_at.index(True)]))
         vectors.append(("x_star", trace.points[-1]))
         for name, vec in vectors:
             fh.write(f"# vector {name}: " + " ".join(repr(float(v)) for v in vec) + "\n")

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .attack import AttackSpec
-from .benchmark import synthetic_pdf_dataset
 from .data import (
     Dataset,
     FeatureBounds,
@@ -23,6 +22,7 @@ from .data import (
     load_dense_csv,
     load_idx_images,
     load_sparse_counts,
+    synthetic_pdf_dataset,
 )
 from .kernels import KernelSpec
 from .mimicry import KdeParams
@@ -71,6 +71,17 @@ _DEFAULTS = {
         "kde": {"h": 10.0, "truncation_k": 50},
     },
     "evaluation": {"fp_target": 0.005},
+}
+
+
+# dataset.kind -> (the dataset keys it requires, its loader of (dataset section, seed))
+_DATASET_KINDS = {
+    "synthetic_pdf": ((), lambda ds, seed: synthetic_pdf_dataset(
+        n_legit=int(ds["n_legit"]), n_malicious=int(ds["n_malicious"]), dim=int(ds["dim"]), seed=seed)),
+    "csv": (("path",), lambda ds, seed: load_dense_csv(ds["path"], label_column=ds["label_column"])),
+    "idx": (("path", "labels_path"), lambda ds, seed: load_idx_images(
+        ds["path"], ds["labels_path"], class_neg=int(ds["class_neg"]), class_pos=int(ds["class_pos"]))),
+    "sparse": (("path",), lambda ds, seed: load_sparse_counts(ds["path"])),
 }
 
 
@@ -181,12 +192,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
     resolved = _merge(_DEFAULTS, doc)
     try:
         ds = resolved["dataset"]
-        if ds["kind"] not in ("synthetic_pdf", "csv", "idx", "sparse"):
-            raise ConfigError(f"dataset.kind: unknown kind {ds['kind']!r}")
-        if ds["kind"] in ("csv", "sparse") and not ds.get("path"):
-            raise ConfigError(f"dataset.kind={ds['kind']} requires dataset.path")
-        if ds["kind"] == "idx" and not (ds.get("path") and ds.get("labels_path")):
-            raise ConfigError("dataset.kind=idx requires dataset.path and dataset.labels_path")
+        kind = ds["kind"]
+        if not isinstance(kind, str) or kind not in _DATASET_KINDS:
+            raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
+        required = _DATASET_KINDS[kind][0]
+        if not all(ds[key] for key in required):
+            raise ConfigError(f"dataset.kind={kind} requires " + " and ".join(f"dataset.{key}" for key in required))
 
         if not resolved["models"]:
             raise ConfigError("models: grid must be non-empty")
@@ -238,6 +249,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         if not all(0 <= l < math.inf for l in lambdas):
             raise ConfigError("attack.lambdas values must be finite and nonnegative")
         kde = KdeParams(h=float(atk["kde"]["h"]), truncation_k=int(atk["kde"]["truncation_k"]))
+        unread = [key for key in ("step_t", "epsilon") if key in doc.get("attack", {})]
+        if atk["mode"] == "discrete" and unread:  # the +1 descent has no step length and no stall test
+            raise ConfigError(f"attack.{unread[0]} is read only in continuous mode; drop it from a discrete attack")
         attack = AttackSpec(
             d_max=max(d_grid),
             step_t=float(atk["step_t"]),
@@ -300,22 +314,7 @@ def echo_config(cfg: ExperimentConfig, out_dir):
 
 def load_dataset_from_config(cfg: ExperimentConfig) -> Dataset:
     ds = cfg.dataset
-    kind = ds["kind"]
-    if kind == "synthetic_pdf":
-        data = synthetic_pdf_dataset(
-            n_legit=int(ds["n_legit"]),
-            n_malicious=int(ds["n_malicious"]),
-            dim=int(ds["dim"]),
-            seed=cfg.seed,
-        )
-    elif kind == "csv":
-        data = load_dense_csv(ds["path"], label_column=ds["label_column"])
-    elif kind == "sparse":
-        data = load_sparse_counts(ds["path"])
-    else:
-        data = load_idx_images(
-            ds["path"], ds["labels_path"], class_neg=int(ds["class_neg"]), class_pos=int(ds["class_pos"])
-        )
+    data = _DATASET_KINDS[ds["kind"]][1](ds, cfg.seed)
     if ds.get("feature_cap") is not None:
         data = cap_features(data, float(ds["feature_cap"]))
     if cfg.n_train + cfg.n_test > data.n:

@@ -18,11 +18,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .attack import AttackSpec, AttackTrace
+from .attack import _FEAS_TOL, AttackSpec, AttackTrace
 from .data import LEGITIMATE, MALICIOUS, Dataset, derive_seeds, split_train_test
 from .kernels import _BLOCK
 from .mimicry import KdeParams
-from .models import ModelSpec, TrainedModel, train_from_spec
+from .models import ModelSpec, TrainedModel, evading, train_from_spec
 from .scenario import ScenarioSpec, descent_rounds, run_scenario
 
 
@@ -53,8 +53,8 @@ def calibrated(model: TrainedModel, test: Dataset, fp_target: float) -> TrainedM
 def trace_profile(target: TrainedModel, trace: AttackTrace):
     """(l1 distance-from-start, target score) arrays over the trace points.
 
-    The one place a trace meets the target: a point evades where its score
-    minus `target.decision_offset` (the calibrated threshold) is negative.
+    The one place a trace meets the target; whether a point evades is
+    `models.evading` of its score, against the calibrated threshold.
     Each distance has the bits of `DistanceSpec().of(point, points[0])`.
 
     `trace.points` is never copied or written. It is scored in one batched
@@ -85,17 +85,17 @@ def fn_rates(
     arrives and released before the next one is asked for, so a descent
     never runs while a finished trace is still held here.
     """
-    limits = np.asarray(d_grid, dtype=float) + 1e-9
+    limits = np.asarray(d_grid, dtype=float) + _FEAS_TOL  # the attack's own budget slack
     hits = np.zeros(len(d_grid), dtype=int)
     n = 0
     # map keeps no trace between calls; a `for tr in traces` variable would
     # keep trace k alive while trace k+1 is made
     for dists, scores in map(partial(trace_profile, target), traces):
         n += 1
-        evading = scores - target.decision_offset < 0
-        if evading.any():
+        evaded = evading(target, scores)
+        if evaded.any():
             # some evading point lies within b exactly when the nearest one does
-            hits += dists[evading].min() <= limits
+            hits += dists[evaded].min() <= limits
     if n == 0:
         raise ValueError("empty malicious set")
     return [h / n for h in hits]

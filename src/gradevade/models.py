@@ -13,10 +13,10 @@ in an exact state, where a discrete +1 move patches it in O(N), bit-identical
 to a full pass; elsewhere it scores from |x|^2 + |sv|^2 - 2 sv.x with no
 N x d array (`kernels._DistanceMemo`).
 
-`predict(model, X)` labels rows by the sign of g(x) - decision_offset,
-tie -> +1. The decision offset is 0 for SVM variants and 0.5 for the
-sigmoid-output MLP; security evaluation replaces it with an FP-calibrated
-threshold.
+`evading` is the one evasion verdict: g(x) - decision_offset < 0 (a tie or
+a NaN score does not evade); `predict` labels -1 there and +1 elsewhere.
+The decision offset is 0 for SVM variants and 0.5 for the sigmoid-output
+MLP; security evaluation replaces it with an FP-calibrated threshold.
 """
 from __future__ import annotations
 
@@ -187,14 +187,14 @@ class MlpModel:
 TrainedModel = LinearModel | SvmModel | MlpModel
 
 
+def evading(model: TrainedModel, scores: np.ndarray) -> np.ndarray:
+    """Where the scores g(x) that `model` gave evade it (the module docstring's verdict)."""
+    return scores - model.decision_offset < 0
+
+
 def predict(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    """Label of each row of X: +1 where g(x) - decision_offset >= 0, else -1."""
-    return score_labels(model, model.discriminant_many(X))
-
-
-def score_labels(model: TrainedModel, scores: np.ndarray) -> np.ndarray:
-    """`predict`'s labels for scores g(x) that `model` gave."""
-    return np.where(scores - model.decision_offset >= 0, MALICIOUS, LEGITIMATE)
+    """Label of each row of X: -1 where it evades (`evading`), else +1."""
+    return np.where(evading(model, model.discriminant_many(X)), LEGITIMATE, MALICIOUS)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +296,7 @@ def train_kernel_svm(train: Dataset, kernel: KernelSpec, C: float, tol: float = 
 # MLP training: full-batch gradient descent on the logistic loss.
 # ---------------------------------------------------------------------------
 
-# Training only checks that the loss is finite. Each of its terms
+# Each epoch only checks that the loss is finite. Each of its terms
 # softplus(z) - t z has softplus(z) <= |z| + log 2 and |t z| <= |z|, so
 # while every |z| is below this bound the n terms sum to less than
 # n * 3e150, which cannot overflow for any n < 1e150: the loss is finite.
@@ -314,7 +314,8 @@ def train_mlp(
 
     Weights start uniform(-0.5, 0.5) from the given seed; zero epochs
     returns the initialized network unchanged. Divergence (non-finite
-    loss) raises with the offending epoch index.
+    loss) raises with the offending epoch index, as does a trained network
+    whose hidden pre-activations on the training rows are not finite.
 
     Each epoch works in three (n, m) buffers and one (m, d) buffer
     allocated once per fit and overwritten in place, with the same
@@ -366,6 +367,10 @@ def train_mlp(
         gV *= learning_rate
         V -= gV
         bk -= learning_rate * gbk
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = np.isfinite(np.add(np.matmul(X, V.T, out=A), bk, out=A)).all()
+    if not finite:
+        raise RuntimeError(f"MLP training diverged (non-finite hidden pre-activation after training, epochs={epochs})")
     return MlpModel(hidden_weights=V, hidden_biases=bk, output_weights=w, output_bias=b)
 
 

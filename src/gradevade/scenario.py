@@ -29,7 +29,7 @@ import numpy as np
 from .attack import AttackSpec, AttackTrace, run_attack
 from .data import LEGITIMATE, MALICIOUS, Dataset, derive_seeds
 from .mimicry import KdeParams
-from .models import ModelSpec, TrainedModel, predict, score_labels, train_from_spec
+from .models import ModelSpec, TrainedModel, evading, predict, train_from_spec
 from .models import train_kernel_svm, train_mlp  # unused: benchmarks/tracing.py wraps them in this module
 
 SCENARIO_KINDS = ("PK", "LK")
@@ -121,20 +121,20 @@ def with_mimicry(attack: AttackSpec, kde: KdeParams | None, data: Dataset) -> At
     return attack
 
 
-def _traces(model: TrainedModel, spec: AttackSpec, X: np.ndarray, start_scores: np.ndarray, start_preds: np.ndarray):
+def _traces(model: TrainedModel, spec: AttackSpec, X: np.ndarray, start_scores: np.ndarray, start_evades: np.ndarray):
     """One round's traces, in row order: a descent on `model` for each row
-    the target labels malicious, and for the others a single-point trace
-    holding the target's score of the row from `start_scores`.
+    that does not evade the target at its start, and for the others a
+    single-point trace holding the target's score of the row from `start_scores`.
 
     A function, not a nested generator expression in `run_scenario`: its
     arguments bind this round's model and spec when the round is created,
     where a nested expression would look them up when each trace is made.
     """
-    for x0, score, pred in zip(X, start_scores, start_preds):
-        if pred == MALICIOUS:
-            yield run_attack(model, spec, x0)
-        else:
+    for x0, score, evades in zip(X, start_scores, start_evades):
+        if evades:
             yield AttackTrace([x0], [float(score)], "converged")
+        else:
+            yield run_attack(model, spec, x0)
 
 
 def run_scenario(
@@ -152,9 +152,9 @@ def run_scenario(
     checks and the target's one batched scoring of the rows run in this
     call; everything else runs as the rounds are consumed. Each round's model and attack
     spec (`with_mimicry` over its data) are bound when the round is
-    created, so rounds may be consumed in any order once reached. Samples
-    the target already misclassifies are not descended on: they count as
-    evading at every budget and are recorded as single-point traces.
+    created, so rounds may be consumed in any order once reached. A sample
+    that already evades the target (`models.evading`) is not descended on:
+    it counts as evading at every budget, recorded as a single-point trace.
     """
     if np.any(attack_set.y != MALICIOUS):
         raise ValueError("attack_set must contain only malicious samples")
@@ -162,6 +162,6 @@ def run_scenario(
         raise ValueError("lam > 0 requires kde parameters")
 
     start_scores = target.discriminant_many(attack_set.X)
-    start_preds = score_labels(target, start_scores)
-    return (_traces(model, with_mimicry(attack, kde, data), attack_set.X, start_scores, start_preds)
+    start_evades = evading(target, start_scores)
+    return (_traces(model, with_mimicry(attack, kde, data), attack_set.X, start_scores, start_evades)
             for data, model in rounds)

@@ -9,6 +9,7 @@ import statistics
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,11 +31,12 @@ RESULTS_HEADER = "classifier,scenario,lambda,split,repeat,d_max,fn"
 SIDE = 4
 
 # the flagship config cut to seconds: fewer, smaller samples, one split and
-# one surrogate, a short MLP training and a short budget grid
+# one surrogate, a short MLP training and a short budget grid, long enough
+# for the attack to evade
 PDF_SMALL = [
     "dataset.n_legit=60", "dataset.n_malicious=60", "split.n_train=40", "split.n_test=40",
     "split.n_splits=1", "models.2.epochs=200", "scenario.n_q=30", "scenario.n_surrogate_repeats=1",
-    "attack.d_max_grid=[0,5,10]", "jobs=1",
+    "attack.d_max_grid=[0,20,40]", "jobs=1",
 ]
 
 
@@ -74,6 +76,13 @@ def test_sweep_runs_each_shipped_config(tmp_path, mnist_sets, name):
     assert rows[0] == RESULTS_HEADER
     assert len(rows) > 1
     assert not (out / "failures.json").exists()
+    if name == "synthetic_pdf.json":
+        # the attack moves: some curve gains FN between the smallest and largest budget
+        fn = {}
+        with open(out / "curves.csv") as fh:
+            for row in csv.DictReader(fh):
+                fn.setdefault((row["classifier"], row["scenario"], row["lambda"]), []).append(float(row["mean_fn"]))
+        assert any(curve[-1] > curve[0] for curve in fn.values())
 
 
 def test_train_attack_export_digits(tmp_path, mnist_sets):
@@ -316,6 +325,23 @@ def test_attack_refuses_a_polynomial_model_file(tmp_path, capsys):
         assert main(["attack", *config_args("synthetic_pdf.json", sets, out), "--model", str(model), "--index", "0"]) == 2
         assert f"malformed svm model: ValueError: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_an_mlp_failure_reads_the_same_under_every_warning_filter(tmp_path):
+    # one epoch at rate 1e308 leaves a finite loss but weights whose scoring
+    # overflows: training refuses the network before anything scores it, so
+    # no overflow warning is raised or turned into the cell's error
+    grid = json.dumps([{"kind": "mlp", "m": 3, "epochs": 1, "learning_rate": 1e308}])
+    failures = []
+    for action in ("default", "error"):
+        out = tmp_path / action
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            assert main(["sweep", *config_args("synthetic_pdf.json", [*PDF_SMALL, f"models={grid}"], out)]) == 3
+        assert caught == []
+        failures.append(json.loads((out / "failures.json").read_text()))
+    error = "RuntimeError: MLP training diverged (non-finite hidden pre-activation after training, epochs=1)"
+    assert failures[0] == failures[1] == [{"classifier": "mlp(m=3)", "split": 0, "error": error}]
 
 
 def test_sweep_into_an_existing_file_exits_2(tmp_path, capsys):

@@ -16,6 +16,35 @@ def flagship_doc() -> dict:
     return json.loads((CONFIGS / "synthetic_pdf.json").read_text())
 
 
+def continuous_doc() -> dict:
+    return json.loads((CONFIGS / "mnist_3v7.json").read_text())
+
+
+class TestDatasetKinds:
+    """Each dataset kind's required keys, with the messages the parse gave
+    before the kinds became one table."""
+
+    @pytest.mark.parametrize(
+        "sets, message",
+        [
+            (['dataset.kind="csv"'], "dataset.kind=csv requires dataset.path"),
+            (['dataset.kind="sparse"'], "dataset.kind=sparse requires dataset.path"),
+            (['dataset.kind="idx"'], "dataset.kind=idx requires dataset.path and dataset.labels_path"),
+            (['dataset.kind="idx"', 'dataset.path="images"'],
+             "dataset.kind=idx requires dataset.path and dataset.labels_path"),
+            (['dataset.kind="arff"'], "dataset.kind: unknown kind 'arff'"),
+            (['dataset.kind=["csv"]'], "dataset.kind: unknown kind ['csv']"),
+        ],
+        ids=["csv", "sparse", "idx", "idx_without_labels_path", "unknown", "unknown_list"],
+    )
+    def test_a_kind_without_its_required_keys_exits_2(self, tmp_path, capsys, sets, message):
+        out = tmp_path / "out"
+        args = ["sweep", "--config", str(CONFIGS / "synthetic_pdf.json"), "--out", str(out)]
+        assert main([*args, *(a for s in sets for a in ("--set", s))]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
 class TestUnknownKeys:
     def test_flagship_surrogate_settings_reach_the_scenario(self):
         cfg = load_config(CONFIGS / "synthetic_pdf.json")
@@ -165,6 +194,41 @@ class TestOverrides:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()  # rejected before any work
 
+    @pytest.mark.parametrize("key", ["step_t", "epsilon"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "0", "-1"])
+    def test_out_of_range_continuous_step_or_tolerance_exits_2(self, tmp_path, capsys, key, value):
+        # the range rule for the two keys only a continuous attack reads
+        out = tmp_path / "out"
+        args = ["sweep", "--config", str(CONFIGS / "mnist_3v7.json"), "--out", str(out), "--set", f"attack.{key}={value}"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {key} must be finite and positive\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", ["attack.step_t=5", "attack.step_t=1.0", "attack.epsilon=1e-3",
+                                          "attack.epsilon=1e-9", "attack.step_t=NaN"])
+    def test_discrete_attack_refuses_the_keys_it_never_reads(self, tmp_path, capsys, override):
+        # the +1 descent takes no step length and no stall tolerance, so a
+        # value is refused even where it equals the default
+        key = override.partition("=")[0]
+        out = tmp_path / "out"
+        args = ["sweep", "--config", str(CONFIGS / "synthetic_pdf.json"), "--out", str(out), "--set", override]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {key} is read only in continuous mode; drop it from a discrete attack\n"
+        assert not out.exists()
+
+    def test_discrete_refusal_reads_the_document_and_continuous_mode_takes_both_keys(self):
+        doc = flagship_doc()
+        doc["attack"]["epsilon"] = 1e-9
+        with pytest.raises(ConfigError, match=r"^attack\.epsilon is read only in continuous mode"):
+            parse_config(doc)
+        with pytest.raises(ConfigError, match=r"^attack\.step_t is read only"):
+            parse_config({"attack": {"step_t": 1.0}})  # discrete is the default mode
+        cfg = load_config(CONFIGS / "synthetic_pdf.json", ['attack.mode="continuous"', "attack.step_t=5", "attack.epsilon=1e-3"])
+        assert (cfg.attack.mode, cfg.attack.step_t, cfg.attack.epsilon) == ("continuous", 5.0, 1e-3)
+        # unset, the discrete echo still shows the defaults the continuous attack would use
+        resolved = load_config(CONFIGS / "synthetic_pdf.json").resolved["attack"]
+        assert (resolved["step_t"], resolved["epsilon"]) == (1.0, 1e-9)
+
     def test_lk_drawing_more_surrogate_samples_than_test_rows_exits_2(self, tmp_path, capsys):
         # the LK pool is the split's 60 test rows: a PK-only config may set any n_q
         out = tmp_path / "out"
@@ -210,7 +274,9 @@ SCALAR_LEAVES = {
     "models.2.m": (st.integers(1, 10**6), lambda cfg: cfg.model_grid[2].m),
     "models.2.learning_rate": (st.floats(1e-6, 1e3), lambda cfg: cfg.model_grid[2].learning_rate),
     "attack.bounds.lower": (st.floats(-1e6, 100.0), lambda cfg: cfg.attack.bounds.lower),
+    # read only in continuous mode: round-tripped on the continuous config
     "attack.epsilon": (st.floats(1e-15, 1.0), lambda cfg: cfg.attack.epsilon),
+    "attack.step_t": (st.floats(1e-6, 1e3), lambda cfg: cfg.attack.step_t),
     "attack.max_iters": (st.integers(1, 10**6), lambda cfg: cfg.attack.max_iters),
     "attack.kde.h": (st.floats(1e-6, 1e6), lambda cfg: cfg.kde.h),
     "attack.bounds.upper": (st.floats(1.0, 1e6), lambda cfg: cfg.attack.bounds.upper),
@@ -242,6 +308,7 @@ OUT_OF_RANGE = {
     "attack.step_norm": st.sampled_from(["l1", "l2"]) | JSON_VALUES,
     "attack.bounds.increment_only": st.just(False),
     "attack.mode": st.text(max_size=8).filter(lambda t: t not in ("continuous", "discrete")),
+    # out of range on the continuous config: the flagship refuses any value
     "attack.step_t": st.floats().filter(lambda v: not 0 < v < math.inf),
     "attack.epsilon": st.floats().filter(lambda v: not 0 < v < math.inf),
     "attack.d_max_grid": st.lists(st.floats(0, 1e3), max_size=3).flatmap(
@@ -272,6 +339,13 @@ PATHS = st.sampled_from(sorted({*SCALAR_LEAVES, *OUT_OF_RANGE, "models", "models
 
 
 TOP_KEYS = set(flagship_doc())
+CONTINUOUS_ONLY = ("attack.step_t", "attack.epsilon")
+
+
+def doc_for(path: str) -> dict:
+    """The config a leaf is tested on: the continuous one for a key only a
+    continuous attack reads, else the flagship."""
+    return continuous_doc() if path in CONTINUOUS_ONLY else flagship_doc()
 
 
 def _resolved_at(resolved: dict, path: str):
@@ -288,7 +362,7 @@ class TestOverrideProperties:
         path = data.draw(st.sampled_from(sorted(SCALAR_LEAVES)))
         values, parsed = SCALAR_LEAVES[path]
         value = data.draw(values)
-        doc = flagship_doc()
+        doc = doc_for(path)
         apply_override(doc, f"{path}={json.dumps(value)}")
         cfg = parse_config(doc)
         assert _resolved_at(cfg.resolved, path) == value
@@ -315,7 +389,7 @@ class TestOverrideProperties:
     @given(st.sampled_from(sorted(SCALAR_LEAVES)), st.lists(SEGMENTS, min_size=1, max_size=3))
     def test_path_through_a_scalar_is_a_config_error(self, leaf, rest):
         with pytest.raises(ConfigError, match="not an object"):
-            apply_override(flagship_doc(), ".".join([leaf, *rest]) + "=1")
+            apply_override(doc_for(leaf), ".".join([leaf, *rest]) + "=1")
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(max_size=8).filter(lambda t: t.strip() not in TOP_KEYS and "." not in t and "=" not in t),
@@ -331,7 +405,7 @@ class TestOverrideProperties:
     def test_out_of_range_value_is_a_config_error(self, data):
         path = data.draw(st.sampled_from(sorted(OUT_OF_RANGE)))
         value = data.draw(OUT_OF_RANGE[path])
-        doc = flagship_doc()
+        doc = doc_for(path)
         apply_override(doc, f"{path}={json.dumps(value)}")
         with pytest.raises(ConfigError):
             parse_config(doc)

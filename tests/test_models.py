@@ -11,8 +11,7 @@ import gradevade.attack as attack_module
 import gradevade.kernels as kernels_module
 import gradevade.models as models_module
 from gradevade.attack import AttackSpec, DistanceSpec, evade_continuous, evade_discrete
-from gradevade.benchmark import synthetic_pdf_dataset
-from gradevade.data import Dataset, FeatureBounds, cap_features
+from gradevade.data import Dataset, FeatureBounds, cap_features, synthetic_pdf_dataset
 from gradevade.kernels import KernelSpec, kernel_grad_combination, kernel_matrix, kernel_row
 from gradevade.models import (
     LinearModel,
@@ -21,6 +20,7 @@ from gradevade.models import (
     SvmModel,
     _sigmoid,
     _smo_solve,
+    evading,
     load_model,
     predict,
     save_model,
@@ -420,6 +420,16 @@ class TestMlp:
         ds = blobs(10, sep=2.0, seed=3)
         with pytest.raises(RuntimeError, match="epoch"):
             train_mlp(ds, m=3, epochs=5, learning_rate=1e308, seed=0)
+
+    def test_a_network_its_training_rows_overflow_is_refused(self):
+        # on counts up to 100, one epoch at rate 1e308 leaves a finite loss but
+        # weights so large that the network's hidden pre-activations are not finite
+        ds = cap_features(synthetic_pdf_dataset(20, 20, 30, seed=0), 100.0)
+        want = reference_train_mlp(ds, m=3, epochs=1, learning_rate=1e308, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(ds.X @ want.hidden_weights.T + want.hidden_biases).all()
+        with pytest.raises(RuntimeError, match=r"^MLP training diverged \(non-finite hidden pre-activation after training, epochs=1\)$"):
+            train_mlp(ds, m=3, epochs=1, learning_rate=1e308, seed=0)
 
     def test_constant_network_half(self):
         m = MlpModel(
@@ -881,6 +891,13 @@ class TestPredict:
         # g = sigmoid(-0.4) ~ 0.401 < 0.5 -> legitimate under the MLP offset
         assert predict(m, np.zeros((1, 1)))[0] == -1
         assert predict(replace(m, decision_offset=0.0), np.zeros((1, 1)))[0] == 1
+
+    def test_a_score_evades_only_below_the_offset_and_nan_never_does(self):
+        m = LinearModel(np.array([1.0]), 0.0, decision_offset=0.5)
+        scores = np.array([-1.0, 0.5, np.nextafter(0.5, 0.0), np.nan, np.inf, -np.inf])
+        np.testing.assert_array_equal(evading(m, scores), [True, False, True, False, False, True])
+        # predict labels a row -1 exactly where it evades: a NaN score is malicious
+        np.testing.assert_array_equal(predict(m, np.array([[-1.0], [0.5], [np.nan]])), [-1, 1, 1])
 
 
 class TestModelIO:

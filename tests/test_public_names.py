@@ -1,11 +1,13 @@
 """Every public top-level function or class of `gradevade` is used in
 `src/` outside its own definition and the package's `__init__.py`: a name
 that only the tests call belongs in the tests. Every name a module imports
-is used in that module."""
+is used in that module. Every name the package's `__init__.py` binds is
+imported from the package by the benchmarks."""
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gradevade"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gradevade"
 
 
 def _modules() -> dict:
@@ -74,3 +76,40 @@ def test_an_import_the_module_never_uses_is_found():
         "def used():\n    return os.sep, PI\n"
     )
     assert unused_imports(modules) == [*ALLOWED_UNUSED_IMPORTS, ("extra.py", "json"), ("extra.py", "sqrt")]
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
+
+
+def reexports_without_a_caller(init: ast.Module, callers: list) -> list:
+    """Each name that `init` binds at top level, dunder names such as
+    `__version__` aside, that no tree of `callers` imports with
+    `from gradevade import ...`."""
+    bound = []
+    for node in init.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.Assign):
+            bound += [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+    imported = {alias.name for tree in callers for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "gradevade" and not node.level
+                for alias in node.names}
+    return [name for name in bound if not name.startswith("__") and name not in imported]
+
+
+def _benchmark_files() -> list:
+    return [_parse(path) for path in sorted((ROOT / "benchmarks").rglob("*.py"))]
+
+
+def test_every_name_the_package_binds_is_imported_by_the_benchmarks():
+    assert reexports_without_a_caller(_parse(SRC / "__init__.py"), _benchmark_files()) == []
+
+
+def test_a_name_the_package_binds_that_no_benchmark_imports_is_found():
+    init = _parse(SRC / "__init__.py")
+    init.body += ast.parse("from .models import predict\nfrom . import cli\nDEFAULTS = {}\ndef helper():\n    pass\n").body
+    callers = [*_benchmark_files(), ast.parse("import gradevade\nfrom gradevade.models import predict\n")]
+    assert reexports_without_a_caller(init, callers) == ["predict", "cli", "DEFAULTS", "helper"]

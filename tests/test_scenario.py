@@ -8,7 +8,7 @@ import gradevade.scenario as scenario_module
 from gradevade.attack import AttackSpec, DistanceSpec, evade_continuous
 from gradevade.data import LEGITIMATE, Dataset, FeatureBounds
 from gradevade.mimicry import KdeParams
-from gradevade.evaluation import trace_profile
+from gradevade.evaluation import fn_rates, trace_profile
 from gradevade.kernels import KernelSpec
 from gradevade.models import (
     LinearModel,
@@ -216,6 +216,21 @@ class TestRunScenario:
                 assert scores.tolist() == [-1.0] and scores[0] - target.decision_offset < 0
                 np.testing.assert_array_equal(attacked.points[0], attack_set.X[1])
                 assert attacked.iterations > 0
+
+    def test_a_nan_start_score_is_descended_and_never_counted_as_evading(self):
+        # models.evading: a NaN score does not evade, so the row is attacked,
+        # and no point the target scores NaN counts toward FN
+        class NanScores(LinearModel):
+            def discriminant_many(self, X):
+                return np.full(len(X), np.nan)
+
+        target = NanScores(np.array([1.0, 0.0]), 0.0)
+        attack_set = Dataset(np.array([[2.0, 0.0]]), np.array([1]))
+        rounds = descent_rounds(target, LINEAR_SPEC, toy_pool(), ScenarioSpec(kind="PK"))
+        [[trace]] = [list(r) for r in run_scenario(target, rounds, attack_spec(), attack_set)]
+        assert trace.iterations > 0
+        assert target.discriminant(trace.points[-1]) < 0  # the descent's own scores evade
+        assert fn_rates(target, [trace], [0.0, 4.0]) == [0.0, 0.0]
 
     def test_rejects_legitimate_samples_in_attack_set(self):
         pool = toy_pool()
