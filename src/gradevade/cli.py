@@ -217,22 +217,11 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         seed=cfg.seed,
         jobs=cfg.jobs,
     )
-    _write_rows(
-        out_dir / "results.csv",
-        ["classifier", "scenario", "lambda", "split", "repeat", "d_max", "fn"],
-        (
-            [r["classifier"], r["scenario"], repr(r["lam"]), r["split"], r["repeat"], repr(r["d_max"]), repr(r["fn"])]
-            for r in result.records
-        ),
-    )
-    _write_rows(
-        out_dir / "curves.csv",
-        ["classifier", "scenario", "lambda", "d_max", "mean_fn", "std_fn"],
-        (
-            [r["classifier"], r["scenario"], repr(r["lam"]), repr(r["d_max"]), repr(r["mean_fn"]), repr(r["std_fn"])]
-            for r in result.curve_rows
-        ),
-    )
+    # a record's and a curve row's keys are in their header's order; floats are written as their repr
+    _write_rows(out_dir / "results.csv", ["classifier", "scenario", "lambda", "split", "repeat", "d_max", "fn"],
+                map(dict.values, result.records))
+    _write_rows(out_dir / "curves.csv", ["classifier", "scenario", "lambda", "d_max", "mean_fn", "std_fn"],
+                map(dict.values, result.curve_rows))
     plots_dir = out_dir / "plots"
     plots_dir.mkdir(parents=True, exist_ok=True)
     for (classifier, scenario, lam), rows in groupby(result.curve_rows, itemgetter("classifier", "scenario", "lam")):
@@ -241,7 +230,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
         _write_rows(
             plots_dir / f"curve_{safe}_{scenario}_lam{lam:g}.csv",
             ["d_max", "mean_fn", "yerr"],
-            ([repr(r["d_max"]), repr(r["mean_fn"]), repr(r["std_fn"] / 2.0)] for r in rows),
+            ([r["d_max"], r["mean_fn"], r["std_fn"] / 2.0] for r in rows),
         )
         print(f"curve {classifier} {scenario} lambda={lam:g}: FN({rows[-1]['d_max']:g}) = {rows[-1]['mean_fn']:.3f}")
     if result.failures:

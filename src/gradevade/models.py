@@ -378,6 +378,14 @@ def train_mlp(
 # Grid cells: one trainable configuration, picklable for worker pools.
 # ---------------------------------------------------------------------------
 
+# each model kind -> the ModelSpec fields it reads, the keys of its config entry
+MODEL_KEYS = {
+    "linear_svm": ("kind", "C"),
+    "svm": ("kind", "C", "kernel"),
+    "mlp": ("kind", "m", "epochs", "learning_rate"),
+}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """One point of the classifier grid (kind plus its hyperparameters)."""
@@ -390,7 +398,7 @@ class ModelSpec:
     learning_rate: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("linear_svm", "svm", "mlp"):
+        if not (isinstance(self.kind, str) and self.kind in MODEL_KEYS):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "svm" and self.kernel.kind != "rbf":
             raise ValueError(f"an svm model takes an rbf kernel, not {self.kernel.kind!r}")

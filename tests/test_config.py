@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -7,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradevade.cli import main
-from gradevade.config import ConfigError, apply_override, load_config, parse_config
+from gradevade.config import _DEFAULTS, ConfigError, apply_override, load_config, parse_config
+from gradevade.models import MODEL_KEYS, ModelSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -33,7 +37,7 @@ class TestDatasetKinds:
             (['dataset.kind="idx"', 'dataset.path="images"'],
              "dataset.kind=idx requires dataset.path and dataset.labels_path"),
             (['dataset.kind="arff"'], "dataset.kind: unknown kind 'arff'"),
-            (['dataset.kind=["csv"]'], "dataset.kind: unknown kind ['csv']"),
+            (['dataset.kind=["csv"]'], 'dataset.kind must be a string, not ["csv"]'),
         ],
         ids=["csv", "sparse", "idx", "idx_without_labels_path", "unknown", "unknown_list"],
     )
@@ -159,7 +163,7 @@ class TestOverrides:
             load_config(CONFIGS / "synthetic_pdf.json", [override])
 
     def test_non_finite_count_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="infinity"):
+        with pytest.raises(ConfigError, match=r"^split\.n_train must be an integer, not Infinity$"):
             load_config(CONFIGS / "synthetic_pdf.json", ["split.n_train=Infinity"])
 
     @pytest.mark.parametrize(
@@ -201,7 +205,7 @@ class TestOverrides:
         out = tmp_path / "out"
         args = ["sweep", "--config", str(CONFIGS / "mnist_3v7.json"), "--out", str(out), "--set", f"attack.{key}={value}"]
         assert main(args) == 2
-        assert capsys.readouterr().err == f"error: {key} must be finite and positive\n"
+        assert capsys.readouterr().err == f"error: attack: {key} must be finite and positive\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("override", ["attack.step_t=5", "attack.step_t=1.0", "attack.epsilon=1e-3",
@@ -416,7 +420,148 @@ class TestOverrideProperties:
         doc = flagship_doc()
         try:
             apply_override(doc, f"{path}={json.dumps(value)}")
-            parse_config(doc)
+            cfg = parse_config(doc)
         except ConfigError:
-            pass
+            return
+        # a config that parses holds what its document says, in its own type:
+        # real booleans, and each count the very integer it was given
+        r = cfg.resolved
+        flags = [(cfg.scenario.relabel_with_target, r["scenario"]["relabel_with_target"]),
+                 (cfg.attack.bounds.increment_only, r["attack"]["bounds"]["increment_only"])]
+        assert all(type(got) is bool and got is given for got, given in flags)
+        counts = [
+            (cfg.seed, r["seed"]), (cfg.jobs, r["jobs"]), (cfg.n_train, r["split"]["n_train"]),
+            (cfg.n_test, r["split"]["n_test"]), (cfg.n_splits, r["split"]["n_splits"]),
+            (cfg.scenario.n_q, r["scenario"]["n_q"]),
+            (cfg.scenario.n_surrogate_repeats, r["scenario"]["n_surrogate_repeats"]),
+            (cfg.attack.max_iters, r["attack"]["max_iters"]), (cfg.kde.truncation_k, r["attack"]["kde"]["truncation_k"]),
+            *((spec.m, entry.get("m", 10)) for spec, entry in zip(cfg.model_grid, r["models"])),
+            *((spec.epochs, entry.get("epochs", 2000)) for spec, entry in zip(cfg.model_grid, r["models"])),
+            *((v, v) for k, v in cfg.scenario.surrogate_params.items() if k in ("m", "epochs")),
+        ]
+        assert all(type(got) is int and got == given for got, given in counts)
+        assert all(type(spec.C) is float and type(spec.learning_rate) is float for spec in cfg.model_grid)
+        assert all(type(v) in (int, float) for k, v in cfg.scenario.surrogate_params.items() if k not in ("m", "epochs"))
 
+
+def json_type(value) -> str:
+    return next(name for cls, name in ((bool, "boolean"), (int, "integer"), (float, "number"), (str, "string"),
+                                       (list, "array"), (dict, "object")) if isinstance(value, cls))
+
+
+# the type each null-default leaf takes: what the code that reads it takes
+NULL_LEAF_TYPES = {
+    "dataset.feature_cap": "number", "dataset.path": "string", "dataset.labels_path": "string",
+    "attack.bounds.upper": "number",
+    "scenario.surrogate.C": "number", "scenario.surrogate.gamma": "number", "scenario.surrogate.m": "integer",
+    "scenario.surrogate.epochs": "integer", "scenario.surrogate.learning_rate": "number",
+}
+
+
+def config_keys(node, path=""):
+    """(dotted path, JSON type) of every key under `node`, sections included."""
+    for key, default in node.items():
+        dotted = f"{path}{key}"
+        yield dotted, NULL_LEAF_TYPES[dotted] if default is None else json_type(default)
+        if isinstance(default, dict):
+            yield from config_keys(default, f"{dotted}.")
+
+
+def model_keys():
+    """(kind, key under the entry, JSON type) of each key a model entry of each kind may set."""
+    for kind, keys in MODEL_KEYS.items():
+        own = {key: value for key, value in asdict(ModelSpec(kind)).items() if key in keys and key != "kind"}
+        yield from ((kind, key, path_type) for key, path_type in config_keys(own))
+
+
+TYPED_KEYS = [(path, t, None) for path, t in config_keys(_DEFAULTS)]
+TYPED_KEYS += [(f"models.0.{key}", t, kind) for kind, key, t in model_keys()]
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+OF_TYPE = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "integer": st.integers(),
+    "number": st.floats(),
+    "string": st.text(max_size=5),
+    "array": st.lists(SCALARS, max_size=2),
+    "object": st.dictionaries(st.text(max_size=3), SCALARS, max_size=2),
+}
+
+
+class TestLeafTypes:
+    """A key's JSON type is its default's; a value of any other type exits 2
+    naming the key and writes nothing. An integer is a number, and a key
+    whose default is null also takes null."""
+
+    @pytest.mark.parametrize("path, json_kind, model_kind", TYPED_KEYS,
+                             ids=[p if k is None else f"{k}:{p}" for p, _, k in TYPED_KEYS])
+    @settings(max_examples=5, deadline=None)
+    @given(data=st.data())
+    def test_a_value_of_another_json_type_exits_2_naming_the_key(self, tmp_path_factory, path, json_kind,
+                                                                  model_kind, data):
+        accepted = {json_kind, "integer"} if json_kind == "number" else {json_kind}
+        if path in NULL_LEAF_TYPES:
+            accepted.add("null")
+        grid = ["--set", f"models={json.dumps([{'kind': model_kind}])}"] if model_kind else []
+        named = path.replace("models.0", "models[0]")
+        out = tmp_path_factory.mktemp("run") / "out"
+        for other in sorted(OF_TYPE.keys() - accepted):
+            value = data.draw(OF_TYPE[other], label=other)
+            args = ["sweep", "--config", str(CONFIGS / "synthetic_pdf.json"), "--out", str(out),
+                    *grid, "--set", f"{path}={json.dumps(value)}"]
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                assert main(args) == 2
+            assert err.getvalue().startswith(f"error: {named} must be ")
+            assert not out.exists()
+
+
+class TestRefusedAtParse:
+    """Values the parse once coerced or let through, each refused with its
+    key before anything is written."""
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            # coerced: each ran a sweep other than the one asked for
+            ('attack.bounds.increment_only="false"', 'attack.bounds.increment_only must be a boolean, not "false"'),
+            ('attack.d_max_grid="12"', 'attack.d_max_grid must be an array, not "12"'),
+            ('scenario.relabel_with_target="no"', 'scenario.relabel_with_target must be a boolean, not "no"'),
+            ("split.n_train=7.9", "split.n_train must be an integer, not 7.9"),
+            ('attack.lambdas=["0"]', 'attack.lambdas[0] must be a number, not "0"'),
+            ('attack.d_max_grid=[0,"5"]', 'attack.d_max_grid[1] must be a number, not "5"'),
+            ('models.0.C="1"', 'models[0].C must be a number, not "1"'),
+            ("models.1.kernel.gamma=true", "models[1].kernel.gamma must be a number, not true"),
+            # refused, but without the key
+            ('split.n_train="abc"', 'split.n_train must be an integer, not "abc"'),
+            ("attack.max_iters={}", "attack.max_iters must be an integer, not {}"),
+            ("scenario.surrogate.m=Infinity", "scenario.surrogate.m must be an integer, not Infinity"),
+            (f"models.0.C={10**400}", f"models[0].C must be a number, not {10**400}"),
+            ("models.0=5", "models[0] must be an object, not 5"),
+            ("scenario.surrogate=5", "scenario.surrogate must be an object, not 5"),
+            ("seed=-1", "seed must be >= 0"),
+            ("dataset.feature_cap=0", "dataset.feature_cap must be > 0"),
+            ("dataset.feature_cap=-1", "dataset.feature_cap must be > 0"),
+            ("dataset.feature_cap=NaN", "dataset.feature_cap must be > 0"),
+            # repeated: each record written twice, or a kind's attack run twice
+            ("attack.lambdas=[0,0]", "attack.lambdas lists 0 more than once"),
+            ("attack.lambdas=[500,0,500.0]", "attack.lambdas lists 500.0 more than once"),
+            ("attack.d_max_grid=[5,0,5.0]", "attack.d_max_grid lists 5.0 more than once"),
+            ('scenario.kinds=["LK","PK","LK"]', 'scenario.kinds lists "LK" more than once'),
+            # refused only after config_resolved.json was written
+            ("attack.lambdas=[]", "attack.lambdas must be non-empty"),
+        ],
+    )
+    def test_exits_2_naming_the_key_and_writes_nothing(self, tmp_path, capsys, override, message):
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(CONFIGS / "synthetic_pdf.json"), "--out", str(out), "--set", override]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_an_integer_is_a_number_and_null_keeps_a_null_default(self):
+        cfg = load_config(CONFIGS / "synthetic_pdf.json",
+                          ["models.0.C=2", "models.1.kernel.gamma=1", "attack.bounds.upper=null", "scenario.surrogate.C=5"])
+        assert (cfg.model_grid[0].C, cfg.model_grid[1].kernel.gamma) == (2.0, 1.0)
+        assert type(cfg.model_grid[0].C) is float and type(cfg.model_grid[1].kernel.gamma) is float
+        assert cfg.attack.bounds.upper == math.inf
+        # the echo keeps the document as written
+        assert cfg.resolved["models"][0]["C"] == 2 and type(cfg.resolved["models"][0]["C"]) is int
