@@ -9,10 +9,15 @@ Discrete mode only inserts: it moves one feature by +1 per iteration,
 picking the feasible move best aligned with -grad F that strictly
 decreases F. Every move adds exactly 1 to the distance from x0, so the
 distance is the trace's iteration count and no candidate's is recomputed.
-Its candidates come from `_candidates`, which finds the first one with one
-argmin and sorts the gradient only when the descent asks for a second.
-Both descents check x0 with `_start` and take the gradient through
-`_gradient`, so both raise on a gradient whose l1 length is not finite.
+Its first candidate comes from one argmin; the gradient is sorted only
+when that candidate is blocked or rejected.
+
+Both descents score F(x0) with `objective_F`, then move one explicit
+state of F from point to point (`_point_F`): F and grad F at the current
+point, and F at a candidate, come from the model's and the KDE's own point
+states (`point_state`) where they have one, so a +1 move is scored from
+an O(N) patch. Both check x0 with `_start` and test the gradient with
+`_norm`, so both raise on a gradient whose l1 length is not finite.
 """
 from __future__ import annotations
 
@@ -117,6 +122,13 @@ class AttackTrace:
         self._n += 1
         self.objective_values.append(f)
 
+    def add_move(self, j: int, v: float, f: float):
+        """Add the last point with its coordinate j set to v."""
+        self._rows[self._n] = self._rows[self._n - 1]
+        self._rows[self._n, j] = v
+        self._n += 1
+        self.objective_values.append(f)
+
     @property
     def iterations(self) -> int:
         return self._n - 1
@@ -132,13 +144,62 @@ def objective_F(model: TrainedModel, spec: AttackSpec, x: np.ndarray) -> float:
     return g - spec.lam * spec.mimicry.density(x)
 
 
-def objective_grad(model: TrainedModel, spec: AttackSpec, x: np.ndarray) -> np.ndarray:
-    grad = model.gradient(x)
-    if spec.lam == 0.0:
-        return grad
-    if spec.mimicry is None:
-        raise ValueError("lam > 0 requires a mimicry estimator")
-    return grad - spec.lam * spec.mimicry.density_grad(x)
+class _OnePoint:
+    """The point state of a model without one (linear, MLP, or any model
+    with `discriminant` and `gradient`): its one-point calls at each point."""
+
+    def __init__(self, model, x0: np.ndarray):
+        self.model, self.x, self._next = model, x0, None
+
+    def grad(self) -> np.ndarray:
+        return self.model.gradient(self.x)
+
+    def try_step(self, j: int) -> float:
+        y = self.x.copy()
+        y[j] += 1.0
+        return self.try_point(y)
+
+    def try_point(self, y: np.ndarray) -> float:
+        self._next = y
+        return self.model.discriminant(y)
+
+    def accept(self):
+        self.x = self._next
+
+
+class _MimicryF:
+    """F = g - lam p from the point states of the model (g) and of the KDE (p)."""
+
+    def __init__(self, g, p, lam: float):
+        self.g, self.p, self.lam = g, p, lam
+
+    def grad(self) -> np.ndarray:
+        return self.g.grad() - self.lam * self.p.grad()
+
+    def try_step(self, j: int) -> float:
+        return self.g.try_step(j) - self.lam * self.p.try_step(j)
+
+    def try_point(self, y: np.ndarray) -> float:
+        return self.g.try_point(y) - self.lam * self.p.try_point(y)
+
+    def accept(self):
+        self.g.accept()
+        self.p.accept()
+
+
+def _point_F(model: TrainedModel, spec: AttackSpec, x0: np.ndarray):
+    """The state of F for one descent from x0, which the descent moves: F and
+    grad F at its current point x, from `grad()`, and F at a candidate, from
+    `try_step(j)` (x + e_j, a +1 move) or `try_point(y)`; neither moves the
+    state, and `accept()` moves it to the last candidate scored.
+
+    It is the model's own point state (`point_state`), or `_OnePoint` for a
+    model without one, and for lam > 0 that and the KDE's, as `_MimicryF`.
+    Each value has the bits of `objective_F` at the same point, and each
+    gradient those of grad g - lam grad p."""
+    start = getattr(model, "point_state", None)
+    g = start(x0) if start is not None else _OnePoint(model, x0)
+    return g if spec.lam == 0.0 else _MimicryF(g, spec.mimicry.point_state(x0), spec.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +248,11 @@ def _start(spec: AttackSpec, x0: np.ndarray):
     with lo raised to x0 under increment_only. Refuses an x0 that is not
     finite or lies more than `_FEAS_TOL` outside the box."""
     x0 = np.asarray(x0, dtype=float)
-    lo = np.broadcast_to(np.asarray(spec.bounds.lower, float), x0.shape).copy()
-    hi = np.broadcast_to(np.asarray(spec.bounds.upper, float), x0.shape).copy()
+    lo, hi = np.empty_like(x0), np.empty_like(x0)
+    lo[...], hi[...] = spec.bounds.lower, spec.bounds.upper
     if spec.bounds.increment_only:
-        lo = np.maximum(lo, x0)
-    if not np.isfinite(x0).all() or np.any(x0 < lo - _FEAS_TOL) or np.any(x0 > hi + _FEAS_TOL):
+        np.maximum(lo, x0, out=lo)
+    if not np.isfinite(x0).all() or (x0 < lo - _FEAS_TOL).any() or (x0 > hi + _FEAS_TOL).any():
         raise ValueError("x0 is not feasible under the given bounds")
     return x0, (lo, hi)
 
@@ -219,19 +280,18 @@ def project_feasible(spec: AttackSpec, x0: np.ndarray, x: np.ndarray, box) -> np
 # Descent drivers.
 # ---------------------------------------------------------------------------
 
-def _gradient(model: TrainedModel, spec: AttackSpec, x: np.ndarray, k: int):
-    """grad F at the iterate x, number k, and its l2 norm. Refuses a gradient
+def _norm(grad: np.ndarray, k: int) -> float:
+    """The l2 norm of grad F at the iterate number k. Refuses a gradient
     whose l1 length is not finite: no step of l1 length step_t scales from it.
     That length overflows only where the norm does, so it is summed only then.
     Neither overflow warns: np.vdot, unlike np.dot, does not check for it."""
-    grad = objective_grad(model, spec, x)
     norm = math.sqrt(np.vdot(grad, grad))
     if not math.isfinite(norm):
         with np.errstate(over="ignore"):
             length = np.abs(grad).sum()
         if not math.isfinite(length):
             raise ValueError(f"gradient of F is not finite at iterate {k}")
-    return grad, norm
+    return norm
 
 
 def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> AttackTrace:
@@ -240,17 +300,17 @@ def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> A
         raise ValueError("spec.mode must be 'continuous'")
     x0, box = _start(spec, x0)
     path = AttackTrace([x0], [objective_F(model, spec, x0)], capacity=spec.max_iters + 1)
+    state = _point_F(model, spec, x0)
     for _ in range(spec.max_iters):
-        x = path.points[-1]
-        grad, norm = _gradient(model, spec, x, path.iterations)
-        length = float(np.abs(grad).sum())
+        grad = state.grad()
+        norm = _norm(grad, path.iterations)
         # the l2 norm only tests for zero; the step has l1 length step_t
         if norm <= _ZERO_GRAD_NORM:
             path.termination = "zero_gradient"
             break
-        step = spec.step_t * grad / length
-        cand = project_feasible(spec, x0, x - step, box)
-        f_new = objective_F(model, spec, cand)
+        step = spec.step_t * grad / float(np.abs(grad).sum())
+        cand = project_feasible(spec, x0, path.points[-1] - step, box)
+        f_new = state.try_point(cand)
         if f_new - path.objective_values[-1] > -spec.epsilon:
             # improvement stalled; keep the point only if it still improved
             if f_new < path.objective_values[-1]:
@@ -258,74 +318,81 @@ def evade_continuous(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> A
             at_budget = spec.distance.of(path.points[-1], x0) >= spec.d_max - _FEAS_TOL
             path.termination = "budget_boundary_converged" if at_budget else "converged"
             break
+        state.accept()
         path.add(cand, f_new)
     return path
 
 
-def _candidates(grad: np.ndarray):
-    """The features j whose +1 move goes against grad F, grad[j] < 0, in
-    the stable order of increasing grad.
-
-    The first, `argmin(grad)` (the first index among ties, as in the stable
-    sort), comes without a sort; the sort runs only if a second candidate
-    is asked for, and skips it.
-    """
-    first = int(grad.argmin())
-    if not grad[first] < 0.0:
-        return
-    yield first
+def _later_move(state, x: list, grad: np.ndarray, top: list, f: float):
+    """The move of a discrete iterate x whose first candidate, argmin(grad),
+    was blocked or rejected: the first later feature j, in the stable order
+    of increasing grad over grad[j] < 0 (which puts argmin, the first index
+    among ties, first), whose +1 move stays within top[j] and scores F
+    below f, as (j, x[j] + 1, F there); None without one."""
     values = grad.tolist()
     for j in np.argsort(grad, kind="stable")[1:].tolist():
         if not values[j] < 0.0:
-            return
-        yield j
+            return None
+        v = x[j] + 1.0
+        if v <= top[j]:
+            f_new = state.try_step(j)
+            if f_new < f:
+                return j, v, f_new
+    return None
 
 
 def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> AttackTrace:
     """Steepest feasible coordinate descent with +1 moves on integer features.
 
-    Each iterate takes the first +1 move of `_candidates` that the upper
-    bound allows and that strictly decreases F; without one the run ends
-    `converged`. Every move adds 1 to the l1 distance from x0, so that
-    distance is `path.iterations`. Once the next move would leave the budget,
-    no move is scored: one vector test settles `budget_boundary_converged` if
-    a move the bound allows goes against the gradient, else `converged`.
-    An x0 that is not integer-valued is refused before `_start` checks it.
+    Each iterate takes the first +1 move, in the stable order of increasing
+    grad F over the features with grad[j] < 0, that the upper bound allows
+    and that strictly decreases F; without one the run ends `converged`.
+    The first, argmin(grad F), is tried inline; only when it is blocked or
+    rejected does `_later_move` sort the gradient. Every move adds 1 to the
+    l1 distance from x0, so that distance is `path.iterations`. Once the
+    next move would leave the budget, no move is scored: one vector test
+    settles `budget_boundary_converged` if a move the bound allows goes
+    against the gradient, else `converged`. An x0 that is not
+    integer-valued is refused before `_start` checks it.
     """
     if spec.mode != "discrete":
         raise ValueError("spec.mode must be 'discrete'")
     x0 = np.asarray(x0, dtype=float)
-    if np.any(x0 != np.round(x0)):
+    if (x0 != np.rint(x0)).any():
         raise ValueError("discrete mode requires an integer-valued x0")
     x0, (_, hi) = _start(spec, x0)
     # a +1 move from x >= x0 stays above the lower bound, so only hi is tested
-    hi_list = hi.tolist()
+    top = (hi + _FEAS_TOL).tolist()
     # x0 and at most one point per move that fits in the budget
     capacity = math.floor(min(spec.d_max + _FEAS_TOL, spec.max_iters)) + 1
-    path = AttackTrace([x0], [objective_F(model, spec, x0)], capacity=capacity)
-    for _ in range(spec.max_iters):
-        x = path.points[-1]
-        grad, norm = _gradient(model, spec, x, path.iterations)
-        if norm <= _ZERO_GRAD_NORM:
+    f = objective_F(model, spec, x0)
+    path = AttackTrace([x0], [f], capacity=capacity)
+    state = _point_F(model, spec, x0)
+    x = x0.tolist()  # the current point; k is its index in the trace
+    for k in range(spec.max_iters):
+        grad = state.grad()
+        if _norm(grad, k) <= _ZERO_GRAD_NORM:
             path.termination = "zero_gradient"
             break
-        if path.iterations + 1.0 > spec.d_max + _FEAS_TOL:
-            blocked = np.any((grad < 0.0) & (x + 1.0 <= hi + _FEAS_TOL))
+        if k + 1.0 > spec.d_max + _FEAS_TOL:
+            blocked = np.any((grad < 0.0) & (path.points[-1] + 1.0 <= hi + _FEAS_TOL))
             path.termination = "budget_boundary_converged" if blocked else "converged"
             break
-        for j in _candidates(grad):
-            nv = float(x[j]) + 1.0
-            if nv > hi_list[j] + _FEAS_TOL:
-                continue
-            cand = x.copy()
-            cand[j] = nv
-            f_new = objective_F(model, spec, cand)
-            if f_new < path.objective_values[-1]:
-                path.add(cand, f_new)
-                break
-        else:
+        j = int(grad.argmin())
+        if not grad[j] < 0.0:
             path.termination = "converged"
             break
+        v = x[j] + 1.0
+        f_new = state.try_step(j) if v <= top[j] else math.inf  # inf: blocked
+        if not f_new < f:
+            move = _later_move(state, x, grad, top, f)
+            if move is None:
+                path.termination = "converged"
+                break
+            j, v, f_new = move
+        state.accept()
+        x[j], f = v, f_new
+        path.add_move(j, v, f)
     return path
 
 

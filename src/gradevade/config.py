@@ -235,6 +235,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not resolved["models"]:
         raise ConfigError("models: grid must be non-empty")
     model_grid = [_parse_model(m, f"models[{i}]") for i, m in enumerate(resolved["models"])]
+    # a model's records and curves are keyed by its descriptor: one per model
+    _distinct([spec.descriptor() for spec in model_grid], "models")
 
     for kind in _distinct(sc["kinds"], "scenario.kinds"):
         if kind not in SCENARIO_KINDS:

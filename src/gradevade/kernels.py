@@ -1,11 +1,12 @@
-"""The rbf kernel of `svm` models, its row and gradient at a query point
-from that point's distances to the basis (kept by `_DistanceMemo`), and the
-Gram matrices SMO solves on: rbf, or linear for a `linear_svm`.
+"""The rbf kernel of `svm` models, its row and gradient at a point from
+that point's distances to the basis, the distances of a descent's current
+point as an explicit state (`DistanceState`), and the Gram matrices SMO
+solves on: rbf, or linear for a `linear_svm`.
 
-A query's squared distances to the basis rows v come from the expansion
-|x|^2 + |v|^2 - 2 v.x, as in the Gram matrix, except in an exact state of
-`_DistanceMemo` (integer query and basis within its bound), which keeps
-x - v so that +1 steps are patched."""
+A point's squared distances to the basis rows v come from the expansion
+|x|^2 + |v|^2 - 2 v.x, as in the Gram matrix, except in an exact state
+(integer point and basis within its bound), which keeps x - v so that a
++1 move is patched."""
 from __future__ import annotations
 
 import math
@@ -68,7 +69,7 @@ def _integral(A: np.ndarray, bound: int) -> bool:
     for s in range(0, len(A), _BLOCK):
         block = A[s:s + _BLOCK]
         # the magnitude test first: it fails for inf and NaN
-        if not (np.all(np.abs(block) <= bound) and np.all(block == np.round(block))):
+        if not ((np.abs(block) <= bound).all() and (block == np.rint(block)).all()):
             return False
     return True
 
@@ -95,80 +96,107 @@ def kernel_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.exp(G, out=G)
 
 
-# what `_DistanceMemo.query` returns for the query whose state it keeps
-_SAME_QUERY = -1
+class DistanceState:
+    """The distances from one point x to each basis row v (squared
+    euclidean, or Manhattan with `manhattan`), which a descent moves from
+    point to point itself.
 
-
-class _DistanceMemo:
-    """The distances of the latest query x of a one-entry memo to each
-    basis row (squared euclidean, or Manhattan with `manhattan`), brought to
-    each new query by a full pass or, for an exact one-coordinate step, by
-    a patch. `diffs`, x - basis[i], is kept for Manhattan and in an exact
+    `reset(x)` makes a full pass at x. A candidate is scored without moving
+    the state: `try_step(j)` gives the distances at x + e_j (a +1 move of
+    feature j), `try_point(y)` those at y, and `accept()` moves the state to
+    the last candidate tried. `full_pass(x)` is the stateless pass of a
+    one-point call. `diffs`, x - v, is kept for Manhattan and in an exact
     state; otherwise it is None, and the squared euclidean distances come
-    from (|x|^2 + |basis[i]|^2) - 2 basis[i].x clamped at 0, in the order
-    of operations of `kernel_matrix`.
+    from (|x|^2 + |v|^2) - 2 v.x clamped at 0, in the order of operations of
+    `kernel_matrix`.
 
-    A step is patched, not recomputed, when the basis and both queries are
+    A +1 move is patched, not recomputed, when the basis and both points are
     integer-valued with magnitudes at most `bound`, the largest M with
-    d (2M)^2 < 2^53 (the exact state). Every entry of x - basis[i] is then
-    an integer of magnitude <= 2M, and each distance, with every partial sum
+    d (2M)^2 < 2^53 (the exact state). Every entry of x - v is then an
+    integer of magnitude <= 2M, and each distance, with every partial sum
     of it, is an integer below 2^53: exact in float64 in any summation
-    order. Rewriting column j of the differences and adding
-    term(new) - term(old) of that column to the distances (term: np.square
-    or np.abs) therefore gives the bits of a full pass. `bound` is None for
-    a basis that is not integer-valued or exceeds M.
+    order. Column j of x - v goes from c to c + 1, which changes a squared
+    distance by (c + 1)^2 - c^2 = c + (c + 1) and a Manhattan one by
+    |c + 1| - |c| = +1 for c >= 0 and -1 below (the sign of c, as c is never
+    -0.0): added to the distances, each gives the bits of a full pass.
+    `bound` is None for a basis that is not integer-valued or exceeds M.
+
+    The storage of `diffs` is allocated once per state and reused by every
+    reset; a candidate from `try_point` that keeps them has a second one.
     """
 
     def __init__(self, basis: np.ndarray, manhattan: bool = False):
-        self.basis, self.term = basis, np.abs if manhattan else np.square
+        self.basis, self.manhattan = basis, manhattan
         bound = math.isqrt((2**53 - 1) // basis.shape[1]) // 2
         self.bound = bound if _integral(basis, bound) else None
         self.sq_norms = None if manhattan else _sq_norms(basis)  # for the expansion
-        self._buf = None     # storage of `diffs`, allocated by the first pass that keeps them
-        self.diffs = None
-        self.dists = None
-        self.key = None      # bytes of the kept query; None while no state is kept
-        self.bits = None     # the same bytes as int64 words
-        self.exact = False   # whether steps from the kept query can be patched
+        self._bufs = [None, None]  # storage of `diffs` at x and at a `try_point` candidate
+        self.x = self.dists = self.diffs = None
+        self.exact = False
+        self._patch = None  # the last candidate: (j, new column j of diffs) for a patch,
+        self._pass = None   # else (y, diffs, exact) of its full pass,
+        self._dists = None  # and its distances
 
-    def query(self, x: np.ndarray) -> int | None:
-        """Bring `dists`, and `diffs` where kept, to the float array x.
-
-        Returns _SAME_QUERY when x is the kept query, the coordinate j when
-        x is the kept query with x[j] changed and the state was patched, and
-        None after a full pass.
-        """
-        key = x.tobytes()
-        if key == self.key:
-            return _SAME_QUERY
-        if self.exact and len(key) == len(self.key):
-            # compared bitwise, so that -0.0 and 0.0 differ as in the key
-            bits = np.frombuffer(key, np.int64)
-            changed = (bits != self.bits).nonzero()[0]
-            if len(changed) == 1:
-                j = int(changed[0])
-                v = float(x[j])
-                if v.is_integer() and abs(v) <= self.bound:
-                    col = self.diffs[:, j]
-                    self.dists -= self.term(col)
-                    np.subtract(v, self.basis[:, j], out=col)
-                    self.dists += self.term(col)
-                    self.key, self.bits = key, bits
-                    return j
-        self.key, self.exact = None, False  # a pass that raises leaves nothing kept
+    def full_pass(self, x: np.ndarray, exact: bool = False, slot: int | None = None):
+        """(distances, diffs or None) at x, keeping diffs for Manhattan or
+        where `exact`, written into buffer `slot` of this state or, for None,
+        a new array. Squared distances without diffs come from the
+        expansion: in an exact state it sums integers below 2^53 as the
+        diffs do, so the two give the same bits there."""
         _check_dims(x, self.basis)
-        exact = self.bound is not None and _integral(x[None], self.bound)
-        if exact or self.term is np.abs:
-            if self._buf is None:
-                self._buf = np.empty_like(self.basis)
-            self.diffs = diffs = np.subtract(x, self.basis, out=self._buf)
-            self.dists = np.abs(diffs).sum(axis=1) if self.term is np.abs else np.einsum("ij,ij->i", diffs, diffs)
-        else:
-            self.diffs = None
-            dists = self.basis @ x
-            dists *= 2.0
-            np.subtract(np.sum(x * x) + self.sq_norms, dists, out=dists)
-            self.dists = np.maximum(dists, 0.0, out=dists)
-        self.key, self.bits = key, np.frombuffer(key, np.int64)
-        self.exact = exact
+        if exact or self.manhattan:
+            if slot is not None and self._bufs[slot] is None:
+                self._bufs[slot] = np.empty_like(self.basis)
+            diffs = np.subtract(x, self.basis, out=None if slot is None else self._bufs[slot])
+            dists = np.abs(diffs).sum(axis=1) if self.manhattan else np.einsum("ij,ij->i", diffs, diffs)
+            return dists, diffs
+        dists = self.basis @ x
+        dists *= 2.0
+        np.subtract((x * x).sum() + self.sq_norms, dists, out=dists)
+        return np.maximum(dists, 0.0, out=dists), None
+
+    def exact_at(self, x: np.ndarray) -> bool:
+        """Whether x and the basis make an exact state."""
+        return self.bound is not None and _integral(x[None], self.bound)
+
+    def reset(self, x: np.ndarray):
+        """Bring the state to x by a full pass."""
+        exact = self.exact_at(x)
+        self.dists, self.diffs = self.full_pass(x, exact, 0)
+        self.x, self.exact = np.array(x, dtype=float), exact
+
+    def try_step(self, j: int) -> np.ndarray:
+        """The distances at x + e_j: patched in an exact state while x[j] + 1
+        stays within the bound, else by a full pass."""
+        if self.exact and self.x[j] + 1.0 <= self.bound:
+            old = self.diffs[:, j]
+            col = old + 1.0
+            dists = np.copysign(1.0, old) if self.manhattan else old + col
+            dists += self.dists
+            self._patch, self._dists = (j, col), dists
+            return dists
+        y = self.x.copy()
+        y[j] += 1.0
+        return self.try_point(y)
+
+    def try_point(self, y: np.ndarray) -> np.ndarray:
+        """The distances at y, by a full pass."""
+        exact = self.exact_at(y)
+        dists, diffs = self.full_pass(y, exact, 1)
+        self._patch, self._pass, self._dists = None, (y, diffs, exact), dists
+        return dists
+
+    def accept(self) -> int | None:
+        """Move to the last candidate tried. Returns the patched coordinate
+        j, or None after a full pass."""
+        self.dists = self._dists
+        if self._patch is not None:
+            j, col = self._patch
+            self.x[j] += 1.0
+            self.diffs[:, j] = col
+            return j
+        y, self.diffs, self.exact = self._pass
+        self.x[...] = y
+        if self.diffs is not None:
+            self._bufs.reverse()  # the candidate's storage now holds the state's diffs
         return None

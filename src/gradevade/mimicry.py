@@ -1,14 +1,16 @@
 """Kernel density estimation over legitimate samples, and its gradient.
 
 The estimator averages the laplacian kernel exp(-||x - x_i||_1 / h) over
-the `truncation_k` reference points nearest to the query in Manhattan
-distance. The neighbor set is re-selected at every query.
+the `truncation_k` reference points nearest to the point in Manhattan
+distance. The neighbour set is re-selected at every point.
 
-The latest query's differences and distances to all N reference points
-are kept, with exp(-d/h) of its neighbours, so density and density_grad
-at one point share one search, and a discrete +1 move patches the kept
-distances in O(N) where that is bit-identical to a full search
-(`kernels._DistanceMemo`).
+`density` and `density_grad` are stateless one-point calls, each with a
+full neighbour search. A descent instead moves one explicit point state
+(`point_state`): the point's differences and distances to all N reference
+points, the signs of the differences and exp(-d/h) of its neighbours, so
+the density and its gradient at one point share one search, and a
+discrete +1 move patches the distances in O(N) where that is bit-identical
+to a full search (`kernels.DistanceState`).
 
 The gradient is the corrected one: the true subgradient, with an
 elementwise sign(x - x_i) factor and sign(0) = 0. (A published variant of
@@ -20,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import _SAME_QUERY, _DistanceMemo
+from .kernels import DistanceState
 
 
 @dataclass
 class MimicryEstimator:
-    """KDE over fixed reference points; the settings are not reassigned after
-    construction, since the kept search of the latest query depends on them."""
+    """KDE over fixed reference points; they are not reassigned after
+    construction, since the distance state is built on them."""
 
     reference_points: np.ndarray      # (N, d) samples labeled legitimate
     h: float
@@ -40,45 +42,73 @@ class MimicryEstimator:
             raise ValueError("reference_points contain non-finite values")
         KdeParams(h=self.h, truncation_k=self.truncation_k)  # checks the settings
         self.reference_points = pts
-        # the latest query's x - x_i and Manhattan distances, the signs of
-        # each x - x_i, and (signs, exp(-distance/h)) of its nearest points
-        self._kept = _DistanceMemo(pts, manhattan=True)
+        # a descent's current point: its x - x_i, Manhattan distances, and the
+        # signs of each x - x_i, reused by every descent
+        self._distances = DistanceState(pts, manhattan=True)
         self._signs = np.empty_like(pts)
-        self._near = None
 
-    def _neighbors(self, x: np.ndarray):
-        """(sign(x - x_i), exp(-distance/h)) of the truncation_k nearest
-        reference points.
-
-        The latest query's result is kept, so density(x) followed by
-        density_grad(x) searches once. The distances come from
-        `self._kept`, which patches a one-coordinate step where that is
-        exact; the kept signs then change in that column only, and the
-        neighbours are selected from the same distances as a full search's.
-        """
-        x = np.asarray(x, dtype=float)
-        j = self._kept.query(x)
-        if j == _SAME_QUERY:
-            return self._near
-        cols = slice(None) if j is None else j
-        np.sign(self._kept.diffs[:, cols], out=self._signs[:, cols])
-        signs, dists = self._signs, self._kept.dists
+    def _near(self, dists: np.ndarray):
+        """(indices or None for all, exp(-distance/h), the density) of the
+        truncation_k nearest reference points, from their distances. The
+        density is the reduction np.mean makes; d / -h has the bits of -d / h."""
         k = self.truncation_k
         if k < len(dists):
             sel = np.argpartition(dists, k - 1)[:k]
-            signs, dists = signs[sel], dists[sel]
-        self._near = (signs, np.exp(-dists / self.h))
-        return self._near
+            w = np.exp(dists[sel] / -self.h)
+        else:
+            sel, w = None, np.exp(dists / -self.h)
+        return sel, w, float(w.sum()) / len(w)
+
+    def _grad(self, signs: np.ndarray, near) -> np.ndarray:
+        sel, w, _ = near
+        return (-1.0 / (len(w) * self.h)) * (w @ (signs if sel is None else signs[sel]))
 
     def density(self, x: np.ndarray) -> float:
         """(1/n) sum of exp(-d(x, x_i)/h) over the n nearest reference points."""
-        _, w = self._neighbors(x)
-        return float(w.sum() / len(w))  # the reduction np.mean makes
+        dists, _ = self._distances.full_pass(np.asarray(x, dtype=float))
+        return self._near(dists)[2]
 
     def density_grad(self, x: np.ndarray) -> np.ndarray:
         """-(1/(n h)) sum of exp(-d(x, x_i)/h) sign(x - x_i) over the n nearest."""
-        signs, w = self._neighbors(x)
-        return (-1.0 / (len(w) * self.h)) * (w @ signs)
+        dists, diffs = self._distances.full_pass(np.asarray(x, dtype=float))
+        return self._grad(np.sign(diffs), self._near(dists))
+
+    def point_state(self, x0: np.ndarray) -> _KdePoint:
+        """The density and its gradient at x0, as the state a descent from x0
+        moves. It lives in the estimator's own storage, so an estimator
+        serves one descent at a time."""
+        return _KdePoint(self, x0)
+
+
+class _KdePoint:
+    """The density and its gradient at the current point of a descent: the
+    neighbours of the point, and of the last candidate tried, from the
+    distances its `kernels.DistanceState` moves (`try_step`, `try_point`,
+    `accept`). The signs of x - x_i change in the patched column only."""
+
+    def __init__(self, est: MimicryEstimator, x0: np.ndarray):
+        self.est, self.dist = est, est._distances
+        self.dist.reset(x0)
+        np.sign(self.dist.diffs, out=est._signs)
+        self.near = est._near(self.dist.dists)
+        self._next_near = None
+
+    def grad(self) -> np.ndarray:
+        return self.est._grad(self.est._signs, self.near)
+
+    def try_step(self, j: int) -> float:
+        self._next_near = near = self.est._near(self.dist.try_step(j))
+        return near[2]
+
+    def try_point(self, y: np.ndarray) -> float:
+        self._next_near = near = self.est._near(self.dist.try_point(y))
+        return near[2]
+
+    def accept(self):
+        j = self.dist.accept()
+        cols = slice(None) if j is None else j
+        np.sign(self.dist.diffs[:, cols], out=self.est._signs[:, cols])
+        self.near = self._next_near
 
 
 @dataclass(frozen=True)

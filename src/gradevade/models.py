@@ -6,12 +6,14 @@ All models expose:
   gradient(x)          -> ndarray   exact analytic grad_x g(x)
 
 `SvmModel` is the rbf SVM; the linear SVM is solved on the linear Gram
-matrix and folded to a `LinearModel`. `SvmModel` keeps its latest kernel
-pass, so discriminant(x) followed by gradient(x) at the same point, as the
-attack asks for them, computes the kernel once. The pass keeps x - sv only
-in an exact state, where a discrete +1 move patches it in O(N), bit-identical
-to a full pass; elsewhere it scores from |x|^2 + |sv|^2 - 2 sv.x with no
-N x d array (`kernels._DistanceMemo`).
+matrix and folded to a `LinearModel`. Its one-point calls are stateless.
+A descent on it instead moves one explicit point state (`point_state`):
+g and its gradient at the current point share one kernel pass, and a
+candidate is scored from a patch of that pass or a full pass of its own
+(`kernels.DistanceState`). The pass keeps x - sv only in an exact state,
+where a discrete +1 move patches it in O(N), bit-identical to a full pass;
+elsewhere it scores from |x|^2 + |sv|^2 - 2 sv.x with no N x d array.
+Linear and MLP models have no point state: a descent calls them per point.
 
 `evading` is the one evasion verdict: g(x) - decision_offset < 0 (a tie or
 a NaN score does not evade); `predict` labels -1 there and +1 elsewhere.
@@ -28,26 +30,32 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .data import LEGITIMATE, MALICIOUS, Dataset
-from .kernels import (
-    _SAME_QUERY,
-    KernelSpec,
-    _DistanceMemo,
-    kernel_grad_combination,
-    kernel_matrix,
-    kernel_row,
-)
+from .kernels import DistanceState, KernelSpec, kernel_grad_combination, kernel_matrix, kernel_row
 
 MODEL_FORMAT_VERSION = "gradevade-model/1"
 
 
-def _sigmoid(z, out=None, e=None):
+# exp(t) is +0.0 for every t below this, and numpy's exp takes a slow path to that 0
+_EXP_ZERO_BELOW = -745.2
+
+
+def _sigmoid(z, out=None, e=None, under=None):
     """1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, without overflow.
 
     With e = exp(-|z|) <= 1, the numerator max(e, z >= 0) is 1 where
     z >= 0 and e elsewhere (NaN stays NaN). `out` receives the result and
-    `e` is scratch of z's shape; left None, each is a new array.
+    `e` is scratch of z's shape; left None, each is a new array. A boolean
+    scratch `under` of z's shape skips exp's slow underflow: where -|z| is
+    below `_EXP_ZERO_BELOW`, exp runs on 0 and its result is set to +0.0,
+    the value exp gives there, so the bits are the same.
     """
-    e = np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
+    e = np.negative(np.abs(z, out=e), out=e)
+    if under is not None:
+        np.less(e, _EXP_ZERO_BELOW, out=under)
+        np.copyto(e, 0.0, where=under)
+    e = np.exp(e, out=e)
+    if under is not None:
+        np.copyto(e, 0.0, where=under)
     out = np.maximum(e, z >= 0, out=out)
     e += 1.0
     out /= e
@@ -117,28 +125,57 @@ class SvmModel:
             raise ValueError("|alpha_i| exceeds the box constraint C")
         if abs(float(self.dual_coefs.sum())) > 1e-6:
             raise ValueError("dual coefficients do not satisfy sum(alpha_i y_i) = 0")
-        # the latest query's squared distances (and x - sv, in an exact
-        # state), and its kernel row
-        self._kept = _DistanceMemo(self.support_vectors)
-        self._row = None
-
-    def _rbf_pass(self, x: np.ndarray) -> np.ndarray:
-        """The kernel row at x, from the distances `self._kept` brings to x."""
-        if self._kept.query(x) != _SAME_QUERY:
-            self._row = kernel_row(self.kernel, self._kept.dists)
-        return self._row
+        # the distances of a descent's current point, reused by every descent
+        self._distances = DistanceState(self.support_vectors)
 
     def discriminant(self, x: np.ndarray) -> float:
-        row = self._rbf_pass(np.asarray(x, float))
-        return float(self.dual_coefs @ row + self.b)
+        dists, _ = self._distances.full_pass(np.asarray(x, float))
+        return float(self.dual_coefs @ kernel_row(self.kernel, dists) + self.b)
 
     def discriminant_many(self, X: np.ndarray) -> np.ndarray:
         return kernel_matrix(self.kernel, X, self.support_vectors) @ self.dual_coefs + self.b
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
-        row = self._rbf_pass(x)
-        return kernel_grad_combination(self.kernel, row, self.dual_coefs, x, self.support_vectors, self._kept.diffs)
+        dists, diffs = self._distances.full_pass(x, self._distances.exact_at(x))
+        return kernel_grad_combination(self.kernel, kernel_row(self.kernel, dists), self.dual_coefs, x,
+                                       self.support_vectors, diffs)
+
+    def point_state(self, x0: np.ndarray) -> _RbfPoint:
+        """g and its gradient at x0, as the state a descent from x0 moves.
+        Its distances live in the model's own storage, so a model runs one
+        descent at a time."""
+        return _RbfPoint(self, x0)
+
+
+class _RbfPoint:
+    """g and grad g at the current point of a descent on an SvmModel: the
+    point's kernel row, and that of the last candidate tried, from the
+    distances its `kernels.DistanceState` moves (`try_step`, `try_point`,
+    `accept`)."""
+
+    def __init__(self, model: SvmModel, x0: np.ndarray):
+        self.model, self.dist = model, model._distances
+        self.dist.reset(x0)
+        self.row = kernel_row(model.kernel, self.dist.dists)
+        self._next_row = None
+
+    def grad(self) -> np.ndarray:
+        m = self.model
+        return kernel_grad_combination(m.kernel, self.row, m.dual_coefs, self.dist.x, m.support_vectors,
+                                       self.dist.diffs)
+
+    def try_step(self, j: int) -> float:
+        self._next_row = row = kernel_row(self.model.kernel, self.dist.try_step(j))
+        return float(self.model.dual_coefs @ row) + self.model.b
+
+    def try_point(self, y: np.ndarray) -> float:
+        self._next_row = row = kernel_row(self.model.kernel, self.dist.try_point(y))
+        return float(self.model.dual_coefs @ row) + self.model.b
+
+    def accept(self):
+        self.dist.accept()
+        self.row = self._next_row
 
 
 @dataclass
@@ -317,7 +354,7 @@ def train_mlp(
     loss) raises with the offending epoch index, as does a trained network
     whose hidden pre-activations on the training rows are not finite.
 
-    Each epoch works in three (n, m) buffers and one (m, d) buffer
+    Each epoch works in four (n, m) buffers and one (m, d) buffer
     allocated once per fit and overwritten in place, with the same
     floating-point operations in the same order as the allocating form,
     so the weights are bit-identical per seed. The logistic loss is only
@@ -339,12 +376,13 @@ def train_mlp(
     A = np.empty((n, m))    # pre-activations, later 1 - H
     H = np.empty((n, m))    # hidden activations
     E = np.empty((n, m))    # sigmoid scratch, later dH
+    U = np.empty((n, m), dtype=bool)  # sigmoid scratch: where exp underflows
     gV = np.empty((m, d))
     for epoch in range(epochs):
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(X, V.T, out=A)
             A += bk
-            _sigmoid(A, out=H, e=E)
+            _sigmoid(A, out=H, e=E, under=U)
             z = H @ w + b                    # output logits
             # stable logistic loss: softplus(z) - t z
             finite = np.abs(z).max() < _LOSS_CHECK_BOUND or np.isfinite(

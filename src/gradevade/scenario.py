@@ -21,6 +21,7 @@ a round of them, and none while a descent runs.
 """
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
@@ -75,14 +76,23 @@ def surrogate_spec(target: ModelSpec, params: dict) -> ModelSpec:
     defaults C=100 and gamma=0.1, the target's width m, 2000 epochs and
     rate 1.0, each overridden by its key in `params`.
 
-    Raises ValueError on an out-of-range value, as ModelSpec does."""
+    Raises ValueError naming the key for a value of the wrong type: C, gamma
+    and learning_rate take a real number (widened to float), m and epochs
+    an integer; a bool or a string is neither. Raises ValueError on an
+    out-of-range value, as ModelSpec does."""
+    def value(key, default, kind, name):
+        v = params.get(key, default)
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise ValueError(f"{key} must be {name}, not {v!r}")
+        return v
+
     return replace(
         target,
-        kernel=replace(target.kernel, gamma=float(params.get("gamma", 0.1))),
-        C=float(params.get("C", 100.0)),
-        m=int(params.get("m", target.m)),
-        epochs=int(params.get("epochs", 2000)),
-        learning_rate=float(params.get("learning_rate", 1.0)),
+        kernel=replace(target.kernel, gamma=float(value("gamma", 0.1, numbers.Real, "a real number"))),
+        C=float(value("C", 100.0, numbers.Real, "a real number")),
+        m=int(value("m", target.m, numbers.Integral, "an integer")),
+        epochs=int(value("epochs", 2000, numbers.Integral, "an integer")),
+        learning_rate=float(value("learning_rate", 1.0, numbers.Real, "a real number")),
     )
 
 

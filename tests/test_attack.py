@@ -15,7 +15,6 @@ from gradevade.attack import (
     evade_continuous,
     evade_discrete,
     objective_F,
-    objective_grad,
     project_feasible,
     project_l1_ball,
     run_attack,
@@ -65,6 +64,17 @@ def reference_check_start(spec, x0):
 def spec_l1(d_max, **kw):
     kw.setdefault("bounds", FREE)
     return AttackSpec(distance=DistanceSpec("l1"), d_max=d_max, step_t=kw.pop("step_t", 1.0), **kw)
+
+
+def objective_grad(model, spec, x):
+    """grad g(x) minus lam times the gradient of the legitimate-class
+    density at x, from the one-point calls: the gradient of `objective_F`."""
+    grad = model.gradient(x)
+    if spec.lam == 0.0:
+        return grad
+    if spec.mimicry is None:
+        raise ValueError("lam > 0 requires a mimicry estimator")
+    return grad - spec.lam * spec.mimicry.density_grad(x)
 
 
 class TestObjective:
@@ -749,6 +759,37 @@ def _gradient_features(grad):
     }
 
 
+def count_state_calls(monkeypatch) -> dict:
+    """Wrap `attack._point_F` so that the state of F of every descent logs,
+    for each gradient it gives ("grad") and each candidate it scores
+    ("scored"), the index of the iterate it is at."""
+    log = {"grad": [], "scored": []}
+    original = attack_module._point_F
+
+    class Logged:
+        def __init__(self, state):
+            self.state, self.k = state, 0
+
+        def grad(self):
+            log["grad"].append(self.k)
+            return self.state.grad()
+
+        def try_step(self, j):
+            log["scored"].append(self.k)
+            return self.state.try_step(j)
+
+        def try_point(self, y):
+            log["scored"].append(self.k)
+            return self.state.try_point(y)
+
+        def accept(self):
+            self.k += 1
+            self.state.accept()
+
+    monkeypatch.setattr(attack_module, "_point_F", lambda model, spec, x0: Logged(original(model, spec, x0)))
+    return log
+
+
 class TestDiscreteMatchesReference:
     def test_same_trace_as_reference_on_random_cases(self, monkeypatch):
         f_calls = []
@@ -758,17 +799,12 @@ class TestDiscreteMatchesReference:
             f_calls.append(1)
             return original_F(model, spec, x)
 
-        # evade_discrete and reference_evade_discrete both look objective_F up at call time
+        # evade_discrete scores x0, and reference_evade_discrete every point,
+        # through objective_F, looked up at call time; evade_discrete scores
+        # its candidates from the state of F
         monkeypatch.setattr(attack_module, "objective_F", counted_F)
         monkeypatch.setitem(globals(), "objective_F", counted_F)
-        walks = []
-        original_candidates = attack_module._candidates
-
-        def counted_candidates(*args):
-            walks.append(1)
-            return original_candidates(*args)
-
-        monkeypatch.setattr(attack_module, "_candidates", counted_candidates)
+        log = count_state_calls(monkeypatch)
         rng = np.random.default_rng(2024)
         seen = {"kinds": set(), "lam_positive": set(),
                 "terminations": set(), "first_candidate_rejected": False, "first_candidate": set(),
@@ -778,9 +814,10 @@ class TestDiscreteMatchesReference:
             if spec.lam > 0:
                 assert spec.mimicry.density(x0) > 1e-6, case  # the KDE term is live
             f_calls.clear()
-            walks.clear()
+            log["scored"].clear()
             got = evade_discrete(model, spec, x0)
-            got_f_calls, got_walks = len(f_calls), len(walks)
+            assert len(f_calls) == 1, case  # F(x0)
+            got_f_calls, scored_at = 1 + len(log["scored"]), list(log["scored"])
             f_calls.clear()
             want = reference_evade_discrete(model, spec, x0)
             # a rejected first candidate is scored once, not again by the scan
@@ -803,8 +840,8 @@ class TestDiscreteMatchesReference:
                 if kind == "stub":
                     seen["stub_gradients"] |= _gradient_features(model.gradient(got.points[i]))
             if stopped_on_a_scan and _budget_shortcut_applies(model, spec, x0, got.points[-1]):
-                # the final iterate was settled without a candidate walk
-                assert got_walks == got.iterations, case
+                # the final iterate was settled without scoring a candidate
+                assert got.iterations not in scored_at, case
                 seen["budget_shortcut"].add(got.termination)
         assert seen == {
             "kinds": {"linear", "rbf", "mlp", "stub"},
@@ -866,36 +903,33 @@ class TestDiscreteMatchesReference:
         # until the budget runs out: the last iterate is settled by the budget
         # test, so no iterate sorts. The third support vector makes feature 3 the
         # largest |grad| at x0, with the sign that increment_only forbids.
-        grads, sorts = [], []
-        original_grad, original_argsort = attack_module.objective_grad, np.argsort
-
-        def counted_grad(model, spec, x):
-            grads.append(1)
-            return original_grad(model, spec, x)
+        sorts = []
+        original_argsort = np.argsort
 
         def counted_argsort(*args, **kwargs):
-            sorts.append(len(grads))
+            sorts.append(len(log["grad"]))
             return original_argsort(*args, **kwargs)
 
         sv = np.array([[0.0, 0.0, 0.0, 0.0], [6.0, 3.0, 5.0, 4.0], [0.0, 0.0, 0.0, 2.0]])
         model = SvmModel(KernelSpec("rbf", gamma=0.05), sv, np.array([1.0, -2.0, 1.0]), 0.0, C=3.0)
         spec = AttackSpec(distance=DistanceSpec("l1"), d_max=7.0, step_t=1.0,
                           bounds=FeatureBounds(0.0, 10.0, increment_only=True), mode="discrete")
-        monkeypatch.setattr(attack_module, "objective_grad", counted_grad)
+        log = count_state_calls(monkeypatch)
         monkeypatch.setattr(np, "argsort", counted_argsort)
         x0 = np.zeros(4)
         assert int(np.abs(model.gradient(x0)).argmax()) == 3 and model.gradient(x0)[3] > 0
         tr = evade_discrete(model, spec, x0)
         assert tr.termination == "budget_boundary_converged"
         assert tr.iterations == 7
-        assert len(grads) == tr.iterations + 1
+        assert log["grad"] == list(range(tr.iterations + 1))
         assert sorts == []
 
 
 class TestScoresOncePerF:
     @pytest.mark.parametrize("mode", ["continuous", "discrete"])
     def test_lam_positive_scores_g_once_per_objective(self, mode, monkeypatch):
-        # the trace keeps F only, so g is computed inside objective_F and nowhere else
+        # the trace keeps F only, so g is computed once per F: at x0 inside
+        # objective_F, and at each candidate inside the state of F
         f_calls = []
         original_F = attack_module.objective_F
 
@@ -904,6 +938,7 @@ class TestScoresOncePerF:
             return original_F(model, spec, x)
 
         monkeypatch.setattr(attack_module, "objective_F", counted_F)
+        log = count_state_calls(monkeypatch)
         rng = np.random.default_rng(21)
         model = RecordingLinear(np.array([1.0, -0.5, 2.0]), 0.5)
         est = MimicryEstimator(rng.integers(0, 6, size=(20, 3)).astype(float), h=3.0, truncation_k=10)
@@ -913,7 +948,8 @@ class TestScoresOncePerF:
         assert est.density(x0) > 1e-6  # the KDE term is live
         tr = run_attack(model, spec, x0)
         assert tr.iterations >= 2
-        assert model.calls.count("discriminant") == len(f_calls) >= tr.iterations + 1
+        assert len(f_calls) == 1
+        assert model.calls.count("discriminant") == len(f_calls) + len(log["scored"]) >= tr.iterations + 1
 
 
 def reference_evade_continuous(model, spec, x0):

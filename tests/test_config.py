@@ -119,6 +119,24 @@ class TestUnknownKeys:
         assert (mlp.m, mlp.epochs, mlp.learning_rate) == (4, 5, 0.5)
 
 
+class TestRepeatedModels:
+    @pytest.mark.parametrize("second, descriptor", [(1, "linear_svm(C=1)"), (1.0000001, "linear_svm(C=1)")])
+    def test_models_with_one_descriptor_exit_2(self, tmp_path, capsys, second, descriptor):
+        # records and curves are keyed by the descriptor: a repeated model
+        # doubled its records, and two models that print alike shared a curve
+        grid = json.dumps([{"kind": "linear_svm", "C": 1.0}, {"kind": "linear_svm", "C": second}])
+        out = tmp_path / "out"
+        args = ["sweep", "--config", str(CONFIGS / "synthetic_pdf.json"), "--out", str(out), "--set", f"models={grid}"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f'error: models lists "{descriptor}" more than once\n'
+        assert not out.exists()
+
+    def test_models_that_print_apart_parse(self):
+        grid = json.dumps([{"kind": "linear_svm", "C": 1.0}, {"kind": "linear_svm", "C": 2.0}])
+        cfg = load_config(CONFIGS / "synthetic_pdf.json", [f"models={grid}"])
+        assert [spec.descriptor() for spec in cfg.model_grid] == ["linear_svm(C=1)", "linear_svm(C=2)"]
+
+
 class TestSurrogateKeys:
     """With LK, every grid model's surrogate recipe (`scenario.surrogate_spec`)
     must be in range; the keys' ranges do not depend on the grid's kinds."""

@@ -3,7 +3,7 @@ import pytest
 
 from gradevade.mimicry import KdeParams, MimicryEstimator
 
-from test_models import assert_grad_close, central_diff, count_memo_steps, descent_queries, expected_steps, patch_bound
+from test_models import assert_grad_close, central_diff, count_state_passes, patch_bound, step_walk
 
 
 class TestDensity:
@@ -87,7 +87,7 @@ class TestDensityGrad:
         assert g[0] == 0.0
 
 
-class TestNeighborMemo:
+class TestOnePointCalls:
     def test_values_follow_the_query_contents(self):
         rng = np.random.default_rng(5)
         pts = rng.integers(0, 6, size=(40, 4)).astype(float)
@@ -126,18 +126,23 @@ def reference_density_and_grad(est: MimicryEstimator, x: np.ndarray):
     return float(np.mean(w)), grad
 
 
-class TestNeighborPatch:
-    """The kept search, patched for one-coordinate steps, against fresh searches."""
+class TestNeighborPointState:
+    """The KDE point state, patched for +1 moves, against fresh searches."""
 
-    def check_against_fresh(self, est, settings, x, grad_first):
-        fresh = MimicryEstimator(est.reference_points, **settings)
-        if grad_first:
-            g, dens = est.density_grad(x), est.density(x)
-        else:
-            dens, g = est.density(x), est.density_grad(x)
-        ref_dens, ref_g = reference_density_and_grad(est, x)
-        assert dens == fresh.density(x) == ref_dens
-        assert g.tobytes() == fresh.density_grad(x).tobytes() == ref_g.tobytes()
+    def checker(self, state, settings):
+        """check(y, value) for `test_models.step_walk`: a candidate's density,
+        or at a point moved to its gradient, against a fresh estimator and a
+        full search, bit for bit."""
+        fresh = MimicryEstimator(state.est.reference_points, **settings)
+
+        def check(y, value):
+            ref_dens, ref_g = reference_density_and_grad(fresh, y)
+            if value is not None:
+                assert value == fresh.density(y) == ref_dens
+            else:
+                assert state.grad().tobytes() == fresh.density_grad(y).tobytes() == ref_g.tobytes()
+
+        return check
 
     @pytest.mark.parametrize("k", [8, 60])
     def test_integer_walk_is_patched_bit_for_bit(self, monkeypatch, k):
@@ -146,38 +151,39 @@ class TestNeighborPatch:
         # truncation (k = 8 < N = 40) has to break ties the way a full search does
         pts = rng.integers(0, 3, size=(40, 3)).astype(float)
         settings = dict(h=2.0, truncation_k=k)
-        est = MimicryEstimator(pts, **settings)
-        points = descent_queries(rng, rng.integers(0, 3, size=3).astype(float), 40)
-        steps = count_memo_steps(monkeypatch)
-        for i, x in enumerate(points):
-            self.check_against_fresh(est, settings, x, grad_first=bool(i % 2))
-        walk = expected_steps([p for x in points for p in (x, x)])
-        assert steps["patch"] == walk["patch"] > 20
-        assert steps["full"] == walk["full"] + len(points)
-        assert walk["full"] > 1
+        state = MimicryEstimator(pts, **settings).point_state(rng.integers(0, 3, size=3).astype(float))
+        passes = count_state_passes(monkeypatch)
+        step_walk(rng, state, 3, 40, self.checker(state, settings))
+        assert passes["patch"] > 40 and passes["moved_patch"] == 40
+        assert passes["full"] == passes["reset"] == passes["moved_full"] == 0
 
     def test_each_fallback_runs_a_full_search(self, monkeypatch):
         d = 3
         bound = patch_bound(d)
         pts = np.random.default_rng(47).integers(0, 4, size=(30, d)).astype(float)
         settings = dict(h=2.0, truncation_k=10)
-        steps = count_memo_steps(monkeypatch)
-        for x in ([0.0, 0.0, 0.5], [1.0, 0.0, 1.0], [0.0, 0.0, bound + 1.0]):
-            est = MimicryEstimator(pts, **settings)
-            est.density(np.zeros(d))
-            steps.clear()
-            self.check_against_fresh(est, settings, np.array(x), grad_first=False)
-            assert steps["patch"] == 0, x
-        est = MimicryEstimator(pts, **settings)
-        est.density(np.array([0.0, 0.0, bound - 1.0]))
-        steps.clear()
-        self.check_against_fresh(est, settings, np.array([0.0, 0.0, float(bound)]), grad_first=False)
-        assert steps["patch"] == 1
-        est = MimicryEstimator(pts + 0.25, **settings)
-        steps.clear()
-        for x in descent_queries(np.random.default_rng(53), np.zeros(d), 5):
-            self.check_against_fresh(est, settings, x, grad_first=False)
-        assert steps["patch"] == 0 and steps["full"] > 0
+        passes = count_state_passes(monkeypatch)
+        # a start off the integers, or reference points off them: full searches only
+        for ref, x0 in ((pts, np.array([0.0, 0.0, 0.5])), (pts + 0.25, np.zeros(d))):
+            state = MimicryEstimator(ref, **settings).point_state(x0)
+            passes.clear()
+            step_walk(np.random.default_rng(53), state, d, 5, self.checker(state, settings))
+            assert passes["patch"] == 0 and passes["full"] > 5
+        # a +1 move past the bound is a full search; one up to the bound is patched
+        for start, patched in ((bound, False), (bound - 1.0, True)):
+            state = MimicryEstimator(pts, **settings).point_state(np.array([0.0, 0.0, float(start)]))
+            passes.clear()
+            y = np.array([0.0, 0.0, start + 1.0])
+            assert state.try_step(2) == reference_density_and_grad(state.est, y)[0]
+            assert passes["patch"] == patched and passes["full"] == (not patched)
+        # a candidate two coordinates away is a full search; from the exact
+        # point it reaches, +1 moves are patched again
+        state = MimicryEstimator(pts, **settings).point_state(np.zeros(d))
+        passes.clear()
+        state.try_point(np.array([1.0, 0.0, 1.0]))
+        state.accept()
+        step_walk(np.random.default_rng(59), state, d, 3, self.checker(state, settings))
+        assert passes["full"] == 1 and passes["patch"] >= 3
 
 
 class TestValidation:

@@ -13,6 +13,7 @@ import gradevade.models as models_module
 from gradevade.attack import AttackSpec, DistanceSpec, evade_continuous, evade_discrete
 from gradevade.data import Dataset, FeatureBounds, cap_features, synthetic_pdf_dataset
 from gradevade.kernels import KernelSpec, kernel_grad_combination, kernel_matrix, kernel_row
+from gradevade.mimicry import MimicryEstimator
 from gradevade.models import (
     LinearModel,
     MlpModel,
@@ -378,10 +379,22 @@ def test_sigmoid_matches_masked_formula_bit_for_bit():
         [rng.normal(scale=s, size=25_000) for s in (1.0, 10.0, 100.0, 800.0)]
         + [[0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan]]
     )
-    got, want = _sigmoid(z), masked_sigmoid(z)
-    nan = np.isnan(want)
-    assert nan.sum() == 1 and np.array_equal(np.isnan(got), nan)
-    assert got[~nan].tobytes() == want[~nan].tobytes()
+    for under in (None, np.empty(z.shape, dtype=bool)):  # with and without the underflow skip
+        got, want = _sigmoid(z, under=under), masked_sigmoid(z)
+        nan = np.isnan(want)
+        assert nan.sum() == 1 and np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_exp_is_plus_zero_below_the_underflow_cutoff():
+    # what `_sigmoid`'s underflow skip rests on: below the cutoff, and at
+    # -inf, np.exp gives +0.0, the value the skip writes there
+    grid = np.concatenate([np.linspace(models_module._EXP_ZERO_BELOW, -746.0, 200_001)[1:],
+                           -np.geomspace(746.0, 1e308, 10_000), [-np.inf]])
+    assert grid.max() < models_module._EXP_ZERO_BELOW
+    with np.errstate(under="ignore"):
+        out = np.exp(grid)
+    assert np.all(out == 0.0) and not np.signbit(out).any()
 
 
 class TestMlp:
@@ -619,7 +632,7 @@ def assert_near_two_pass(model: SvmModel, x, g, grad, rel=1e-12):
 SVM_KERNELS = [KernelSpec("rbf", gamma=0.3)]
 
 
-class TestKernelPassMemo:
+class TestKernelPasses:
     @pytest.mark.parametrize("kernel", SVM_KERNELS, ids=lambda k: k.kind)
     def test_values_follow_the_query_contents(self, kernel):
         rng = np.random.default_rng(17)
@@ -647,19 +660,10 @@ class TestKernelPassMemo:
         for x, grad_first in ((b, False), (a, False), (b, True), (a, True), (a, False)):
             check(x, grad_first)
 
-    def test_one_rbf_pass_per_distinct_point(self, monkeypatch):
-        # lambda = 0 continuous descent: g at every candidate, then the
-        # gradient at the accepted one, which is the point scored just before
-        queried = set()
-        steps = count_memo_steps(monkeypatch)
-        for name in ("objective_F", "objective_grad"):
-            original = getattr(attack_module, name)
-
-            def recorded(model, spec, x, _original=original):
-                queried.add(np.asarray(x, float).tobytes())
-                return _original(model, spec, x)
-
-            monkeypatch.setattr(attack_module, name, recorded)
+    def test_one_rbf_pass_per_candidate_of_a_continuous_descent(self, monkeypatch):
+        # lambda = 0 continuous descent: the state's one full pass at x0, then
+        # one full pass per candidate, and none again at an accepted one
+        passes = count_state_passes(monkeypatch)
         rng = np.random.default_rng(19)
         sv = rng.normal(size=(10, 4))
         raw = rng.uniform(0.1, 1.0, size=10)
@@ -668,165 +672,175 @@ class TestKernelPassMemo:
                           bounds=FeatureBounds(-np.inf, np.inf), max_iters=40)
         tr = evade_continuous(model, spec, sv[0] + 0.1)
         assert tr.iterations >= 5
-        assert steps["patch"] == 0
-        assert steps["full"] == len(queried) >= tr.iterations + 1
+        # a run that stalls scores a last candidate it does not move to (and
+        # records it only if it still improved)
+        stalled = tr.termination != "max_iters"
+        assert passes["reset"] == passes["stateless"] == 1 and passes["patch"] == 0
+        assert passes["full"] == passes["moved_full"] + stalled
+        assert tr.iterations - stalled <= passes["moved_full"] <= tr.iterations
 
-    def test_one_pass_or_patch_per_distinct_point_of_a_discrete_descent(self, monkeypatch):
-        # lambda = 0 increment-only descent from an integer start on integer
-        # support vectors: every distinct point is a full pass or, one +1 away
-        # from the point queried before it, a patch of the kept pass
-        queried = set()
-        steps = count_memo_steps(monkeypatch)
-        for name in ("objective_F", "objective_grad"):
-            wrapped = getattr(attack_module, name)
 
-            def recorded(model, spec, x, _original=wrapped):
-                queried.add(np.asarray(x, float).tobytes())
-                return _original(model, spec, x)
-
-            monkeypatch.setattr(attack_module, name, recorded)
+    def test_exact_rbf_and_kde_descent_patches_every_move(self, monkeypatch):
+        # an exact rbf + KDE discrete run: each state makes one full pass, at
+        # x0, and patches every move it accepts; F(x0) is one one-point call each
+        passes = count_state_passes(monkeypatch, by_kind=True)
         rng = np.random.default_rng(23)
         sv = rng.integers(0, 6, size=(12, 5)).astype(float)
         coefs = rng.uniform(0.1, 1.0, size=12) * np.where(np.arange(12) < 6, 1.0, -1.0)
         model = SvmModel(KernelSpec("rbf", gamma=0.05), sv, coefs - coefs.mean(), 0.5, C=2.0)
-        spec = AttackSpec(distance=DistanceSpec("l1"), d_max=12.0, mode="discrete",
+        est = MimicryEstimator(rng.integers(0, 6, size=(20, 5)).astype(float), h=3.0, truncation_k=8)
+        spec = AttackSpec(distance=DistanceSpec("l1"), d_max=12.0, mode="discrete", lam=2.0, mimicry=est,
                           bounds=FeatureBounds(0.0, 20.0, increment_only=True), max_iters=40)
         tr = evade_discrete(model, spec, sv[0])
         assert tr.iterations >= 5
-        assert steps["patch"] > 0
-        assert steps["full"] + steps["patch"] == len(queried)
+        for kind in ("rbf", "kde"):
+            assert passes[("reset", kind)] == passes[("stateless", kind)] == 1, kind
+            assert passes[("full", kind)] == passes[("moved_full", kind)] == 0, kind
+            assert passes[("moved_patch", kind)] == tr.iterations, kind
+            assert passes[("patch", kind)] >= tr.iterations, kind
 
 
-def count_memo_steps(monkeypatch) -> Counter:
-    """Count what every `_DistanceMemo.query` answers: "same", "patch" or "full"."""
+def count_state_passes(monkeypatch, by_kind: bool = False) -> Counter:
+    """Count the passes of every `kernels.DistanceState`: "reset" (the full
+    pass at a descent's start), "full" (a full pass at a candidate),
+    "patch" (a candidate from a patch), "stateless" (a one-point call), and
+    the moves `accept` makes, "moved_patch" and "moved_full". With
+    `by_kind`, each key is (kind, "kde" or "rbf")."""
     counts = Counter()
-    original = kernels_module._DistanceMemo.query
+    full_pass, try_step, accept = (getattr(kernels_module.DistanceState, name)
+                                   for name in ("full_pass", "try_step", "accept"))
 
-    def counted(memo, x):
-        j = original(memo, x)
-        counts["full" if j is None else "same" if j == kernels_module._SAME_QUERY else "patch"] += 1
+    def key(state, kind):
+        return (kind, "kde" if state.manhattan else "rbf") if by_kind else kind
+
+    def counted_full_pass(state, x, exact=False, slot=None):
+        counts[key(state, {None: "stateless", 0: "reset", 1: "full"}[slot])] += 1
+        return full_pass(state, x, exact, slot)
+
+    def counted_try_step(state, j):
+        full = counts[key(state, "full")]
+        out = try_step(state, j)
+        if counts[key(state, "full")] == full:
+            counts[key(state, "patch")] += 1
+        return out
+
+    def counted_accept(state):
+        j = accept(state)
+        counts[key(state, "moved_full" if j is None else "moved_patch")] += 1
         return j
 
-    monkeypatch.setattr(kernels_module._DistanceMemo, "query", counted)
+    for name, wrapper in (("full_pass", counted_full_pass), ("try_step", counted_try_step),
+                          ("accept", counted_accept)):
+        monkeypatch.setattr(kernels_module.DistanceState, name, wrapper)
     return counts
 
 
-def descent_queries(rng, x, rounds):
-    """Points in the order a discrete descent queries them: each round scores
-    one to three +-1 candidates around x in turn, rejecting all but the last,
-    and moves to the last. Consecutive rejected candidates differ in two
-    coordinates (or coincide); an accepted one is queried again next."""
-    points = []
+def step_walk(rng, state, d: int, rounds: int, check):
+    """Drive a point state as a discrete descent does: each round scores one
+    to three +1 candidates of random features from the state's point x and
+    moves to the last. `check(y, value)` sees each candidate y with the
+    value the state gave it, and `check(x, None)` each point moved to."""
+    x = state.dist.x.copy()
+    check(x, None)
     for _ in range(rounds):
         for _ in range(rng.integers(1, 4)):
-            cand = x.copy()
-            cand[rng.integers(len(x))] += rng.choice([-1.0, 1.0])
-            points.append(cand)
-        x = cand
-        points.append(x.copy())
-    return points
-
-
-def expected_steps(points) -> Counter:
-    """What an exact memo must answer for these integer points, queried in turn."""
-    kinds = Counter({"full": 1})
-    for prev, x in zip(points, points[1:]):
-        changed = np.count_nonzero(prev != x)
-        kinds["same" if changed == 0 else "patch" if changed == 1 else "full"] += 1
-    return kinds
+            j = int(rng.integers(d))
+            y = x.copy()
+            y[j] += 1.0
+            check(y, state.try_step(j))
+        state.accept()
+        x = y
+        check(x, None)
+    return x
 
 
 def patch_bound(d: int) -> int:
-    """Largest M with d (2M)^2 < 2^53: the query magnitude up to which patches are exact."""
+    """Largest M with d (2M)^2 < 2^53: the point magnitude up to which patches are exact."""
     m = math.isqrt((2**53 - 1) // (4 * d))
     assert d * (2 * m) ** 2 < 2**53 <= d * (2 * m + 2) ** 2
     return m
 
 
-class TestKernelPassPatch:
-    """The kept rbf pass, patched for one-coordinate steps, against fresh passes."""
+class TestKernelPointState:
+    """The rbf point state, patched for +1 moves, against fresh one-point calls."""
 
     def model_args(self, sv, gamma=0.05):
         raw = np.random.default_rng(29).uniform(0.1, 1.0, size=len(sv))
         return (KernelSpec("rbf", gamma=gamma), sv, raw - raw.mean(), 0.3, 2.0)
 
-    def check_against_fresh(self, model, args, x, grad_first, exact=True):
-        """g and grad at x against a fresh model bit for bit, and against the
-        two-pass oracle bit for bit where the query is `exact` (an integer x
-        on integer support vectors, within the bound), else to rounding."""
+    def checker(self, state, args, exact=True):
+        """check(y, value) for `step_walk`: a candidate's value, or at a point
+        moved to its gradient, against a fresh model bit for bit, and against
+        the two-pass oracle bit for bit where `exact` (an integer point on
+        integer support vectors, within the bound), else to rounding."""
         fresh, two_pass = SvmModel(*args), two_pass_copy(SvmModel(*args))
-        if grad_first:
-            grad, g = model.gradient(x), model.discriminant(x)
-        else:
-            g, grad = model.discriminant(x), model.gradient(x)
-        assert g == fresh.discriminant(x)
-        assert grad.tobytes() == fresh.gradient(x).tobytes()
-        assert (model._kept.diffs is not None) == exact  # x - sv is kept in exact states only
-        if exact:
-            assert g == two_pass.discriminant(x)
-            assert grad.tobytes() == two_pass.gradient(x).tobytes()
-        else:
-            assert_near_two_pass(model, x, g, grad)
+
+        def check(y, value):
+            if value is not None:
+                assert value == fresh.discriminant(y)
+                if exact:
+                    assert value == two_pass.discriminant(y)
+                return
+            grad = state.grad()
+            assert grad.tobytes() == fresh.gradient(y).tobytes()
+            assert (state.dist.diffs is not None) == exact  # x - sv is kept in exact states only
+            if exact:
+                assert grad.tobytes() == two_pass.gradient(y).tobytes()
+            else:
+                assert_near_two_pass(fresh, y, fresh.discriminant(y), grad)
+
+        return check
 
     def test_integer_walk_is_patched_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(31)
         args = self.model_args(rng.integers(-4, 9, size=(15, 6)).astype(float))
-        model = SvmModel(*args)
-        points = descent_queries(rng, rng.integers(0, 5, size=6).astype(float), 40)
-        steps = count_memo_steps(monkeypatch)
-        for i, x in enumerate(points):
-            self.check_against_fresh(model, args, x, grad_first=bool(i % 2))
-        # `model` sees each point twice (discriminant and gradient); each
-        # fresh SvmModel adds one full pass and one repeat
-        walk = expected_steps([p for x in points for p in (x, x)])
-        assert steps["patch"] == walk["patch"] > 20
-        assert steps["full"] == walk["full"] + len(points)
-        assert walk["full"] > 1  # rejected candidates took full passes
+        state = SvmModel(*args).point_state(rng.integers(0, 5, size=6).astype(float))
+        check = self.checker(state, args)
+        passes = count_state_passes(monkeypatch)
+        step_walk(rng, state, 6, 40, check)
+        assert passes["patch"] > 40 and passes["moved_patch"] == 40
+        assert passes["full"] == passes["reset"] == passes["moved_full"] == 0
 
     def test_each_fallback_runs_a_full_pass(self, monkeypatch):
         d = 4
         bound = patch_bound(d)
         sv = np.random.default_rng(37).integers(0, 6, size=(9, d)).astype(float)
-        cases = {
-            "non-integral query": [0.0, 0.0, 0.0, 0.5],
-            "two-coordinate step": [1.0, 0.0, 1.0, 0.0],
-            "value past the bound": [0.0, 0.0, 0.0, bound + 1.0],
-            "wrong dimension": [0.0, 0.0, 0.0],
-        }
-        steps = count_memo_steps(monkeypatch)
-        for name, x in cases.items():
-            model = SvmModel(*self.model_args(sv))
-            start = np.zeros(d)
-            model.discriminant(start)
-            steps.clear()
-            if name == "wrong dimension":
-                with pytest.raises(ValueError, match="dimension mismatch"):
-                    model.discriminant(np.array(x))
-            else:
-                exact = name == "two-coordinate step"
-                self.check_against_fresh(model, self.model_args(sv), np.array(x), grad_first=False, exact=exact)
-            assert steps["patch"] == 0, name
-            # one step on from there is patched only where the kept state is
-            # an exact one (a pass that raised keeps none)
-            follow = np.array(x if len(x) == d else start, dtype=float)
-            follow[0] += 1.0
-            steps.clear()
-            exact = name in ("two-coordinate step", "wrong dimension")
-            self.check_against_fresh(model, self.model_args(sv), follow, False, exact=exact)
-            assert steps["patch"] == (name == "two-coordinate step"), name
-        # a step up to the bound itself is patched, bit for bit
-        model = SvmModel(*self.model_args(sv))
-        model.discriminant(np.array([0.0, 0.0, 0.0, bound - 1.0]))
-        steps.clear()
-        self.check_against_fresh(model, self.model_args(sv), np.array([0.0, 0.0, 0.0, float(bound)]), False)
-        assert steps["patch"] == 1
+        args = self.model_args(sv)
+        passes = count_state_passes(monkeypatch)
+        # a start off the integers: every candidate is a full pass
+        state = SvmModel(*args).point_state(np.array([0.0, 0.0, 0.0, 0.5]))
+        step_walk(np.random.default_rng(41), state, d, 5, self.checker(state, args, exact=False))
+        assert passes["patch"] == 0 and passes["full"] > 5
+        # a +1 move past the bound is a full pass, and leaves no exact state;
+        # a move up to the bound itself is patched
+        for start, patched in ((bound, False), (bound - 1.0, True)):
+            state = SvmModel(*args).point_state(np.array([0.0, 0.0, 0.0, float(start)]))
+            passes.clear()
+            value = state.try_step(3)
+            assert value == SvmModel(*args).discriminant(np.array([0.0, 0.0, 0.0, start + 1.0]))
+            assert passes["patch"] == patched and passes["full"] == (not patched)
+            state.accept()
+            assert state.dist.exact == patched
+        # a candidate two coordinates away is a full pass, and a +1 move from
+        # the exact point reached is patched again
+        state = SvmModel(*args).point_state(np.zeros(d))
+        passes.clear()
+        state.try_point(np.array([1.0, 0.0, 1.0, 0.0]))
+        state.accept()
+        step_walk(np.random.default_rng(43), state, d, 3, self.checker(state, args))
+        assert passes["full"] == 1 and passes["patch"] >= 3
+        # a point of the wrong dimension is refused
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            SvmModel(*args).point_state(np.zeros(d - 1))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            SvmModel(*args).discriminant(np.zeros(d - 1))
         # support vectors off the integers, or past the bound, are never patched
         for bad in (sv + 0.25, np.vstack([sv, np.full(d, bound + 1.0)])):
-            model = SvmModel(*self.model_args(bad))
-            steps.clear()
-            for x in descent_queries(np.random.default_rng(41), np.zeros(d), 5):
-                self.check_against_fresh(model, self.model_args(bad), x, grad_first=False, exact=False)
-            assert steps["patch"] == 0 and steps["full"] > 0
+            bad_args = self.model_args(bad)
+            state = SvmModel(*bad_args).point_state(np.zeros(d))
+            passes.clear()
+            step_walk(np.random.default_rng(47), state, d, 5, self.checker(state, bad_args, exact=False))
+            assert passes["patch"] == 0 and passes["full"] > 0
 
 
 class TestExpansionPass:
@@ -845,8 +859,10 @@ class TestExpansionPass:
         model = self.model(rng)
         for sv in model.support_vectors:
             x = sv + 1e-6 * rng.normal(size=len(sv))
-            g, grad = model.discriminant(x), model.gradient(x)
-            assert model._kept.diffs is None
+            state = model.point_state(x)
+            g, grad = model.discriminant(x), state.grad()
+            assert state.dist.diffs is None
+            assert grad.tobytes() == model.gradient(x).tobytes()
             assert_near_two_pass(model, x, g, grad)
 
     def test_far_query_whose_row_underflows_has_an_exact_zero_gradient(self):
@@ -855,8 +871,9 @@ class TestExpansionPass:
         x = np.full(5, 60.5)  # gamma |x - sv|^2 > 745 for every sv: exp underflows to 0
         two_pass = two_pass_copy(model)
         g, grad = model.discriminant(x), model.gradient(x)
-        assert model._kept.diffs is None
-        assert np.all(model._row == 0.0)
+        state = model.point_state(x)
+        assert state.dist.diffs is None
+        assert np.all(state.row == 0.0) and np.all(state.grad() == 0.0)
         assert g == two_pass.discriminant(x) == model.b
         assert np.all(grad == 0.0) and np.all(two_pass.gradient(x) == 0.0)
         assert np.all(central_diff(model.discriminant, x) == 0.0)

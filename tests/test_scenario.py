@@ -21,7 +21,7 @@ from gradevade.models import (
     train_kernel_svm,
     train_mlp,
 )
-from gradevade.scenario import ScenarioSpec, build_surrogate, descent_rounds, run_scenario
+from gradevade.scenario import ScenarioSpec, build_surrogate, descent_rounds, run_scenario, surrogate_spec
 
 FREE = FeatureBounds(lower=-np.inf, upper=np.inf)
 # the recipe of the linear targets built by hand below
@@ -65,6 +65,26 @@ class RecordingLinear(LinearModel):
     def gradient(self, x):
         self.calls.append("gradient")
         return super().gradient(x)
+
+
+class TestSurrogateSpec:
+    @pytest.mark.parametrize("params, named", [
+        ({"m": 2.5, "C": "7", "epochs": True}, "C must be a real number, not '7'"),
+        ({"m": 2.5}, "m must be an integer, not 2.5"),
+        ({"epochs": True}, "epochs must be an integer, not True"),
+        ({"epochs": 10.0}, "epochs must be an integer, not 10.0"),
+        ({"gamma": "0.1"}, "gamma must be a real number, not '0.1'"),
+        ({"learning_rate": False}, "learning_rate must be a real number, not False"),
+    ])
+    def test_a_value_of_the_wrong_type_is_refused_naming_its_key(self, params, named):
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            surrogate_spec(ModelSpec("mlp"), params)
+
+    def test_real_values_are_widened_and_integers_kept(self):
+        got = surrogate_spec(ModelSpec("svm"), {"C": 7, "gamma": 1, "m": np.int64(3), "epochs": 5, "learning_rate": 2})
+        assert (got.C, got.kernel.gamma, got.m, got.epochs, got.learning_rate) == (7.0, 1.0, 3, 5, 2.0)
+        assert all(isinstance(v, float) for v in (got.C, got.kernel.gamma, got.learning_rate))
+        assert surrogate_spec(ModelSpec("svm"), {}) == replace(ModelSpec("svm"), C=100.0, kernel=KernelSpec("rbf", 0.1))
 
 
 class TestBuildSurrogate:
