@@ -248,11 +248,11 @@ def _start(spec: AttackSpec, x0: np.ndarray):
     with lo raised to x0 under increment_only. Refuses an x0 that is not
     finite or lies more than `_FEAS_TOL` outside the box."""
     x0 = np.asarray(x0, dtype=float)
-    lo, hi = np.empty_like(x0), np.empty_like(x0)
-    lo[...], hi[...] = spec.bounds.lower, spec.bounds.upper
+    lo = np.broadcast_to(np.asarray(spec.bounds.lower, float), x0.shape).copy()
+    hi = np.broadcast_to(np.asarray(spec.bounds.upper, float), x0.shape).copy()
     if spec.bounds.increment_only:
-        np.maximum(lo, x0, out=lo)
-    if not np.isfinite(x0).all() or (x0 < lo - _FEAS_TOL).any() or (x0 > hi + _FEAS_TOL).any():
+        lo = np.maximum(lo, x0)
+    if not np.isfinite(x0).all() or np.any(x0 < lo - _FEAS_TOL) or np.any(x0 > hi + _FEAS_TOL):
         raise ValueError("x0 is not feasible under the given bounds")
     return x0, (lo, hi)
 
@@ -358,7 +358,7 @@ def evade_discrete(model: TrainedModel, spec: AttackSpec, x0: np.ndarray) -> Att
     if spec.mode != "discrete":
         raise ValueError("spec.mode must be 'discrete'")
     x0 = np.asarray(x0, dtype=float)
-    if (x0 != np.rint(x0)).any():
+    if np.any(x0 != np.round(x0)):
         raise ValueError("discrete mode requires an integer-valued x0")
     x0, (_, hi) = _start(spec, x0)
     # a +1 move from x >= x0 stays above the lower bound, so only hi is tested

@@ -69,7 +69,7 @@ def _integral(A: np.ndarray, bound: int) -> bool:
     for s in range(0, len(A), _BLOCK):
         block = A[s:s + _BLOCK]
         # the magnitude test first: it fails for inf and NaN
-        if not ((np.abs(block) <= bound).all() and (block == np.rint(block)).all()):
+        if not (np.all(np.abs(block) <= bound) and np.all(block == np.round(block))):
             return False
     return True
 
@@ -104,10 +104,10 @@ class DistanceState:
     `reset(x)` makes a full pass at x. A candidate is scored without moving
     the state: `try_step(j)` gives the distances at x + e_j (a +1 move of
     feature j), `try_point(y)` those at y, and `accept()` moves the state to
-    the last candidate tried. `full_pass(x)` is the stateless pass of a
-    one-point call. `diffs`, x - v, is kept for Manhattan and in an exact
-    state; otherwise it is None, and the squared euclidean distances come
-    from (|x|^2 + |v|^2) - 2 v.x clamped at 0, in the order of operations of
+    the last candidate tried. `full_pass(x)` is the pass of a one-point
+    call. `diffs`, x - v, is kept for Manhattan and in an exact state;
+    otherwise it is None, and the squared euclidean distances come from
+    (|x|^2 + |v|^2) - 2 v.x clamped at 0, in the order of operations of
     `kernel_matrix`.
 
     A +1 move is patched, not recomputed, when the basis and both points are
@@ -117,12 +117,13 @@ class DistanceState:
     of it, is an integer below 2^53: exact in float64 in any summation
     order. Column j of x - v goes from c to c + 1, which changes a squared
     distance by (c + 1)^2 - c^2 = c + (c + 1) and a Manhattan one by
-    |c + 1| - |c| = +1 for c >= 0 and -1 below (the sign of c, as c is never
-    -0.0): added to the distances, each gives the bits of a full pass.
-    `bound` is None for a basis that is not integer-valued or exceeds M.
+    |c + 1| - |c| (-0.0 counts as 0): added to the distances, each gives the
+    bits of a full pass. `bound` is None for a basis that is not
+    integer-valued or exceeds M.
 
-    The storage of `diffs` is allocated once per state and reused by every
-    reset; a candidate from `try_point` that keeps them has a second one.
+    Every pass that keeps x - v writes it into one buffer, allocated once
+    per state. A pass at a candidate or a one-point call overwrites the
+    state's own; `diffs` then recomputes them from x, with the same bits.
     """
 
     def __init__(self, basis: np.ndarray, manhattan: bool = False):
@@ -130,30 +131,42 @@ class DistanceState:
         bound = math.isqrt((2**53 - 1) // basis.shape[1]) // 2
         self.bound = bound if _integral(basis, bound) else None
         self.sq_norms = None if manhattan else _sq_norms(basis)  # for the expansion
-        self._bufs = [None, None]  # storage of `diffs` at x and at a `try_point` candidate
-        self.x = self.dists = self.diffs = None
+        self._buf = None     # storage of x - v, allocated by the first pass that keeps it
+        self._holder = None  # whose x - v the buffer holds: "x", "candidate" or None
+        self.x = self.dists = None
         self.exact = False
         self._patch = None  # the last candidate: (j, new column j of diffs) for a patch,
-        self._pass = None   # else (y, diffs, exact) of its full pass,
+        self._pass = None   # else (y, exact) of its full pass,
         self._dists = None  # and its distances
 
-    def full_pass(self, x: np.ndarray, exact: bool = False, slot: int | None = None):
+    def full_pass(self, x: np.ndarray, exact: bool = False, holder: str | None = None):
         """(distances, diffs or None) at x, keeping diffs for Manhattan or
-        where `exact`, written into buffer `slot` of this state or, for None,
-        a new array. Squared distances without diffs come from the
-        expansion: in an exact state it sums integers below 2^53 as the
-        diffs do, so the two give the same bits there."""
+        where `exact`, in the state's buffer, marked as `holder`'s. Squared
+        distances without diffs come from the expansion: in an exact state
+        it sums integers below 2^53 as the diffs do, so the two give the
+        same bits there."""
         _check_dims(x, self.basis)
         if exact or self.manhattan:
-            if slot is not None and self._bufs[slot] is None:
-                self._bufs[slot] = np.empty_like(self.basis)
-            diffs = np.subtract(x, self.basis, out=None if slot is None else self._bufs[slot])
+            if self._buf is None:
+                self._buf = np.empty_like(self.basis)
+            diffs = np.subtract(x, self.basis, out=self._buf)
+            self._holder = holder
             dists = np.abs(diffs).sum(axis=1) if self.manhattan else np.einsum("ij,ij->i", diffs, diffs)
             return dists, diffs
         dists = self.basis @ x
         dists *= 2.0
-        np.subtract((x * x).sum() + self.sq_norms, dists, out=dists)
+        np.subtract(np.sum(x * x) + self.sq_norms, dists, out=dists)
         return np.maximum(dists, 0.0, out=dists), None
+
+    @property
+    def diffs(self) -> np.ndarray | None:
+        """x - v at the state's point where it is kept, else None."""
+        if not (self.exact or self.manhattan):
+            return None
+        if self._holder != "x":
+            np.subtract(self.x, self.basis, out=self._buf)
+            self._holder = "x"
+        return self._buf
 
     def exact_at(self, x: np.ndarray) -> bool:
         """Whether x and the basis make an exact state."""
@@ -162,7 +175,7 @@ class DistanceState:
     def reset(self, x: np.ndarray):
         """Bring the state to x by a full pass."""
         exact = self.exact_at(x)
-        self.dists, self.diffs = self.full_pass(x, exact, 0)
+        self.dists, _ = self.full_pass(x, exact, "x")
         self.x, self.exact = np.array(x, dtype=float), exact
 
     def try_step(self, j: int) -> np.ndarray:
@@ -171,7 +184,7 @@ class DistanceState:
         if self.exact and self.x[j] + 1.0 <= self.bound:
             old = self.diffs[:, j]
             col = old + 1.0
-            dists = np.copysign(1.0, old) if self.manhattan else old + col
+            dists = np.abs(col) - np.abs(old) if self.manhattan else old + col
             dists += self.dists
             self._patch, self._dists = (j, col), dists
             return dists
@@ -182,8 +195,8 @@ class DistanceState:
     def try_point(self, y: np.ndarray) -> np.ndarray:
         """The distances at y, by a full pass."""
         exact = self.exact_at(y)
-        dists, diffs = self.full_pass(y, exact, 1)
-        self._patch, self._pass, self._dists = None, (y, diffs, exact), dists
+        dists, _ = self.full_pass(y, exact, "candidate")
+        self._patch, self._pass, self._dists = None, (y, exact), dists
         return dists
 
     def accept(self) -> int | None:
@@ -192,11 +205,11 @@ class DistanceState:
         self.dists = self._dists
         if self._patch is not None:
             j, col = self._patch
-            self.x[j] += 1.0
             self.diffs[:, j] = col
+            self.x[j] += 1.0
             return j
-        y, self.diffs, self.exact = self._pass
+        y, self.exact = self._pass
         self.x[...] = y
-        if self.diffs is not None:
-            self._bufs.reverse()  # the candidate's storage now holds the state's diffs
+        # the buffer holds the candidate's x - v unless a later pass wrote over it
+        self._holder = "x" if self._holder == "candidate" else None
         return None

@@ -49,19 +49,15 @@ class MimicryEstimator:
 
     def _near(self, dists: np.ndarray):
         """(indices or None for all, exp(-distance/h), the density) of the
-        truncation_k nearest reference points, from their distances. The
-        density is the reduction np.mean makes; d / -h has the bits of -d / h."""
+        truncation_k nearest reference points, from their distances."""
         k = self.truncation_k
-        if k < len(dists):
-            sel = np.argpartition(dists, k - 1)[:k]
-            w = np.exp(dists[sel] / -self.h)
-        else:
-            sel, w = None, np.exp(dists / -self.h)
-        return sel, w, float(w.sum()) / len(w)
+        sel = np.argpartition(dists, k - 1)[:k] if k < len(dists) else None
+        w = np.exp(-(dists if sel is None else dists[sel]) / self.h)
+        return sel, w, float(w.sum() / len(w))  # the reduction np.mean makes
 
-    def _grad(self, signs: np.ndarray, near) -> np.ndarray:
-        sel, w, _ = near
-        return (-1.0 / (len(w) * self.h)) * (w @ (signs if sel is None else signs[sel]))
+    def _grad(self, signs: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The gradient from sign(x - x_i) and exp(-distance/h) of the nearest."""
+        return (-1.0 / (len(w) * self.h)) * (w @ signs)
 
     def density(self, x: np.ndarray) -> float:
         """(1/n) sum of exp(-d(x, x_i)/h) over the n nearest reference points."""
@@ -71,7 +67,9 @@ class MimicryEstimator:
     def density_grad(self, x: np.ndarray) -> np.ndarray:
         """-(1/(n h)) sum of exp(-d(x, x_i)/h) sign(x - x_i) over the n nearest."""
         dists, diffs = self._distances.full_pass(np.asarray(x, dtype=float))
-        return self._grad(np.sign(diffs), self._near(dists))
+        sel, w, _ = self._near(dists)
+        rows = diffs if sel is None else diffs[sel]  # scratch: no state holds it now
+        return self._grad(np.sign(rows, out=rows), w)
 
     def point_state(self, x0: np.ndarray) -> _KdePoint:
         """The density and its gradient at x0, as the state a descent from x0
@@ -94,14 +92,19 @@ class _KdePoint:
         self._next_near = None
 
     def grad(self) -> np.ndarray:
-        return self.est._grad(self.est._signs, self.near)
+        sel, w, _ = self.near
+        return self.est._grad(self.est._signs if sel is None else self.est._signs[sel], w)
 
     def try_step(self, j: int) -> float:
-        self._next_near = near = self.est._near(self.dist.try_step(j))
-        return near[2]
+        return self._score(self.dist.try_step(j))
 
     def try_point(self, y: np.ndarray) -> float:
-        self._next_near = near = self.est._near(self.dist.try_point(y))
+        return self._score(self.dist.try_point(y))
+
+    def _score(self, dists: np.ndarray) -> float:
+        """The density at the candidate with these distances, whose
+        neighbours are kept."""
+        self._next_near = near = self.est._near(dists)
         return near[2]
 
     def accept(self):

@@ -35,27 +35,14 @@ from .kernels import DistanceState, KernelSpec, kernel_grad_combination, kernel_
 MODEL_FORMAT_VERSION = "gradevade-model/1"
 
 
-# exp(t) is +0.0 for every t below this, and numpy's exp takes a slow path to that 0
-_EXP_ZERO_BELOW = -745.2
-
-
-def _sigmoid(z, out=None, e=None, under=None):
+def _sigmoid(z, out=None, e=None):
     """1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, without overflow.
 
     With e = exp(-|z|) <= 1, the numerator max(e, z >= 0) is 1 where
     z >= 0 and e elsewhere (NaN stays NaN). `out` receives the result and
-    `e` is scratch of z's shape; left None, each is a new array. A boolean
-    scratch `under` of z's shape skips exp's slow underflow: where -|z| is
-    below `_EXP_ZERO_BELOW`, exp runs on 0 and its result is set to +0.0,
-    the value exp gives there, so the bits are the same.
+    `e` is scratch of z's shape; left None, each is a new array.
     """
-    e = np.negative(np.abs(z, out=e), out=e)
-    if under is not None:
-        np.less(e, _EXP_ZERO_BELOW, out=under)
-        np.copyto(e, 0.0, where=under)
-    e = np.exp(e, out=e)
-    if under is not None:
-        np.copyto(e, 0.0, where=under)
+    e = np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
     out = np.maximum(e, z >= 0, out=out)
     e += 1.0
     out /= e
@@ -166,11 +153,14 @@ class _RbfPoint:
                                        self.dist.diffs)
 
     def try_step(self, j: int) -> float:
-        self._next_row = row = kernel_row(self.model.kernel, self.dist.try_step(j))
-        return float(self.model.dual_coefs @ row) + self.model.b
+        return self._score(self.dist.try_step(j))
 
     def try_point(self, y: np.ndarray) -> float:
-        self._next_row = row = kernel_row(self.model.kernel, self.dist.try_point(y))
+        return self._score(self.dist.try_point(y))
+
+    def _score(self, dists: np.ndarray) -> float:
+        """g at the candidate with these distances, whose row is kept."""
+        self._next_row = row = kernel_row(self.model.kernel, dists)
         return float(self.model.dual_coefs @ row) + self.model.b
 
     def accept(self):
@@ -354,7 +344,7 @@ def train_mlp(
     loss) raises with the offending epoch index, as does a trained network
     whose hidden pre-activations on the training rows are not finite.
 
-    Each epoch works in four (n, m) buffers and one (m, d) buffer
+    Each epoch works in three (n, m) buffers and one (m, d) buffer
     allocated once per fit and overwritten in place, with the same
     floating-point operations in the same order as the allocating form,
     so the weights are bit-identical per seed. The logistic loss is only
@@ -376,13 +366,12 @@ def train_mlp(
     A = np.empty((n, m))    # pre-activations, later 1 - H
     H = np.empty((n, m))    # hidden activations
     E = np.empty((n, m))    # sigmoid scratch, later dH
-    U = np.empty((n, m), dtype=bool)  # sigmoid scratch: where exp underflows
     gV = np.empty((m, d))
     for epoch in range(epochs):
         with np.errstate(over="ignore", invalid="ignore"):
             np.matmul(X, V.T, out=A)
             A += bk
-            _sigmoid(A, out=H, e=E, under=U)
+            _sigmoid(A, out=H, e=E)
             z = H @ w + b                    # output logits
             # stable logistic loss: softplus(z) - t z
             finite = np.abs(z).max() < _LOSS_CHECK_BOUND or np.isfinite(

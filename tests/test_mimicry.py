@@ -185,6 +185,49 @@ class TestNeighborPointState:
         step_walk(np.random.default_rng(59), state, d, 3, self.checker(state, settings))
         assert passes["full"] == 1 and passes["patch"] >= 3
 
+    def test_negative_zero_start_is_patched_bit_for_bit(self, monkeypatch):
+        # x0 - x_i is -0.0 where x0 has -0.0 and x_i has +0.0: a +1 move there
+        # still adds |1| - |-0.0| = +1 to the Manhattan distance
+        rng = np.random.default_rng(61)
+        pts = rng.integers(0, 3, size=(40, 3)).astype(float)
+        pts[::2, 0] = 0.0
+        settings = dict(h=2.0, truncation_k=8)
+        x0 = np.array([-0.0, 1.0, -0.0])
+        state = MimicryEstimator(pts, **settings).point_state(x0)
+        assert np.signbit(state.dist.diffs[::2, 0]).all()
+        check = self.checker(state, settings)
+        passes = count_state_passes(monkeypatch)
+        for j in (0, 2):
+            y = x0.copy()
+            y[j] += 1.0
+            check(y, state.try_step(j))
+        state.accept()
+        check(y, None)
+        step_walk(rng, state, 3, 10, check)
+        assert passes["patch"] >= 12 and passes["full"] == 0
+
+    def test_one_point_calls_between_a_try_and_its_accept_leave_the_state(self):
+        # a one-point call writes the estimator's one x - x_i buffer, which the
+        # state then recomputes from its point
+        rng = np.random.default_rng(67)
+        pts = rng.integers(0, 4, size=(30, 3)).astype(float)
+        settings = dict(h=2.0, truncation_k=10)
+        est = MimicryEstimator(pts, **settings)
+        state = est.point_state(np.zeros(3))
+        buf = state.dist._buf
+        check = self.checker(state, settings)
+        other = np.array([3.0, 0.5, 2.0])
+        for y in (np.array([1.0, 0.0, 2.0]), np.array([1.0, 0.25, 2.0]), np.array([2.0, 1.0, 2.0])):
+            check(y, state.try_point(y))
+            est.density_grad(other)
+            state.accept()
+            check(y, None)
+            check(y + np.eye(3)[1], state.try_step(1))
+            est.density(other)
+            state.accept()
+            check(y + np.eye(3)[1], None)
+        assert state.dist._buf is buf  # no second buffer
+
 
 class TestValidation:
     def test_bad_bandwidth(self):
