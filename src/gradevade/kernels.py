@@ -117,13 +117,16 @@ class DistanceState:
     of it, is an integer below 2^53: exact in float64 in any summation
     order. Column j of x - v goes from c to c + 1, which changes a squared
     distance by (c + 1)^2 - c^2 = c + (c + 1) and a Manhattan one by
-    |c + 1| - |c| (-0.0 counts as 0): added to the distances, each gives the
-    bits of a full pass. `bound` is None for a basis that is not
-    integer-valued or exceeds M.
+    |c + 1| - |c| = +1 for c >= 0 and -1 below, the sign of c: added to the
+    distances, each gives the bits of a full pass. A Manhattan pass
+    subtracts from x + 0.0, in which -0.0 is +0.0, so that no c is -0.0;
+    |x - v| and sign(x - v), all it is read through, are the same.
+    `bound` is None for a basis that is not integer-valued or exceeds M.
 
     Every pass that keeps x - v writes it into one buffer, allocated once
-    per state. A pass at a candidate or a one-point call overwrites the
-    state's own; `diffs` then recomputes them from x, with the same bits.
+    per state. A pass at a candidate or a one-point call writes over the
+    state's own, which `own_diffs` then recomputes from x, with the same
+    bits.
     """
 
     def __init__(self, basis: np.ndarray, manhattan: bool = False):
@@ -133,7 +136,7 @@ class DistanceState:
         self.sq_norms = None if manhattan else _sq_norms(basis)  # for the expansion
         self._buf = None     # storage of x - v, allocated by the first pass that keeps it
         self._holder = None  # whose x - v the buffer holds: "x", "candidate" or None
-        self.x = self.dists = None
+        self.x = self.dists = self.diffs = None  # diffs: the buffer while it holds x - v at x
         self.exact = False
         self._patch = None  # the last candidate: (j, new column j of diffs) for a patch,
         self._pass = None   # else (y, exact) of its full pass,
@@ -147,10 +150,7 @@ class DistanceState:
         same bits there."""
         _check_dims(x, self.basis)
         if exact or self.manhattan:
-            if self._buf is None:
-                self._buf = np.empty_like(self.basis)
-            diffs = np.subtract(x, self.basis, out=self._buf)
-            self._holder = holder
+            diffs = self._write_diffs(x, holder)
             dists = np.abs(diffs).sum(axis=1) if self.manhattan else np.einsum("ij,ij->i", diffs, diffs)
             return dists, diffs
         dists = self.basis @ x
@@ -158,15 +158,18 @@ class DistanceState:
         np.subtract(np.sum(x * x) + self.sq_norms, dists, out=dists)
         return np.maximum(dists, 0.0, out=dists), None
 
-    @property
-    def diffs(self) -> np.ndarray | None:
+    def _write_diffs(self, x: np.ndarray, holder: str | None) -> np.ndarray:
+        if self._buf is None:
+            self._buf = np.empty_like(self.basis)
+        self._holder = holder
+        self.diffs = self._buf if holder == "x" else None
+        return np.subtract(x + 0.0 if self.manhattan else x, self.basis, out=self._buf)
+
+    def own_diffs(self) -> np.ndarray | None:
         """x - v at the state's point where it is kept, else None."""
-        if not (self.exact or self.manhattan):
-            return None
-        if self._holder != "x":
-            np.subtract(self.x, self.basis, out=self._buf)
-            self._holder = "x"
-        return self._buf
+        if self.diffs is None and (self.exact or self.manhattan):
+            self._write_diffs(self.x, "x")
+        return self.diffs
 
     def exact_at(self, x: np.ndarray) -> bool:
         """Whether x and the basis make an exact state."""
@@ -175,6 +178,7 @@ class DistanceState:
     def reset(self, x: np.ndarray):
         """Bring the state to x by a full pass."""
         exact = self.exact_at(x)
+        self.diffs = None
         self.dists, _ = self.full_pass(x, exact, "x")
         self.x, self.exact = np.array(x, dtype=float), exact
 
@@ -182,9 +186,9 @@ class DistanceState:
         """The distances at x + e_j: patched in an exact state while x[j] + 1
         stays within the bound, else by a full pass."""
         if self.exact and self.x[j] + 1.0 <= self.bound:
-            old = self.diffs[:, j]
+            old = (self.diffs if self.diffs is not None else self.own_diffs())[:, j]
             col = old + 1.0
-            dists = np.abs(col) - np.abs(old) if self.manhattan else old + col
+            dists = np.copysign(1.0, old) if self.manhattan else old + col
             dists += self.dists
             self._patch, self._dists = (j, col), dists
             return dists
@@ -205,11 +209,12 @@ class DistanceState:
         self.dists = self._dists
         if self._patch is not None:
             j, col = self._patch
-            self.diffs[:, j] = col
+            (self.diffs if self.diffs is not None else self.own_diffs())[:, j] = col
             self.x[j] += 1.0
             return j
         y, self.exact = self._pass
         self.x[...] = y
         # the buffer holds the candidate's x - v unless a later pass wrote over it
-        self._holder = "x" if self._holder == "candidate" else None
+        held = self._holder == "candidate"
+        self._holder, self.diffs = ("x", self._buf) if held else (None, None)
         return None

@@ -49,10 +49,11 @@ class MimicryEstimator:
 
     def _near(self, dists: np.ndarray):
         """(indices or None for all, exp(-distance/h), the density) of the
-        truncation_k nearest reference points, from their distances."""
+        truncation_k nearest reference points, from their distances. d / -h
+        has the bits of -d / h, without a negation pass."""
         k = self.truncation_k
         sel = np.argpartition(dists, k - 1)[:k] if k < len(dists) else None
-        w = np.exp(-(dists if sel is None else dists[sel]) / self.h)
+        w = np.exp((dists if sel is None else dists[sel]) / -self.h)
         return sel, w, float(w.sum() / len(w))  # the reduction np.mean makes
 
     def _grad(self, signs: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -110,7 +111,7 @@ class _KdePoint:
     def accept(self):
         j = self.dist.accept()
         cols = slice(None) if j is None else j
-        np.sign(self.dist.diffs[:, cols], out=self.est._signs[:, cols])
+        np.sign(self.dist.own_diffs()[:, cols], out=self.est._signs[:, cols])
         self.near = self._next_near
 
 

@@ -150,7 +150,7 @@ class _RbfPoint:
     def grad(self) -> np.ndarray:
         m = self.model
         return kernel_grad_combination(m.kernel, self.row, m.dual_coefs, self.dist.x, m.support_vectors,
-                                       self.dist.diffs)
+                                       self.dist.own_diffs())
 
     def try_step(self, j: int) -> float:
         return self._score(self.dist.try_step(j))
