@@ -214,7 +214,8 @@ class DistanceState:
             return j
         y, self.exact = self._pass
         self.x[...] = y
-        # the buffer holds the candidate's x - v unless a later pass wrote over it
-        held = self._holder == "candidate"
+        # the buffer holds the candidate's x - v if it kept them and no later
+        # pass wrote over them
+        held = self._holder == "candidate" and (self.exact or self.manhattan)
         self._holder, self.diffs = ("x", self._buf) if held else (None, None)
         return None

@@ -817,6 +817,14 @@ class TestKernelPointState:
         state.accept()
         step_walk(np.random.default_rng(43), state, d, 3, self.checker(state, args))
         assert passes["full"] == 1 and passes["patch"] >= 3
+        # of two candidates, an exact one that keeps x - sv and one off the
+        # integers, the second is taken: it keeps no x - sv, and reads none
+        state = SvmModel(*args).point_state(np.zeros(d))
+        state.try_point(np.array([1.0, 0.0, 1.0, 0.0]))
+        y = np.array([1.0, 0.0, 1.0, 0.5])
+        assert state.try_point(y) == SvmModel(*args).discriminant(y)
+        state.accept()
+        self.checker(state, args, exact=False)(y, None)
         # a point of the wrong dimension is refused
         with pytest.raises(ValueError, match="dimension mismatch"):
             SvmModel(*args).point_state(np.zeros(d - 1))
