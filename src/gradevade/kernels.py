@@ -105,7 +105,7 @@ class DistanceState:
     the state: `try_step(j)` gives the distances at x + e_j (a +1 move of
     feature j), `try_point(y)` those at y, and `accept()` moves the state to
     the last candidate tried. `full_pass(x)` is the pass of a one-point
-    call. `diffs`, x - v, is kept for Manhattan and in an exact state;
+    call. `own_diffs()`, x - v, is kept for Manhattan and in an exact state;
     otherwise it is None, and the squared euclidean distances come from
     (|x|^2 + |v|^2) - 2 v.x clamped at 0, in the order of operations of
     `kernel_matrix`.
@@ -124,9 +124,9 @@ class DistanceState:
     `bound` is None for a basis that is not integer-valued or exceeds M.
 
     Every pass that keeps x - v writes it into one buffer, allocated once
-    per state. A pass at a candidate or a one-point call writes over the
-    state's own, which `own_diffs` then recomputes from x, with the same
-    bits.
+    per state. `diffs` is that buffer while it holds the state's own; after
+    a pass at a candidate or a one-point call wrote over them, it is None
+    and `own_diffs` recomputes them from x, with the same bits.
     """
 
     def __init__(self, basis: np.ndarray, manhattan: bool = False):

@@ -584,7 +584,7 @@ class TestDiscriminantGradients:
 
 class TwoPassSvm(SvmModel):
     """SvmModel scored with two independent kernel passes, one for g and one
-    for its gradient: the oracle for the memoised single pass."""
+    for its gradient: the oracle for the single pass of the point state."""
 
     def discriminant(self, x):
         x, k, basis = np.asarray(x, float), self.kernel, self.support_vectors
