@@ -14,9 +14,10 @@ when that candidate is blocked or rejected.
 
 Both descents score F(x0) with `objective_F`, then move one explicit
 state of F from point to point (`_point_F`): F and grad F at the current
-point, and F at a candidate, come from the model's and the KDE's own point
-states (`point_state`) where they have one, so a +1 move is scored from
-an O(N) patch. Both check x0 with `_start` and test the gradient with
+point, and F at a candidate, come from the point states that the model
+and the KDE make for this descent alone (`point_state`) where they have
+one, so a +1 move is scored from an O(N) patch and descents on one model
+do not share state. Both check x0 with `_start` and test the gradient with
 `_norm`, so both raise on a gradient whose l1 length is not finite.
 """
 from __future__ import annotations

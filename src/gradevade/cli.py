@@ -97,11 +97,8 @@ def read_trace(path) -> dict:
 # ---------------------------------------------------------------------------
 
 def write_pgm(vec: np.ndarray, path):
-    """Render a [0,1] feature vector as a square 8-bit grayscale PGM (P5)."""
-    vec = np.asarray(vec, dtype=float)
+    """Render a finite [0,1] feature vector of a square length as an 8-bit grayscale PGM (P5)."""
     side = math.isqrt(len(vec))
-    if side * side != len(vec):
-        raise ValueError(f"vector of length {len(vec)} is not a square image")
     data = np.clip(np.round(vec * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{side} {side}\n255\n".encode("ascii"))
@@ -245,15 +242,26 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def cmd_export_digits(trace_path: str, out_dir: Path) -> int:
     doc = read_trace(trace_path)
+    # every vector is checked before the directory or any image is written
+    if not {"x0", "x_star"} <= doc["vectors"].keys():
+        raise ValueError(f"{trace_path}: a trace holds the vectors x0 and x_star")
+    images = [(name, fname, doc["vectors"][name]) for name, fname in (
+        ("x0", "start.pgm"), ("x_first_evading", "first_evading.pgm"), ("x_star", "final.pgm"))
+        if name in doc["vectors"]]
+    size = len(doc["vectors"]["x0"])
+    for name, _, vec in images:
+        if len(vec) != size:
+            raise ValueError(f"{trace_path}: vector {name} has {len(vec)} pixels, vector x0 has {size}")
+        if len(vec) == 0 or math.isqrt(len(vec)) ** 2 != len(vec):
+            raise ValueError(f"{trace_path}: vector {name} of length {len(vec)} is not a square image")
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{trace_path}: vector {name} has a non-finite pixel")
     out_dir.mkdir(parents=True, exist_ok=True)
-    wrote = []
-    for name, fname in (("x0", "start.pgm"), ("x_first_evading", "first_evading.pgm"), ("x_star", "final.pgm")):
-        if name in doc["vectors"]:
-            write_pgm(doc["vectors"][name], out_dir / fname)
-            wrote.append(fname)
+    for _, fname, vec in images:
+        write_pgm(vec, out_dir / fname)
     if "x_first_evading" not in doc["vectors"]:
         print("notice: trace has no evading point; exported start and final images only")
-    print(f"wrote {', '.join(wrote)} to {out_dir}")
+    print(f"wrote {', '.join(fname for _, fname, _ in images)} to {out_dir}")
     return EXIT_OK
 
 

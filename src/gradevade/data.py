@@ -52,8 +52,8 @@ class Dataset:
     def __post_init__(self):
         X = np.ascontiguousarray(np.asarray(self.X, dtype=np.float64))
         y = np.asarray(self.y, dtype=np.int64).reshape(-1)
-        if X.ndim != 2:
-            raise ValueError(f"X must be 2-D, got shape {X.shape}")
+        if X.ndim != 2 or X.shape[1] == 0:
+            raise ValueError(f"X must be 2-D with at least one feature column, got shape {X.shape}")
         if len(y) != X.shape[0]:
             raise ValueError(f"{X.shape[0]} rows but {len(y)} labels")
         if not np.all(np.isfinite(X)):

@@ -1,12 +1,14 @@
 """The rbf kernel of `svm` models, its row and gradient at a point from
-that point's distances to the basis, the distances of a descent's current
-point as an explicit state (`DistanceState`), and the Gram matrices SMO
-solves on: rbf, or linear for a `linear_svm`.
+that point's distances to a `Basis`, the distances of a descent's current
+point as a state of that descent's own (`DistanceState`), and the Gram
+matrices SMO solves on: rbf, or linear for a `linear_svm`.
 
 A point's squared distances to the basis rows v come from the expansion
-|x|^2 + |v|^2 - 2 v.x, as in the Gram matrix, except in an exact state
-(integer point and basis within its bound), which keeps x - v so that a
-+1 move is patched."""
+|x|^2 + |v|^2 - 2 v.x, as in the Gram matrix, except at an exact point
+(integer point and basis within its bound), where x - v is kept so that a
++1 move is patched. Every pass that keeps x - v allocates its own N x d
+array: a one-point call, each state, and each full-pass candidate, such
+as a continuous KDE candidate (which no benchmark workload runs)."""
 from __future__ import annotations
 
 import math
@@ -96,126 +98,114 @@ def kernel_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.exp(G, out=G)
 
 
-class DistanceState:
-    """The distances from one point x to each basis row v (squared
-    euclidean, or Manhattan with `manhattan`), which a descent moves from
-    point to point itself.
+class Basis:
+    """The rows v that a point's distances are taken to (squared euclidean,
+    or Manhattan with `manhattan`), built once per model or estimator.
+    `distances(x, keep)` is the one pass at a point x, and it keeps no state.
 
-    `reset(x)` makes a full pass at x. A candidate is scored without moving
-    the state: `try_step(j)` gives the distances at x + e_j (a +1 move of
-    feature j), `try_point(y)` those at y, and `accept()` moves the state to
-    the last candidate tried. `full_pass(x)` is the pass of a one-point
-    call. `own_diffs()`, x - v, is kept for Manhattan and in an exact state;
-    otherwise it is None, and the squared euclidean distances come from
-    (|x|^2 + |v|^2) - 2 v.x clamped at 0, in the order of operations of
-    `kernel_matrix`.
-
-    A +1 move is patched, not recomputed, when the basis and both points are
-    integer-valued with magnitudes at most `bound`, the largest M with
-    d (2M)^2 < 2^53 (the exact state). Every entry of x - v is then an
-    integer of magnitude <= 2M, and each distance, with every partial sum
-    of it, is an integer below 2^53: exact in float64 in any summation
-    order. Column j of x - v goes from c to c + 1, which changes a squared
-    distance by (c + 1)^2 - c^2 = c + (c + 1) and a Manhattan one by
-    |c + 1| - |c| = +1 for c >= 0 and -1 below, the sign of c: added to the
-    distances, each gives the bits of a full pass. A Manhattan pass
-    subtracts from x + 0.0, in which -0.0 is +0.0, so that no c is -0.0;
-    |x - v| and sign(x - v), all it is read through, are the same.
-    `bound` is None for a basis that is not integer-valued or exceeds M.
-
-    Every pass that keeps x - v writes it into one buffer, allocated once
-    per state. `diffs` is that buffer while it holds the state's own; after
-    a pass at a candidate or a one-point call wrote over them, it is None
-    and `own_diffs` recomputes them from x, with the same bits.
+    `bound` is the largest M with d (2M)^2 < 2^53, or None for rows that
+    are not integers of magnitude at most M. An integer x within it makes
+    an exact pair with the rows (`exact_at`): every entry of x - v is then
+    an integer of magnitude <= 2M, and each distance, with every partial
+    sum of it, is an integer below 2^53, exact in float64 in any order.
     """
 
-    def __init__(self, basis: np.ndarray, manhattan: bool = False):
-        self.basis, self.manhattan = basis, manhattan
-        bound = math.isqrt((2**53 - 1) // basis.shape[1]) // 2
-        self.bound = bound if _integral(basis, bound) else None
-        self.sq_norms = None if manhattan else _sq_norms(basis)  # for the expansion
-        self._buf = None     # storage of x - v, allocated by the first pass that keeps it
-        self._holder = None  # whose x - v the buffer holds: "x", "candidate" or None
-        self.x = self.dists = self.diffs = None  # diffs: the buffer while it holds x - v at x
-        self.exact = False
-        self._patch = None  # the last candidate: (j, new column j of diffs) for a patch,
-        self._pass = None   # else (y, exact) of its full pass,
-        self._dists = None  # and its distances
+    def __init__(self, rows: np.ndarray, manhattan: bool = False):
+        if rows.shape[1] == 0:
+            raise ValueError("a basis needs at least one feature column")
+        self.rows, self.manhattan = rows, manhattan
+        bound = math.isqrt((2**53 - 1) // rows.shape[1]) // 2
+        self.bound = bound if _integral(rows, bound) else None
+        self.sq_norms = None if manhattan else _sq_norms(rows)  # for the expansion
 
-    def full_pass(self, x: np.ndarray, exact: bool = False, holder: str | None = None):
-        """(distances, diffs or None) at x, keeping diffs for Manhattan or
-        where `exact`, in the state's buffer, marked as `holder`'s. Squared
-        distances without diffs come from the expansion: in an exact state
-        it sums integers below 2^53 as the diffs do, so the two give the
-        same bits there."""
-        _check_dims(x, self.basis)
-        if exact or self.manhattan:
-            diffs = self._write_diffs(x, holder)
+    def exact_at(self, x: np.ndarray) -> bool:
+        """Whether x and the rows are an exact pair (the class docstring)."""
+        return self.bound is not None and _integral(x[None], self.bound)
+
+    def distances(self, x: np.ndarray, keep: bool = False):
+        """(distances, x - v or None) at x, with a fresh x - v for Manhattan
+        or where `keep`. Squared distances without x - v come from the
+        expansion (|x|^2 + |v|^2) - 2 v.x clamped at 0, in the order of
+        operations of `kernel_matrix`; in an exact pair it sums integers
+        below 2^53 as x - v does, so the two give the same bits there. A
+        Manhattan pass subtracts from x + 0.0, in which -0.0 is +0.0, so
+        that no entry of x - v is -0.0; |x - v| and sign(x - v), all it is
+        read through, are the same."""
+        _check_dims(x, self.rows)
+        if keep or self.manhattan:
+            diffs = np.subtract(x + 0.0 if self.manhattan else x, self.rows)
             dists = np.abs(diffs).sum(axis=1) if self.manhattan else np.einsum("ij,ij->i", diffs, diffs)
             return dists, diffs
-        dists = self.basis @ x
+        dists = self.rows @ x
         dists *= 2.0
         np.subtract(np.sum(x * x) + self.sq_norms, dists, out=dists)
         return np.maximum(dists, 0.0, out=dists), None
 
-    def _write_diffs(self, x: np.ndarray, holder: str | None) -> np.ndarray:
-        if self._buf is None:
-            self._buf = np.empty_like(self.basis)
-        self._holder = holder
-        self.diffs = self._buf if holder == "x" else None
-        return np.subtract(x + 0.0 if self.manhattan else x, self.basis, out=self._buf)
 
-    def own_diffs(self) -> np.ndarray | None:
-        """x - v at the state's point where it is kept, else None."""
-        if self.diffs is None and (self.exact or self.manhattan):
-            self._write_diffs(self.x, "x")
-        return self.diffs
+class DistanceState:
+    """The distances from a descent's current point x to the rows of a
+    `Basis`, which the descent moves from point to point itself; one state
+    per descent. A subclass reads its value from distances with
+    `_read(dists) -> (value, held)`, and `held` is what it keeps of them.
 
-    def exact_at(self, x: np.ndarray) -> bool:
-        """Whether x and the basis make an exact state."""
-        return self.bound is not None and _integral(x[None], self.bound)
+    The state is built at x0 by a full pass. A candidate is scored without
+    moving the state: `try_step(j)` gives the value at x + e_j (a +1 move
+    of feature j), `try_point(y)` that at y, a copy of which it keeps, and
+    `accept()` moves the state to the last candidate tried. `diffs`, x - v,
+    is kept for Manhattan and at an exact point, else it is None.
 
-    def reset(self, x: np.ndarray):
-        """Bring the state to x by a full pass."""
-        exact = self.exact_at(x)
-        self.diffs = None
-        self.dists, _ = self.full_pass(x, exact, "x")
-        self.x, self.exact = np.array(x, dtype=float), exact
+    At an exact point a +1 move is patched in O(N) while x[j] + 1 stays
+    within the bound: column j of x - v goes from c to c + 1, which changes
+    a squared distance by (c + 1)^2 - c^2 = c + (c + 1) and a Manhattan one
+    by |c + 1| - |c| = +1 for c >= 0 and -1 below, the sign of c; added to
+    the distances, each gives the bits of a full pass, and so does c + 1,
+    computed with the candidate and written into x - v when it is accepted.
+    Any other candidate is a full pass of its own, with its own x - v where
+    it keeps them.
+    """
 
-    def try_step(self, j: int) -> np.ndarray:
-        """The distances at x + e_j: patched in an exact state while x[j] + 1
+    def __init__(self, basis: Basis, x0: np.ndarray):
+        self.basis = basis
+        self.x = np.array(x0, dtype=float)
+        self.exact = basis.exact_at(self.x)
+        self.dists, self.diffs = basis.distances(self.x, self.exact)
+        _, self.held = self._read(self.dists)
+        # the last candidate: ((j, its column j of x - v) for a patch, or
+        # (None, (y, exact, x - v or None)) for a full pass, distances, held)
+        self._next = None
+
+    def _try(self, move, dists: np.ndarray) -> float:
+        value, held = self._read(dists)
+        self._next = move, dists, held
+        return value
+
+    def try_step(self, j: int) -> float:
+        """The value at x + e_j: patched at an exact point while x[j] + 1
         stays within the bound, else by a full pass."""
-        if self.exact and self.x[j] + 1.0 <= self.bound:
-            old = (self.diffs if self.diffs is not None else self.own_diffs())[:, j]
+        if self.exact and self.x[j] + 1.0 <= self.basis.bound:
+            old = self.diffs[:, j]
             col = old + 1.0
-            dists = np.copysign(1.0, old) if self.manhattan else old + col
+            dists = np.copysign(1.0, old) if self.basis.manhattan else old + col
             dists += self.dists
-            self._patch, self._dists = (j, col), dists
-            return dists
+            return self._try((j, col), dists)
         y = self.x.copy()
         y[j] += 1.0
         return self.try_point(y)
 
-    def try_point(self, y: np.ndarray) -> np.ndarray:
-        """The distances at y, by a full pass."""
-        exact = self.exact_at(y)
-        dists, _ = self.full_pass(y, exact, "candidate")
-        self._patch, self._pass, self._dists = None, (y, exact), dists
-        return dists
+    def try_point(self, y: np.ndarray) -> float:
+        """The value at y, by a full pass."""
+        y = np.array(y, dtype=float)
+        exact = self.basis.exact_at(y)
+        dists, diffs = self.basis.distances(y, exact)
+        return self._try((None, (y, exact, diffs)), dists)
 
     def accept(self) -> int | None:
         """Move to the last candidate tried. Returns the patched coordinate
         j, or None after a full pass."""
-        self.dists = self._dists
-        if self._patch is not None:
-            j, col = self._patch
-            (self.diffs if self.diffs is not None else self.own_diffs())[:, j] = col
-            self.x[j] += 1.0
-            return j
-        y, self.exact = self._pass
-        self.x[...] = y
-        # the buffer holds the candidate's x - v if it kept them and no later
-        # pass wrote over them
-        held = self._holder == "candidate" and (self.exact or self.manhattan)
-        self._holder, self.diffs = ("x", self._buf) if held else (None, None)
-        return None
+        (j, new), self.dists, self.held = self._next
+        if j is None:
+            self.x, self.exact, self.diffs = new
+            return None
+        self.diffs[:, j] = new
+        self.x[j] += 1.0
+        return j

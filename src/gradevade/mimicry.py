@@ -5,12 +5,13 @@ the `truncation_k` reference points nearest to the point in Manhattan
 distance. The neighbour set is re-selected at every point.
 
 `density` and `density_grad` are stateless one-point calls, each with a
-full neighbour search. A descent instead moves one explicit point state
-(`point_state`): the point's differences and distances to all N reference
-points, the signs of the differences and exp(-d/h) of its neighbours, so
-the density and its gradient at one point share one search, and a
-discrete +1 move patches the distances in O(N) where that is bit-identical
-to a full search (`kernels.DistanceState`).
+full neighbour search over the reference points (`kernels.Basis`). Each
+descent instead makes a point state of its own (`point_state`, a
+`kernels.DistanceState`): the point's differences and distances to all N
+reference points, the signs of the differences and exp(-d/h) of its
+neighbours, so the density and its gradient at one point share one
+search, and a discrete +1 move patches the distances in O(N) where that
+is bit-identical to a full search.
 
 The gradient is the corrected one: the true subgradient, with an
 elementwise sign(x - x_i) factor and sign(0) = 0. (A published variant of
@@ -22,13 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DistanceState
+from .kernels import Basis, DistanceState
 
 
 @dataclass
 class MimicryEstimator:
     """KDE over fixed reference points; they are not reassigned after
-    construction, since the distance state is built on them."""
+    construction, since the distance basis is built on them."""
 
     reference_points: np.ndarray      # (N, d) samples labeled legitimate
     h: float
@@ -42,10 +43,7 @@ class MimicryEstimator:
             raise ValueError("reference_points contain non-finite values")
         KdeParams(h=self.h, truncation_k=self.truncation_k)  # checks the settings
         self.reference_points = pts
-        # a descent's current point: its x - x_i, Manhattan distances, and the
-        # signs of each x - x_i, reused by every descent
-        self._distances = DistanceState(pts, manhattan=True)
-        self._signs = np.empty_like(pts)
+        self._basis = Basis(pts, manhattan=True)
 
     def _near(self, dists: np.ndarray):
         """(indices or None for all, exp(-distance/h), the density) of the
@@ -62,57 +60,45 @@ class MimicryEstimator:
 
     def density(self, x: np.ndarray) -> float:
         """(1/n) sum of exp(-d(x, x_i)/h) over the n nearest reference points."""
-        dists, _ = self._distances.full_pass(np.asarray(x, dtype=float))
+        dists, _ = self._basis.distances(np.asarray(x, dtype=float))
         return self._near(dists)[2]
 
     def density_grad(self, x: np.ndarray) -> np.ndarray:
         """-(1/(n h)) sum of exp(-d(x, x_i)/h) sign(x - x_i) over the n nearest."""
-        dists, diffs = self._distances.full_pass(np.asarray(x, dtype=float))
+        dists, diffs = self._basis.distances(np.asarray(x, dtype=float))
         sel, w, _ = self._near(dists)
-        rows = diffs if sel is None else diffs[sel]  # scratch: no state holds it now
+        rows = diffs if sel is None else diffs[sel]  # the call's own: its signs are taken in place
         return self._grad(np.sign(rows, out=rows), w)
 
     def point_state(self, x0: np.ndarray) -> _KdePoint:
-        """The density and its gradient at x0, as the state a descent from x0
-        moves. It lives in the estimator's own storage, so an estimator
-        serves one descent at a time."""
+        """The density and its gradient at x0, as the state a descent from x0 moves."""
         return _KdePoint(self, x0)
 
 
-class _KdePoint:
-    """The density and its gradient at the current point of a descent: the
-    neighbours of the point, and of the last candidate tried, from the
-    distances its `kernels.DistanceState` moves (`try_step`, `try_point`,
-    `accept`). The signs of x - x_i change in the patched column only."""
+class _KdePoint(DistanceState):
+    """The density and its gradient at the current point of a descent, from
+    the point's neighbours (`held`) and its own array of the signs of
+    x - x_i, which change in the patched column only; and the density at a
+    candidate, whose neighbours are kept until `accept`."""
 
     def __init__(self, est: MimicryEstimator, x0: np.ndarray):
-        self.est, self.dist = est, est._distances
-        self.dist.reset(x0)
-        np.sign(self.dist.diffs, out=est._signs)
-        self.near = est._near(self.dist.dists)
-        self._next_near = None
+        self.est = est
+        super().__init__(est._basis, x0)
+        self.signs = np.sign(self.diffs)
+
+    def _read(self, dists: np.ndarray):
+        near = self.est._near(dists)
+        return near[2], near
 
     def grad(self) -> np.ndarray:
-        sel, w, _ = self.near
-        return self.est._grad(self.est._signs if sel is None else self.est._signs[sel], w)
+        sel, w, _ = self.held
+        return self.est._grad(self.signs if sel is None else self.signs[sel], w)
 
-    def try_step(self, j: int) -> float:
-        return self._score(self.dist.try_step(j))
-
-    def try_point(self, y: np.ndarray) -> float:
-        return self._score(self.dist.try_point(y))
-
-    def _score(self, dists: np.ndarray) -> float:
-        """The density at the candidate with these distances, whose
-        neighbours are kept."""
-        self._next_near = near = self.est._near(dists)
-        return near[2]
-
-    def accept(self):
-        j = self.dist.accept()
+    def accept(self) -> int | None:
+        j = super().accept()
         cols = slice(None) if j is None else j
-        np.sign(self.dist.own_diffs()[:, cols], out=self.est._signs[:, cols])
-        self.near = self._next_near
+        np.sign(self.diffs[:, cols], out=self.signs[:, cols])
+        return j
 
 
 @dataclass(frozen=True)

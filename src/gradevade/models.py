@@ -6,12 +6,13 @@ All models expose:
   gradient(x)          -> ndarray   exact analytic grad_x g(x)
 
 `SvmModel` is the rbf SVM; the linear SVM is solved on the linear Gram
-matrix and folded to a `LinearModel`. Its one-point calls are stateless.
-A descent on it instead moves one explicit point state (`point_state`):
-g and its gradient at the current point share one kernel pass, and a
-candidate is scored from a patch of that pass or a full pass of its own
-(`kernels.DistanceState`). The pass keeps x - sv only in an exact state,
-where a discrete +1 move patches it in O(N), bit-identical to a full pass;
+matrix and folded to a `LinearModel`. Its one-point calls are stateless
+passes over its support vectors (`kernels.Basis`). Each descent on it
+instead makes a point state of its own (`point_state`, a
+`kernels.DistanceState`): g and its gradient at the current point share
+one kernel pass, and a candidate is scored from a patch of that pass or a
+full pass of its own. The pass keeps x - sv only at an exact point, where
+a discrete +1 move patches it in O(N), bit-identical to a full pass;
 elsewhere it scores from |x|^2 + |sv|^2 - 2 sv.x with no N x d array.
 Linear and MLP models have no point state: a descent calls them per point.
 
@@ -30,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .data import LEGITIMATE, MALICIOUS, Dataset
-from .kernels import DistanceState, KernelSpec, kernel_grad_combination, kernel_matrix, kernel_row
+from .kernels import Basis, DistanceState, KernelSpec, kernel_grad_combination, kernel_matrix, kernel_row
 
 MODEL_FORMAT_VERSION = "gradevade-model/1"
 
@@ -112,11 +113,10 @@ class SvmModel:
             raise ValueError("|alpha_i| exceeds the box constraint C")
         if abs(float(self.dual_coefs.sum())) > 1e-6:
             raise ValueError("dual coefficients do not satisfy sum(alpha_i y_i) = 0")
-        # the distances of a descent's current point, reused by every descent
-        self._distances = DistanceState(self.support_vectors)
+        self._basis = Basis(self.support_vectors)
 
     def discriminant(self, x: np.ndarray) -> float:
-        dists, _ = self._distances.full_pass(np.asarray(x, float))
+        dists, _ = self._basis.distances(np.asarray(x, float))
         return float(self.dual_coefs @ kernel_row(self.kernel, dists) + self.b)
 
     def discriminant_many(self, X: np.ndarray) -> np.ndarray:
@@ -124,48 +124,31 @@ class SvmModel:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
-        dists, diffs = self._distances.full_pass(x, self._distances.exact_at(x))
+        dists, diffs = self._basis.distances(x, self._basis.exact_at(x))
         return kernel_grad_combination(self.kernel, kernel_row(self.kernel, dists), self.dual_coefs, x,
                                        self.support_vectors, diffs)
 
     def point_state(self, x0: np.ndarray) -> _RbfPoint:
-        """g and its gradient at x0, as the state a descent from x0 moves.
-        Its distances live in the model's own storage, so a model runs one
-        descent at a time."""
+        """g and its gradient at x0, as the state a descent from x0 moves."""
         return _RbfPoint(self, x0)
 
 
-class _RbfPoint:
-    """g and grad g at the current point of a descent on an SvmModel: the
-    point's kernel row, and that of the last candidate tried, from the
-    distances its `kernels.DistanceState` moves (`try_step`, `try_point`,
-    `accept`)."""
+class _RbfPoint(DistanceState):
+    """g and grad g at the current point of a descent on an SvmModel, from
+    the point's kernel row (`held`), and g at a candidate, whose row is
+    kept until `accept`."""
 
     def __init__(self, model: SvmModel, x0: np.ndarray):
-        self.model, self.dist = model, model._distances
-        self.dist.reset(x0)
-        self.row = kernel_row(model.kernel, self.dist.dists)
-        self._next_row = None
+        self.model = model
+        super().__init__(model._basis, x0)
+
+    def _read(self, dists: np.ndarray):
+        row = kernel_row(self.model.kernel, dists)
+        return float(self.model.dual_coefs @ row) + self.model.b, row
 
     def grad(self) -> np.ndarray:
         m = self.model
-        return kernel_grad_combination(m.kernel, self.row, m.dual_coefs, self.dist.x, m.support_vectors,
-                                       self.dist.own_diffs())
-
-    def try_step(self, j: int) -> float:
-        return self._score(self.dist.try_step(j))
-
-    def try_point(self, y: np.ndarray) -> float:
-        return self._score(self.dist.try_point(y))
-
-    def _score(self, dists: np.ndarray) -> float:
-        """g at the candidate with these distances, whose row is kept."""
-        self._next_row = row = kernel_row(self.model.kernel, dists)
-        return float(self.model.dual_coefs @ row) + self.model.b
-
-    def accept(self):
-        self.dist.accept()
-        self.row = self._next_row
+        return kernel_grad_combination(m.kernel, self.held, m.dual_coefs, self.x, m.support_vectors, self.diffs)
 
 
 @dataclass

@@ -18,7 +18,7 @@ import pytest
 
 import gradevade.cli as cli_module
 from gradevade.attack import run_attack
-from gradevade.cli import main, read_trace
+from gradevade.cli import TRACE_FORMAT_VERSION, main, read_trace
 from gradevade.config import load_config, load_dataset_from_config
 from gradevade.data import LEGITIMATE, MALICIOUS
 from gradevade.evaluation import calibrate_threshold, cell_split, trace_profile
@@ -317,6 +317,8 @@ def test_attack_refuses_a_polynomial_model_file(tmp_path, capsys):
          "unknown kernel kind 'polynomial'"),
         ("linear", {"kernel": {"gamma": 0.01, "kind": "linear"}}, "an svm model takes an rbf kernel, not 'linear'"),
         ("null_b", {"b": None}, "b must be a finite real number, not None"),
+        ("no_column", {"support_vectors": [[] for _ in doc["support_vectors"]]},
+         "a basis needs at least one feature column"),
     ):
         model = tmp_path / f"{name}.json"
         model.write_text(json.dumps({**doc, **change}))
@@ -358,6 +360,37 @@ def test_export_digits_from_a_directory_exits_2(tmp_path, capsys):
     assert main(["export-digits", "--trace", str(tmp_path), "--out", str(tmp_path / "images")]) == 2
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
     assert not (tmp_path / "images").exists()
+
+
+@pytest.mark.parametrize(
+    "vectors, message",
+    [
+        ({"x0": [0.5] * 3, "x_star": [0.5] * 3}, "vector x0 of length 3 is not a square image"),
+        ({"x0": [0.5] * 4, "x_star": [0.5] * 9}, "vector x_star has 9 pixels, vector x0 has 4"),
+        ({"x0": [0.5] * 4, "x_star": [0.5, float("nan"), 0.5, 0.5]}, "vector x_star has a non-finite pixel"),
+        ({"x0": [0.5] * 4}, "a trace holds the vectors x0 and x_star"),
+    ],
+    ids=["not_square", "two_lengths", "nan_pixel", "no_x_star"],
+)
+def test_export_digits_checks_every_vector_before_it_writes(tmp_path, capsys, vectors, message):
+    trace = tmp_path / "trace.txt"
+    lines = [f"# {TRACE_FORMAT_VERSION}", *(f"# vector {k}: " + " ".join(map(repr, v)) for k, v in vectors.items())]
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["export-digits", "--trace", str(trace), "--out", str(tmp_path / "images")]) == 2
+    assert capsys.readouterr().err == f"error: {trace}: {message}\n"
+    assert not (tmp_path / "images").exists()
+
+
+def test_sweep_on_data_with_no_feature_column_exits_2(tmp_path, capsys):
+    labels_only = tmp_path / "labels.txt"
+    labels_only.write_text("".join(f"{y}\n" for y in [-1, 1] * 40))
+    out = tmp_path / "out"
+    sets = [*PDF_SMALL, "dataset.kind=sparse", f"dataset.path={labels_only}"]
+    capsys.readouterr()
+    assert main(["sweep", *config_args("synthetic_pdf.json", sets, out)]) == 2
+    assert "at least one feature column" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

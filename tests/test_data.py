@@ -50,6 +50,10 @@ class TestDataset:
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(np.array([[0.1, np.nan]]), np.array([1]))
 
+    def test_rejects_no_feature_column(self):
+        with pytest.raises(ValueError, match="at least one feature column"):
+            Dataset(np.zeros((2, 0)), np.array([-1, 1]))
+
     def test_rejects_bad_label(self):
         with pytest.raises(ValueError, match="label"):
             Dataset(np.array([[0.1, 0.2]]), np.array([2]))

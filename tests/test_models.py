@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
@@ -689,37 +690,39 @@ class TestKernelPasses:
 
 
 def count_state_passes(monkeypatch, by_kind: bool = False) -> Counter:
-    """Count the passes of every `kernels.DistanceState`: "reset" (the full
-    pass at a descent's start), "full" (a full pass at a candidate),
-    "patch" (a candidate from a patch), "stateless" (a one-point call), and
-    the moves `accept` makes, "moved_patch" and "moved_full". With
-    `by_kind`, each key is (kind, "kde" or "rbf")."""
+    """Count the passes of every `kernels.Basis` by their caller: "reset"
+    (the full pass a `kernels.DistanceState` makes at a descent's start),
+    "full" (a full pass at a candidate, made by `try_point`), "stateless"
+    (any other: a one-point call); "patch" (a candidate `try_step` scored
+    without a full pass); and the moves `accept` makes, "moved_patch" and
+    "moved_full". With `by_kind`, each key is (kind, "kde" or "rbf")."""
     counts = Counter()
-    full_pass, try_step, accept = (getattr(kernels_module.DistanceState, name)
-                                   for name in ("full_pass", "try_step", "accept"))
+    distances = kernels_module.Basis.distances
+    try_step, accept = kernels_module.DistanceState.try_step, kernels_module.DistanceState.accept
+    callers = {"__init__": "reset", "try_point": "full"}
 
-    def key(state, kind):
-        return (kind, "kde" if state.manhattan else "rbf") if by_kind else kind
+    def key(basis, kind):
+        return (kind, "kde" if basis.manhattan else "rbf") if by_kind else kind
 
-    def counted_full_pass(state, x, exact=False, holder=None):
-        counts[key(state, {None: "stateless", "x": "reset", "candidate": "full"}[holder])] += 1
-        return full_pass(state, x, exact, holder)
+    def counted_distances(basis, x, keep=False):
+        counts[key(basis, callers.get(sys._getframe(1).f_code.co_name, "stateless"))] += 1
+        return distances(basis, x, keep)
 
     def counted_try_step(state, j):
-        full = counts[key(state, "full")]
+        full = counts[key(state.basis, "full")]
         out = try_step(state, j)
-        if counts[key(state, "full")] == full:
-            counts[key(state, "patch")] += 1
+        if counts[key(state.basis, "full")] == full:
+            counts[key(state.basis, "patch")] += 1
         return out
 
     def counted_accept(state):
         j = accept(state)
-        counts[key(state, "moved_full" if j is None else "moved_patch")] += 1
+        counts[key(state.basis, "moved_full" if j is None else "moved_patch")] += 1
         return j
 
-    for name, wrapper in (("full_pass", counted_full_pass), ("try_step", counted_try_step),
-                          ("accept", counted_accept)):
-        monkeypatch.setattr(kernels_module.DistanceState, name, wrapper)
+    monkeypatch.setattr(kernels_module.Basis, "distances", counted_distances)
+    monkeypatch.setattr(kernels_module.DistanceState, "try_step", counted_try_step)
+    monkeypatch.setattr(kernels_module.DistanceState, "accept", counted_accept)
     return counts
 
 
@@ -728,7 +731,7 @@ def step_walk(rng, state, d: int, rounds: int, check):
     to three +1 candidates of random features from the state's point x and
     moves to the last. `check(y, value)` sees each candidate y with the
     value the state gave it, and `check(x, None)` each point moved to."""
-    x = state.dist.x.copy()
+    x = state.x.copy()
     check(x, None)
     for _ in range(rounds):
         for _ in range(rng.integers(1, 4)):
@@ -771,7 +774,7 @@ class TestKernelPointState:
                 return
             grad = state.grad()
             assert grad.tobytes() == fresh.gradient(y).tobytes()
-            assert (state.dist.diffs is not None) == exact  # x - sv is kept in exact states only
+            assert (state.diffs is not None) == exact  # x - sv is kept in exact states only
             if exact:
                 assert grad.tobytes() == two_pass.gradient(y).tobytes()
             else:
@@ -808,7 +811,7 @@ class TestKernelPointState:
             assert value == SvmModel(*args).discriminant(np.array([0.0, 0.0, 0.0, start + 1.0]))
             assert passes["patch"] == patched and passes["full"] == (not patched)
             state.accept()
-            assert state.dist.exact == patched
+            assert state.exact == patched
         # a candidate two coordinates away is a full pass, and a +1 move from
         # the exact point reached is patched again
         state = SvmModel(*args).point_state(np.zeros(d))
@@ -839,6 +842,38 @@ class TestKernelPointState:
             assert passes["patch"] == 0 and passes["full"] > 0
 
 
+@pytest.mark.parametrize("kind", ["rbf", "kde"])
+def test_two_live_states_on_one_model_are_independent(kind):
+    # each descent owns its distances: two states on one model, or on one
+    # estimator, moved in turn, read as fresh one-point calls bit for bit
+    rng = np.random.default_rng(71)
+    d = 4
+    ref = rng.integers(0, 5, size=(20, d)).astype(float)
+    if kind == "rbf":
+        raw = rng.uniform(0.1, 1.0, size=20)
+        make, value, grad = (lambda: SvmModel(KernelSpec("rbf", gamma=0.05), ref, raw - raw.mean(), 0.3, 2.0),
+                             "discriminant", "gradient")
+    else:
+        make, value, grad = lambda: MimicryEstimator(ref, h=2.0, truncation_k=6), "density", "density_grad"
+    shared, fresh = make(), make()
+    points = [rng.integers(0, 5, size=d).astype(float) for _ in range(2)]
+    states = [shared.point_state(x) for x in points]
+    for step in range(24):
+        for i, state in enumerate(states):
+            j = int(rng.integers(d))
+            points[i] = y = points[i].copy()
+            y[j] += 1.0
+            if step % 4 == 3:  # a full pass two coordinates away
+                y[(j + 1) % d] += 1.0
+                got = state.try_point(y)
+            else:
+                got = state.try_step(j)
+            assert got == getattr(fresh, value)(y)
+        for state, x in zip(states, points):
+            state.accept()
+            assert state.grad().tobytes() == getattr(fresh, grad)(x).tobytes()
+
+
 class TestExpansionPass:
     """rbf queries outside an exact state: distances from |x|^2 + |sv|^2 -
     2 sv.x and the gradient from (sum_i w_i) x - w @ sv, with no x - sv."""
@@ -857,7 +892,7 @@ class TestExpansionPass:
             x = sv + 1e-6 * rng.normal(size=len(sv))
             state = model.point_state(x)
             g, grad = model.discriminant(x), state.grad()
-            assert state.dist.diffs is None
+            assert state.diffs is None
             assert grad.tobytes() == model.gradient(x).tobytes()
             assert_near_two_pass(model, x, g, grad)
 
@@ -868,8 +903,8 @@ class TestExpansionPass:
         two_pass = two_pass_copy(model)
         g, grad = model.discriminant(x), model.gradient(x)
         state = model.point_state(x)
-        assert state.dist.diffs is None
-        assert np.all(state.row == 0.0) and np.all(state.grad() == 0.0)
+        assert state.diffs is None
+        assert np.all(state.held == 0.0) and np.all(state.grad() == 0.0)
         assert g == two_pass.discriminant(x) == model.b
         assert np.all(grad == 0.0) and np.all(two_pass.gradient(x) == 0.0)
         assert np.all(central_diff(model.discriminant, x) == 0.0)
@@ -1056,6 +1091,7 @@ class TestModelIO:
             ("C", "1.0", "C must be a finite real number, not '1.0'"),
             ("C", 0.0, "C must be positive"),
             ("C", -1.0, "C must be positive"),
+            ("support_vectors", [[], []], "a basis needs at least one feature column"),
         ],
     )
     def test_svm_array_or_box_bound_out_of_range_is_a_value_error(self, tmp_path, field, value, message):
