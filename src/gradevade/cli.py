@@ -79,16 +79,19 @@ def read_trace(path) -> dict:
         lines = fh.read().splitlines()
     if not lines or lines[0] != f"# {TRACE_FORMAT_VERSION}":
         raise ValueError(f"{path}: not a {TRACE_FORMAT_VERSION} file")
-    for line in lines[1:]:
-        if line.startswith("# vector "):
-            name, _, payload = line[len("# vector "):].partition(": ")
-            vectors[name] = np.array([float(v) for v in payload.split()])
-        elif line.startswith("#"):
-            key, _, val = line[2:].partition(": ")
-            meta[key] = val
-        elif line.strip():
-            m, f_val, g_val, d_val = line.split(",")
-            rows.append((int(m), float(f_val), float(g_val), float(d_val)))
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            if line.startswith("# vector "):
+                name, _, payload = line[len("# vector "):].partition(": ")
+                vectors[name] = np.array([float(v) for v in payload.split()])
+            elif line.startswith("#"):
+                key, _, val = line[2:].partition(": ")
+                meta[key] = val
+            elif line.strip():
+                m, f_val, g_val, d_val = line.split(",")
+                rows.append((int(m), float(f_val), float(g_val), float(d_val)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return {"meta": meta, "rows": rows, "vectors": vectors}
 
 

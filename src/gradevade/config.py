@@ -33,7 +33,7 @@ from .data import (
 from .kernels import KernelSpec
 from .mimicry import KdeParams
 from .models import MODEL_KEYS, ModelSpec
-from .scenario import SCENARIO_KINDS, ScenarioSpec, surrogate_spec
+from .scenario import SCENARIO_KINDS, SURROGATE_KEYS, ScenarioSpec, surrogate_spec
 
 
 class ConfigError(ValueError):
@@ -64,7 +64,7 @@ _DEFAULTS = {
         "relabel_with_target": True,
         "n_surrogate_repeats": 5,
         # the keys scenario.surrogate_spec reads; null keeps its default
-        "surrogate": {"C": None, "gamma": None, "m": None, "epochs": None, "learning_rate": None},
+        "surrogate": dict.fromkeys(SURROGATE_KEYS),
     },
     "attack": {
         "mode": "discrete",

@@ -89,6 +89,14 @@ class Dataset:
             raise ValueError("dataset must contain both classes")
 
 
+def _dataset(path, X: np.ndarray, y: np.ndarray) -> Dataset:
+    """Dataset(X, y) of a file's data, naming the file if it is refused."""
+    try:
+        return Dataset(X, y)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _map_label(raw: float, where: str) -> int:
     if raw == -1:
         return LEGITIMATE
@@ -140,7 +148,7 @@ def load_dense_csv(path, label_column: str = "label") -> Dataset:
             rows.append([v for i, v in enumerate(values) if i != label_idx])
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(np.array(rows), np.array(labels))
+    return _dataset(path, np.array(rows), np.array(labels))
 
 
 def load_sparse_counts(path) -> Dataset:
@@ -156,13 +164,15 @@ def load_sparse_counts(path) -> Dataset:
             parts = line.split()
             try:
                 labels.append(_map_label(float(parts[0]), f"{path}:{lineno}"))
-                pairs = []
+                pairs = {}
                 for tok in parts[1:]:
                     idx_s, val_s = tok.split(":", 1)
                     idx = int(idx_s)
                     if idx < 1:
                         raise ValueError(f"index {idx} is not 1-based")
-                    pairs.append((idx - 1, float(val_s)))
+                    if idx - 1 in pairs:
+                        raise ValueError(f"index {idx} given twice")
+                    pairs[idx - 1] = float(val_s)
                     max_idx = max(max_idx, idx)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
@@ -171,9 +181,9 @@ def load_sparse_counts(path) -> Dataset:
         raise ValueError(f"{path}: no data rows")
     X = np.zeros((len(entries), max_idx))
     for i, pairs in enumerate(entries):
-        for j, v in pairs:
+        for j, v in pairs.items():
             X[i, j] = v
-    return Dataset(X, np.array(labels))
+    return _dataset(path, X, np.array(labels))
 
 
 def _read_exact(fh, count: int, path) -> bytes:
@@ -212,7 +222,7 @@ def load_idx_images(images_path, labels_path, class_neg: int, class_pos: int) ->
     keep = (digits == class_neg) | (digits == class_pos)
     X = pixels[keep].astype(np.float64) / 255.0
     y = np.where(digits[keep] == class_pos, MALICIOUS, LEGITIMATE)
-    return Dataset(X, y)
+    return _dataset(images_path, X, y)
 
 
 def _stratified_quota(class_sizes: np.ndarray, total: int) -> np.ndarray:

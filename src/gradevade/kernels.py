@@ -1,14 +1,14 @@
 """The rbf kernel of `svm` models, its row and gradient at a point from
-that point's distances to a `Basis`, the distances of a descent's current
-point as a state of that descent's own (`DistanceState`), and the Gram
-matrices SMO solves on: rbf, or linear for a `linear_svm`.
+that point's distances to a `Basis`, the distances of a point as a state
+that a descent moves (`DistanceState`), and the Gram matrices SMO solves
+on: rbf, or linear for a `linear_svm`.
 
 A point's squared distances to the basis rows v come from the expansion
 |x|^2 + |v|^2 - 2 v.x, as in the Gram matrix, except at an exact point
 (integer point and basis within its bound), where x - v is kept so that a
 +1 move is patched. Every pass that keeps x - v allocates its own N x d
-array: a one-point call, each state, and each full-pass candidate, such
-as a continuous KDE candidate (which no benchmark workload runs)."""
+array: each state, and each full-pass candidate, such as a continuous KDE
+candidate (which no benchmark workload runs)."""
 from __future__ import annotations
 
 import math
@@ -101,13 +101,13 @@ def kernel_matrix(k: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 class Basis:
     """The rows v that a point's distances are taken to (squared euclidean,
     or Manhattan with `manhattan`), built once per model or estimator.
-    `distances(x, keep)` is the one pass at a point x, and it keeps no state.
+    `distances(x)` is the one pass at a point x, and it keeps no state.
 
     `bound` is the largest M with d (2M)^2 < 2^53, or None for rows that
     are not integers of magnitude at most M. An integer x within it makes
-    an exact pair with the rows (`exact_at`): every entry of x - v is then
-    an integer of magnitude <= 2M, and each distance, with every partial
-    sum of it, is an integer below 2^53, exact in float64 in any order.
+    an exact pair with the rows: every entry of x - v is then an integer
+    of magnitude <= 2M, and each distance, with every partial sum of it,
+    is an integer below 2^53, exact in float64 in any order.
     """
 
     def __init__(self, rows: np.ndarray, manhattan: bool = False):
@@ -118,35 +118,34 @@ class Basis:
         self.bound = bound if _integral(rows, bound) else None
         self.sq_norms = None if manhattan else _sq_norms(rows)  # for the expansion
 
-    def exact_at(self, x: np.ndarray) -> bool:
-        """Whether x and the rows are an exact pair (the class docstring)."""
-        return self.bound is not None and _integral(x[None], self.bound)
-
-    def distances(self, x: np.ndarray, keep: bool = False):
-        """(distances, x - v or None) at x, with a fresh x - v for Manhattan
-        or where `keep`. Squared distances without x - v come from the
-        expansion (|x|^2 + |v|^2) - 2 v.x clamped at 0, in the order of
-        operations of `kernel_matrix`; in an exact pair it sums integers
-        below 2^53 as x - v does, so the two give the same bits there. A
-        Manhattan pass subtracts from x + 0.0, in which -0.0 is +0.0, so
-        that no entry of x - v is -0.0; |x - v| and sign(x - v), all it is
-        read through, are the same."""
+    def distances(self, x: np.ndarray):
+        """(distances, x - v or None, exact) at x, where `exact` says whether
+        x and the rows are an exact pair (the class docstring); a fresh
+        x - v is kept for Manhattan or an exact pair. Squared distances
+        without x - v come from the expansion (|x|^2 + |v|^2) - 2 v.x
+        clamped at 0, in the order of operations of `kernel_matrix`; in an
+        exact pair it sums integers below 2^53 as x - v does, so the two
+        give the same bits there. A Manhattan pass subtracts from x + 0.0,
+        in which -0.0 is +0.0, so that no entry of x - v is -0.0; |x - v|
+        and sign(x - v), all it is read through, are the same."""
         _check_dims(x, self.rows)
-        if keep or self.manhattan:
+        exact = self.bound is not None and _integral(x[None], self.bound)
+        if exact or self.manhattan:
             diffs = np.subtract(x + 0.0 if self.manhattan else x, self.rows)
             dists = np.abs(diffs).sum(axis=1) if self.manhattan else np.einsum("ij,ij->i", diffs, diffs)
-            return dists, diffs
+            return dists, diffs, exact
         dists = self.rows @ x
         dists *= 2.0
         np.subtract(np.sum(x * x) + self.sq_norms, dists, out=dists)
-        return np.maximum(dists, 0.0, out=dists), None
+        return np.maximum(dists, 0.0, out=dists), None, False
 
 
 class DistanceState:
-    """The distances from a descent's current point x to the rows of a
-    `Basis`, which the descent moves from point to point itself; one state
-    per descent. A subclass reads its value from distances with
-    `_read(dists) -> (value, held)`, and `held` is what it keeps of them.
+    """The distances from a point x to the rows of a `Basis`, which a
+    descent moves from point to point itself; one state per descent, and a
+    fresh one per one-point call. A subclass reads its value from distances
+    with `_read(dists) -> (value, held)`, and `held` is what it keeps of
+    them; `value` and `held` are those at x.
 
     The state is built at x0 by a full pass. A candidate is scored without
     moving the state: `try_step(j)` gives the value at x + e_j (a +1 move
@@ -167,17 +166,15 @@ class DistanceState:
     def __init__(self, basis: Basis, x0: np.ndarray):
         self.basis = basis
         self.x = np.array(x0, dtype=float)
-        self.exact = basis.exact_at(self.x)
-        self.dists, self.diffs = basis.distances(self.x, self.exact)
-        _, self.held = self._read(self.dists)
+        self.dists, self.diffs, self.exact = basis.distances(self.x)
+        self.value, self.held = self._read(self.dists)
         # the last candidate: ((j, its column j of x - v) for a patch, or
-        # (None, (y, exact, x - v or None)) for a full pass, distances, held)
+        # (None, (y, x - v or None, exact)) for a full pass), distances, value, held
         self._next = None
 
     def _try(self, move, dists: np.ndarray) -> float:
-        value, held = self._read(dists)
-        self._next = move, dists, held
-        return value
+        self._next = move, dists, *self._read(dists)
+        return self._next[2]
 
     def try_step(self, j: int) -> float:
         """The value at x + e_j: patched at an exact point while x[j] + 1
@@ -195,16 +192,15 @@ class DistanceState:
     def try_point(self, y: np.ndarray) -> float:
         """The value at y, by a full pass."""
         y = np.array(y, dtype=float)
-        exact = self.basis.exact_at(y)
-        dists, diffs = self.basis.distances(y, exact)
-        return self._try((None, (y, exact, diffs)), dists)
+        dists, diffs, exact = self.basis.distances(y)
+        return self._try((None, (y, diffs, exact)), dists)
 
     def accept(self) -> int | None:
         """Move to the last candidate tried. Returns the patched coordinate
         j, or None after a full pass."""
-        (j, new), self.dists, self.held = self._next
+        (j, new), self.dists, self.value, self.held = self._next
         if j is None:
-            self.x, self.exact, self.diffs = new
+            self.x, self.diffs, self.exact = new
             return None
         self.diffs[:, j] = new
         self.x[j] += 1.0

@@ -4,14 +4,13 @@ The estimator averages the laplacian kernel exp(-||x - x_i||_1 / h) over
 the `truncation_k` reference points nearest to the point in Manhattan
 distance. The neighbour set is re-selected at every point.
 
-`density` and `density_grad` are stateless one-point calls, each with a
-full neighbour search over the reference points (`kernels.Basis`). Each
-descent instead makes a point state of its own (`point_state`, a
-`kernels.DistanceState`): the point's differences and distances to all N
-reference points, the signs of the differences and exp(-d/h) of its
+The density and its gradient are read from a point state (`point_state`,
+a `kernels.DistanceState`): the point's differences and distances to all
+N reference points, the signs of the differences and exp(-d/h) of its
 neighbours, so the density and its gradient at one point share one
-search, and a discrete +1 move patches the distances in O(N) where that
-is bit-identical to a full search.
+search. A one-point call reads a fresh state; a descent moves one of its
+own, and a discrete +1 move patches the distances in O(N) where that is
+bit-identical to a full search.
 
 The gradient is the corrected one: the true subgradient, with an
 elementwise sign(x - x_i) factor and sign(0) = 0. (A published variant of
@@ -45,30 +44,13 @@ class MimicryEstimator:
         self.reference_points = pts
         self._basis = Basis(pts, manhattan=True)
 
-    def _near(self, dists: np.ndarray):
-        """(indices or None for all, exp(-distance/h), the density) of the
-        truncation_k nearest reference points, from their distances. d / -h
-        has the bits of -d / h, without a negation pass."""
-        k = self.truncation_k
-        sel = np.argpartition(dists, k - 1)[:k] if k < len(dists) else None
-        w = np.exp((dists if sel is None else dists[sel]) / -self.h)
-        return sel, w, float(w.sum() / len(w))  # the reduction np.mean makes
-
-    def _grad(self, signs: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """The gradient from sign(x - x_i) and exp(-distance/h) of the nearest."""
-        return (-1.0 / (len(w) * self.h)) * (w @ signs)
-
     def density(self, x: np.ndarray) -> float:
         """(1/n) sum of exp(-d(x, x_i)/h) over the n nearest reference points."""
-        dists, _ = self._basis.distances(np.asarray(x, dtype=float))
-        return self._near(dists)[2]
+        return self.point_state(x).value
 
     def density_grad(self, x: np.ndarray) -> np.ndarray:
         """-(1/(n h)) sum of exp(-d(x, x_i)/h) sign(x - x_i) over the n nearest."""
-        dists, diffs = self._basis.distances(np.asarray(x, dtype=float))
-        sel, w, _ = self._near(dists)
-        rows = diffs if sel is None else diffs[sel]  # the call's own: its signs are taken in place
-        return self._grad(np.sign(rows, out=rows), w)
+        return self.point_state(x).grad()
 
     def point_state(self, x0: np.ndarray) -> _KdePoint:
         """The density and its gradient at x0, as the state a descent from x0 moves."""
@@ -76,7 +58,7 @@ class MimicryEstimator:
 
 
 class _KdePoint(DistanceState):
-    """The density and its gradient at the current point of a descent, from
+    """The density and its gradient at the current point x of a state, from
     the point's neighbours (`held`) and its own array of the signs of
     x - x_i, which change in the patched column only; and the density at a
     candidate, whose neighbours are kept until `accept`."""
@@ -87,12 +69,17 @@ class _KdePoint(DistanceState):
         self.signs = np.sign(self.diffs)
 
     def _read(self, dists: np.ndarray):
-        near = self.est._near(dists)
-        return near[2], near
+        """The density from the truncation_k nearest reference points, and
+        (their indices or None for all, their exp(-distance/h)) as `held`.
+        d / -h has the bits of -d / h, without a negation pass."""
+        k = self.est.truncation_k
+        sel = np.argpartition(dists, k - 1)[:k] if k < len(dists) else None
+        w = np.exp((dists if sel is None else dists[sel]) / -self.est.h)
+        return float(w.sum() / len(w)), (sel, w)  # the reduction np.mean makes
 
     def grad(self) -> np.ndarray:
-        sel, w, _ = self.held
-        return self.est._grad(self.signs if sel is None else self.signs[sel], w)
+        sel, w = self.held
+        return (-1.0 / (len(w) * self.est.h)) * (w @ (self.signs if sel is None else self.signs[sel]))
 
     def accept(self) -> int | None:
         j = super().accept()

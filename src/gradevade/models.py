@@ -6,11 +6,10 @@ All models expose:
   gradient(x)          -> ndarray   exact analytic grad_x g(x)
 
 `SvmModel` is the rbf SVM; the linear SVM is solved on the linear Gram
-matrix and folded to a `LinearModel`. Its one-point calls are stateless
-passes over its support vectors (`kernels.Basis`). Each descent on it
-instead makes a point state of its own (`point_state`, a
-`kernels.DistanceState`): g and its gradient at the current point share
-one kernel pass, and a candidate is scored from a patch of that pass or a
+matrix and folded to a `LinearModel`. g and its gradient are read from a
+point state (`point_state`, a `kernels.DistanceState`) that shares one
+kernel pass over the support vectors: a fresh one per one-point call, and
+one per descent, which scores a candidate from a patch of that pass or a
 full pass of its own. The pass keeps x - sv only at an exact point, where
 a discrete +1 move patches it in O(N), bit-identical to a full pass;
 elsewhere it scores from |x|^2 + |sv|^2 - 2 sv.x with no N x d array.
@@ -36,18 +35,14 @@ from .kernels import Basis, DistanceState, KernelSpec, kernel_grad_combination, 
 MODEL_FORMAT_VERSION = "gradevade-model/1"
 
 
-def _sigmoid(z, out=None, e=None):
+def _sigmoid(z):
     """1/(1+e^-z) for z >= 0 and e^z/(1+e^z) below, without overflow.
 
     With e = exp(-|z|) <= 1, the numerator max(e, z >= 0) is 1 where
-    z >= 0 and e elsewhere (NaN stays NaN). `out` receives the result and
-    `e` is scratch of z's shape; left None, each is a new array.
+    z >= 0 and e elsewhere (NaN stays NaN).
     """
-    e = np.exp(np.negative(np.abs(z, out=e), out=e), out=e)
-    out = np.maximum(e, z >= 0, out=out)
-    e += 1.0
-    out /= e
-    return out
+    e = np.exp(-np.abs(z))
+    return np.maximum(e, z >= 0) / (1.0 + e)
 
 
 def _finite_real(value, name: str):
@@ -116,17 +111,13 @@ class SvmModel:
         self._basis = Basis(self.support_vectors)
 
     def discriminant(self, x: np.ndarray) -> float:
-        dists, _ = self._basis.distances(np.asarray(x, float))
-        return float(self.dual_coefs @ kernel_row(self.kernel, dists) + self.b)
+        return self.point_state(x).value
 
     def discriminant_many(self, X: np.ndarray) -> np.ndarray:
         return kernel_matrix(self.kernel, X, self.support_vectors) @ self.dual_coefs + self.b
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        dists, diffs = self._basis.distances(x, self._basis.exact_at(x))
-        return kernel_grad_combination(self.kernel, kernel_row(self.kernel, dists), self.dual_coefs, x,
-                                       self.support_vectors, diffs)
+        return self.point_state(x).grad()
 
     def point_state(self, x0: np.ndarray) -> _RbfPoint:
         """g and its gradient at x0, as the state a descent from x0 moves."""
@@ -134,7 +125,7 @@ class SvmModel:
 
 
 class _RbfPoint(DistanceState):
-    """g and grad g at the current point of a descent on an SvmModel, from
+    """g and grad g at the current point x of a state on an SvmModel, from
     the point's kernel row (`held`), and g at a candidate, whose row is
     kept until `accept`."""
 
@@ -327,12 +318,10 @@ def train_mlp(
     loss) raises with the offending epoch index, as does a trained network
     whose hidden pre-activations on the training rows are not finite.
 
-    Each epoch works in three (n, m) buffers and one (m, d) buffer
-    allocated once per fit and overwritten in place, with the same
-    floating-point operations in the same order as the allocating form,
-    so the weights are bit-identical per seed. The logistic loss is only
-    checked for finiteness, so it is computed only in the epochs where
-    some |logit| reaches _LOSS_CHECK_BOUND; below it the loss is finite.
+    Each epoch is one full-batch step on the logistic loss, whose
+    gradients all come from the old weights. The loss is only checked for
+    finiteness, so it is computed only in the epochs where some |logit|
+    reaches _LOSS_CHECK_BOUND; below it the loss is finite.
     """
     if m < 1:
         raise ValueError("hidden width m must be >= 1")
@@ -346,15 +335,9 @@ def train_mlp(
     X = train.X
     t = (train.y + 1.0) / 2.0
     n = train.n
-    A = np.empty((n, m))    # pre-activations, later 1 - H
-    H = np.empty((n, m))    # hidden activations
-    E = np.empty((n, m))    # sigmoid scratch, later dH
-    gV = np.empty((m, d))
     for epoch in range(epochs):
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(X, V.T, out=A)
-            A += bk
-            _sigmoid(A, out=H, e=E)
+            H = _sigmoid(X @ V.T + bk)       # (n, m) hidden activations
             z = H @ w + b                    # output logits
             # stable logistic loss: softplus(z) - t z
             finite = np.abs(z).max() < _LOSS_CHECK_BOUND or np.isfinite(
@@ -363,22 +346,13 @@ def train_mlp(
         if not finite:
             raise RuntimeError(f"MLP training diverged (non-finite loss at epoch {epoch})")
         dz = (_sigmoid(z) - t) / n           # (n,)
-        gw = H.T @ dz
-        gb = float(dz.sum())
-        # dH = outer(dz, w) * H * (1 - H), multiplied left to right
-        np.multiply(dz[:, None], w, out=E)
-        E *= H
-        np.subtract(1.0, H, out=A)
-        E *= A
-        np.matmul(E.T, X, out=gV)
-        gbk = E.sum(axis=0)
-        w -= learning_rate * gw
-        b -= learning_rate * gb
-        gV *= learning_rate
-        V -= gV
-        bk -= learning_rate * gbk
+        dH = dz[:, None] * w * H * (1.0 - H)
+        w -= learning_rate * (H.T @ dz)
+        b -= learning_rate * float(dz.sum())
+        V -= learning_rate * (dH.T @ X)
+        bk -= learning_rate * dH.sum(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = np.isfinite(np.add(np.matmul(X, V.T, out=A), bk, out=A)).all()
+        finite = np.isfinite(X @ V.T + bk).all()
     if not finite:
         raise RuntimeError(f"MLP training diverged (non-finite hidden pre-activation after training, epochs={epochs})")
     return MlpModel(hidden_weights=V, hidden_biases=bk, output_weights=w, output_bias=b)

@@ -34,6 +34,7 @@ from .models import ModelSpec, TrainedModel, evading, predict, train_from_spec
 from .models import train_kernel_svm, train_mlp  # unused: benchmarks/tracing.py wraps them in this module
 
 SCENARIO_KINDS = ("PK", "LK")
+SURROGATE_KEYS = ("C", "gamma", "m", "epochs", "learning_rate")  # the keys surrogate_spec reads
 
 
 @dataclass
@@ -76,10 +77,14 @@ def surrogate_spec(target: ModelSpec, params: dict) -> ModelSpec:
     defaults C=100 and gamma=0.1, the target's width m, 2000 epochs and
     rate 1.0, each overridden by its key in `params`.
 
-    Raises ValueError naming the key for a value of the wrong type: C, gamma
-    and learning_rate take a real number (widened to float), m and epochs
-    an integer; a bool or a string is neither. Raises ValueError on an
-    out-of-range value, as ModelSpec does."""
+    Raises ValueError naming the key for a key it does not read, and for a
+    value of the wrong type: C, gamma and learning_rate take a real number
+    (widened to float), m and epochs an integer; a bool or a string is
+    neither. Raises ValueError on an out-of-range value, as ModelSpec does."""
+    unknown = [key for key in params if key not in SURROGATE_KEYS]
+    if unknown:
+        raise ValueError(f"unknown surrogate key {unknown[0]!r}")
+
     def value(key, default, kind, name):
         v = params.get(key, default)
         if isinstance(v, bool) or not isinstance(v, kind):

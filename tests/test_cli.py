@@ -382,6 +382,23 @@ def test_export_digits_checks_every_vector_before_it_writes(tmp_path, capsys, ve
     assert not (tmp_path / "images").exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("0,1.0,2.0", "not enough values to unpack (expected 4, got 3)"),
+        ("# vector x0: 0.5 abc 0.5 0.5", "could not convert string to float: 'abc'"),
+    ],
+    ids=["three_fields", "bad_float"],
+)
+def test_export_digits_names_the_trace_line_it_cannot_parse(tmp_path, capsys, line, message):
+    trace = tmp_path / "trace.txt"
+    trace.write_text(f"# {TRACE_FORMAT_VERSION}\n# iterations: 0\n{line}\n# vector x_star: 0.5 0.5 0.5 0.5\n")
+    capsys.readouterr()
+    assert main(["export-digits", "--trace", str(trace), "--out", str(tmp_path / "images")]) == 2
+    assert capsys.readouterr().err == f"error: {trace}:3: {message}\n"
+    assert not (tmp_path / "images").exists()
+
+
 def test_sweep_on_data_with_no_feature_column_exits_2(tmp_path, capsys):
     labels_only = tmp_path / "labels.txt"
     labels_only.write_text("".join(f"{y}\n" for y in [-1, 1] * 40))
@@ -389,7 +406,8 @@ def test_sweep_on_data_with_no_feature_column_exits_2(tmp_path, capsys):
     sets = [*PDF_SMALL, "dataset.kind=sparse", f"dataset.path={labels_only}"]
     capsys.readouterr()
     assert main(["sweep", *config_args("synthetic_pdf.json", sets, out)]) == 2
-    assert "at least one feature column" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{labels_only}: " in err and "at least one feature column" in err
     assert not out.exists()
 
 

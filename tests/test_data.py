@@ -92,6 +92,13 @@ class TestCsv:
         with pytest.raises(ValueError, match="unknown label"):
             load_dense_csv(p)
 
+    def test_non_finite_feature_names_the_file(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("0.1,nan,-1\n0.9,0.8,1\n")
+        with pytest.raises(ValueError) as info:
+            load_dense_csv(p)
+        assert str(info.value) == f"{p}: non-finite feature value in sample 0"
+
     def test_zero_one_labels_round_trip(self, tmp_path):
         # oracle: load a {0,1} file, write it back, reload; both reads agree
         # and the remap lands exactly on {-1,+1}
@@ -125,6 +132,14 @@ class TestSparse:
         with pytest.raises(ValueError, match=":1"):
             load_sparse_counts(p)
 
+    def test_index_given_twice_on_one_line(self, tmp_path):
+        # a second value for feature 1 would overwrite the first without a word
+        p = tmp_path / "s.txt"
+        p.write_text("-1 2:1\n+1 1:3 1:5\n")
+        with pytest.raises(ValueError) as info:
+            load_sparse_counts(p)
+        assert str(info.value) == f"{p}:2: index 1 given twice"
+
 
 class TestIdx:
     def test_zero_image_and_255_normalization(self, tmp_path):
@@ -155,6 +170,14 @@ class TestIdx:
         img.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="magic"):
             load_idx_images(img, lbl, class_neg=7, class_pos=3)
+
+    def test_refused_data_names_the_images_file(self, tmp_path):
+        # images of 0 x 28 pixels: no feature column
+        img, lbl = make_idx_files(tmp_path, np.zeros((2, 784), dtype=np.uint8), [3, 7])
+        img.write_bytes(struct.pack(">IIII", 0x803, 2, 0, 28))
+        with pytest.raises(ValueError) as info:
+            load_idx_images(img, lbl, class_neg=7, class_pos=3)
+        assert str(info.value) == f"{img}: X must be 2-D with at least one feature column, got shape (2, 0)"
 
     def test_truncated_payload(self, tmp_path):
         img, lbl = make_idx_files(tmp_path, np.zeros((2, 784), dtype=np.uint8), [3, 7])

@@ -689,24 +689,40 @@ class TestKernelPasses:
             assert passes[("patch", kind)] >= tr.iterations, kind
 
 
+ONE_POINT_CALLS = {("gradevade.models", "discriminant"), ("gradevade.models", "gradient"),
+                   ("gradevade.mimicry", "density"), ("gradevade.mimicry", "density_grad")}
+
+
+def pass_kind(frame) -> str:
+    """The kind of the `Basis.distances` pass that `frame` called: "stateless"
+    when a one-point call of an SvmModel or a MimicryEstimator is among the
+    calling frames (the state it reads is its own), else by the immediate
+    caller, "reset" for a `DistanceState` built at a descent's start and
+    "full" for `try_point`."""
+    caller = frame.f_code.co_name
+    while frame is not None:
+        if (frame.f_globals.get("__name__"), frame.f_code.co_name) in ONE_POINT_CALLS:
+            return "stateless"
+        frame = frame.f_back
+    return {"__init__": "reset", "try_point": "full"}[caller]
+
+
 def count_state_passes(monkeypatch, by_kind: bool = False) -> Counter:
-    """Count the passes of every `kernels.Basis` by their caller: "reset"
-    (the full pass a `kernels.DistanceState` makes at a descent's start),
-    "full" (a full pass at a candidate, made by `try_point`), "stateless"
-    (any other: a one-point call); "patch" (a candidate `try_step` scored
-    without a full pass); and the moves `accept` makes, "moved_patch" and
-    "moved_full". With `by_kind`, each key is (kind, "kde" or "rbf")."""
+    """Count the passes of every `kernels.Basis` by `pass_kind`: "reset",
+    "full" or "stateless" (a one-point call); "patch" (a candidate
+    `try_step` scored without a full pass); and the moves `accept` makes,
+    "moved_patch" and "moved_full". With `by_kind`, each key is (kind,
+    "kde" or "rbf")."""
     counts = Counter()
     distances = kernels_module.Basis.distances
     try_step, accept = kernels_module.DistanceState.try_step, kernels_module.DistanceState.accept
-    callers = {"__init__": "reset", "try_point": "full"}
 
     def key(basis, kind):
         return (kind, "kde" if basis.manhattan else "rbf") if by_kind else kind
 
-    def counted_distances(basis, x, keep=False):
-        counts[key(basis, callers.get(sys._getframe(1).f_code.co_name, "stateless"))] += 1
-        return distances(basis, x, keep)
+    def counted_distances(basis, x):
+        counts[key(basis, pass_kind(sys._getframe(1)))] += 1
+        return distances(basis, x)
 
     def counted_try_step(state, j):
         full = counts[key(state.basis, "full")]

@@ -80,6 +80,11 @@ class TestSurrogateSpec:
         with pytest.raises(ValueError, match=f"^{named}$"):
             surrogate_spec(ModelSpec("mlp"), params)
 
+    def test_a_key_it_does_not_read_is_refused_by_name(self):
+        # a misspelt gamma would otherwise leave the default 0.1 in place
+        with pytest.raises(ValueError, match="^unknown surrogate key 'gama'$"):
+            surrogate_spec(ModelSpec("svm"), {"gama": 5.0})
+
     def test_real_values_are_widened_and_integers_kept(self):
         got = surrogate_spec(ModelSpec("svm"), {"C": 7, "gamma": 1, "m": np.int64(3), "epochs": 5, "learning_rate": 2})
         assert (got.C, got.kernel.gamma, got.m, got.epochs, got.learning_rate) == (7.0, 1.0, 3, 5, 2.0)
