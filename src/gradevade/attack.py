@@ -96,7 +96,7 @@ class AttackTrace:
 
     points[0] is x0 and points[-1] is x*. F is the attacked model's
     objective (the surrogate's, under LK), except in the single-point
-    trace `scenario.run_scenario` records for a row the target already
+    trace `scenario.run_scenario` makes for a row the target already
     labels legitimate: that holds the target's batched score g(x0). Whether
     a point evades the target is not recorded here: `evaluation.trace_profile`
     scores the points on the target.

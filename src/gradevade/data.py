@@ -110,9 +110,10 @@ def _map_label(raw: float, where: str) -> int:
 def load_dense_csv(path, label_column: str = "label") -> Dataset:
     """Load a dense CSV of decimal feature values plus one label column.
 
-    A header row is optional; without one the label is taken from the last
-    column. Labels may be {-1, +1} or {0, 1} (remapped). Malformed rows are
-    reported with their 1-based line number.
+    A header row is optional; it is the first non-blank row. Without one
+    the label is taken from the last column. Labels may be {-1, +1} or
+    {0, 1} (remapped). Malformed rows are reported with their 1-based line
+    number.
     """
     rows = []
     labels = []
@@ -123,7 +124,7 @@ def load_dense_csv(path, label_column: str = "label") -> Dataset:
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if lineno == 1:
+            if width is None:  # the first non-blank row: a header, or the first data row
                 try:
                     [float(c) for c in row]
                 except ValueError:
@@ -135,7 +136,6 @@ def load_dense_csv(path, label_column: str = "label") -> Dataset:
                     label_idx = names.index(label_column)
                     width = len(names)
                     continue
-            if width is None:
                 width = len(row)
                 label_idx = width - 1
             if len(row) != width:
@@ -218,7 +218,7 @@ def load_idx_images(images_path, labels_path, class_neg: int, class_pos: int) ->
             raise ValueError(f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{_IDX_LABELS_MAGIC:08x}")
         digits = np.frombuffer(_read_exact(fh, n_labels, labels_path), dtype=np.uint8)
     if n_images != n_labels:
-        raise ValueError(f"{n_images} images but {n_labels} labels")
+        raise ValueError(f"{images_path} has {n_images} images but {labels_path} has {n_labels} labels")
     keep = (digits == class_neg) | (digits == class_pos)
     X = pixels[keep].astype(np.float64) / 255.0
     y = np.where(digits[keep] == class_pos, MALICIOUS, LEGITIMATE)

@@ -2,14 +2,15 @@
 
 A sample counts as a false negative at budget b when its attack trace
 contains a point within distance b of the start whose target score falls
-below the threshold. One attack run at the largest budget therefore
-serves every budget of the sweep, and FN is nondecreasing in b by
-construction (larger budgets admit a superset of trace points). Curves
-are rows: `aggregate_curves` returns the rows of curves.csv, one per point.
+below the threshold, that is, when the nearest such point
+(`nearest_evasion`) lies within b. The sweep reduces each trace to that one
+distance as it is made (`scenario.run_scenario`), so one attack run at the
+largest budget serves every budget, and FN is nondecreasing in b by
+construction. Curves are rows: `aggregate_curves` returns the rows of
+curves.csv, one per point.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import groupby
@@ -73,32 +74,23 @@ def trace_profile(target: TrainedModel, trace: AttackTrace):
     return dists, scores
 
 
-def fn_rates(
-    target: TrainedModel,
-    traces: Iterable[AttackTrace],
-    d_grid: list[float],
-) -> list[float]:
-    """Fraction of traces that evade the target within each budget of d_grid.
+def nearest_evasion(target: TrainedModel, trace: AttackTrace) -> float:
+    """l1 distance from the start to the nearest point of `trace` that evades
+    the target (`trace_profile`, `models.evading`); inf when none does."""
+    dists, scores = trace_profile(target, trace)
+    evaded = evading(target, scores)
+    return float(dists[evaded].min()) if evaded.any() else np.inf
 
-    `traces` may be any iterable, a lazy round of `scenario.run_scenario`
-    included: each trace is reduced to its nearest evading distance as it
-    arrives and released before the next one is asked for, so a descent
-    never runs while a finished trace is still held here.
-    """
-    limits = np.asarray(d_grid, dtype=float) + _FEAS_TOL  # the attack's own budget slack
-    hits = np.zeros(len(d_grid), dtype=int)
-    n = 0
-    # map keeps no trace between calls; a `for tr in traces` variable would
-    # keep trace k alive while trace k+1 is made
-    for dists, scores in map(partial(trace_profile, target), traces):
-        n += 1
-        evaded = evading(target, scores)
-        if evaded.any():
-            # some evading point lies within b exactly when the nearest one does
-            hits += dists[evaded].min() <= limits
-    if n == 0:
+
+def fn_rates(nearest: list[float], d_grid: list[float]) -> list[float]:
+    """Fraction of rows whose nearest evading distance (`nearest_evasion`)
+    lies within each budget of d_grid; a row that never evades counts at none."""
+    nearest = np.asarray(nearest, dtype=float)[:, None]
+    if nearest.size == 0:
         raise ValueError("empty malicious set")
-    return [h / n for h in hits]
+    limits = np.asarray(d_grid, dtype=float) + _FEAS_TOL  # the attack's own budget slack
+    hits = ((nearest <= limits) & (nearest < np.inf)).sum(axis=0)
+    return [h / len(nearest) for h in hits]
 
 
 # ---------------------------------------------------------------------------
@@ -156,14 +148,13 @@ def _run_cell(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]) -> list[dict]:
     scen = replace(plan.scenario, seed=derive_seeds([plan.root_seed, split_idx, model_idx, 3])[0])
     # the rounds (LK: the surrogates) do not depend on lambda: built once, attacked per lambda
     descents = {kind: descent_rounds(target, model_spec, test, replace(scen, kind=kind)) for kind in plan.scenario_kinds}
+    nearest = partial(nearest_evasion, target)
     rows = []
     for lam in plan.lambdas:
         atk = replace(plan.attack, lam=lam, d_max=max(plan.d_grid))
         for kind in plan.scenario_kinds:
-            for repeat, traces in enumerate(run_scenario(target, descents[kind], atk, attack_set, kde=plan.kde)):
-                # counted as the round yields them: no finished trace alive during a descent
-                fns = fn_rates(target, traces, plan.d_grid)
-                for b, fn in zip(plan.d_grid, fns):
+            for repeat, dists in enumerate(run_scenario(target, descents[kind], atk, attack_set, nearest, kde=plan.kde)):
+                for b, fn in zip(plan.d_grid, fn_rates(dists, plan.d_grid)):
                     rows.append(
                         {
                             "classifier": model_spec.descriptor(),

@@ -60,13 +60,14 @@ class MimicryEstimator:
 class _KdePoint(DistanceState):
     """The density and its gradient at the current point x of a state, from
     the point's neighbours (`held`) and its own array of the signs of
-    x - x_i, which change in the patched column only; and the density at a
-    candidate, whose neighbours are kept until `accept`."""
+    x - x_i, built by the first `grad()` and changed in the patched column
+    only; and the density at a candidate, whose neighbours are kept until
+    `accept`."""
 
     def __init__(self, est: MimicryEstimator, x0: np.ndarray):
         self.est = est
         super().__init__(est._basis, x0)
-        self.signs = np.sign(self.diffs)
+        self.signs = None  # a one-point density never reads them
 
     def _read(self, dists: np.ndarray):
         """The density from the truncation_k nearest reference points, and
@@ -78,13 +79,16 @@ class _KdePoint(DistanceState):
         return float(w.sum() / len(w)), (sel, w)  # the reduction np.mean makes
 
     def grad(self) -> np.ndarray:
+        if self.signs is None:
+            self.signs = np.sign(self.diffs)
         sel, w = self.held
         return (-1.0 / (len(w) * self.est.h)) * (w @ (self.signs if sel is None else self.signs[sel]))
 
     def accept(self) -> int | None:
         j = super().accept()
-        cols = slice(None) if j is None else j
-        np.sign(self.diffs[:, cols], out=self.signs[:, cols])
+        if self.signs is not None:
+            cols = slice(None) if j is None else j
+            np.sign(self.diffs[:, cols], out=self.signs[:, cols])
         return j
 
 

@@ -13,16 +13,13 @@ The traces record only the descent; whether they evade the target is
 judged by the evaluation (`evaluation.trace_profile`), never here. The
 target is never touched during LK descent except through `models.predict`.
 
-`run_scenario` attacks a list of rounds and streams: its rounds and each
-round's traces are lazy iterators that keep no trace once it is yielded.
-A caller that reduces each trace as it arrives and lets it go before
-asking for the next (`evaluation.fn_rates`) holds one trace at a time, not
-a round of them, and none while a descent runs.
+`run_scenario` attacks a list of rounds and hands each trace to the
+caller's reducer as soon as it is made, so only the reduced values are kept.
 """
 from __future__ import annotations
 
 import numbers
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -136,40 +133,24 @@ def with_mimicry(attack: AttackSpec, kde: KdeParams | None, data: Dataset) -> At
     return attack
 
 
-def _traces(model: TrainedModel, spec: AttackSpec, X: np.ndarray, start_scores: np.ndarray, start_evades: np.ndarray):
-    """One round's traces, in row order: a descent on `model` for each row
-    that does not evade the target at its start, and for the others a
-    single-point trace holding the target's score of the row from `start_scores`.
-
-    A function, not a nested generator expression in `run_scenario`: its
-    arguments bind this round's model and spec when the round is created,
-    where a nested expression would look them up when each trace is made.
-    """
-    for x0, score, evades in zip(X, start_scores, start_evades):
-        if evades:
-            yield AttackTrace([x0], [float(score)], "converged")
-        else:
-            yield run_attack(model, spec, x0)
-
-
 def run_scenario(
     target: TrainedModel,
     rounds: list[tuple[Dataset, TrainedModel]],
     attack: AttackSpec,
     attack_set: Dataset,
+    reduce: Callable[[AttackTrace], object],
     kde: KdeParams | None = None,
-) -> Iterator[Iterator[AttackTrace]]:
+) -> list[list]:
     """Attack every sample of attack_set once per round of `descent_rounds`.
 
-    Returns a lazy iterator with one attack round per (KDE data, model)
-    pair of `rounds`, in order, each a lazy iterator of one trace per
-    attack_set row in row order, descended on the round's model. The input
-    checks and the target's one batched scoring of the rows run in this
-    call; everything else runs as the rounds are consumed. Each round's model and attack
-    spec (`with_mimicry` over its data) are bound when the round is
-    created, so rounds may be consumed in any order once reached. A sample
-    that already evades the target (`models.evading`) is not descended on:
-    it counts as evading at every budget, recorded as a single-point trace.
+    Returns one list per (KDE data, model) pair of `rounds`, in order, each
+    holding `reduce(trace)` per attack_set row in row order, for a trace
+    descended on the round's model with the round's attack spec
+    (`with_mimicry` over its data). Each trace goes to `reduce` as soon as it
+    is made and is dropped before the next descent starts. A sample that
+    already evades the target (`models.evading`), by the target's one batched
+    scoring of the rows, is not descended on: its trace is the single point
+    of its start, holding that score, so it counts as evading at every budget.
     """
     if np.any(attack_set.y != MALICIOUS):
         raise ValueError("attack_set must contain only malicious samples")
@@ -178,5 +159,9 @@ def run_scenario(
 
     start_scores = target.discriminant_many(attack_set.X)
     start_evades = evading(target, start_scores)
-    return (_traces(model, with_mimicry(attack, kde, data), attack_set.X, start_scores, start_evades)
-            for data, model in rounds)
+    reduced = []
+    for data, model in rounds:
+        spec = with_mimicry(attack, kde, data)
+        reduced.append([reduce(AttackTrace([x0], [float(score)], "converged") if evades else run_attack(model, spec, x0))
+                        for x0, score, evades in zip(attack_set.X, start_scores, start_evades)])
+    return reduced

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import runpy
 import statistics
 import struct
 import subprocess
@@ -329,6 +330,35 @@ def test_attack_refuses_a_polynomial_model_file(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_train_lists_a_failing_model_and_saves_the_others(tmp_path, capsys):
+    grid = json.dumps([{"kind": "linear_svm", "C": 1.0}, {"kind": "mlp", "m": 3, "epochs": 1, "learning_rate": 1e308}])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["train", *config_args("synthetic_pdf.json", [*PDF_SMALL, f"models={grid}"], out)]) == 3
+    manifest = json.loads((out / "train_manifest.json").read_text())
+    error = "RuntimeError: MLP training diverged (non-finite hidden pre-activation after training, epochs=1)"
+    assert manifest["failures"] == [{"classifier": "mlp(m=3)", "split": 0, "error": error}]
+    [entry] = manifest["models"]
+    assert entry["classifier"] == "linear_svm(C=1)"
+    load_model(entry["path"])
+    assert f"FAILED mlp(m=3) split 0: {error}" in capsys.readouterr().err
+
+
+def test_attack_refuses_a_misclassified_start_without_force(tmp_path, capsys):
+    # at C = 1e-12 the model scores every row 0, below the calibrated threshold
+    sets = [*PDF_SMALL, f"models={json.dumps([{'kind': 'linear_svm', 'C': 1e-12}])}"]
+    train_out = tmp_path / "train"
+    assert main(["train", *config_args("synthetic_pdf.json", sets, train_out)]) == 0
+    [entry] = json.loads((train_out / "train_manifest.json").read_text())["models"]
+    out = tmp_path / "out"
+    args = ["attack", *config_args("synthetic_pdf.json", sets, out), "--model", entry["path"], "--index", "0"]
+    capsys.readouterr()
+    assert main(args) == 2
+    assert "sample 0 is already misclassified at the calibrated threshold" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*args, "--force"]) == 0
+
+
 def test_an_mlp_failure_reads_the_same_under_every_warning_filter(tmp_path):
     # one epoch at rate 1e308 leaves a finite loss but weights whose scoring
     # overflows: training refuses the network before anything scores it, so
@@ -546,6 +576,16 @@ def test_module_entry_point_runs_the_command_line(tmp_path):
     assert proc.returncode == 2
     assert "models[2].epoch" in proc.stderr
     assert not out.exists()
+
+
+def test_module_entry_point_exits_with_the_status_of_the_command_line(tmp_path, monkeypatch, capsys):
+    # the entry point run in this process, on a config that does not exist
+    missing = tmp_path / "missing.json"
+    monkeypatch.setattr(sys, "argv", ["gradevade", "sweep", "--config", str(missing), "--out", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("gradevade", run_name="__main__")
+    assert info.value.code == 2
+    assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
 
 
 def test_importing_the_command_line_leaves_the_process_pool_unloaded():

@@ -49,6 +49,18 @@ class TestDatasetKinds:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [(None, "config file not found: {path}"), ("{", "{path}: invalid JSON: ")],
+                         ids=["missing", "invalid_json"])
+def test_a_config_that_cannot_be_read_exits_2_naming_it(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message.format(path=path)}")
+    assert not out.exists()
+
+
 class TestUnknownKeys:
     def test_flagship_surrogate_settings_reach_the_scenario(self):
         cfg = load_config(CONFIGS / "synthetic_pdf.json")

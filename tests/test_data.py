@@ -80,6 +80,13 @@ class TestCsv:
         np.testing.assert_allclose(ds.X, [[0.5, 0.25]])
         assert ds.y[0] == 1
 
+    def test_header_after_a_leading_blank_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("\nf1,f2,label\n1,2,1\n3,4,0\n")
+        ds = load_dense_csv(p)
+        np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0]])
+        assert list(ds.y) == [1, -1]
+
     def test_inconsistent_width_names_row(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("0.1,0.2,-1\n0.1,0.2,0.3,1\n")
@@ -179,6 +186,13 @@ class TestIdx:
             load_idx_images(img, lbl, class_neg=7, class_pos=3)
         assert str(info.value) == f"{img}: X must be 2-D with at least one feature column, got shape (2, 0)"
 
+    def test_count_mismatch_names_both_files(self, tmp_path):
+        img, lbl = make_idx_files(tmp_path, np.zeros((2, 784), dtype=np.uint8), [3, 7])
+        lbl.write_bytes(struct.pack(">II", 0x801, 3) + bytes([3, 7, 3]))
+        with pytest.raises(ValueError) as info:
+            load_idx_images(img, lbl, class_neg=7, class_pos=3)
+        assert str(info.value) == f"{img} has 2 images but {lbl} has 3 labels"
+
     def test_truncated_payload(self, tmp_path):
         img, lbl = make_idx_files(tmp_path, np.zeros((2, 784), dtype=np.uint8), [3, 7])
         img.write_bytes(img.read_bytes()[:-10])
@@ -232,6 +246,15 @@ class TestSplit:
                 frac = np.sum(y == cls) / n
                 assert abs(np.sum(train.y == cls) - frac * n_train) <= 1.0 + 1e-9
                 assert abs(np.sum(test.y == cls) - frac * n_test) <= 1.0 + 1e-9
+
+    def test_an_overdrawn_class_shifts_its_test_quota_to_the_other(self):
+        # 2 + 2 rows, n_train=1 and n_test=3: the test quota [2, 1] would draw
+        # 3 legitimate rows; one of its legitimate places moves to the malicious class
+        ds = Dataset(np.arange(4, dtype=float).reshape(-1, 1), np.array([-1, -1, 1, 1]))
+        train, test = split_train_test(ds, 1, 3, seed=0)
+        assert sorted(train.X[:, 0].tolist() + test.X[:, 0].tolist()) == [0.0, 1.0, 2.0, 3.0]
+        assert [int(np.sum(train.y == c)) for c in (-1, 1)] == [1, 0]
+        assert [int(np.sum(test.y == c)) for c in (-1, 1)] == [1, 2]
 
     def test_insufficient_samples(self):
         ds = Dataset(np.zeros((4, 1)), np.array([-1, -1, 1, 1]))

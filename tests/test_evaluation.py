@@ -22,6 +22,7 @@ from gradevade.evaluation import (
     cell_model,
     cell_split,
     fn_rates,
+    nearest_evasion,
     sweep,
     trace_profile,
 )
@@ -93,9 +94,10 @@ class TestFnRate:
     def setup_method(self):
         self.model = LinearModel(np.array([1.0]), 0.0)
 
-    def at(self, theta):
-        """The model with its threshold calibrated to theta."""
-        return replace(self.model, decision_offset=theta)
+    def rates(self, theta, traces, budgets):
+        """fn_rates of the traces' nearest evasions of the model with its threshold calibrated to theta."""
+        target = replace(self.model, decision_offset=theta)
+        return fn_rates([nearest_evasion(target, t) for t in traces], budgets)
 
     def test_budget_zero_equals_clean_fn(self):
         theta = 0.5
@@ -103,11 +105,11 @@ class TestFnRate:
             trace_of([[0.2], [-1.0]], self.model),  # starts below theta: clean FN
             trace_of([[2.0], [-1.0]], self.model),  # starts above: clean TP
         ]
-        assert fn_rates(self.at(theta), traces, [0.0]) == [0.5]
+        assert self.rates(theta, traces, [0.0]) == [0.5]
 
     def test_all_evaded_saturates(self):
         traces = [trace_of([[2.0], [-1.0]], self.model) for _ in range(4)]
-        assert fn_rates(self.at(0.0), traces, [3.0]) == [1.0]
+        assert self.rates(0.0, traces, [3.0]) == [1.0]
 
     def test_monotone_in_budget(self):
         rng = np.random.default_rng(19)
@@ -119,7 +121,7 @@ class TestFnRate:
                 path.append([path[-1][0] - float(rng.uniform(0.1, 0.6))])
             traces.append(trace_of(path, self.model))
         budgets = list(np.linspace(0, 5, 11))
-        rates = fn_rates(self.at(0.1), traces, budgets)
+        rates = self.rates(0.1, traces, budgets)
         assert all(b >= a for a, b in zip(rates, rates[1:]))
         # brute force: a trace counts when some point within the budget scores below theta
         for b, rate in zip(budgets, rates):
@@ -131,16 +133,21 @@ class TestFnRate:
 
     def test_misclassified_at_start_counts_at_every_budget(self):
         traces = [trace_of([[-0.5]], self.model)]
-        assert fn_rates(self.at(0.0), traces, [0.0, 1.0, 10.0]) == [1.0, 1.0, 1.0]
+        assert self.rates(0.0, traces, [0.0, 1.0, 10.0]) == [1.0, 1.0, 1.0]
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fn_rates(self.at(0.0), [], [1.0])
+            self.rates(0.0, [], [1.0])
 
     def test_needs_within_budget_point(self):
         # evading point sits at distance 2; budget 1 cannot use it
         traces = [trace_of([[1.5], [-0.5]], self.model)]
-        assert fn_rates(self.at(0.0), traces, [1.0, 2.0]) == [0.0, 1.0]
+        assert self.rates(0.0, traces, [1.0, 2.0]) == [0.0, 1.0]
+
+    def test_a_trace_that_never_evades_counts_at_no_budget(self):
+        never = trace_of([[2.0], [0.5]], self.model)
+        assert nearest_evasion(self.model, never) == np.inf
+        assert self.rates(0.0, [never, trace_of([[1.0], [-0.5]], self.model)], [0.0, 2.0, np.inf]) == [0.0, 0.5, 0.5]
 
 
 def separable_counts(n_per_class=40, seed=0, n_dup=1):
@@ -253,21 +260,6 @@ def test_sweep_holds_no_finished_trace_when_a_descent_starts(monkeypatch):
     assert max(alive_at_start) == 0
 
 
-def test_fn_rates_releases_each_trace_before_asking_for_the_next():
-    model = LinearModel(np.array([1.0]), 0.0)
-    made = []
-
-    def traces():
-        for start in (2.0, 1.0, -1.0, 3.0):
-            assert all(ref() is None for ref in made), f"trace {len(made) - 1} still alive"
-            trace = [trace_of([[start], [start - 1.5]], model)]
-            made.append(weakref.ref(trace[0]))
-            yield trace.pop()  # the generator keeps no reference either
-
-    assert fn_rates(model, traces(), [0.0, 1.0, 2.0]) == [0.25, 0.25, 0.5]
-    assert len(made) == 4
-
-
 def reference_trace_profile(target, points):
     """`trace_profile` as it was when a trace kept a list of point arrays:
     `np.stack` copies them, the copy is scored, then turned into the
@@ -375,7 +367,7 @@ def test_lambda_500_is_inert_on_the_flagship_rbf_svm(monkeypatch):
     atk = replace(cfg.attack, lam=500.0, d_max=max(cfg.d_max_grid))
     attack_set = test.subset(np.flatnonzero(test.y == MALICIOUS))
     rounds = descent_rounds(target, spec, test, replace(cfg.scenario, kind="PK"))
-    [list(r) for r in run_scenario(target, rounds, atk, attack_set, kde=cfg.kde)]
+    run_scenario(target, rounds, atk, attack_set, lambda trace: None, kde=cfg.kde)
     assert len(descents) > 200
     assert {trace.termination for _, trace in descents} == {"budget_boundary_converged"}
     density = max(est.density(x) for est, trace in descents for x in trace.points)

@@ -225,6 +225,21 @@ class TestNeighborPointState:
             state.accept()
             check(y + np.eye(3)[1], None)
 
+    def test_a_fresh_state_builds_its_signs_on_the_first_grad(self):
+        # a one-point density reads no sign of x - x_i; a moved state builds
+        # them from its own x - x_i, with the bits of a fresh search
+        rng = np.random.default_rng(71)
+        pts = rng.integers(0, 4, size=(30, 3)).astype(float)
+        settings = dict(h=2.0, truncation_k=10)
+        state = MimicryEstimator(pts, **settings).point_state(np.zeros(3))
+        assert state.signs is None
+        y = np.array([0.0, 1.0, 0.0])
+        state.try_step(1)
+        state.accept()
+        assert state.signs is None
+        self.checker(state, settings)(y, None)
+        np.testing.assert_array_equal(state.signs, np.sign(y - pts))
+
 
 class TestValidation:
     def test_bad_bandwidth(self):

@@ -163,6 +163,15 @@ class TestKernelSvm:
         assert lin.b == b
         assert lin.w.tobytes() == train_from_spec(ModelSpec("linear_svm", C=1.0), ds).w.tobytes()
 
+    def test_an_all_zero_dual_keeps_one_flat_term(self):
+        # C = 1e-12 leaves every alpha below the support-vector cut
+        ds = blobs(20, sep=3.0, seed=7)
+        lin = train_kernel_svm(ds, KernelSpec("linear"), C=1e-12)
+        assert lin.w.tolist() == [0.0] * ds.dim and lin.b == 0.0
+        rbf = train_kernel_svm(ds, KernelSpec("rbf", gamma=0.5), C=1e-12)
+        np.testing.assert_array_equal(rbf.support_vectors, ds.X[:1])
+        assert rbf.dual_coefs.tolist() == [0.0] and rbf.b == 0.0
+
     def test_svm_model_refuses_a_linear_kernel(self):
         with pytest.raises(ValueError, match="an svm model takes an rbf kernel, not 'linear'"):
             SvmModel(KernelSpec("linear"), np.zeros((2, 1)), np.zeros(2), 0.0, C=1.0)

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import gradevade.scenario as scenario_module
 from gradevade.attack import AttackSpec, DistanceSpec, evade_continuous
 from gradevade.data import LEGITIMATE, Dataset, FeatureBounds
 from gradevade.mimicry import KdeParams
-from gradevade.evaluation import fn_rates, trace_profile
+from gradevade.evaluation import fn_rates, nearest_evasion, trace_profile
 from gradevade.kernels import KernelSpec
 from gradevade.models import (
     LinearModel,
@@ -140,6 +141,11 @@ def attack_spec(d_max=4.0):
     return AttackSpec(distance=DistanceSpec("l1"), d_max=d_max, step_t=0.5, bounds=FREE, mode="continuous")
 
 
+def kept(trace):
+    """The reducer that keeps each trace whole."""
+    return trace
+
+
 class TestRunScenario:
     def test_pk_matches_direct_attack(self):
         pool = toy_pool()
@@ -147,7 +153,7 @@ class TestRunScenario:
         atk = attack_spec()
         attack_set = Dataset(np.array([[2.0, 0.0]]), np.array([1]))
         rounds = descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind="PK"))
-        [traces] = [list(r) for r in run_scenario(target, rounds, atk, attack_set)]
+        [traces] = run_scenario(target, rounds, atk, attack_set, kept)
         direct = evade_continuous(target, atk, np.array([2.0, 0.0]))
         assert len(traces) == 1
         np.testing.assert_allclose(traces[0].points[-1], direct.points[-1])
@@ -161,7 +167,7 @@ class TestRunScenario:
         attack_set = Dataset(mal, np.ones(4, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=60, n_surrogate_repeats=5, seed=11)
         surrogates = descent_rounds(target, target_spec, pool, scen)
-        rounds = [list(r) for r in run_scenario(target, surrogates, atk, attack_set)]
+        rounds = run_scenario(target, surrogates, atk, attack_set, kept)
         assert len(rounds) == 5 and len(surrogates) == 5
         for traces, (_, surrogate) in zip(rounds, surrogates):
             assert len(traces) == 4
@@ -181,8 +187,8 @@ class TestRunScenario:
             kind="LK", n_q=pool.n, n_surrogate_repeats=1,
             relabel_with_target=True, surrogate_params={"C": 50.0}, seed=5,
         )
-        [lk] = run_scenario(target, descent_rounds(target, target_spec, pool, scen), atk, attack_set)
-        [pk] = run_scenario(target, descent_rounds(target, target_spec, pool, ScenarioSpec(kind="PK")), atk, attack_set)
+        [lk] = run_scenario(target, descent_rounds(target, target_spec, pool, scen), atk, attack_set, kept)
+        [pk] = run_scenario(target, descent_rounds(target, target_spec, pool, ScenarioSpec(kind="PK")), atk, attack_set, kept)
         assert [predict(target, t.points[-1][None])[0] for t in lk] == [predict(target, t.points[-1][None])[0] for t in pk]
 
     def test_lk_touches_target_only_via_predict(self):
@@ -195,7 +201,7 @@ class TestRunScenario:
         mal = pool.X[pool.y == 1][:3]
         attack_set = Dataset(mal, np.ones(3, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=50, n_surrogate_repeats=2, seed=7)
-        [list(r) for r in run_scenario(target, descent_rounds(target, target_spec, pool, scen), atk, attack_set)]
+        run_scenario(target, descent_rounds(target, target_spec, pool, scen), atk, attack_set, kept)
         assert set(target.calls) == {"discriminant_many"}
         assert "gradient" not in target.calls
 
@@ -208,8 +214,8 @@ class TestRunScenario:
         rounds_b = descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind="PK", n_q=90, n_surrogate_repeats=9))
         for [(data, model)] in (rounds_a, rounds_b):
             assert data is pool and model is target
-        [a] = [list(r) for r in run_scenario(target, rounds_a, atk, attack_set)]
-        [b] = [list(r) for r in run_scenario(target, rounds_b, atk, attack_set)]
+        [a] = run_scenario(target, rounds_a, atk, attack_set, kept)
+        [b] = run_scenario(target, rounds_b, atk, attack_set, kept)
         assert len(a) == len(b) == 3
         for ta, tb in zip(a, b):
             np.testing.assert_array_equal(ta.points[-1], tb.points[-1])
@@ -219,21 +225,25 @@ class TestRunScenario:
         target = RecordingLinear(np.array([1.0, 0.0]), 0.0)
         attack_set = Dataset(np.array([[-1.0, 0.0], [2.0, 0.0]]), np.array([1, 1]))
         batch_scores = target.discriminant_many(attack_set.X)
+
+        def recorded(trace):
+            # each trace with the target calls made since the previous one
+            calls = list(target.calls)
+            target.calls.clear()
+            return trace, calls
+
         for scenario, n_rounds in ((ScenarioSpec(kind="PK"), 1),
                                    (ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3), 3)):
             descents = descent_rounds(target, LINEAR_SPEC, pool, scenario)
             target.calls.clear()
-            rounds = list(run_scenario(target, descents, attack_spec(), attack_set))
+            rounds = run_scenario(target, descents, attack_spec(), attack_set, recorded)
             assert len(rounds) == n_rounds
-            # the rows' labels come from one batched scoring, made in the call
-            assert target.calls == ["discriminant_many"]
-            for traces in rounds:
-                target.calls.clear()
-                skipped = next(traces)
-                # no scalar call for the skipped row: its value is the batch score
-                assert target.calls == []
+            for r, [(skipped, calls), (attacked, _)] in enumerate(rounds):
+                # the rows' labels come from one batched scoring, made before
+                # the first trace; no scalar call for the skipped row: its
+                # value is the batch score
+                assert calls == (["discriminant_many"] if r == 0 else [])
                 assert skipped.objective_values == [batch_scores[0]] == [-1.0]
-                attacked, = traces
                 # a single-point trace in its row's place, evading the target at its start
                 assert skipped.iterations == 0 and skipped.termination == "converged"
                 np.testing.assert_array_equal(skipped.points[0], attack_set.X[0])
@@ -252,17 +262,18 @@ class TestRunScenario:
         target = NanScores(np.array([1.0, 0.0]), 0.0)
         attack_set = Dataset(np.array([[2.0, 0.0]]), np.array([1]))
         rounds = descent_rounds(target, LINEAR_SPEC, toy_pool(), ScenarioSpec(kind="PK"))
-        [[trace]] = [list(r) for r in run_scenario(target, rounds, attack_spec(), attack_set)]
+        [[trace]] = run_scenario(target, rounds, attack_spec(), attack_set, kept)
         assert trace.iterations > 0
         assert target.discriminant(trace.points[-1]) < 0  # the descent's own scores evade
-        assert fn_rates(target, [trace], [0.0, 4.0]) == [0.0, 0.0]
+        assert nearest_evasion(target, trace) == np.inf
+        assert fn_rates([nearest_evasion(target, trace)], [0.0, 4.0]) == [0.0, 0.0]
 
     def test_rejects_legitimate_samples_in_attack_set(self):
         pool = toy_pool()
         target = LinearModel(np.array([1.0, 0.0]), 0.0)
         bad = Dataset(np.array([[1.0, 0.0]]), np.array([-1]))
         with pytest.raises(ValueError, match="malicious"):
-            run_scenario(target, descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind="PK")), attack_spec(), bad)
+            run_scenario(target, descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind="PK")), attack_spec(), bad, kept)
 
     def test_lk_kde_reference_points_come_from_surrogate(self, monkeypatch):
         # with one repeat and a tiny pool, the mimicry estimator must be
@@ -283,7 +294,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(scenario_module, "run_attack", recorded)
         surrogates = descent_rounds(target, target_spec, pool, scen)
-        [traces] = [list(r) for r in run_scenario(target, surrogates, atk, attack_set, kde=kde)]
+        [traces] = run_scenario(target, surrogates, atk, attack_set, kept, kde=kde)
         assert len(traces) == 2
         [(surrogate_data, _)] = surrogates
         legit = surrogate_data.X[surrogate_data.y == LEGITIMATE]
@@ -293,18 +304,15 @@ class TestRunScenario:
             np.testing.assert_array_equal(est.reference_points, legit)
             assert (est.h, est.truncation_k) == (kde.h, kde.truncation_k)
 
-    def test_rounds_do_not_depend_on_the_order_they_are_consumed_in(self, monkeypatch):
-        # every round binds its surrogate and its mimicry estimator when it
-        # is created: rounds materialized first and consumed last to first
-        # descend exactly as rounds consumed one by one
+    def test_round_r_descends_on_surrogate_r_with_its_own_estimator(self, monkeypatch):
+        # each round binds its surrogate and the mimicry estimator over that
+        # surrogate's legitimate rows, one descent per row, in round order
         pool = toy_pool(n=200, seed=12)
         target, target_spec = linear_target(pool, 10.0)
         atk = replace(attack_spec(d_max=3.0), lam=5.0)
         attack_set = Dataset(pool.X[pool.y == 1][:3], np.ones(3, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3, seed=13)
         kde = KdeParams(h=2.0, truncation_k=50)
-        in_order = [list(r) for r in run_scenario(target, descent_rounds(target, target_spec, pool, scen), atk, attack_set, kde=kde)]
-
         descents = []
 
         def recorded(model, spec, x0, _original=scenario_module.run_attack):
@@ -313,25 +321,40 @@ class TestRunScenario:
 
         monkeypatch.setattr(scenario_module, "run_attack", recorded)
         surrogates = descent_rounds(target, target_spec, pool, scen)
-        rounds = list(run_scenario(target, surrogates, atk, attack_set, kde=kde))
-        assert len(rounds) == 3 and len(surrogates) == 3 and not descents
-        reversed_order = [list(r) for r in reversed(rounds)][::-1]
-
-        assert len(descents) == 9
+        rounds = run_scenario(target, surrogates, atk, attack_set, kept, kde=kde)
+        assert len(rounds) == 3 and len(surrogates) == 3 and len(descents) == 9
         for r, (surrogate_data, surrogate) in enumerate(surrogates):
             legit = surrogate_data.X[surrogate_data.y == LEGITIMATE]
-            # round r was consumed (2 - r)-th, one descent per row
-            for model, est in descents[3 * (2 - r):3 * (3 - r)]:
+            for model, est in descents[3 * r:3 * (r + 1)]:
                 assert model is surrogate
                 np.testing.assert_array_equal(est.reference_points, legit)
-        for got, want in zip(reversed_order, in_order):
-            assert len(got) == len(want) == 3
-            for a, b in zip(got, want):
-                assert np.stack(a.points).tobytes() == np.stack(b.points).tobytes()
-                assert a.objective_values == b.objective_values
-                assert a.termination == b.termination
         # the surrogates differ, so a round descended on another's would show
-        assert len({tuple(f for t in traces for f in t.objective_values) for traces in in_order}) == 3
+        assert len({tuple(f for t in traces for f in t.objective_values) for traces in rounds}) == 3
+
+    def test_each_trace_is_reduced_and_released_before_the_next_descent(self, monkeypatch):
+        # row 0 already evades the target, so each round reduces its
+        # single-point trace without a descent; no trace is alive when a
+        # descent starts, and none outlives its reduction
+        pool = toy_pool(n=200, seed=14)
+        target, target_spec = linear_target(pool, 10.0)
+        attack_set = Dataset(np.array([[-4.0, -4.0], [3.0, 3.0], [4.0, 2.0]]), np.ones(3, dtype=int))
+        traces, events = [], []
+
+        def recorded(model, spec, x0, _original=scenario_module.run_attack):
+            events.append(("descent", sum(ref() is not None for ref in traces)))
+            return _original(model, spec, x0)
+
+        def reduce(trace):
+            traces.append(weakref.ref(trace))
+            events.append(("reduce", len(traces) - 1))
+            return len(traces) - 1
+
+        monkeypatch.setattr(scenario_module, "run_attack", recorded)
+        surrogates = descent_rounds(target, target_spec, pool, ScenarioSpec(kind="LK", n_q=40, n_surrogate_repeats=2))
+        assert run_scenario(target, surrogates, attack_spec(), attack_set, reduce) == [[0, 1, 2], [3, 4, 5]]
+        assert events == [("reduce", 0), ("descent", 0), ("reduce", 1), ("descent", 0), ("reduce", 2),
+                          ("reduce", 3), ("descent", 0), ("reduce", 4), ("descent", 0), ("reduce", 5)]
+        assert all(ref() is None for ref in traces)
 
     def test_lam_positive_requires_kde_params(self):
         pool = toy_pool()
@@ -341,7 +364,7 @@ class TestRunScenario:
         atk = replace(attack_spec(), lam=5.0, mimicry=prebuilt)
         for kind in ("PK", "LK"):
             with pytest.raises(ValueError, match="requires kde parameters"):
-                run_scenario(target, descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind=kind, n_q=30)), atk, attack_set)
+                run_scenario(target, descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind=kind, n_q=30)), atk, attack_set, kept)
 
 
 def test_lk_repeat_seeds_are_pinned(monkeypatch):
