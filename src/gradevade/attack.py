@@ -87,19 +87,17 @@ class AttackSpec:
             raise ValueError("discrete mode makes +1 moves only: it requires bounds.increment_only")
         if not 0 <= self.lam < math.inf:
             raise ValueError("lam must be nonnegative and finite")
-        # lam > 0 additionally needs a mimicry estimator, but scenarios bind
-        # the estimator after construction; enforced when F is evaluated
+        # lam > 0 additionally needs a mimicry estimator, but each round of
+        # `scenario.descent_rounds` binds its own; enforced when F is evaluated
 
 
 class AttackTrace:
     """What one attack run did: every iterate, F at each, and why it stopped.
 
     points[0] is x0 and points[-1] is x*. F is the attacked model's
-    objective (the surrogate's, under LK), except in the single-point
-    trace `scenario.run_scenario` makes for a row the target already
-    labels legitimate: that holds the target's batched score g(x0). Whether
-    a point evades the target is not recorded here: `evaluation.trace_profile`
-    scores the points on the target.
+    objective (the surrogate's, under LK). Whether a point evades the
+    target is not recorded here: `evaluation.trace_profile` scores the
+    points on the target.
 
     The points live in one float64 (capacity, d) array, and `points` is the
     (n, d) view of the n rows written so far. A caller that adds points

@@ -36,7 +36,6 @@ from .config import (
 from .data import LEGITIMATE, MALICIOUS, Dataset
 from .evaluation import calibrated, cell_model, cell_split, sweep, trace_profile
 from .models import TrainedModel, evading, load_model, predict, save_model
-from .scenario import with_mimicry
 
 TRACE_FORMAT_VERSION = "gradevade-trace/1"
 
@@ -179,7 +178,8 @@ def cmd_attack(cfg: ExperimentConfig, out_dir: Path, model_path: str, sample_ind
         )
 
     echo_config(cfg, out_dir)
-    trace = run_attack(target, with_mimicry(spec, cfg.kde, test), x0)
+    # the mimicry estimator of a PK round: the KDE over the split's legitimate test rows
+    trace = run_attack(target, replace(spec, mimicry=cfg.kde.build(test.X[test.y == LEGITIMATE])), x0)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
     trace_path = traces_dir / f"trace_split{split_idx}_sample{sample_index}.txt"
@@ -306,10 +306,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "export-digits":
             return cmd_export_digits(args.trace, Path(args.out))
-        # --jobs N is --set jobs=N, so parse_config checks its range
-        cfg = load_config(args.config, args.overrides + ([] if args.jobs is None else [f"jobs={args.jobs}"]))
-        if args.out is not None:
-            cfg.output_dir = args.out
+        # --jobs N is --set jobs=N, so parse_config checks its range; --out DIR is
+        # --set output_dir="DIR", so the echoed config names the directory it sits in
+        overrides = args.overrides + ([] if args.jobs is None else [f"jobs={args.jobs}"])
+        cfg = load_config(args.config, overrides + ([] if args.out is None else [f"output_dir={json.dumps(args.out)}"]))
         out_dir = Path(cfg.output_dir)
         if args.command == "train":
             return cmd_train(cfg, out_dir)

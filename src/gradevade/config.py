@@ -265,6 +265,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
                     math.inf if box["upper"] is None else float(box["upper"]), box["increment_only"])
     attack = _built("attack", AttackSpec, d_max=max(d_grid), step_t=float(atk["step_t"]), lam=0.0,
                     epsilon=float(atk["epsilon"]), max_iters=atk["max_iters"], bounds=bounds, mode=atk["mode"])
+    if atk["mode"] == "discrete":  # the echo holds only the keys its mode reads, so it loads again
+        del atk["step_t"], atk["epsilon"]
 
     fp_target = float(resolved["evaluation"]["fp_target"])
     if not (0 <= fp_target < 1):

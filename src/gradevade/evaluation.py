@@ -6,8 +6,10 @@ below the threshold, that is, when the nearest such point
 (`nearest_evasion`) lies within b. The sweep reduces each trace to that one
 distance as it is made (`scenario.run_scenario`), so one attack run at the
 largest budget serves every budget, and FN is nondecreasing in b by
-construction. Curves are rows: `aggregate_curves` returns the rows of
-curves.csv, one per point.
+construction. `_run_cell` owns the start verdict: it scores a cell's
+malicious rows on the target once, in one batch, and a row that already
+evades is never attacked and counts at distance 0. Curves are rows:
+`aggregate_curves` returns the rows of curves.csv, one per point.
 """
 from __future__ import annotations
 
@@ -144,17 +146,22 @@ def _run_cell(plan: _SweepPlan, cell: tuple[int, int, ModelSpec]) -> list[dict]:
     split_idx, model_idx, model_spec = cell
     train, test = cell_split(plan.dataset, plan.n_train, plan.n_test, plan.root_seed, split_idx)
     target = calibrated(cell_model(model_spec, train, plan.root_seed, split_idx, model_idx), test, plan.fp_target)
-    attack_set = test.subset(np.flatnonzero(test.y == MALICIOUS))
+    # one start verdict per cell: a row that already evades is at distance 0 in every run
+    malicious = np.flatnonzero(test.y == MALICIOUS)
+    evades = evading(target, target.discriminant_many(test.X[malicious]))
+    attack_set = test.subset(malicious[~evades])
+    at_start = [0.0] * int(evades.sum())
     scen = replace(plan.scenario, seed=derive_seeds([plan.root_seed, split_idx, model_idx, 3])[0])
     # the rounds (LK: the surrogates) do not depend on lambda: built once, attacked per lambda
-    descents = {kind: descent_rounds(target, model_spec, test, replace(scen, kind=kind)) for kind in plan.scenario_kinds}
+    descents = {kind: descent_rounds(target, model_spec, test, replace(scen, kind=kind), plan.kde)
+                for kind in plan.scenario_kinds}
     nearest = partial(nearest_evasion, target)
     rows = []
     for lam in plan.lambdas:
         atk = replace(plan.attack, lam=lam, d_max=max(plan.d_grid))
         for kind in plan.scenario_kinds:
-            for repeat, dists in enumerate(run_scenario(target, descents[kind], atk, attack_set, nearest, kde=plan.kde)):
-                for b, fn in zip(plan.d_grid, fn_rates(dists, plan.d_grid)):
+            for repeat, dists in enumerate(run_scenario(descents[kind], atk, attack_set, nearest)):
+                for b, fn in zip(plan.d_grid, fn_rates(at_start + dists, plan.d_grid)):
                     rows.append(
                         {
                             "classifier": model_spec.descriptor(),
@@ -192,6 +199,8 @@ def sweep(
     """
     if not model_grid or not d_max_grid or not lambdas or not scenario_kinds:
         raise ValueError("model grid, d_max grid, lambdas, and scenario kinds must be non-empty")
+    if kde is None and any(lam > 0 for lam in lambdas):
+        raise ValueError("lam > 0 requires kde parameters")
     plan = _SweepPlan(
         dataset, scenario, list(scenario_kinds), attack, list(lambdas), sorted(float(b) for b in d_max_grid),
         n_train, n_test, fp_target, kde, seed,
@@ -202,7 +211,7 @@ def sweep(
         # imported here: a jobs=1 sweep (and the CLI's start-up) need not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             per_cell = list(pool.map(run, cells))
     else:
         per_cell = [run(c) for c in cells]

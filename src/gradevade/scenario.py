@@ -1,20 +1,19 @@
 """Perfect-knowledge and limited-knowledge attack orchestration.
 
-The two knowledge levels differ only in the models the attacker descends
-on, so each is a list of rounds (`descent_rounds`): PK descends on the
-target's own objective once. LK samples a surrogate dataset from a pool
-per repeat, optionally relabels it by querying the target, trains a
-surrogate, and descends on the surrogate's objective. The LK attacker knows
-the target's recipe, its `ModelSpec` (family and architecture), but not its
-trained parameters: the surrogate is trained by `models.train_from_spec` on
-that recipe with the training settings of `surrogate_spec`.
+What the attacker knows is a list of rounds (`descent_rounds`), each a
+model to descend on and the mimicry estimator (KDE) it descends with. PK
+descends once on the target, with a KDE over the pool. LK samples a
+surrogate dataset from the pool per repeat, optionally relabels it by
+querying the target through `models.predict`, trains a surrogate, and
+descends on it with a KDE over that dataset. The LK attacker knows the
+target's recipe, its `ModelSpec` (family and architecture), but not its
+trained parameters: the surrogate is trained by `models.train_from_spec`
+on that recipe with the training settings of `surrogate_spec`.
 
-The traces record only the descent; whether they evade the target is
-judged by the evaluation (`evaluation.trace_profile`), never here. The
-target is never touched during LK descent except through `models.predict`.
-
-`run_scenario` attacks a list of rounds and hands each trace to the
-caller's reducer as soon as it is made, so only the reduced values are kept.
+The scenario is never given the target to judge by: `run_scenario` only
+descends on each round's model and hands each trace to the caller's
+reducer as soon as it is made. Whether a row or a point evades the target
+is the evaluation's verdict (`evaluation._run_cell`, `trace_profile`).
 """
 from __future__ import annotations
 
@@ -26,8 +25,8 @@ import numpy as np
 
 from .attack import AttackSpec, AttackTrace, run_attack
 from .data import LEGITIMATE, MALICIOUS, Dataset, derive_seeds
-from .mimicry import KdeParams
-from .models import ModelSpec, TrainedModel, evading, predict, train_from_spec
+from .mimicry import KdeParams, MimicryEstimator
+from .models import ModelSpec, TrainedModel, predict, train_from_spec
 from .models import train_kernel_svm, train_mlp  # unused: benchmarks/tracing.py wraps them in this module
 
 SCENARIO_KINDS = ("PK", "LK")
@@ -103,65 +102,50 @@ def _train_surrogate(target_spec: ModelSpec, data: Dataset, spec: ScenarioSpec, 
 
 
 def descent_rounds(
-    target: TrainedModel, target_spec: ModelSpec, pool: Dataset, scenario: ScenarioSpec
-) -> list[tuple[Dataset, TrainedModel]]:
-    """(data the KDE is built from, model to descend on) per attack round.
+    target: TrainedModel, target_spec: ModelSpec, pool: Dataset, scenario: ScenarioSpec, kde: KdeParams | None = None
+) -> list[tuple[TrainedModel, MimicryEstimator | None]]:
+    """(model to descend on, mimicry estimator) per attack round.
 
-    PK: the pool and the target, once. LK: one (surrogate data, surrogate)
-    pair per repeat, in repeat order, repeat r drawn and trained from seeds
-    derived from `scenario.seed` and r. The trained `target` answers the
-    relabelling queries; the surrogate is trained from its recipe
-    `target_spec` (`surrogate_spec`). The rounds depend on nothing of the
-    attack, so one list serves every lambda.
+    PK: the target, once. LK: one surrogate per repeat, in repeat order,
+    repeat r drawn and trained from seeds derived from `scenario.seed` and
+    r. The trained `target` answers the relabelling queries; the surrogate
+    is trained from its recipe `target_spec` (`surrogate_spec`). The
+    estimator is `kde` built over the legitimate rows of the round's data,
+    the pool under PK and repeat r's surrogate data under LK, or None
+    without `kde`. The rounds depend on nothing of the attack, so one list
+    serves every lambda.
     """
+    def attacker(data: Dataset, model: TrainedModel):
+        return model, None if kde is None else kde.build(data.X[data.y == LEGITIMATE])
+
     if scenario.kind == "PK":
-        return [(pool, target)]
+        return [attacker(pool, target)]
     rounds = []
     for r in range(scenario.n_surrogate_repeats):
         build_seed, train_seed = derive_seeds([scenario.seed, 0xA77AC], 2, spawn_key=(r,))
         surrogate_data = build_surrogate(target, pool, scenario, seed=build_seed)
-        rounds.append((surrogate_data, _train_surrogate(target_spec, surrogate_data, scenario, seed=train_seed)))
+        rounds.append(attacker(surrogate_data, _train_surrogate(target_spec, surrogate_data, scenario, seed=train_seed)))
     return rounds
 
 
-def with_mimicry(attack: AttackSpec, kde: KdeParams | None, data: Dataset) -> AttackSpec:
-    """`attack` as run against a round with KDE data `data`: with lam > 0,
-    its mimicry estimator is built from `kde` over the legitimate rows of
-    `data` (an estimator already in `attack` is replaced)."""
-    if attack.lam > 0:
-        return replace(attack, mimicry=kde.build(data.X[data.y == LEGITIMATE]))
-    return attack
-
-
 def run_scenario(
-    target: TrainedModel,
-    rounds: list[tuple[Dataset, TrainedModel]],
+    rounds: list[tuple[TrainedModel, MimicryEstimator | None]],
     attack: AttackSpec,
     attack_set: Dataset,
     reduce: Callable[[AttackTrace], object],
-    kde: KdeParams | None = None,
 ) -> list[list]:
     """Attack every sample of attack_set once per round of `descent_rounds`.
 
-    Returns one list per (KDE data, model) pair of `rounds`, in order, each
-    holding `reduce(trace)` per attack_set row in row order, for a trace
-    descended on the round's model with the round's attack spec
-    (`with_mimicry` over its data). Each trace goes to `reduce` as soon as it
-    is made and is dropped before the next descent starts. A sample that
-    already evades the target (`models.evading`), by the target's one batched
-    scoring of the rows, is not descended on: its trace is the single point
-    of its start, holding that score, so it counts as evading at every budget.
+    Returns one list per (model, estimator) round, in order, each holding
+    `reduce(trace)` per attack_set row in row order, for a trace descended
+    on the round's model with `attack` and the round's estimator as its
+    mimicry term. Each trace goes to `reduce` as soon as it is made and is
+    dropped before the next descent starts.
     """
     if np.any(attack_set.y != MALICIOUS):
         raise ValueError("attack_set must contain only malicious samples")
-    if attack.lam > 0 and kde is None:
-        raise ValueError("lam > 0 requires kde parameters")
-
-    start_scores = target.discriminant_many(attack_set.X)
-    start_evades = evading(target, start_scores)
     reduced = []
-    for data, model in rounds:
-        spec = with_mimicry(attack, kde, data)
-        reduced.append([reduce(AttackTrace([x0], [float(score)], "converged") if evades else run_attack(model, spec, x0))
-                        for x0, score, evades in zip(attack_set.X, start_scores, start_evades)])
+    for model, estimator in rounds:
+        spec = replace(attack, mimicry=estimator)
+        reduced.append([reduce(run_attack(model, spec, x0)) for x0 in attack_set.X])
     return reduced

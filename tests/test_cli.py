@@ -84,6 +84,28 @@ def test_sweep_runs_each_shipped_config(tmp_path, mnist_sets, name):
             for row in csv.DictReader(fh):
                 fn.setdefault((row["classifier"], row["scenario"], row["lambda"]), []).append(float(row["mean_fn"]))
         assert any(curve[-1] > curve[0] for curve in fn.values())
+    # the echo holds only the keys its attack mode reads, so a discrete
+    # run's echo loads again too; the rerun writes the same records
+    echo = json.loads((out / "config_resolved.json").read_text())
+    assert ("step_t" in echo["attack"]) == (echo["attack"]["mode"] == "continuous")
+    again = tmp_path / "again"
+    assert main(["sweep", "--config", str(out / "config_resolved.json"), "--out", str(again)]) == 0
+    assert (again / "results.csv").read_bytes() == (out / "results.csv").read_bytes()
+    assert json.loads((again / "config_resolved.json").read_text()) == dict(echo, output_dir=str(again))
+
+
+@pytest.mark.parametrize("out", ["runs/a", "2024"])
+def test_the_config_echo_names_the_directory_it_sits_in(tmp_path, monkeypatch, out):
+    # --out is --set output_dir="DIR": it wins over the config's and a --set
+    # output_dir, and a directory name that parses as a JSON number stays a string
+    monkeypatch.chdir(tmp_path)
+    grid = json.dumps([{"kind": "linear_svm", "C": 1.0}])
+    args = ["sweep", "--config", str(CONFIGS / "synthetic_pdf.json"), "--set", 'output_dir="elsewhere"', "--out", out]
+    for s in [*PDF_SMALL, f"models={grid}"]:
+        args += ["--set", s]
+    assert main(args) == 0
+    assert json.loads((tmp_path / out / "config_resolved.json").read_text())["output_dir"] == out
+    assert not (tmp_path / "elsewhere").exists()
 
 
 def test_train_attack_export_digits(tmp_path, mnist_sets):
@@ -237,9 +259,10 @@ PINNED_SWEEP_FILES = {
     "plots/curve_svm_rbf_gamma_0.002_C_1__PK_lam0.csv": "b7fadae2d00301dbd7c67b57085e7ed7b12f2b15729c3c5e668285ffb5e9d93f",
     "plots/curve_svm_rbf_gamma_0.002_C_1__PK_lam500.csv": "b7fadae2d00301dbd7c67b57085e7ed7b12f2b15729c3c5e668285ffb5e9d93f",
 }
+# the echo without its output_dir, which names the run's own directory
 PINNED_CONFIG_ECHO = {
-    1: "3911487e8c76ef7053aa4a9067c31fb57c162d1bff6202d839a1d7702be9815d",
-    2: "062c1896e41ff3972783908530df9c1aeb2f6d06ce21f150c92be5382c5d0cf3",
+    1: "711fecaf1a0e5242bea80ee96ad1687882f0d2996a9fda2a948730df559d7e14",
+    2: "ca6eee5c79050828e66e79631a9f59f71295e46b6197a2aa14c5c93116f72ed7",
 }
 PINNED_CURVE_LINES = """\
 curve linear_svm(C=1) LK lambda=0: FN(40) = 0.100
@@ -271,6 +294,9 @@ def test_shrunk_flagship_sweep_writes_the_pinned_bytes(tmp_path, capsys, jobs):
     captured = capsys.readouterr()
     written = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.rglob("*") if p.is_file()}
+    echo = json.loads((out / "config_resolved.json").read_text())
+    assert echo.pop("output_dir") == str(out)
+    written["config_resolved.json"] = hashlib.sha256((json.dumps(echo, indent=2, sort_keys=True) + "\n").encode()).hexdigest()
     assert written == {**PINNED_SWEEP_FILES, "config_resolved.json": PINNED_CONFIG_ECHO[jobs]}
     assert captured.out == PINNED_CURVE_LINES
     assert captured.err == ""

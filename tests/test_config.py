@@ -259,9 +259,10 @@ class TestOverrides:
             parse_config({"attack": {"step_t": 1.0}})  # discrete is the default mode
         cfg = load_config(CONFIGS / "synthetic_pdf.json", ['attack.mode="continuous"', "attack.step_t=5", "attack.epsilon=1e-3"])
         assert (cfg.attack.mode, cfg.attack.step_t, cfg.attack.epsilon) == ("continuous", 5.0, 1e-3)
-        # unset, the discrete echo still shows the defaults the continuous attack would use
+        # the echo holds only the keys its mode reads, so a discrete echo loads again
         resolved = load_config(CONFIGS / "synthetic_pdf.json").resolved["attack"]
-        assert (resolved["step_t"], resolved["epsilon"]) == (1.0, 1e-9)
+        assert "step_t" not in resolved and "epsilon" not in resolved
+        assert (cfg.resolved["attack"]["step_t"], cfg.resolved["attack"]["epsilon"]) == (5, 1e-3)
 
     def test_lk_drawing_more_surrogate_samples_than_test_rows_exits_2(self, tmp_path, capsys):
         # the LK pool is the split's 60 test rows: a PK-only config may set any n_q
@@ -535,9 +536,11 @@ class TestLeafTypes:
         grid = ["--set", f"models={json.dumps([{'kind': model_kind}])}"] if model_kind else []
         named = path.replace("models.0", "models[0]")
         out = tmp_path_factory.mktemp("run") / "out"
+        # --out is --set output_dir, given last: output_dir's own value is tested without it
+        out_args = [] if path == "output_dir" else ["--out", str(out)]
         for other in sorted(OF_TYPE.keys() - accepted):
             value = data.draw(OF_TYPE[other], label=other)
-            args = ["sweep", "--config", str(CONFIGS / "synthetic_pdf.json"), "--out", str(out),
+            args = ["sweep", "--config", str(CONFIGS / "synthetic_pdf.json"), *out_args,
                     *grid, "--set", f"{path}={json.dumps(value)}"]
             with contextlib.redirect_stderr(io.StringIO()) as err:
                 assert main(args) == 2

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import statistics
 import tracemalloc
@@ -10,12 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradevade.evaluation as evaluation_module
 import gradevade.scenario as scenario_module
 from gradevade.attack import AttackSpec, AttackTrace, DistanceSpec
 from gradevade.config import load_config, load_dataset_from_config
-from gradevade.data import MALICIOUS, Dataset, FeatureBounds
+from gradevade.data import Dataset, FeatureBounds
 from gradevade.evaluation import (
     SweepResult,
+    _run_cell,
+    _SweepPlan,
     aggregate_curves,
     calibrate_threshold,
     calibrated,
@@ -29,7 +33,7 @@ from gradevade.evaluation import (
 from gradevade.mimicry import KdeParams
 from gradevade.kernels import KernelSpec
 from gradevade.models import LinearModel, MlpModel, ModelSpec, SvmModel
-from gradevade.scenario import ScenarioSpec, descent_rounds, run_scenario
+from gradevade.scenario import ScenarioSpec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -210,6 +214,34 @@ class TestSweep:
         c = sweep(**kw, jobs=2)
         assert a.records == b.records == c.records
 
+    def test_starts_at_most_one_worker_per_cell(self, monkeypatch):
+        # the pool forks all max_workers processes at its first submit; a
+        # serial stand-in records max_workers and starts no process
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        kw = dict(
+            dataset=separable_counts(seed=3), model_grid=[ModelSpec(kind="linear_svm", C=1.0)],
+            scenario=ScenarioSpec(kind="PK"), scenario_kinds=["PK"], attack=small_attack(), lambdas=[0.0],
+            d_max_grid=[0.0, 6.0], n_train=40, n_test=40, fp_target=0.1, seed=7,
+        )
+        for n_splits, jobs in ((2, 8), (3, 2), (1, 8)):
+            assert sweep(**kw, n_splits=n_splits, jobs=jobs).records == sweep(**kw, n_splits=n_splits).records
+        assert seen == [2, 2]  # a one-cell sweep runs in this process
+
     def test_lk_repeats_appear_in_records(self):
         data = separable_counts(seed=4)
         res = sweep(
@@ -354,8 +386,6 @@ def test_lambda_500_is_inert_on_the_flagship_rbf_svm(monkeypatch):
     cfg = load_config(CONFIGS / "synthetic_pdf.json")
     model_idx, spec = 1, cfg.model_grid[1]
     assert spec.kernel.kind == "rbf" and 500.0 in cfg.lambdas
-    train, test = cell_split(load_dataset_from_config(cfg), cfg.n_train, cfg.n_test, cfg.seed, 0)
-    target = calibrated(cell_model(spec, train, cfg.seed, 0, model_idx), test, cfg.fp_target)
     descents = []
 
     def recorded(model, spec, x0, _original=scenario_module.run_attack):
@@ -364,14 +394,118 @@ def test_lambda_500_is_inert_on_the_flagship_rbf_svm(monkeypatch):
         return trace
 
     monkeypatch.setattr(scenario_module, "run_attack", recorded)
-    atk = replace(cfg.attack, lam=500.0, d_max=max(cfg.d_max_grid))
-    attack_set = test.subset(np.flatnonzero(test.y == MALICIOUS))
-    rounds = descent_rounds(target, spec, test, replace(cfg.scenario, kind="PK"))
-    run_scenario(target, rounds, atk, attack_set, lambda trace: None, kde=cfg.kde)
+    plan = _SweepPlan(load_dataset_from_config(cfg), cfg.scenario, ["PK"], cfg.attack, [500.0], sorted(cfg.d_max_grid),
+                      cfg.n_train, cfg.n_test, cfg.fp_target, cfg.kde, cfg.seed)
+    _run_cell(plan, (0, model_idx, spec))
     assert len(descents) > 200
     assert {trace.termination for _, trace in descents} == {"budget_boundary_converged"}
     density = max(est.density(x) for est, trace in descents for x in trace.points)
     assert 0 < density <= 1e-3
+
+
+class BatchRecordingLinear(LinearModel):
+    """A linear target that keeps each batch it scores and each point it scores alone."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.batches, self.points = [], []
+
+    def discriminant_many(self, X):
+        self.batches.append(np.array(X))
+        return super().discriminant_many(X)
+
+    def discriminant(self, x):
+        self.points.append(np.array(x))
+        return super().discriminant(x)
+
+
+class OneRowUlpAbove(LinearModel):
+    """A linear target whose score of a one-row batch is one ulp above the
+    score of the same row in a larger batch, as a BLAS call's last bits
+    can differ between the two."""
+
+    def discriminant_many(self, X):
+        scores = super().discriminant_many(X)
+        return np.nextafter(scores, np.inf) if len(X) == 1 else scores
+
+
+class TestRunCell:
+    """`_run_cell` owns the start verdict: the target scores a cell's
+    malicious rows in one batch, and a row that already evades by that
+    score counts at every budget without being attacked."""
+
+    def run_cell(self, monkeypatch, target, test, kinds=("PK",), lambdas=(0.0,), d_grid=(0.0, 4.0), kde=None,
+                 scenario=ScenarioSpec()):
+        """The records of one cell whose test split is `test` and whose calibrated target is `target`."""
+        monkeypatch.setattr(evaluation_module, "cell_split", lambda *args: (test, test))
+        monkeypatch.setattr(evaluation_module, "cell_model", lambda *args: target)
+        monkeypatch.setattr(evaluation_module, "calibrated", lambda model, test, fp_target: model)
+        attack = AttackSpec(distance=DistanceSpec("l1"), step_t=0.5, bounds=FeatureBounds(-np.inf, np.inf), mode="continuous")
+        plan = _SweepPlan(test, scenario, list(kinds), attack, list(lambdas), list(d_grid), test.n, test.n, 0.1, kde, 0)
+        return _run_cell(plan, (0, 0, ModelSpec("linear_svm")))
+
+    def descended(self, monkeypatch):
+        """Each (start, trace) of the descents run from here on."""
+        runs = []
+
+        def recorded(model, spec, x0, _original=scenario_module.run_attack):
+            runs.append((np.array(x0), _original(model, spec, x0)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(scenario_module, "run_attack", recorded)
+        return runs
+
+    def test_misclassified_sample_recorded_as_evading(self, monkeypatch):
+        # row 0 already evades; row 1 needs an l1 move of more than 2 to evade,
+        # out of reach at budget 1, so every run reads FN 0.5 at every budget
+        rng = np.random.default_rng(0)
+        X = np.vstack([[[-1.0, 0.0], [2.0, 0.0]], rng.normal(size=(10, 2)) - 3])
+        test = Dataset(X, np.array([1, 1] + [-1] * 10))
+        target = BatchRecordingLinear(np.array([1.0, 0.0]), 0.0)
+        runs = self.descended(monkeypatch)
+        scenario = ScenarioSpec(n_q=test.n, n_surrogate_repeats=2)
+        rows = self.run_cell(monkeypatch, target, test, kinds=("PK", "LK"), lambdas=(0.0, 5.0), d_grid=(0.0, 1.0),
+                             kde=KdeParams(h=2.0), scenario=scenario)
+        assert [(r["lam"], r["scenario"], r["repeat"]) for r in rows[::2]] == [
+            (lam, kind, repeat) for lam in (0.0, 5.0) for kind, n in (("PK", 1), ("LK", 2)) for repeat in range(n)]
+        assert [r["fn"] for r in rows] == [0.5] * 12
+        # the rows' verdict comes from one batched scoring per cell, not one per run
+        mal = X[:2]
+        assert sum(b.shape == mal.shape and np.array_equal(b, mal) for b in target.batches) == 1
+        assert LinearModel.discriminant_many(target, mal)[0] == -1.0
+        # the skipped row is never descended nor scored alone; row 1 is descended in each of the 6 runs
+        assert len(runs) == 2 * (1 + 2)
+        assert all(np.array_equal(x0, X[1]) and trace.iterations > 0 for x0, trace in runs)
+        assert not any(np.array_equal(x, X[0]) for x in target.points)
+
+    def test_a_nan_start_score_is_descended_and_never_counted_as_evading(self, monkeypatch):
+        # models.evading: a NaN score does not evade, so the row is attacked,
+        # and no point the target scores NaN counts toward FN
+        class NanScores(LinearModel):
+            def discriminant_many(self, X):
+                return np.full(len(X), np.nan)
+
+        target = NanScores(np.array([1.0, 0.0]), 0.0)
+        runs = self.descended(monkeypatch)
+        rows = self.run_cell(monkeypatch, target, Dataset(np.array([[2.0, 0.0]]), np.array([1])))
+        [(x0, trace)] = runs
+        np.testing.assert_array_equal(x0, [2.0, 0.0])
+        assert trace.iterations > 0
+        assert target.discriminant(trace.points[-1]) < 0  # the descent's own scores evade
+        assert nearest_evasion(target, trace) == np.inf
+        assert [r["fn"] for r in rows] == fn_rates([nearest_evasion(target, trace)], [0.0, 4.0]) == [0.0, 0.0]
+
+    def test_a_start_is_judged_by_its_batch_score_alone(self, monkeypatch):
+        # theta lies between row 0's score in the batch and its score alone:
+        # the batch verdict says it evades, and it counts so at every budget,
+        # without a second, one-row verdict that would say it does not
+        X = np.array([[0.25, 0.0], [5.0, 0.0]])
+        target = OneRowUlpAbove(np.array([1.0, 0.0]), 0.0, decision_offset=float(np.nextafter(0.25, np.inf)))
+        assert target.discriminant_many(X)[0] < target.decision_offset == target.discriminant_many(X[:1])[0]
+        runs = self.descended(monkeypatch)
+        rows = self.run_cell(monkeypatch, target, Dataset(X, np.array([1, 1])), d_grid=(0.0, 1.0))
+        assert [r["fn"] for r in rows] == [0.5, 0.5]
+        assert [x0.tolist() for x0, _ in runs] == [[5.0, 0.0]]
 
 
 class TestAggregate:

@@ -4,12 +4,13 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+import gradevade.evaluation as evaluation_module
 import gradevade.scenario as scenario_module
 
 from gradevade.attack import AttackSpec, DistanceSpec, evade_continuous
 from gradevade.data import LEGITIMATE, Dataset, FeatureBounds
+from gradevade.evaluation import sweep
 from gradevade.mimicry import KdeParams
-from gradevade.evaluation import fn_rates, nearest_evasion, trace_profile
 from gradevade.kernels import KernelSpec
 from gradevade.models import (
     LinearModel,
@@ -153,7 +154,7 @@ class TestRunScenario:
         atk = attack_spec()
         attack_set = Dataset(np.array([[2.0, 0.0]]), np.array([1]))
         rounds = descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind="PK"))
-        [traces] = run_scenario(target, rounds, atk, attack_set, kept)
+        [traces] = run_scenario(rounds, atk, attack_set, kept)
         direct = evade_continuous(target, atk, np.array([2.0, 0.0]))
         assert len(traces) == 1
         np.testing.assert_allclose(traces[0].points[-1], direct.points[-1])
@@ -167,9 +168,10 @@ class TestRunScenario:
         attack_set = Dataset(mal, np.ones(4, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=60, n_surrogate_repeats=5, seed=11)
         surrogates = descent_rounds(target, target_spec, pool, scen)
-        rounds = run_scenario(target, surrogates, atk, attack_set, kept)
+        rounds = run_scenario(surrogates, atk, attack_set, kept)
         assert len(rounds) == 5 and len(surrogates) == 5
-        for traces, (_, surrogate) in zip(rounds, surrogates):
+        for traces, (surrogate, estimator) in zip(rounds, surrogates):
+            assert estimator is None  # no kde given
             assert len(traces) == 4
             for x0, trace in zip(mal, traces):
                 # round r descends on surrogate r, from the sample of its row
@@ -187,8 +189,8 @@ class TestRunScenario:
             kind="LK", n_q=pool.n, n_surrogate_repeats=1,
             relabel_with_target=True, surrogate_params={"C": 50.0}, seed=5,
         )
-        [lk] = run_scenario(target, descent_rounds(target, target_spec, pool, scen), atk, attack_set, kept)
-        [pk] = run_scenario(target, descent_rounds(target, target_spec, pool, ScenarioSpec(kind="PK")), atk, attack_set, kept)
+        [lk] = run_scenario(descent_rounds(target, target_spec, pool, scen), atk, attack_set, kept)
+        [pk] = run_scenario(descent_rounds(target, target_spec, pool, ScenarioSpec(kind="PK")), atk, attack_set, kept)
         assert [predict(target, t.points[-1][None])[0] for t in lk] == [predict(target, t.points[-1][None])[0] for t in pk]
 
     def test_lk_touches_target_only_via_predict(self):
@@ -201,8 +203,10 @@ class TestRunScenario:
         mal = pool.X[pool.y == 1][:3]
         attack_set = Dataset(mal, np.ones(3, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=50, n_surrogate_repeats=2, seed=7)
-        run_scenario(target, descent_rounds(target, target_spec, pool, scen), atk, attack_set, kept)
-        assert set(target.calls) == {"discriminant_many"}
+        rounds = descent_rounds(target, target_spec, pool, scen, KdeParams(h=2.0))
+        relabelling = list(target.calls)
+        run_scenario(rounds, replace(atk, lam=5.0), attack_set, kept)
+        assert target.calls == relabelling == ["discriminant_many"] * 2  # one relabelling per repeat
         assert "gradient" not in target.calls
 
     def test_pk_ignores_surrogate_fields(self):
@@ -212,72 +216,25 @@ class TestRunScenario:
         attack_set = Dataset(pool.X[pool.y == 1][:3], np.ones(3, dtype=int))
         rounds_a = descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind="PK", n_q=10, n_surrogate_repeats=2))
         rounds_b = descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind="PK", n_q=90, n_surrogate_repeats=9))
-        for [(data, model)] in (rounds_a, rounds_b):
-            assert data is pool and model is target
-        [a] = run_scenario(target, rounds_a, atk, attack_set, kept)
-        [b] = run_scenario(target, rounds_b, atk, attack_set, kept)
+        for [(model, estimator)] in (rounds_a, rounds_b):
+            assert model is target and estimator is None
+        [a] = run_scenario(rounds_a, atk, attack_set, kept)
+        [b] = run_scenario(rounds_b, atk, attack_set, kept)
         assert len(a) == len(b) == 3
         for ta, tb in zip(a, b):
             np.testing.assert_array_equal(ta.points[-1], tb.points[-1])
-
-    def test_misclassified_sample_recorded_as_evading(self):
-        pool = toy_pool()
-        target = RecordingLinear(np.array([1.0, 0.0]), 0.0)
-        attack_set = Dataset(np.array([[-1.0, 0.0], [2.0, 0.0]]), np.array([1, 1]))
-        batch_scores = target.discriminant_many(attack_set.X)
-
-        def recorded(trace):
-            # each trace with the target calls made since the previous one
-            calls = list(target.calls)
-            target.calls.clear()
-            return trace, calls
-
-        for scenario, n_rounds in ((ScenarioSpec(kind="PK"), 1),
-                                   (ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3), 3)):
-            descents = descent_rounds(target, LINEAR_SPEC, pool, scenario)
-            target.calls.clear()
-            rounds = run_scenario(target, descents, attack_spec(), attack_set, recorded)
-            assert len(rounds) == n_rounds
-            for r, [(skipped, calls), (attacked, _)] in enumerate(rounds):
-                # the rows' labels come from one batched scoring, made before
-                # the first trace; no scalar call for the skipped row: its
-                # value is the batch score
-                assert calls == (["discriminant_many"] if r == 0 else [])
-                assert skipped.objective_values == [batch_scores[0]] == [-1.0]
-                # a single-point trace in its row's place, evading the target at its start
-                assert skipped.iterations == 0 and skipped.termination == "converged"
-                np.testing.assert_array_equal(skipped.points[0], attack_set.X[0])
-                _, scores = trace_profile(target, skipped)
-                assert scores.tolist() == [-1.0] and scores[0] - target.decision_offset < 0
-                np.testing.assert_array_equal(attacked.points[0], attack_set.X[1])
-                assert attacked.iterations > 0
-
-    def test_a_nan_start_score_is_descended_and_never_counted_as_evading(self):
-        # models.evading: a NaN score does not evade, so the row is attacked,
-        # and no point the target scores NaN counts toward FN
-        class NanScores(LinearModel):
-            def discriminant_many(self, X):
-                return np.full(len(X), np.nan)
-
-        target = NanScores(np.array([1.0, 0.0]), 0.0)
-        attack_set = Dataset(np.array([[2.0, 0.0]]), np.array([1]))
-        rounds = descent_rounds(target, LINEAR_SPEC, toy_pool(), ScenarioSpec(kind="PK"))
-        [[trace]] = run_scenario(target, rounds, attack_spec(), attack_set, kept)
-        assert trace.iterations > 0
-        assert target.discriminant(trace.points[-1]) < 0  # the descent's own scores evade
-        assert nearest_evasion(target, trace) == np.inf
-        assert fn_rates([nearest_evasion(target, trace)], [0.0, 4.0]) == [0.0, 0.0]
 
     def test_rejects_legitimate_samples_in_attack_set(self):
         pool = toy_pool()
         target = LinearModel(np.array([1.0, 0.0]), 0.0)
         bad = Dataset(np.array([[1.0, 0.0]]), np.array([-1]))
         with pytest.raises(ValueError, match="malicious"):
-            run_scenario(target, descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind="PK")), attack_spec(), bad, kept)
+            run_scenario(descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind="PK")), attack_spec(), bad, kept)
 
     def test_lk_kde_reference_points_come_from_surrogate(self, monkeypatch):
-        # with one repeat and a tiny pool, the mimicry estimator must be
-        # built from `kde` over the surrogate's legitimately-labeled rows only
+        # with one repeat and a tiny pool, the round's mimicry estimator is
+        # built from `kde` over the surrogate's legitimately-labeled rows
+        # only, and every descent of the round runs with it
         pool = toy_pool(n=40, seed=9)
         target, target_spec = linear_target(pool, 10.0)
         atk = AttackSpec(
@@ -286,23 +243,38 @@ class TestRunScenario:
         attack_set = Dataset(pool.X[pool.y == 1][:2], np.ones(2, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=20, n_surrogate_repeats=1, seed=10)
         kde = KdeParams(h=2.0, truncation_k=50)
-        estimators = []
+        drawn, estimators = [], []
+
+        def built(*args, _original=scenario_module.build_surrogate, **kwargs):
+            drawn.append(_original(*args, **kwargs))
+            return drawn[-1]
 
         def recorded(model, spec, x0, _original=scenario_module.run_attack):
             estimators.append(spec.mimicry)
             return _original(model, spec, x0)
 
+        monkeypatch.setattr(scenario_module, "build_surrogate", built)
         monkeypatch.setattr(scenario_module, "run_attack", recorded)
-        surrogates = descent_rounds(target, target_spec, pool, scen)
-        [traces] = run_scenario(target, surrogates, atk, attack_set, kept, kde=kde)
+        surrogates = descent_rounds(target, target_spec, pool, scen, kde)
+        [traces] = run_scenario(surrogates, atk, attack_set, kept)
         assert len(traces) == 2
-        [(surrogate_data, _)] = surrogates
+        [(_, estimator)] = surrogates
+        [surrogate_data] = drawn
         legit = surrogate_data.X[surrogate_data.y == LEGITIMATE]
         assert 0 < len(legit) < len(pool.X[pool.y == LEGITIMATE])
-        assert len(estimators) == 2
-        for est in estimators:
-            np.testing.assert_array_equal(est.reference_points, legit)
-            assert (est.h, est.truncation_k) == (kde.h, kde.truncation_k)
+        assert estimator.reference_points.tobytes() == legit.tobytes()
+        assert estimator.reference_points.shape == legit.shape
+        assert (estimator.h, estimator.truncation_k) == (kde.h, kde.truncation_k)
+        assert len(estimators) == 2 and all(est is estimator for est in estimators)
+
+    def test_pk_kde_reference_points_are_the_legitimate_pool_rows(self):
+        pool = toy_pool(n=40, seed=9)
+        target = LinearModel(np.array([1.0, 0.0]), 0.0)
+        [(model, estimator)] = descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind="PK"), KdeParams(h=2.0))
+        legit = pool.X[pool.y == LEGITIMATE]
+        assert model is target
+        assert estimator.reference_points.tobytes() == legit.tobytes()
+        assert estimator.reference_points.shape == legit.shape
 
     def test_round_r_descends_on_surrogate_r_with_its_own_estimator(self, monkeypatch):
         # each round binds its surrogate and the mimicry estimator over that
@@ -313,27 +285,32 @@ class TestRunScenario:
         attack_set = Dataset(pool.X[pool.y == 1][:3], np.ones(3, dtype=int))
         scen = ScenarioSpec(kind="LK", n_q=30, n_surrogate_repeats=3, seed=13)
         kde = KdeParams(h=2.0, truncation_k=50)
-        descents = []
+        drawn, descents = [], []
+
+        def built(*args, _original=scenario_module.build_surrogate, **kwargs):
+            drawn.append(_original(*args, **kwargs))
+            return drawn[-1]
 
         def recorded(model, spec, x0, _original=scenario_module.run_attack):
             descents.append((model, spec.mimicry))
             return _original(model, spec, x0)
 
+        monkeypatch.setattr(scenario_module, "build_surrogate", built)
         monkeypatch.setattr(scenario_module, "run_attack", recorded)
-        surrogates = descent_rounds(target, target_spec, pool, scen)
-        rounds = run_scenario(target, surrogates, atk, attack_set, kept, kde=kde)
-        assert len(rounds) == 3 and len(surrogates) == 3 and len(descents) == 9
-        for r, (surrogate_data, surrogate) in enumerate(surrogates):
+        surrogates = descent_rounds(target, target_spec, pool, scen, kde)
+        rounds = run_scenario(surrogates, atk, attack_set, kept)
+        assert len(rounds) == 3 and len(surrogates) == 3 and len(drawn) == 3 and len(descents) == 9
+        for r, ((surrogate, estimator), surrogate_data) in enumerate(zip(surrogates, drawn)):
             legit = surrogate_data.X[surrogate_data.y == LEGITIMATE]
+            assert estimator.reference_points.tobytes() == legit.tobytes()
             for model, est in descents[3 * r:3 * (r + 1)]:
-                assert model is surrogate
-                np.testing.assert_array_equal(est.reference_points, legit)
+                assert model is surrogate and est is estimator
         # the surrogates differ, so a round descended on another's would show
         assert len({tuple(f for t in traces for f in t.objective_values) for traces in rounds}) == 3
 
     def test_each_trace_is_reduced_and_released_before_the_next_descent(self, monkeypatch):
-        # row 0 already evades the target, so each round reduces its
-        # single-point trace without a descent; no trace is alive when a
+        # every row is descended, row 0 too, though it already evades the
+        # target: that verdict is the evaluation's; no trace is alive when a
         # descent starts, and none outlives its reduction
         pool = toy_pool(n=200, seed=14)
         target, target_spec = linear_target(pool, 10.0)
@@ -351,20 +328,26 @@ class TestRunScenario:
 
         monkeypatch.setattr(scenario_module, "run_attack", recorded)
         surrogates = descent_rounds(target, target_spec, pool, ScenarioSpec(kind="LK", n_q=40, n_surrogate_repeats=2))
-        assert run_scenario(target, surrogates, attack_spec(), attack_set, reduce) == [[0, 1, 2], [3, 4, 5]]
-        assert events == [("reduce", 0), ("descent", 0), ("reduce", 1), ("descent", 0), ("reduce", 2),
-                          ("reduce", 3), ("descent", 0), ("reduce", 4), ("descent", 0), ("reduce", 5)]
+        assert run_scenario(surrogates, attack_spec(), attack_set, reduce) == [[0, 1, 2], [3, 4, 5]]
+        assert events == [event for i in range(6) for event in (("descent", 0), ("reduce", i))]
         assert all(ref() is None for ref in traces)
 
-    def test_lam_positive_requires_kde_params(self):
+    def test_lam_positive_requires_kde_params(self, monkeypatch):
         pool = toy_pool()
         target = LinearModel(np.array([1.0, 0.0]), 0.0)
         attack_set = Dataset(np.array([[2.0, 0.0]]), np.array([1]))
+        # the sweep refuses before any cell runs, so no cell is dropped for it
+        monkeypatch.setattr(evaluation_module, "_run_cell", lambda plan, cell: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match="^lam > 0 requires kde parameters$"):
+            sweep(pool, [LINEAR_SPEC], ScenarioSpec(kind="PK"), ["PK"], attack_spec(), [0.0, 5.0], [0.0, 4.0],
+                  n_splits=1, n_train=30, n_test=30, fp_target=0.1, kde=None)
+        # a round built without kde parameters has no estimator, and it
+        # replaces a prebuilt one in the attack: F then refuses lam > 0
         prebuilt = KdeParams(h=2.0).build(pool.X[pool.y == LEGITIMATE])
         atk = replace(attack_spec(), lam=5.0, mimicry=prebuilt)
         for kind in ("PK", "LK"):
-            with pytest.raises(ValueError, match="requires kde parameters"):
-                run_scenario(target, descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind=kind, n_q=30)), atk, attack_set, kept)
+            with pytest.raises(ValueError, match="^lam > 0 requires a mimicry estimator$"):
+                run_scenario(descent_rounds(target, LINEAR_SPEC, pool, ScenarioSpec(kind=kind, n_q=30)), atk, attack_set, kept)
 
 
 def test_lk_repeat_seeds_are_pinned(monkeypatch):
