@@ -36,6 +36,7 @@ from .config import (
 from .data import LEGITIMATE, MALICIOUS, Dataset
 from .evaluation import calibrated, cell_model, cell_split, sweep, trace_profile
 from .models import TrainedModel, evading, load_model, predict, save_model
+from .scenario import round_estimator
 
 TRACE_FORMAT_VERSION = "gradevade-trace/1"
 
@@ -178,8 +179,8 @@ def cmd_attack(cfg: ExperimentConfig, out_dir: Path, model_path: str, sample_ind
         )
 
     echo_config(cfg, out_dir)
-    # the mimicry estimator of a PK round: the KDE over the split's legitimate test rows
-    trace = run_attack(target, replace(spec, mimicry=cfg.kde.build(test.X[test.y == LEGITIMATE])), x0)
+    # the mimicry estimator of a PK round, over the split's test rows
+    trace = run_attack(target, replace(spec, mimicry=round_estimator(test, cfg.kde)), x0)
     traces_dir = out_dir / "traces"
     traces_dir.mkdir(parents=True, exist_ok=True)
     trace_path = traces_dir / f"trace_split{split_idx}_sample{sample_index}.txt"

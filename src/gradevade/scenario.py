@@ -101,6 +101,11 @@ def _train_surrogate(target_spec: ModelSpec, data: Dataset, spec: ScenarioSpec, 
     return train_from_spec(surrogate_spec(target_spec, spec.surrogate_params), data, seed=seed)
 
 
+def round_estimator(data: Dataset, kde: KdeParams | None) -> MimicryEstimator | None:
+    """The mimicry estimator of a round on `data`: `kde` over its legitimate rows, or None without `kde`."""
+    return None if kde is None else kde.build(data.X[data.y == LEGITIMATE])
+
+
 def descent_rounds(
     target: TrainedModel, target_spec: ModelSpec, pool: Dataset, scenario: ScenarioSpec, kde: KdeParams | None = None
 ) -> list[tuple[TrainedModel, MimicryEstimator | None]]:
@@ -110,21 +115,18 @@ def descent_rounds(
     repeat r drawn and trained from seeds derived from `scenario.seed` and
     r. The trained `target` answers the relabelling queries; the surrogate
     is trained from its recipe `target_spec` (`surrogate_spec`). The
-    estimator is `kde` built over the legitimate rows of the round's data,
-    the pool under PK and repeat r's surrogate data under LK, or None
-    without `kde`. The rounds depend on nothing of the attack, so one list
-    serves every lambda.
+    estimator is `round_estimator` of the round's data: the pool under PK,
+    repeat r's surrogate data under LK. The rounds depend on nothing of the
+    attack, so one list serves every lambda.
     """
-    def attacker(data: Dataset, model: TrainedModel):
-        return model, None if kde is None else kde.build(data.X[data.y == LEGITIMATE])
-
     if scenario.kind == "PK":
-        return [attacker(pool, target)]
+        return [(target, round_estimator(pool, kde))]
     rounds = []
     for r in range(scenario.n_surrogate_repeats):
         build_seed, train_seed = derive_seeds([scenario.seed, 0xA77AC], 2, spawn_key=(r,))
         surrogate_data = build_surrogate(target, pool, scenario, seed=build_seed)
-        rounds.append(attacker(surrogate_data, _train_surrogate(target_spec, surrogate_data, scenario, seed=train_seed)))
+        surrogate = _train_surrogate(target_spec, surrogate_data, scenario, seed=train_seed)
+        rounds.append((surrogate, round_estimator(surrogate_data, kde)))
     return rounds
 
 

@@ -259,10 +259,9 @@ PINNED_SWEEP_FILES = {
     "plots/curve_svm_rbf_gamma_0.002_C_1__PK_lam0.csv": "b7fadae2d00301dbd7c67b57085e7ed7b12f2b15729c3c5e668285ffb5e9d93f",
     "plots/curve_svm_rbf_gamma_0.002_C_1__PK_lam500.csv": "b7fadae2d00301dbd7c67b57085e7ed7b12f2b15729c3c5e668285ffb5e9d93f",
 }
-# the echo without its output_dir, which names the run's own directory
 PINNED_CONFIG_ECHO = {
-    1: "711fecaf1a0e5242bea80ee96ad1687882f0d2996a9fda2a948730df559d7e14",
-    2: "ca6eee5c79050828e66e79631a9f59f71295e46b6197a2aa14c5c93116f72ed7",
+    1: "64778709937e996bf191b9aa1abee7e3f4ce24c3781a0e43e217553933edfb2e",
+    2: "f505519d464dd52bf361fc062271bdc6f53374e8ac2b46bf2b1d84dd15daf460",
 }
 PINNED_CURVE_LINES = """\
 curve linear_svm(C=1) LK lambda=0: FN(40) = 0.100
@@ -281,22 +280,21 @@ curve svm(rbf,gamma=0.002,C=1) PK lambda=500: FN(40) = 0.500
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_shrunk_flagship_sweep_writes_the_pinned_bytes(tmp_path, capsys, jobs):
+def test_shrunk_flagship_sweep_writes_the_pinned_bytes(tmp_path, monkeypatch, capsys, jobs):
     # two splits, PK and LK, lambda 0 and 500, and budgets up to 40, where
     # every model's attack evades; its means include 0.5249999999999999 and
     # its stds 0.47500000000000003, which a numpy scalar would print otherwise
     sets = [s for s in PDF_SMALL if not s.startswith(("jobs=", "split.n_splits=", "attack.d_max_grid="))] + [
         "split.n_splits=2", "attack.d_max_grid=[0,20,40]",
     ]
-    out = tmp_path / "out"
+    # a relative --out, so the echo's output_dir is the same on every run
+    monkeypatch.chdir(tmp_path)
+    out = Path("out")
     capsys.readouterr()
     assert main(["sweep", *config_args("synthetic_pdf.json", sets, out), "--jobs", str(jobs)]) == 0
     captured = capsys.readouterr()
     written = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.rglob("*") if p.is_file()}
-    echo = json.loads((out / "config_resolved.json").read_text())
-    assert echo.pop("output_dir") == str(out)
-    written["config_resolved.json"] = hashlib.sha256((json.dumps(echo, indent=2, sort_keys=True) + "\n").encode()).hexdigest()
     assert written == {**PINNED_SWEEP_FILES, "config_resolved.json": PINNED_CONFIG_ECHO[jobs]}
     assert captured.out == PINNED_CURVE_LINES
     assert captured.err == ""
